@@ -134,13 +134,9 @@ def _cmd_roots(args) -> int:
             z, w_top = roots.z_and_w(hs, s)
             class_rows.append((s, classes[s], z, w_top))
         if len(m_sorted) <= 16:
-            weyl = set(subsets)
-            non_weyl = []
-            for mask in range(1 << len(m_sorted)):
-                sub = frozenset(m_sorted[i] for i in range(len(m_sorted)) if mask >> i & 1)
-                if sub not in weyl:
-                    non_weyl.append(sub)
-            non_weyl.sort(key=lambda s: (len(s), sorted(rs._pos_index[c] for c in s)))
+            weyl = {rs.mask_of(s) for s in subsets}
+            masks = [x for x in roots.submasks(rs.mask_of(m)) if x not in weyl]
+            non_weyl = [rs.roots_of_mask(x) for x in sorted(masks, key=roots.mask_order_key)]
 
     if args.json:
         payload = {

@@ -11,17 +11,28 @@ Weyl group elements are stored as permutations of the signed root list
 and makes composition, inversion sets, and lengths cheap.  Composition is
 function composition, matching :func:`hessgkm.perms.compose`.
 
+Sets of positive roots are also integer masks (bit i is
+``positive_roots[i]``).  On first use by a Hessenberg-space function a
+system builds, once, each element's inversion mask and the mask of roots
+it sends to a negative simple root, the (a, b, a+b) index triples and each
+root's down-closure; left weak order is then inversion-mask containment
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 3.1.3).  Tuples of
+coordinates stay the type of every public argument and result.
+
 A Hessenberg space is a subset M of the positive roots closed under
 subtracting positive roots (if a is in M, b is positive, and a - b is a
 positive root, then a - b is in M) -- the root-level shadow of being a
 module over the Borel.  The machinery built on M:
 
 * Weyl-type subsets: S with both S and M - S closed under addition inside
-  M; these are exactly the traces N(w) & M of inversion sets.
+  M; these are exactly the traces N(w) & M of inversion sets.  They are
+  enumerated by backtracking over M in height order (the definitional
+  2^|M| scan is kept as an oracle in :mod:`hessgkm.verify`).
 * The partition of W into classes {w : N(w) & M = S}, one per Weyl-type S;
   each class is a left weak order interval [z_S, w_S], where z_S is the
   unique class member sending no positive root outside M to a negative
-  simple root, and w_S = w0 * z_{M-S}.
+  simple root, and w_S = w0 * z_{M-S}.  Both bounds are checked against
+  the whole class and memoized per space.
 * The admissible elements: the class tops w_S.
 * The moment graph on W with edges {w, w s_a} for a in M, and the
   regularity verdict on Bruhat interval subgraphs; the smoothness
@@ -32,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .perms import Perm, compose as perm_compose
 
@@ -40,10 +52,6 @@ Element = tuple[int, ...]  # permutation of the signed root index list
 
 # Covers A<=7, B/C<=6, D<=6, G2, F4; E types are not built here.
 DEFAULT_MAX_ORDER = 50_000
-
-# Brute-force subset scan for Weyl-type subsets is kept below this |M|;
-# larger M fall back to collecting inversion-set traces.
-_SUBSET_SCAN_MAX = 16
 
 
 def _factorial(n: int) -> int:
@@ -164,6 +172,8 @@ class RootSystem:
             self._simple_reflection(i) for i in range(rank)
         )
         self._elements: tuple[Element, ...] | None = None
+        self._longest: Element | None = None
+        self._reflection_memo: dict[Coords, Element] = {}
         self._bruhat_memo: dict[tuple[Element, Element], bool] = {}
         self._word_memo: dict[Element, tuple[int, ...]] = {}
 
@@ -250,6 +260,8 @@ class RootSystem:
         """The reflection in a positive root, as a signed-root permutation."""
         if coords not in self._pos_index:
             raise ValueError(f"{coords} is not a positive root")
+        if coords in self._reflection_memo:
+            return self._reflection_memo[coords]
         beta_e = self._euclid(coords)
         bb = sum(x * x for x in beta_e)
         img = []
@@ -260,7 +272,8 @@ class RootSystem:
                 raise RuntimeError("non-integral pairing in reflection")
             k = int(pairing)
             img.append(self._signed_index[tuple(x - k * y for x, y in zip(c, coords))])
-        return tuple(img)
+        out = self._reflection_memo[coords] = tuple(img)
+        return out
 
     def reflections(self) -> tuple[Element, ...]:
         return tuple(self.reflection(c) for c in self.positive_roots)
@@ -292,6 +305,8 @@ class RootSystem:
         return self._elements
 
     def longest(self) -> Element:
+        if self._longest is not None:
+            return self._longest
         w = self.identity
         p = self._num_positive
         progressed = True
@@ -301,7 +316,52 @@ class RootSystem:
                 if w[self._simple_indices[i]] < p:  # w(alpha_i) still positive
                     w = self.mul(w, s)
                     progressed = True
+        self._longest = w
         return w
+
+    # -- mask tables, built on first use by the Hessenberg-space functions ---------
+
+    @cached_property
+    def _sum_triples(self) -> tuple[tuple[int, int, int], ...]:
+        """Index triples (a, b, c) of positive roots with a < b and a + b = c."""
+        roots, pos = self.positive_roots, self._pos_index
+        out = []
+        for a, x in enumerate(roots):
+            for b in range(a + 1, len(roots)):
+                c = pos.get(tuple(u + v for u, v in zip(x, roots[b])))
+                if c is not None:
+                    out.append((a, b, c))
+        return tuple(out)
+
+    @cached_property
+    def _down_masks(self) -> tuple[int, ...]:
+        """Per positive root, the mask of the roots reached from it by
+        subtracting positive roots, itself included."""
+        down = [1 << i for i in range(self._num_positive)]
+        # c - b = a and c - a = b; the roots are in height order, so a and b
+        # are complete before c is reached.
+        for a, b, c in sorted(self._sum_triples, key=lambda t: t[2]):
+            down[c] |= down[a] | down[b]
+        return tuple(down)
+
+    @cached_property
+    def _inversion_masks(self) -> dict[Element, int]:
+        return {w: self.inversion_mask(w) for w in self.elements()}
+
+    @cached_property
+    def _neg_simple_masks(self) -> dict[Element, int]:
+        """Per element, the mask of positive roots it sends to a negative
+        simple root."""
+        p = self._num_positive
+        neg_simple = {p + i for i in self._simple_indices}
+        return {
+            w: sum(1 << i for i in range(p) if w[i] in neg_simple)
+            for w in self.elements()
+        }
+
+    @cached_property
+    def _sorted_elements(self) -> tuple[Element, ...]:
+        return tuple(sorted(self.elements(), key=self.sort_key))
 
     def left_descents(self, w: Element) -> list[int]:
         lw = self.length(w)
@@ -538,68 +598,93 @@ def is_weyl_type(hs: HessenbergSpace, subset) -> bool:
     return is_closed_in(hs.rs, sub, hs.roots) and is_closed_in(hs.rs, comp, hs.roots)
 
 
+def mask_order_key(mask: int) -> tuple[int, list[int]]:
+    """Order on root masks: by size, then by the sorted root indices."""
+    # A list, not a tuple: the interpreter keeps up to 2000 freed tuples of
+    # each small size for reuse, which held about 3 MB after the F4 sorts.
+    return mask.bit_count(), [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def submasks(mask: int):
+    """Every submask of `mask`, from `mask` itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _m_mask(hs: HessenbergSpace) -> int:
+    return hs._cache("m_mask", lambda: hs.rs.mask_of(hs.roots))
+
+
 def weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
     """All Weyl-type subsets of M, sorted by (size, root order).
 
-    Scans all subsets when M is small; for large M collects the traces
-    N(w) & M instead (every trace is Weyl type and every Weyl-type subset
-    is a trace) and still verifies each definitionally.
+    Backtracks over the roots of M in height order.  When root c is
+    decided, both parts of every a + b = c in M have been, so c is forced
+    into S if some such pair lies in S, out of S if some pair lies outside,
+    and the branch dies if both.  The leaves are exactly the Weyl-type
+    subsets; that they come in complementary pairs is checked.
     """
 
     def compute():
         rs = hs.rs
-        m_sorted = sorted(hs.roots, key=lambda c: rs._pos_index[c])
-        found: set[frozenset[Coords]] = set()
-        if len(m_sorted) <= _SUBSET_SCAN_MAX:
-            for mask in range(1 << len(m_sorted)):
-                sub = frozenset(
-                    m_sorted[i] for i in range(len(m_sorted)) if mask >> i & 1
+        m_mask = _m_mask(hs)
+        order = [i for i in range(len(rs.positive_roots)) if m_mask >> i & 1]
+        pairs: dict[int, list[int]] = {c: [] for c in order}
+        for a, b, c in rs._sum_triples:
+            if c in pairs and m_mask >> a & 1 and m_mask >> b & 1:
+                pairs[c].append(1 << a | 1 << b)
+        found: list[int] = []
+        stack = [(0, 0, 0)]  # (roots of M decided, mask in S, mask outside S)
+        while stack:
+            k, inside, outside = stack.pop()
+            if k == len(order):
+                found.append(inside)
+                continue
+            c = order[k]
+            if not any(outside & pm == pm for pm in pairs[c]):
+                stack.append((k + 1, inside | 1 << c, outside))
+            if not any(inside & pm == pm for pm in pairs[c]):
+                stack.append((k + 1, inside, outside | 1 << c))
+        masks = set(found)
+        for s in found:
+            if m_mask & ~s not in masks:
+                raise RuntimeError(
+                    f"Weyl-type subset {rs.format_root_set(rs.roots_of_mask(s))} "
+                    "has no Weyl-type complement in M"
                 )
-                if is_weyl_type(hs, sub):
-                    found.add(sub)
-        else:
-            for w in rs.elements():
-                trace = rs.inversion_set(w) & hs.roots
-                if trace not in found:
-                    if not is_weyl_type(hs, trace):
-                        raise RuntimeError(
-                            f"inversion trace {rs.format_root_set(trace)} fails the "
-                            "Weyl-type check"
-                        )
-                    found.add(trace)
-        return sorted(
-            found, key=lambda s: (len(s), sorted(rs._pos_index[c] for c in s))
-        )
+        return [rs.roots_of_mask(s) for s in sorted(found, key=mask_order_key)]
 
     return hs._cache("weyl_type_subsets", compute)
 
 
 def partition_classes(hs: HessenbergSpace) -> dict[frozenset[Coords], tuple[Element, ...]]:
-    """Group W by the trace of the inversion set on M."""
+    """Group W by the trace of the inversion set on M.  Keys come in the
+    order of :func:`weyl_type_subsets`; each class is sorted by (length,
+    word)."""
 
     def compute():
         rs = hs.rs
-        buckets: dict[frozenset[Coords], list[Element]] = {}
-        for w in rs.elements():
-            trace = rs.inversion_set(w) & hs.roots
-            buckets.setdefault(trace, []).append(w)
-        return {s: tuple(sorted(ws, key=rs.sort_key)) for s, ws in buckets.items()}
+        m_mask = _m_mask(hs)
+        inv = rs._inversion_masks
+        buckets: dict[int, list[Element]] = {}
+        for w in rs._sorted_elements:
+            buckets.setdefault(inv[w] & m_mask, []).append(w)
+        return {
+            rs.roots_of_mask(s): tuple(buckets[s]) for s in sorted(buckets, key=mask_order_key)
+        }
 
     return hs._cache("partition_classes", compute)
 
 
-def _neg_simple_preimage(rs: RootSystem, w: Element) -> frozenset[Coords]:
-    """Positive roots sent by w to a negative simple root."""
-    p = rs._num_positive
-    neg_simple = {p + i for i in rs._simple_indices}
-    return frozenset(
-        rs.positive_roots[i] for i in range(p) if w[i] in neg_simple
-    )
-
-
 def _z_element(hs: HessenbergSpace, cls: tuple[Element, ...]) -> Element:
-    rs = hs.rs
-    hits = [w for w in cls if _neg_simple_preimage(rs, w) <= hs.roots]
+    """The class member sending no positive root outside M to a negative
+    simple root."""
+    neg, outside = hs.rs._neg_simple_masks, ~_m_mask(hs)
+    hits = [w for w in cls if not neg[w] & outside]
     if len(hits) != 1:
         raise RuntimeError(
             f"expected exactly one class minimum, found {len(hits)}"
@@ -611,24 +696,31 @@ def z_and_w(hs: HessenbergSpace, subset) -> tuple[Element, Element]:
     """The minimum z_S and maximum w_S of the class of S in left weak order.
 
     z_S comes from the characterization scan; w_S = w0 * z_{M-S}.  Both are
-    verified to bound the class, which doubles as an internal self-check.
+    verified to bound the class (inversion-mask containment), which doubles
+    as an internal self-check.  Memoized per space.
     """
     rs = hs.rs
     s = frozenset(subset)
     classes = partition_classes(hs)
     if s not in classes:
         raise ValueError(f"{rs.format_root_set(s)} is not a Weyl-type subset of M")
+    bounds = hs._cache("z_and_w", dict)
+    if s in bounds:
+        return bounds[s]
     comp = hs.roots - s
     if comp not in classes:
         raise RuntimeError("complement of a Weyl-type subset has no class")
-    z = _z_element(hs, classes[s])
-    w = rs.mul(rs.longest(), _z_element(hs, classes[comp]))
     cls = classes[s]
+    z = _z_element(hs, cls)
+    w = rs.mul(rs.longest(), _z_element(hs, classes[comp]))
     if w not in cls:
         raise RuntimeError("computed class maximum lies outside the class")
+    inv = rs._inversion_masks
+    low, high = inv[z], inv[w]
     for x in cls:
-        if not (rs.weak_leq(z, x) and rs.weak_leq(x, w)):
+        if low & ~inv[x] or inv[x] & ~high:
             raise RuntimeError("class is not sandwiched between z_S and w_S")
+    bounds[s] = z, w
     return z, w
 
 
@@ -640,38 +732,20 @@ def h_admissible_elements(hs: HessenbergSpace) -> list[Element]:
 
 def enumerate_hessenberg_spaces(rs: RootSystem) -> list[frozenset[Coords]]:
     """All subsets of the positive roots closed under subtracting positive
-    roots, grown by closure from below."""
-    pos = list(rs.positive_roots)
-    pos_set = set(pos)
-
-    def close(start: frozenset[Coords]) -> frozenset[Coords]:
-        out = set(start)
-        stack = list(start)
-        while stack:
-            alpha = stack.pop()
-            for beta in pos:
-                diff = tuple(a - b for a, b in zip(alpha, beta))
-                if diff in pos_set and diff not in out:
-                    out.add(diff)
-                    stack.append(diff)
-        return frozenset(out)
-
-    spaces = {frozenset()}
-    frontier = [frozenset()]
+    roots, grown from below by adding one root's down-closure at a time."""
+    down = rs._down_masks
+    spaces = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for m in frontier:
-            for alpha in pos:
-                if alpha in m:
-                    continue
-                grown = close(m | {alpha})
+            for d in down:
+                grown = m | d
                 if grown not in spaces:
                     spaces.add(grown)
                     nxt.append(grown)
         frontier = nxt
-    return sorted(
-        spaces, key=lambda s: (len(s), sorted(rs._pos_index[c] for c in s))
-    )
+    return [rs.roots_of_mask(m) for m in sorted(spaces, key=mask_order_key)]
 
 
 # -- moment graph over W -----------------------------------------------------------

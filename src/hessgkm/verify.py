@@ -6,6 +6,9 @@ permutations, and records counterexamples; a clean run returns zero
 violations.  The Bruhat oracle here decides the order by chain
 reachability (BFS over length-increasing transposition moves) and shares
 no decision logic with the sorted-prefix criterion it certifies.
+:func:`oracle_weyl_type_subsets` likewise tests every subset of a
+Hessenberg space M against the definition of Weyl type, for the
+backtracking enumerator in :mod:`hessgkm.roots`.
 
 Suites
 ------
@@ -58,6 +61,7 @@ from .perms import (
     length,
     transpositions,
 )
+from .roots import Coords, HessenbergSpace, is_weyl_type, mask_order_key, submasks
 
 _CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 
@@ -137,6 +141,17 @@ def oracle_bruhat(u: Perm, v: Perm) -> bool:
     if len(u) != len(v):
         raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
     return v in oracle_bruhat_upset(u)
+
+
+def oracle_weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
+    """Weyl-type subsets of M by the definition: every one of the 2^|M|
+    subsets is tested with :func:`hessgkm.roots.is_weyl_type`.  Sorted like
+    :func:`hessgkm.roots.weyl_type_subsets`."""
+    rs = hs.rs
+    found = [
+        x for x in submasks(rs.mask_of(hs.roots)) if is_weyl_type(hs, rs.roots_of_mask(x))
+    ]
+    return [rs.roots_of_mask(x) for x in sorted(found, key=mask_order_key)]
 
 
 class _Deadline:
@@ -344,13 +359,13 @@ def _sweep_phi_surjective(n_max: int, deadline: _Deadline, result: SweepResult) 
                     e_v = set(_edge_set(h, interval, v))
                     images = set(phi_rule(e_w, a, b).values())
                     if not e_v <= images:
-                        result.violations.append(
-                            _violation(
-                                n, h, w, "phi-surjective",
-                                f"misses edges at v={format_permutation(v)}: "
-                                f"{sorted(e_v - images)}",
-                            )
+                        viol = _violation(
+                            n, h, w, "phi-surjective",
+                            f"misses edges at v={format_permutation(v)}: "
+                            f"{sorted(e_v - images)}",
                         )
+                        viol["v"] = format_permutation(v)
+                        result.violations.append(viol)
 
 
 def _sweep_patterns(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
@@ -415,6 +430,8 @@ SUITE_NAMES = tuple(_SUITES)
 def sweep(suite_id: str, n_max: int, budget_seconds: float | None = None) -> SweepResult:
     if suite_id not in _SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_NAMES)}")
+    if n_max < 1:
+        raise ValueError(f"n_max = {n_max} is below the lower limit 1")
     if n_max > 6:
         raise ValueError("sweeps are capped at n_max = 6")
     deadline = _Deadline(budget_seconds)

@@ -124,6 +124,15 @@ def test_verify_json(capsys):
     assert payload[0]["suite"] == "bruhat" and payload[0]["violations"] == []
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_verify_rejects_n_max_below_1(n_max, capsys):
+    code = main(["verify", "--suite", "bruhat", "--n-max", n_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "n_max" in captured.err and "lower limit 1" in captured.err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["classify", "--h", "3,2,3", "--w", "123"]) == 2
     assert main(["classify", "--h", "2,3,3", "--w", "1234"]) == 2

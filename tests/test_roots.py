@@ -21,7 +21,7 @@ from hessgkm.roots import (
     weyl_type_subsets,
     z_and_w,
 )
-from hessgkm.verify import hessenberg_functions
+from hessgkm.verify import hessenberg_functions, oracle_weyl_type_subsets
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
 
@@ -190,6 +190,18 @@ def test_weyl_type_subsets_c2():
     assert not is_weyl_type(hs, {(1, 0), (0, 1)})
 
 
+@pytest.mark.parametrize(
+    "type_label,rank", [system for system in SYSTEMS if system != ("F", 4)]
+)
+def test_weyl_type_subsets_match_definitional_scan(type_label, rank):
+    # F4 is cross-checked against the inversion traces instead, in
+    # test_partition_and_weak_interval_all_spaces.
+    rs = build_root_system(type_label, rank)
+    for m in enumerate_hessenberg_spaces(rs):
+        hs = validate_hessenberg_space(rs, m)
+        assert weyl_type_subsets(hs) == oracle_weyl_type_subsets(hs)
+
+
 def test_weyl_type_subsets_a2_all():
     a2 = build_root_system("A", 2)
     hs = validate_hessenberg_space(a2, {(1, 0), (0, 1)})
@@ -337,7 +349,7 @@ def test_classify_arbitrary_c2():
     assert top.interval_size == 1 and top.regular
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_type_a_dictionary(n):
     rs = build_root_system("A", n - 1)
     ol = rs.one_line_map()

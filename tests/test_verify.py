@@ -70,6 +70,8 @@ def test_unknown_suite_rejected():
         sweep("nope", 4)
     with pytest.raises(ValueError):
         sweep("bruhat", 7)
+    with pytest.raises(ValueError, match="n_max"):
+        sweep("bruhat", 0)
 
 
 def test_budget_truncates():
@@ -99,6 +101,8 @@ def test_phi_surjective_defect_frozen_at_rank_4():
         ("3,4,4,4", "2314", "misses edges at v=2341: [(1, 3)]"),
         ("4,4,4,4", "1324", "misses edges at v=4321: [(2, 3)]"),
     }
+    for v in result.violations:
+        assert v["detail"].startswith(f"misses edges at v={v['v']}: ")
 
 
 def test_example61_defect_frozen():
