@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
+    GkmGraph,
     interval_graph,
     is_connected,
     is_regular,
@@ -140,11 +141,11 @@ class ClassificationReport:
         }
 
 
-def _local_degree_smooth_set(wt: Perm, h: HessFunc) -> set[Perm]:
+def _local_degree_smooth_set(g: GkmGraph) -> set[Perm]:
     """Vertices of [w~, w0] certified smooth by degree equality along an
     h-Bruhat sandwich w~ <=_h v <=_h u with deg(u) equal to the cell
-    dimension."""
-    g = interval_graph(h, wt)
+    dimension; ``g`` is the interval graph of the representative w~."""
+    wt, h = g.w, g.h
     interval = g.vertex_set()
     target = cell_dimension(wt, h)
     degs = g.degrees()
@@ -241,7 +242,7 @@ def classify(w: Perm, h) -> ClassificationReport:
     equals_closure = "yes" if (reg.ok and conn) else "unknown"
 
     if wt == w:
-        reg_t = reg
+        gt, reg_t = g, reg
     else:
         gt = interval_graph(h, wt)
         reg_t = is_regular(gt, cell_dimension(wt, h))
@@ -254,7 +255,7 @@ def classify(w: Perm, h) -> ClassificationReport:
 
     # w~ itself always qualifies (its degree is the cell dimension), so the
     # translated set always contains w.
-    local = _local_degree_smooth_set(wt, h)
+    local = _local_degree_smooth_set(gt)
     citations.append(CITE_DEGREE_SHORTCUT)
     pts = {compose(u, v) for v in local}
 

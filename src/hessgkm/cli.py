@@ -241,9 +241,26 @@ def _cmd_verify(args) -> int:
             status = "OK" if r.ok else f"FAIL ({len(r.violations)} violations)"
             partial = "" if r.complete else f" [partial: {r.note}]"
             print(f"{r.suite}: {status} cases={r.cases} elapsed={r.elapsed:.2f}s{partial}")
-            for v in r.violations:
-                print(f"  violation: {v}")
+            _print_violation_groups(r.violations)
     return 0 if all(r.ok for r in results) else 1
+
+
+# Text mode shows this many violations per check; --json lists them all.
+_VIOLATION_EXAMPLES = 3
+
+
+def _print_violation_groups(violations: list[dict]) -> None:
+    """One line per check: its violation count and the first few details."""
+    groups: dict[str, list[dict]] = {}
+    for v in violations:
+        groups.setdefault(v["check"], []).append(v)
+    for check, group in groups.items():
+        shown = group[:_VIOLATION_EXAMPLES]
+        examples = " | ".join(
+            " ".join(f"{key}={v[key]}" for key in ("h", "w") if key in v) + f": {v['detail']}"
+            for v in shown
+        )
+        print(f"  {check}: {len(group)} violations, first {len(shown)}: {examples}")
 
 
 def build_parser() -> argparse.ArgumentParser:

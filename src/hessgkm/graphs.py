@@ -100,13 +100,18 @@ def _edge_between(u: Perm, i: int, j: int) -> GkmEdge:
 
 
 def _induced(h: HessFunc, vertex_set: frozenset[Perm], w: Perm | None) -> GkmGraph:
-    edges = set()
+    # Each edge is emitted once, from its lexicographically smaller end: for
+    # i < j that is the endpoint u with u(i) < u(j).
+    edges = []
     for u in vertex_set:
         for i, j in windows(h):
-            v = apply_transposition(u, i, j)
-            if v in vertex_set:
-                edges.add(_edge_between(u, i, j))
-    return GkmGraph(tuple(sorted(vertex_set)), tuple(sorted(edges)), h, w)
+            a, b = u[i - 1], u[j - 1]
+            if a < b:
+                v = apply_transposition(u, i, j)
+                if v in vertex_set:
+                    edges.append(GkmEdge(u, v, (i, j), (a, b)))
+    edges.sort()
+    return GkmGraph(tuple(sorted(vertex_set)), tuple(edges), h, w)
 
 
 def build_hessenberg_graph(h, max_rank: int = DEFAULT_MAX_RANK) -> GkmGraph:

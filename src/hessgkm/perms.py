@@ -10,6 +10,13 @@ u <= v iff for every k the increasingly sorted prefixes satisfy
 sorted(u[:k]) <= sorted(v[:k]) entrywise.  An independent chain oracle for
 the same order lives in :mod:`hessgkm.verify`.
 
+Upper intervals [w, w0] are built by one depth-first enumerator for every
+n.  Because the k-th condition involves only v[:k], it grows v one
+position at a time and drops a prefix as soon as its condition fails; no
+extension of a failing prefix lies above w.  The cost therefore follows
+the size of the interval rather than n!, and the elements come out in
+lexicographic order.
+
 Text form: a digit string for n <= 9 (``"4312"``), comma-separated values
 for larger n (``"10,3,1,2,4,5,6,7,8,9"``).
 """
@@ -22,10 +29,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
-
-# Materializing a Bruhat interval by scanning all of S_n is fine up to this
-# rank; past it we walk covers upward instead.
-_INTERVAL_SCAN_MAX_RANK = 8
 
 
 def as_permutation(entries: Iterable[int]) -> Perm:
@@ -153,27 +156,58 @@ def bruhat_covers_above(w: Perm) -> list[Perm]:
     return covers
 
 
-@lru_cache(maxsize=None)
-def bruhat_interval(w: Perm, scan_max_rank: int = _INTERVAL_SCAN_MAX_RANK) -> frozenset[Perm]:
-    """The upper interval [w, w0] = all v with w <= v.
+def _extend_upper(
+    w: Perm, k: int, prefix: list[int], free: int, slack: list[int], out: list[Perm]
+) -> None:
+    """Append to ``out``, in lexicographic order, every v >= w with
+    v[:k] == prefix.
 
-    Materialized by scanning S_n at small rank and by an upward BFS over
-    Bruhat covers past ``scan_max_rank``.
+    ``free`` has bit x set for each value x not in the prefix.  ``slack[t]``
+    is the number of prefix entries of v that are >= t minus the same count
+    for w[:k]; the prefix satisfies the criterion iff no slack is negative.
     """
     n = len(w)
-    if n <= scan_max_rank:
-        return frozenset(v for v in all_permutations(n) if bruhat_leq(w, v))
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in bruhat_covers_above(u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return frozenset(seen)
+    if k == n - 1:
+        # The last value is forced, and the full prefix never decides.
+        out.append((*prefix, free.bit_length() - 1))
+        return
+    y = w[k]
+    # v[k] = x < y lowers the slack on (x, y] by one, so x must be at least
+    # the highest threshold z <= y whose slack is already 0 (slack[1] is
+    # always 0).  Any x >= y only raises slack.
+    z = y
+    while slack[z]:
+        z -= 1
+    for x in range(z, n + 1):
+        if not free >> x & 1:
+            continue
+        lo, hi, d = (x, y, -1) if x < y else (y, x, 1)
+        for t in range(lo + 1, hi + 1):
+            slack[t] += d
+        prefix.append(x)
+        _extend_upper(w, k + 1, prefix, free & ~(1 << x), slack, out)
+        prefix.pop()
+        for t in range(lo + 1, hi + 1):
+            slack[t] -= d
+
+
+@lru_cache(maxsize=None)
+def bruhat_interval(w: Perm) -> frozenset[Perm]:
+    """The upper interval [w, w0] = all v with w <= v.
+
+    Enumerated by prefix-pruned depth-first search under the sorted-prefix
+    criterion, in lexicographic order, at a cost that grows with the size
+    of the interval.
+
+    >>> sorted(bruhat_interval((1, 3, 2)))
+    [(1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    >>> len(bruhat_interval((1, 2, 3, 4)))
+    24
+    """
+    n = len(w)
+    out: list[Perm] = []
+    _extend_upper(w, 0, [], (1 << (n + 1)) - 2, [0] * (n + 1), out)
+    return frozenset(out)
 
 
 def parse_permutation(text: str) -> Perm:

@@ -12,7 +12,8 @@ backtracking enumerator in :mod:`hessgkm.roots`.
 
 Suites
 ------
-bruhat          criterion vs. chain oracle on all pairs
+bruhat          criterion vs. chain oracle on all pairs, and the library
+                upper interval vs. the chain upset for every u
 representative  existence/uniqueness and defining properties of w~
 fixed-points    fixed set of the cell closure vs. interval, admissibility
 connectivity    interval graph connected when admissible or ambient connected
@@ -190,6 +191,10 @@ def _sweep_bruhat(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
                 result.note = f"stopped inside n={n}"
                 return
             upset = oracle_bruhat_upset(u)
+            if bruhat_interval(u) != upset:
+                result.violations.append(
+                    _violation(n, None, u, "bruhat", "library interval and chain oracle disagree")
+                )
             for v in perms:
                 result.cases += 1
                 if bruhat_leq(u, v) != (v in upset):

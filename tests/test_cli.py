@@ -115,6 +115,16 @@ def test_verify_verb_reports_known_defect(capsys):
     assert "FAIL (8 violations)" in out
 
 
+def test_verify_text_groups_violations(capsys):
+    code, out = run_cli(["verify", "--suite", "phi-surjective", "--n-max", "5"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) < 10
+    assert "FAIL (312 violations)" in lines[0]
+    assert lines[1].startswith("  phi-surjective: 312 violations, first 3: ")
+    assert lines[1].count("misses edges at v=") == 3
+
+
 def test_verify_json(capsys):
     code, out = run_cli(
         ["verify", "--suite", "bruhat", "--n-max", "3", "--json"], capsys

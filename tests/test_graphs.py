@@ -1,5 +1,7 @@
 """Moment graph construction, degrees, regularity, connectivity, exports."""
 
+import math
+
 import pytest
 
 from hessgkm.graphs import (
@@ -18,9 +20,9 @@ from hessgkm.graphs import (
     to_json_dict,
     translated_unlabeled_graph,
 )
-from hessgkm.hess import cell_dimension, enumerate_admissible, h_length, complexity_dimension
+from hessgkm.hess import cell_dimension, enumerate_admissible, h_length, complexity_dimension, windows
 from hessgkm.perms import all_permutations, bruhat_interval, length, longest_element
-from hessgkm.verify import hessenberg_functions
+from hessgkm.verify import hessenberg_functions, oracle_bruhat_upset
 
 H3344 = (3, 3, 4, 4)
 
@@ -67,6 +69,33 @@ def test_interval_graph_vertices_and_edges():
         frozenset({(3, 1, 2), (3, 2, 1)}),
     }
     assert sorted(g.degrees().values()) == [1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_interval_graph_edges_match_definition(n):
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            interval = oracle_bruhat_upset(w)
+            expected = set()
+            for u in interval:
+                for i, j in windows(h):
+                    v = list(u)
+                    v[i - 1], v[j - 1] = v[j - 1], v[i - 1]
+                    v = tuple(v)
+                    if v in interval:
+                        val = tuple(sorted((u[i - 1], u[j - 1])))
+                        expected.add((min(u, v), max(u, v), (i, j), val))
+            g = interval_graph(h, w)
+            assert g.vertices == tuple(sorted(interval))
+            assert len(set(g.edges)) == len(g.edges)
+            assert set(g.edges) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_full_graph_edge_count(n):
+    for h in hessenberg_functions(n):
+        g = build_hessenberg_graph(h)
+        assert len(g.edges) == math.factorial(n) * len(windows(h)) // 2
 
 
 def test_interval_graph_trivial_cases():

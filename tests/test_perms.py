@@ -19,6 +19,7 @@ from hessgkm.perms import (
     parse_permutation,
     transpositions,
 )
+from hessgkm.verify import oracle_bruhat_upset
 
 perms_of = lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 
@@ -150,10 +151,43 @@ def test_interval_frozen_values():
     assert len(bruhat_interval(identity(4))) == 24
 
 
+def test_interval_matches_chain_oracle():
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            assert bruhat_interval(w) == oracle_bruhat_upset(w)
+    perms6 = list(all_permutations(6))
+    for w in perms6:
+        assert bruhat_interval(w) == {v for v in perms6 if bruhat_leq(w, v)}
+    # Near the top of S_10, where the chain oracle stays small.
+    n = 10
+    w0 = longest_element(n)
+    near_top = [apply_transposition(w0, i, i + 1) for i in range(1, n)]
+    near_top += [
+        apply_transposition(apply_transposition(w0, i, i + 1), j, j + 1)
+        for i, j in [(1, 2), (1, 5), (3, 4), (4, 8), (9, 2)]
+    ]
+    for w in near_top:
+        assert length(w) >= length(w0) - 2
+        assert bruhat_interval(w) == oracle_bruhat_upset(w)
+
+
+def _cover_bfs_interval(w):
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = {v for u in frontier for v in bruhat_covers_above(u)} - seen
+        seen |= nxt
+        frontier = list(nxt)
+    return frozenset(seen)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_interval_cover_bfs_matches_scan(n):
-    for w in all_permutations(n):
-        assert bruhat_interval(w, scan_max_rank=0) == bruhat_interval(w)
+    perms = list(all_permutations(n))
+    for w in perms:
+        scan = frozenset(v for v in perms if bruhat_leq(w, v))
+        assert _cover_bfs_interval(w) == scan
+        assert bruhat_interval(w) == scan
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
