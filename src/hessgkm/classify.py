@@ -41,7 +41,6 @@ from .hess import (
     admissible_representative,
     cell_dimension,
     complexity_dimension,
-    h_bruhat_successors,
     h_length,
     hess_schubert_fixed_points,
     hessenberg_connected,
@@ -152,9 +151,11 @@ def _local_degree_smooth_set(g: GkmGraph) -> set[Perm]:
     good = {u for u in interval if degs[u] == target}
     if not good:
         return set()
-    succ: dict[Perm, list[Perm]] = {
-        u: [v for v in h_bruhat_successors(u, h) if v in interval] for u in interval
-    }
+    # Each edge (u, v) is the window swap with u(i) < u(j), so v is longer
+    # than u: the edges are exactly the h-Bruhat steps inside the interval.
+    succ: dict[Perm, list[Perm]] = {u: [] for u in interval}
+    for e in g.edges:
+        succ[e.u].append(e.v)
     # forward closure from w~
     forward = {wt}
     stack = [wt]

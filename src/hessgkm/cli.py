@@ -9,6 +9,7 @@ the graph verb).  Exit codes: 0 success, 1 for verify runs with violations,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -263,7 +264,10 @@ def _print_violation_groups(violations: list[dict]) -> None:
         print(f"  {check}: {len(group)} violations, first {len(shown)}: {examples}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` returns a
+    fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="hessgkm",
         description="Smoothness and irreducibility verdicts from moment-graph combinatorics.",

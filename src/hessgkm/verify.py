@@ -8,7 +8,9 @@ reachability (BFS over length-increasing transposition moves) and shares
 no decision logic with the sorted-prefix criterion it certifies.
 :func:`oracle_weyl_type_subsets` likewise tests every subset of a
 Hessenberg space M against the definition of Weyl type, for the
-backtracking enumerator in :mod:`hessgkm.roots`.
+backtracking enumerator in :mod:`hessgkm.roots`, and
+:func:`oracle_poincare_polynomial` counts cell dimensions over all of S_n,
+for the dynamic program in :mod:`hessgkm.cohomology`.
 
 Suites
 ------
@@ -40,6 +42,7 @@ from .hess import (
     HessFunc,
     admissible_representative,
     cell_dimension,
+    complexity_dimension,
     enumerate_admissible,
     format_hessenberg,
     h_length,
@@ -153,6 +156,18 @@ def oracle_weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
         x for x in submasks(rs.mask_of(hs.roots)) if is_weyl_type(hs, rs.roots_of_mask(x))
     ]
     return [rs.roots_of_mask(x) for x in sorted(found, key=mask_order_key)]
+
+
+def oracle_poincare_polynomial(h) -> tuple[int, ...]:
+    """Coefficients (b_0, b_2, ..., b_{2 d_h}) by the definition: the
+    histogram of cell dimensions d_h - l_h(w) over all n! permutations, for
+    the dynamic program :func:`hessgkm.cohomology.poincare_polynomial`."""
+    h = validate_hessenberg(h)
+    d = complexity_dimension(h)
+    counts = [0] * (d + 1)
+    for w in all_permutations(len(h)):
+        counts[d - h_length(w, h)] += 1
+    return tuple(counts)
 
 
 class _Deadline:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hessgkm.cli import main
+from hessgkm.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,3 +160,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "1 4 1" in proc.stdout
+
+
+def test_parser_reused_across_calls(capsys):
+    assert build_parser() is build_parser()
+    calls = [
+        ["classify", "--h", "3,3,4,4", "--w", "3214", "--json"],
+        ["betti", "--h", "2,3,3"],
+        ["graph", "--h", "2,2,3"],
+    ]
+    outs = [run_cli(argv, capsys) for argv in calls]
+    for argv, (code, out) in zip(calls, outs):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hessgkm", *argv], capture_output=True, text=True
+        )
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout, argv
+    # --json on the classify call does not carry over to betti
+    assert outs[1][1] == "h: 2,3,3\ncoefficients: 1 4 1\n"

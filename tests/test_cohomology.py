@@ -1,5 +1,7 @@
 """Edge congruences, Betti numbers, and localized class candidates."""
 
+import math
+
 import pytest
 
 from hessgkm.cohomology import (
@@ -20,7 +22,7 @@ from hessgkm.cohomology import (
 from hessgkm.graphs import build_hessenberg_graph, interval_graph, is_connected, is_regular
 from hessgkm.hess import cell_dimension
 from hessgkm.perms import all_permutations, longest_element
-from hessgkm.verify import hessenberg_functions
+from hessgkm.verify import hessenberg_functions, oracle_poincare_polynomial
 
 H3344 = (3, 3, 4, 4)
 
@@ -84,7 +86,7 @@ def test_poincare_frozen_values():
     assert poincare_polynomial((3, 3, 4, 4)) == (1, 6, 10, 6, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_poincare_palindromic_and_total(n):
     fact = 1
     for k in range(2, n + 1):
@@ -93,6 +95,39 @@ def test_poincare_palindromic_and_total(n):
         coeffs = poincare_polynomial(h)
         assert sum(coeffs) == fact
         assert coeffs == tuple(reversed(coeffs))
+
+
+def test_poincare_matches_enumeration_oracle():
+    hs = [h for n in range(1, 7) for h in hessenberg_functions(n)]
+    assert len(hs) == 196
+    hs += [(7,) * 7, (1, 2, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 7)]
+    for h in hs:
+        assert poincare_polynomial(h) == oracle_poincare_polynomial(h), h
+
+
+def _mahonian(n):
+    """Coefficients of [n]_q! = prod_{k<=n} (1 + q + ... + q^{k-1})."""
+    coeffs = [1]
+    for k in range(2, n + 1):
+        out = [0] * (len(coeffs) + k - 1)
+        for i, c in enumerate(coeffs):
+            for s in range(k):
+                out[i + s] += c
+        coeffs = out
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_poincare_large_rank_properties(n):
+    fact = math.factorial(n)
+    bands = [tuple(min(i + k, n) for i in range(1, n + 1)) for k in range(n)]
+    ragged = [(3, 4) + tuple(range(5, n + 1)) + (n, n), (2,) * 2 + (n - 1,) * (n - 3) + (n,)]
+    for h in bands + ragged:
+        coeffs = poincare_polynomial(h)
+        assert sum(coeffs) == fact, h
+        assert coeffs == tuple(reversed(coeffs)), h
+    assert poincare_polynomial((n,) * n) == _mahonian(n)
+    assert poincare_polynomial(tuple(range(1, n + 1))) == (fact,)
 
 
 def test_localized_class_top_vertex():
