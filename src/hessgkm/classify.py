@@ -24,18 +24,17 @@ The verdict logic applies only the implications the graph criteria license;
 
 Each claim carries a citation tag, a stable identifier for the criterion
 that fired; the tags are part of the JSON report format.
+
+The graph facts come from one :func:`hessgkm.graphs.interval_summary` per
+interval (of w, and of w~ when it differs): degrees, the first violator,
+connectivity and the h-Bruhat steps, with no edge objects built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    GkmGraph,
-    interval_graph,
-    is_connected,
-    is_regular,
-)
+from .graphs import WindowSummary, interval_summary, reach
 from .hess import (
     HessFunc,
     admissible_representative,
@@ -140,45 +139,14 @@ class ClassificationReport:
         }
 
 
-def _local_degree_smooth_set(g: GkmGraph) -> set[Perm]:
+def _local_degree_smooth_set(s: WindowSummary, wt: Perm, h: HessFunc) -> set[Perm]:
     """Vertices of [w~, w0] certified smooth by degree equality along an
     h-Bruhat sandwich w~ <=_h v <=_h u with deg(u) equal to the cell
-    dimension; ``g`` is the interval graph of the representative w~."""
-    wt, h = g.w, g.h
-    interval = g.vertex_set()
+    dimension; ``s`` summarizes the interval graph of the representative w~."""
     target = cell_dimension(wt, h)
-    degs = g.degrees()
-    good = {u for u in interval if degs[u] == target}
-    if not good:
-        return set()
-    # Each edge (u, v) is the window swap with u(i) < u(j), so v is longer
-    # than u: the edges are exactly the h-Bruhat steps inside the interval.
-    succ: dict[Perm, list[Perm]] = {u: [] for u in interval}
-    for e in g.edges:
-        succ[e.u].append(e.v)
-    # forward closure from w~
-    forward = {wt}
-    stack = [wt]
-    while stack:
-        x = stack.pop()
-        for y in succ[x]:
-            if y not in forward:
-                forward.add(y)
-                stack.append(y)
-    # backward closure from the good set
-    pred: dict[Perm, list[Perm]] = {u: [] for u in interval}
-    for x, ys in succ.items():
-        for y in ys:
-            pred[y].append(x)
-    backward = set(good)
-    stack = list(good)
-    while stack:
-        x = stack.pop()
-        for y in pred[x]:
-            if y not in backward:
-                backward.add(y)
-                stack.append(y)
-    return forward & backward
+    good = {u for u, d in s.degrees.items() if d == target}
+    # The up-steps are exactly the h-Bruhat steps inside the interval.
+    return reach((wt,), s.up) & reach(good, s.down)
 
 
 def smooth_points_theorem(w: Perm, h) -> frozenset[Perm]:
@@ -208,10 +176,10 @@ def classify(w: Perm, h) -> ClassificationReport:
     wt, u = admissible_representative(w, h)
     lh = h_length(w, h)
     dim = complexity_dimension(h) - lh
-    g = interval_graph(h, w)
-    reg = is_regular(g, dim)
-    conn = is_connected(g)
-    degs = g.degrees()
+    summary = interval_summary(h, w)
+    reg = summary.regularity(dim)
+    conn = summary.connected
+    degs = summary.degrees
     stats = GraphStats(
         connected=conn,
         regular=reg.ok,
@@ -243,10 +211,10 @@ def classify(w: Perm, h) -> ClassificationReport:
     equals_closure = "yes" if (reg.ok and conn) else "unknown"
 
     if wt == w:
-        gt, reg_t = g, reg
+        summary_t, reg_t = summary, reg
     else:
-        gt = interval_graph(h, wt)
-        reg_t = is_regular(gt, cell_dimension(wt, h))
+        summary_t = interval_summary(h, wt)
+        reg_t = summary_t.regularity(cell_dimension(wt, h))
     rep_smooth = "yes" if reg_t.ok else "unknown"
     if reg_t.ok:
         citations.append(CITE_REP_SMOOTH)
@@ -256,7 +224,7 @@ def classify(w: Perm, h) -> ClassificationReport:
 
     # w~ itself always qualifies (its degree is the cell dimension), so the
     # translated set always contains w.
-    local = _local_degree_smooth_set(gt)
+    local = _local_degree_smooth_set(summary_t, wt, h)
     citations.append(CITE_DEGREE_SHORTCUT)
     pts = {compose(u, v) for v in local}
 
@@ -272,7 +240,7 @@ def classify(w: Perm, h) -> ClassificationReport:
         translation=u,
         h_length=lh,
         cell_dimension=dim,
-        interval_size=len(g.vertices),
+        interval_size=len(degs),
         fixed_points=tuple(sorted(fixed)),
         graph_stats=stats,
         intersection_smooth=smooth,

@@ -6,7 +6,14 @@ The full graph on a Hessenberg function h has vertex set S_n and one edge
 and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 +-(t_a - t_b), reconstructed from val on demand.
 
-Three derived graphs share this vertex/edge format:
+Every induced graph is enumerated by one traversal, :func:`_window_steps`:
+for each vertex u, the in-set window swaps u(i,j) with u(i) < u(j), so each
+edge appears once, from its lower end.  :func:`interval_summary` reads
+degrees, regularity and connectivity off those steps without building edge
+objects; :mod:`hessgkm.classify` and the graph sweeps of
+:mod:`hessgkm.verify` use it.  ``GkmEdge`` objects are built only for
+DOT/JSON export, :mod:`hessgkm.cohomology` and the fixed-point graph, as
+these graphs:
 
 * ``interval_graph(h, w)``     -- induced on the Bruhat interval [w, w0];
 * ``fixed_point_induced_graph``-- induced on the cell-closure fixed points;
@@ -14,8 +21,7 @@ Three derived graphs share this vertex/edge format:
   the admissible representative w~ (same vertex set as the previous one,
   possibly fewer edges; meaningful as an unlabeled graph).
 
-Degrees, regularity, and connectivity of these graphs decide the geometric
-questions handled in :mod:`hessgkm.classify`.
+:func:`is_regular` and :func:`is_connected` on them are the summary's oracle.
 """
 
 from __future__ import annotations
@@ -99,17 +105,35 @@ def _edge_between(u: Perm, i: int, j: int) -> GkmEdge:
     return GkmEdge(v, u, (i, j), val)
 
 
-def _induced(h: HessFunc, vertex_set: frozenset[Perm], w: Perm | None) -> GkmGraph:
-    # Each edge is emitted once, from its lexicographically smaller end: for
-    # i < j that is the endpoint u with u(i) < u(j).
-    edges = []
+def _window_steps(
+    h: HessFunc, vertex_set: frozenset[Perm]
+) -> dict[Perm, dict[Perm, tuple[int, int]]]:
+    """For each vertex u, the map v -> (i, j) over the window swaps
+    v = u(i,j) in the set with u(i) < u(j): every edge of the induced graph
+    once, from its lower end (v is longer than u, so these are the h-Bruhat
+    steps)."""
+    wins = windows(h)
+    steps = {}
     for u in vertex_set:
-        for i, j in windows(h):
+        out = steps[u] = {}
+        for ij in wins:
+            i, j = ij
             a, b = u[i - 1], u[j - 1]
             if a < b:
-                v = apply_transposition(u, i, j)
+                v = list(u)
+                v[i - 1], v[j - 1] = b, a
+                v = tuple(v)
                 if v in vertex_set:
-                    edges.append(GkmEdge(u, v, (i, j), (a, b)))
+                    out[v] = ij
+    return steps
+
+
+def _induced(h: HessFunc, vertex_set: frozenset[Perm], w: Perm | None) -> GkmGraph:
+    edges = [
+        GkmEdge(u, v, ij, (u[ij[0] - 1], u[ij[1] - 1]))
+        for u, out in _window_steps(h, vertex_set).items()
+        for v, ij in out.items()
+    ]
     edges.sort()
     return GkmGraph(tuple(sorted(vertex_set)), tuple(edges), h, w)
 
@@ -133,6 +157,58 @@ def interval_graph(h, w: Perm) -> GkmGraph:
     return _induced(h, bruhat_interval(w), w)
 
 
+class WindowSummary(NamedTuple):
+    """The interval graph as adjacency: ``up[u]`` holds the h-Bruhat steps
+    from u (keyed by target, valued by window pair), ``down[u]`` their
+    reverses."""
+
+    up: dict[Perm, dict[Perm, tuple[int, int]]]
+    down: dict[Perm, list[Perm]]
+    degrees: dict[Perm, int]
+    connected: bool
+
+    def regularity(self, expected: int) -> RegularityCheck:
+        """Like :func:`is_regular`: the violator is the least in sorted order."""
+        bad = [u for u, d in self.degrees.items() if d != expected]
+        return RegularityCheck(not bad, min(bad) if bad else None)
+
+
+def interval_summary(h, w: Perm) -> WindowSummary:
+    """Degrees and connectivity of ``interval_graph(h, w)``, read off the
+    window steps without building edge objects."""
+    h = validate_hessenberg(h)
+    if len(w) != len(h):
+        raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
+    interval = bruhat_interval(w)
+    up = _window_steps(h, interval)
+    down: dict[Perm, list[Perm]] = {u: [] for u in interval}
+    for u, vs in up.items():
+        for v in vs:
+            down[v].append(u)
+    degrees = {u: len(vs) + len(down[u]) for u, vs in up.items()}
+    return WindowSummary(up, down, degrees, len(reach((w,), up, down)) == len(up))
+
+
+def reach(starts, *adjacencies) -> set[Perm]:
+    """The vertices reachable from ``starts`` along the given adjacency maps."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for adj in adjacencies:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return seen
+
+
+def window_edges(h: HessFunc, interval: frozenset[Perm], u: Perm) -> list[tuple[int, int]]:
+    """Window pairs (i, j) with u(i,j) in the interval, in window order:
+    the edges at u of the graph induced on the interval."""
+    return [(i, j) for i, j in windows(h) if apply_transposition(u, i, j) in interval]
+
+
 def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
     """Window transpositions (i, j) with u(i,j) >= w: the edges at u in the
     interval graph of (w, h)."""
@@ -140,9 +216,7 @@ def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
     interval = bruhat_interval(w)
     if u not in interval:
         raise ValueError(f"{format_permutation(u)} is not in the interval of {format_permutation(w)}")
-    return frozenset(
-        (i, j) for i, j in windows(h) if apply_transposition(u, i, j) in interval
-    )
+    return frozenset(window_edges(h, interval, u))
 
 
 def degree(h, w: Perm, u: Perm) -> int:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .graphs import interval_graph, is_connected, is_regular, phi_rule, regularity_via_w0
+from .graphs import interval_summary, phi_rule, regularity_via_w0, window_edges
 from .hess import (
     HessFunc,
     admissible_representative,
@@ -191,12 +191,6 @@ def _violation(n: int, h: HessFunc | None, w: Perm | None, check: str, detail: s
     return out
 
 
-def _edge_set(h: HessFunc, interval: frozenset[Perm], u: Perm) -> list[tuple[int, int]]:
-    return [
-        (i, j) for i, j in windows(h) if apply_transposition(u, i, j) in interval
-    ]
-
-
 def _sweep_bruhat(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
     for n in range(1, n_max + 1):
         perms = sorted(all_permutations(n))
@@ -291,7 +285,7 @@ def _sweep_connectivity(n_max: int, deadline: _Deadline, result: SweepResult) ->
                 if not (ambient_connected or is_admissible(w, h)):
                     continue
                 result.cases += 1
-                if not is_connected(interval_graph(h, w)):
+                if not interval_summary(h, w).connected:
                     result.violations.append(
                         _violation(n, h, w, "connectivity", "interval graph disconnected")
                     )
@@ -306,7 +300,7 @@ def _sweep_shortcut(n_max: int, deadline: _Deadline, result: SweepResult) -> Non
                 return
             for w in enumerate_admissible(h):
                 result.cases += 1
-                full = is_regular(interval_graph(h, w), cell_dimension(w, h)).ok
+                full = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
                 if regularity_via_w0(h, w) != full:
                     result.violations.append(
                         _violation(n, h, w, "shortcut", "top-degree test disagrees with full scan")
@@ -322,7 +316,7 @@ def _sweep_phi_injective(n_max: int, deadline: _Deadline, result: SweepResult) -
                 return
             for w in enumerate_admissible(h):
                 interval = bruhat_interval(w)
-                edge_sets = {u: _edge_set(h, interval, u) for u in interval}
+                edge_sets = {u: window_edges(h, interval, u) for u in interval}
                 for u in interval:
                     e_u = edge_sets[u]
                     lu = length(u)
@@ -370,13 +364,13 @@ def _sweep_phi_surjective(n_max: int, deadline: _Deadline, result: SweepResult) 
                 return
             for w in enumerate_admissible(h):
                 interval = bruhat_interval(w)
-                e_w = _edge_set(h, interval, w)
+                e_w = window_edges(h, interval, w)
                 for a, b in transpositions(n):
                     v = apply_transposition(w, a, b)
                     if v not in interval or v == w:
                         continue
                     result.cases += 1
-                    e_v = set(_edge_set(h, interval, v))
+                    e_v = set(window_edges(h, interval, v))
                     images = set(phi_rule(e_w, a, b).values())
                     if not e_v <= images:
                         viol = _violation(
@@ -398,7 +392,7 @@ def _sweep_patterns(n_max: int, deadline: _Deadline, result: SweepResult) -> Non
             for w in enumerate_admissible(h):
                 result.cases += 1
                 avoids, witnesses = avoids_all_associated(w, h)
-                regular = is_regular(interval_graph(h, w), cell_dimension(w, h)).ok
+                regular = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
                 if avoids != regular:
                     result.violations.append(
                         _violation(
@@ -426,7 +420,7 @@ def _sweep_example61(n_max: int, deadline: _Deadline, result: SweepResult) -> No
                     f"window length not minimal: l_h({format_permutation(u)}) <= {lw}",
                 )
             )
-    if is_regular(interval_graph(h, w), cell_dimension(w, h)).ok:
+    if interval_summary(h, w).regularity(cell_dimension(w, h)).ok:
         result.violations.append(
             _violation(6, h, w, "example61", "interval graph unexpectedly regular")
         )

@@ -11,6 +11,7 @@ from hessgkm.graphs import (
     edge_set_at,
     fixed_point_induced_graph,
     interval_graph,
+    interval_summary,
     is_connected,
     is_regular,
     phi_map,
@@ -154,6 +155,26 @@ def test_is_connected():
     assert is_connected(interval_graph((2, 3, 3), (2, 1, 3)))
     assert not is_connected(build_hessenberg_graph((2, 2, 3)))
     assert is_connected(interval_graph(H3344, longest_element(4)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_interval_summary_matches_graph(n):
+    # The edge-free summary against the GkmGraph it stands in for, on every
+    # (h, w): same degrees, the up-steps are the edges from their lower end
+    # (checked by length too, since both are built by the same traversal),
+    # the same first violator for every degree value, the same connectivity.
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            g = interval_graph(h, w)
+            s = interval_summary(h, w)
+            degs = g.degrees()
+            assert s.degrees == degs
+            steps = {(u, v, ij) for u, out in s.up.items() for v, ij in out.items()}
+            assert steps == {(e.u, e.v, e.pos) for e in g.edges}
+            assert all(length(v) > length(u) for u, v, _ in steps)
+            for d in set(degs.values()) | {cell_dimension(w, h)}:
+                assert s.regularity(d) == is_regular(g, d)
+            assert s.connected == is_connected(g)
 
 
 def test_phi_map_worked_example():
