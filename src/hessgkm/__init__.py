@@ -1,7 +1,7 @@
 """Combinatorial smoothness and irreducibility tests for Hessenberg
 Schubert geometry, driven entirely by moment-graph data."""
 
-from .classify import ClassificationReport, classify, component_lower_bound, smooth_points_theorem
+from .classify import ClassificationReport, classify, component_lower_bound
 from .cohomology import check_compatibility, localized_class_candidate, poincare_polynomial
 from .graphs import (
     GkmGraph,
@@ -14,13 +14,11 @@ from .graphs import (
     is_regular,
     phi_map,
     regularity_via_w0,
-    translated_unlabeled_graph,
 )
 from .hess import (
     admissible_representative,
     complexity_dimension,
     enumerate_admissible,
-    h_bruhat_leq,
     h_length,
     hess_schubert_fixed_points,
     is_admissible,

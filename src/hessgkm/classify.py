@@ -17,10 +17,11 @@ The verdict logic applies only the implications the graph criteria license;
   h-order between w~ and a vertex whose degree equals the cell dimension
   is a smooth point of the intersection, hence of the cell closure, and
   these translate back along u.  The one-reflection neighborhood of w
-  (see :func:`smooth_points_theorem`) is NOT certified here: interval
-  graphs exist whose degree jumps one cover above the minimum, where the
-  point provably lies on two components (counterexamples are frozen in
-  the test suite), so the verdict keeps to the degree argument.
+  (all fixed points w t, t a transposition) is NOT certified here: it
+  over-certifies, e.g. at full h and w = 1324 the neighbor 4321 = w(1,4)
+  is singular (pinned in the test suite, with the interval graphs whose
+  degree jumps one cover above the minimum, where the point provably lies
+  on two components), so the verdict keeps to the degree argument.
 
 Each claim carries a citation tag, a stable identifier for the criterion
 that fired; the tags are part of the JSON report format.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import WindowSummary, interval_summary, reach
+from .graphs import GraphSummary, interval_summary, reach
 from .hess import (
     HessFunc,
     admissible_representative,
@@ -49,11 +50,9 @@ from .hess import (
 from .patterns import Witness, pattern_witnesses
 from .perms import (
     Perm,
-    apply_transposition,
     bruhat_interval,
     compose,
     format_permutation,
-    transpositions,
 )
 
 # Citation tags carried by report verdicts.
@@ -139,7 +138,7 @@ class ClassificationReport:
         }
 
 
-def _local_degree_smooth_set(s: WindowSummary, wt: Perm, h: HessFunc) -> set[Perm]:
+def _local_degree_smooth_set(s: GraphSummary, wt: Perm, h: HessFunc) -> set[Perm]:
     """Vertices of [w~, w0] certified smooth by degree equality along an
     h-Bruhat sandwich w~ <=_h v <=_h u with deg(u) equal to the cell
     dimension; ``s`` summarizes the interval graph of the representative w~."""
@@ -147,24 +146,6 @@ def _local_degree_smooth_set(s: WindowSummary, wt: Perm, h: HessFunc) -> set[Per
     good = {u for u, d in s.degrees.items() if d == target}
     # The up-steps are exactly the h-Bruhat steps inside the interval.
     return reach((wt,), s.up) & reach(good, s.down)
-
-
-def smooth_points_theorem(w: Perm, h) -> frozenset[Perm]:
-    """The one-reflection neighborhood of w inside the cell-closure fixed
-    set: all z = w t (t a transposition) that are fixed points, plus w.
-
-    This is the literal reflection rule; it over-certifies in general
-    (a cover above w can lie on two components, e.g. full flag at rank 4,
-    w = 1324, z = 4321), so the smooth list reported by :func:`classify`
-    uses the local degree criterion instead."""
-    h = validate_hessenberg(h)
-    fixed = hess_schubert_fixed_points(w, h)
-    pts = {w}
-    for a, b in transpositions(len(w)):
-        z = apply_transposition(w, a, b)
-        if z in fixed:
-            pts.add(z)
-    return frozenset(pts)
 
 
 def classify(w: Perm, h) -> ClassificationReport:

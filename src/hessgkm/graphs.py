@@ -8,18 +8,17 @@ and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 
 Every induced graph is enumerated by one traversal, :func:`_window_steps`:
 for each vertex u, the in-set window swaps u(i,j) with u(i) < u(j), so each
-edge appears once, from its lower end.  :func:`interval_summary` reads
-degrees, regularity and connectivity off those steps without building edge
-objects; :mod:`hessgkm.classify` and the graph sweeps of
-:mod:`hessgkm.verify` use it.  ``GkmEdge`` objects are built only for
+edge appears once, from its lower end.  :func:`summarize` reads degrees,
+regularity and connectivity off such up-steps without building edge
+objects; it is type-neutral, and :mod:`hessgkm.roots` runs the moment
+graphs of arbitrary Lie type through it too.  :func:`interval_summary` is
+its type A entry point, used by :mod:`hessgkm.classify` and the graph
+sweeps of :mod:`hessgkm.verify`.  ``GkmEdge`` objects are built only for
 DOT/JSON export, :mod:`hessgkm.cohomology` and the fixed-point graph, as
 these graphs:
 
 * ``interval_graph(h, w)``     -- induced on the Bruhat interval [w, w0];
-* ``fixed_point_induced_graph``-- induced on the cell-closure fixed points;
-* ``translated_unlabeled_graph``-- the left translate by u of the graph at
-  the admissible representative w~ (same vertex set as the previous one,
-  possibly fewer edges; meaningful as an unlabeled graph).
+* ``fixed_point_induced_graph``-- induced on the cell-closure fixed points.
 
 :func:`is_regular` and :func:`is_connected` on them are the summary's oracle.
 """
@@ -32,7 +31,6 @@ from typing import NamedTuple
 
 from .hess import (
     HessFunc,
-    admissible_representative,
     cell_dimension,
     hess_schubert_fixed_points,
     is_admissible,
@@ -44,7 +42,6 @@ from .perms import (
     all_permutations,
     apply_transposition,
     bruhat_interval,
-    compose,
     format_permutation,
     length,
 )
@@ -94,15 +91,6 @@ class GkmGraph:
 
     def edge_pairs(self) -> frozenset[frozenset[Perm]]:
         return frozenset(frozenset((e.u, e.v)) for e in self.edges)
-
-
-def _edge_between(u: Perm, i: int, j: int) -> GkmEdge:
-    v = apply_transposition(u, i, j)
-    a, b = u[i - 1], u[j - 1]
-    val = (a, b) if a < b else (b, a)
-    if u <= v:
-        return GkmEdge(u, v, (i, j), val)
-    return GkmEdge(v, u, (i, j), val)
 
 
 def _window_steps(
@@ -157,36 +145,42 @@ def interval_graph(h, w: Perm) -> GkmGraph:
     return _induced(h, bruhat_interval(w), w)
 
 
-class WindowSummary(NamedTuple):
-    """The interval graph as adjacency: ``up[u]`` holds the h-Bruhat steps
-    from u (keyed by target, valued by window pair), ``down[u]`` their
-    reverses."""
+class GraphSummary(NamedTuple):
+    """A moment graph as adjacency: ``up[u]`` maps the target of each
+    length-increasing step from u to the step's edge label, ``down[u]``
+    lists the reverses."""
 
-    up: dict[Perm, dict[Perm, tuple[int, int]]]
-    down: dict[Perm, list[Perm]]
-    degrees: dict[Perm, int]
+    up: dict
+    down: dict
+    degrees: dict
     connected: bool
 
-    def regularity(self, expected: int) -> RegularityCheck:
-        """Like :func:`is_regular`: the violator is the least in sorted order."""
+    def regularity(self, expected: int, key=None) -> RegularityCheck:
+        """The violator is the least bad vertex, ordered by ``key`` (by
+        default the vertices' own order, as in :func:`is_regular`)."""
         bad = [u for u, d in self.degrees.items() if d != expected]
-        return RegularityCheck(not bad, min(bad) if bad else None)
+        return RegularityCheck(not bad, min(bad, key=key) if bad else None)
 
 
-def interval_summary(h, w: Perm) -> WindowSummary:
-    """Degrees and connectivity of ``interval_graph(h, w)``, read off the
-    window steps without building edge objects."""
-    h = validate_hessenberg(h)
-    if len(w) != len(h):
-        raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
-    interval = bruhat_interval(w)
-    up = _window_steps(h, interval)
-    down: dict[Perm, list[Perm]] = {u: [] for u in interval}
+def summarize(up: dict, start) -> GraphSummary:
+    """Degrees and connectivity of the graph whose edges are the steps in
+    ``up`` (a map from each vertex to its up-steps, target -> edge label),
+    each edge given once; connectivity is reachability from ``start``."""
+    down: dict = {u: [] for u in up}
     for u, vs in up.items():
         for v in vs:
             down[v].append(u)
     degrees = {u: len(vs) + len(down[u]) for u, vs in up.items()}
-    return WindowSummary(up, down, degrees, len(reach((w,), up, down)) == len(up))
+    return GraphSummary(up, down, degrees, len(reach((start,), up, down)) == len(up))
+
+
+def interval_summary(h, w: Perm) -> GraphSummary:
+    """Degrees and connectivity of ``interval_graph(h, w)``, read off the
+    window steps (labelled by window pair) without building edge objects."""
+    h = validate_hessenberg(h)
+    if len(w) != len(h):
+        raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
+    return summarize(_window_steps(h, bruhat_interval(w)), w)
 
 
 def reach(starts, *adjacencies) -> set[Perm]:
@@ -312,23 +306,6 @@ def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
     """Subgraph induced on the fixed points of the cell closure of (w, h)."""
     h = validate_hessenberg(h)
     return _induced(h, hess_schubert_fixed_points(w, h), w)
-
-
-def translated_unlabeled_graph(h, w: Perm) -> GkmGraph:
-    """Left translate by u of the induced graph at the representative w~.
-
-    Vertex set is the fixed-point set of (w, h).  Edge count and degrees
-    match the graph at w~; the value pairs are recomputed from the new
-    endpoints, so only the unlabeled structure is transported.
-    """
-    h = validate_hessenberg(h)
-    wt, u = admissible_representative(w, h)
-    base = fixed_point_induced_graph(h, wt)
-    edges = set()
-    for e in base.edges:
-        edges.add(_edge_between(compose(u, e.u), e.pos[0], e.pos[1]))
-    vertices = frozenset(compose(u, x) for x in base.vertices)
-    return GkmGraph(tuple(sorted(vertices)), tuple(sorted(edges)), h, w)
 
 
 def to_dot(g: GkmGraph) -> str:

@@ -14,7 +14,8 @@ positions (i, j) with i < j <= h(i); they control everything downstream:
   u = w o w~^{-1},
 * the fixed-point set of the cell closure, u . [w~, w0], which equals
   [w, w0] exactly when w is admissible,
-* the h-Bruhat order: reachability by length-increasing window swaps.
+* the h-Bruhat order: reachability by length-increasing window swaps (its
+  steps are the up-steps of :func:`hessgkm.graphs.interval_summary`).
 
 Degenerate h with h(i) = i for some i < n (a disconnected ambient space)
 is fully supported; nothing here special-cases it.
@@ -27,12 +28,9 @@ from functools import lru_cache
 from .perms import (
     Perm,
     all_permutations,
-    apply_transposition,
     bruhat_interval,
-    bruhat_leq,
     compose,
     inverse,
-    length,
 )
 
 HessFunc = tuple[int, ...]
@@ -162,51 +160,3 @@ def hess_schubert_fixed_points(w: Perm, h: HessFunc) -> frozenset[Perm]:
 def hessenberg_connected(h: HessFunc) -> bool:
     """Whether the ambient space is connected: h(i) > i for all i < n."""
     return all(h[i - 1] > i for i in range(1, len(h)))
-
-
-def h_bruhat_successors(u: Perm, h: HessFunc) -> list[Perm]:
-    """One-step h-Bruhat moves: window swaps that increase length."""
-    _check_rank(u, h)
-    lu = length(u)
-    out = []
-    for i, j in windows(h):
-        v = apply_transposition(u, i, j)
-        if length(v) > lu:
-            out.append(v)
-    return out
-
-
-def h_bruhat_leq(u: Perm, v: Perm, h: HessFunc) -> bool:
-    """Reflexive-transitive closure of length-increasing window swaps.
-
-    >>> h_bruhat_leq((2, 1, 3), (3, 2, 1), (2, 3, 3))
-    True
-    """
-    _check_rank(u, h)
-    _check_rank(v, h)
-    if u == v:
-        return True
-    # Every h-step strictly increases the Bruhat order, so states above v
-    # (or incomparable to it) can never reach v.
-    if not bruhat_leq(u, v):
-        return False
-    target = length(v)
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in h_bruhat_successors(x, h):
-                if y == v:
-                    return True
-                if y not in seen and length(y) < target and bruhat_leq(y, v):
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return False
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -144,18 +144,6 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     return True
 
 
-def bruhat_covers_above(w: Perm) -> list[Perm]:
-    """Covers of w: w(i,j) with w(i) < w(j) and no intermediate value between."""
-    n = len(w)
-    covers = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            a, b = w[i - 1], w[j - 1]
-            if a < b and not any(a < w[k - 1] < b for k in range(i + 1, j)):
-                covers.append(apply_transposition(w, i, j))
-    return covers
-
-
 def _extend_upper(
     w: Perm, k: int, prefix: list[int], free: int, slack: list[int], out: list[Perm]
 ) -> None:

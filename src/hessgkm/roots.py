@@ -36,7 +36,9 @@ module over the Borel.  The machinery built on M:
 * The admissible elements: the class tops w_S.
 * The moment graph on W with edges {w, w s_a} for a in M, and the
   regularity verdict on Bruhat interval subgraphs; the smoothness
-  conclusion is withheld outside the simply-laced types.
+  conclusion is withheld outside the simply-laced types.  Its steps go
+  through :func:`hessgkm.graphs.summarize`, the core type A uses, for
+  degrees, the first violator and connectivity.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .graphs import GraphSummary, summarize
 from .perms import Perm, compose as perm_compose
 
 Coords = tuple[int, ...]
@@ -751,70 +754,33 @@ def enumerate_hessenberg_spaces(rs: RootSystem) -> list[frozenset[Coords]]:
 # -- moment graph over W -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class WeylGraph:
-    rs: RootSystem
-    vertices: tuple[Element, ...]
-    edges: tuple[tuple[Element, Element, Coords], ...]
-
-    def degrees(self) -> dict[Element, int]:
-        degs = {v: 0 for v in self.vertices}
-        for u, v, _ in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return degs
-
-    def adjacency(self) -> dict[Element, list[Element]]:
-        adj: dict[Element, list[Element]] = {v: [] for v in self.vertices}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = self.adjacency()
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(self.vertices)
-
-    def first_degree_violation(self, expected: int) -> Element | None:
-        degs = self.degrees()
-        for v in self.vertices:
-            if degs[v] != expected:
-                return v
-        return None
-
-
-def _induced_weyl_graph(hs: HessenbergSpace, vertex_set: frozenset[Element]) -> WeylGraph:
+def _reflection_steps(hs: HessenbergSpace, vertex_set) -> dict[Element, dict[Element, Coords]]:
+    """For each w, the map w s_c -> w(c) over the roots c of M outside the
+    inversion set of w with w s_c in the set.  As w(c) > 0, w s_c is longer
+    than w, so every edge {w, w s_c} appears once, from its shorter end,
+    labelled by its positive weight."""
     rs = hs.rs
-    m_sorted = sorted(hs.roots, key=lambda c: rs._pos_index[c])
-    refl = {c: rs.reflection(c) for c in m_sorted}
-    vertices = sorted(vertex_set, key=rs.sort_key)
-    edges = set()
-    for w in vertices:
-        for c in m_sorted:
-            x = rs.mul(w, refl[c])
-            if x in vertex_set:
-                u, v = sorted((w, x), key=rs.sort_key)
-                # weight at w is +-w(c); store the positive representative
-                img = rs.act(w, c)
-                if img not in rs._pos_index:
-                    img = tuple(-y for y in img)
-                edges.add((u, v, img))
-    return WeylGraph(rs, tuple(vertices), tuple(sorted(edges)))
+    inv = rs._inversion_masks
+    moves = [
+        (1 << rs._pos_index[c], c, rs.reflection(c))
+        for c in sorted(hs.roots, key=rs._pos_index.__getitem__)
+    ]
+    steps = {}
+    for w in vertex_set:
+        out = steps[w] = {}
+        n_w = inv[w]
+        for bit, c, s in moves:
+            if not n_w & bit:
+                x = rs.mul(w, s)
+                if x in vertex_set:
+                    out[x] = rs.act(w, c)
+    return steps
 
 
-def arbitrary_gkm_graph(hs: HessenbergSpace) -> WeylGraph:
+def arbitrary_gkm_graph(hs: HessenbergSpace) -> GraphSummary:
     """Moment graph on all of W: edges {w, w s_a} for a in M."""
-    return _induced_weyl_graph(hs, frozenset(hs.rs.elements()))
+    rs = hs.rs
+    return summarize(_reflection_steps(hs, frozenset(rs.elements())), rs.identity)
 
 
 @dataclass(frozen=True)
@@ -856,10 +822,11 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
     s = rs.inversion_set(w) & hs.roots
     _, rep = z_and_w(hs, s)
     interval = frozenset(rs.bruhat_interval_up(rep))
-    graph = _induced_weyl_graph(hs, interval)
     expected = len(hs.roots) - len(s)
-    violator = graph.first_degree_violation(expected)
-    regular = violator is None
+    # The first violator in (length, word) order, as the report shows it.
+    regular, violator = summarize(_reflection_steps(hs, interval), rep).regularity(
+        expected, rs.sort_key
+    )
     if not regular:
         smooth, reason = "unknown", "interval graph is not regular"
     elif not rs.simply_laced:

@@ -191,216 +191,192 @@ def _violation(n: int, h: HessFunc | None, w: Perm | None, check: str, detail: s
     return out
 
 
-def _sweep_bruhat(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
+def _ranked(n_max: int, deadline: _Deadline, result: SweepResult, items=hessenberg_functions):
+    """Yield (n, x) for every x in items(n), n = 1..n_max, checking the
+    deadline before each x; once it has passed, mark the result incomplete
+    and stop."""
     for n in range(1, n_max + 1):
-        perms = sorted(all_permutations(n))
-        for u in perms:
+        for x in items(n):
             if deadline.exceeded():
                 result.complete = False
                 result.note = f"stopped inside n={n}"
                 return
-            upset = oracle_bruhat_upset(u)
-            if bruhat_interval(u) != upset:
+            yield n, x
+
+
+def _with_permutations(n: int):
+    """Each Hessenberg function on [n] with one shared list of S_n: the
+    per-(w, h) caches then hold one tuple per permutation, not one per h."""
+    perms = list(all_permutations(n))
+    return ((h, perms) for h in hessenberg_functions(n))
+
+
+def _sweep_bruhat(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
+    for n, u in _ranked(n_max, deadline, result, all_permutations):
+        upset = oracle_bruhat_upset(u)
+        if bruhat_interval(u) != upset:
+            result.violations.append(
+                _violation(n, None, u, "bruhat", "library interval and chain oracle disagree")
+            )
+        for v in all_permutations(n):
+            result.cases += 1
+            if bruhat_leq(u, v) != (v in upset):
                 result.violations.append(
-                    _violation(n, None, u, "bruhat", "library interval and chain oracle disagree")
-                )
-            for v in perms:
-                result.cases += 1
-                if bruhat_leq(u, v) != (v in upset):
-                    result.violations.append(
-                        _violation(
-                            n, None, u, "bruhat",
-                            f"criterion and chain oracle disagree on v={format_permutation(v)}",
-                        )
+                    _violation(
+                        n, None, u, "bruhat",
+                        f"criterion and chain oracle disagree on v={format_permutation(v)}",
                     )
+                )
 
 
 def _sweep_representative(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n in range(1, n_max + 1):
-        perms = sorted(all_permutations(n))
+    for n, (h, perms) in _ranked(n_max, deadline, result, _with_permutations):
         e = identity(n)
-        for h in hessenberg_functions(n):
-            if deadline.exceeded():
-                result.complete = False
-                result.note = f"stopped inside n={n}"
-                return
-            win = windows(h)
-            for w in perms:
-                result.cases += 1
-                try:
-                    wt, u = admissible_representative(w, h)
-                except RuntimeError as exc:
-                    result.violations.append(_violation(n, h, w, "representative", str(exc)))
-                    continue
-                problems = []
-                if not is_admissible(wt, h):
-                    problems.append("representative not admissible")
-                if not bruhat_leq(w, wt):
-                    problems.append("representative not above w")
-                if any((wt[i - 1] < wt[j - 1]) != (w[i - 1] < w[j - 1]) for i, j in win):
-                    problems.append("window order disagrees")
-                if compose(u, wt) != w:
-                    problems.append("translation does not recover w")
-                if is_admissible(w, h) and (wt != w or u != e):
-                    problems.append("admissible w not its own representative")
-                for p in problems:
-                    result.violations.append(_violation(n, h, w, "representative", p))
+        win = windows(h)
+        for w in perms:
+            result.cases += 1
+            try:
+                wt, u = admissible_representative(w, h)
+            except RuntimeError as exc:
+                result.violations.append(_violation(n, h, w, "representative", str(exc)))
+                continue
+            problems = []
+            if not is_admissible(wt, h):
+                problems.append("representative not admissible")
+            if not bruhat_leq(w, wt):
+                problems.append("representative not above w")
+            if any((wt[i - 1] < wt[j - 1]) != (w[i - 1] < w[j - 1]) for i, j in win):
+                problems.append("window order disagrees")
+            if compose(u, wt) != w:
+                problems.append("translation does not recover w")
+            if is_admissible(w, h) and (wt != w or u != e):
+                problems.append("admissible w not its own representative")
+            for p in problems:
+                result.violations.append(_violation(n, h, w, "representative", p))
 
 
 def _sweep_fixed_points(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n in range(1, n_max + 1):
-        perms = sorted(all_permutations(n))
-        for h in hessenberg_functions(n):
-            if deadline.exceeded():
-                result.complete = False
-                result.note = f"stopped inside n={n}"
-                return
-            for w in perms:
-                result.cases += 1
-                fixed = hess_schubert_fixed_points(w, h)
-                interval = bruhat_interval(w)
-                if not fixed <= interval:
-                    result.violations.append(
-                        _violation(n, h, w, "fixed-points", "fixed set leaves the interval")
+    for n, (h, perms) in _ranked(n_max, deadline, result, _with_permutations):
+        for w in perms:
+            result.cases += 1
+            fixed = hess_schubert_fixed_points(w, h)
+            interval = bruhat_interval(w)
+            if not fixed <= interval:
+                result.violations.append(
+                    _violation(n, h, w, "fixed-points", "fixed set leaves the interval")
+                )
+            if (fixed == interval) != is_admissible(w, h):
+                result.violations.append(
+                    _violation(
+                        n, h, w, "fixed-points",
+                        "fixed set equals interval iff admissible fails",
                     )
-                if (fixed == interval) != is_admissible(w, h):
-                    result.violations.append(
-                        _violation(
-                            n, h, w, "fixed-points",
-                            "fixed set equals interval iff admissible fails",
-                        )
-                    )
+                )
 
 
 def _sweep_connectivity(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n in range(1, n_max + 1):
-        perms = sorted(all_permutations(n))
-        for h in hessenberg_functions(n):
-            if deadline.exceeded():
-                result.complete = False
-                result.note = f"stopped inside n={n}"
-                return
-            ambient_connected = hessenberg_connected(h)
-            for w in perms:
-                if not (ambient_connected or is_admissible(w, h)):
-                    continue
-                result.cases += 1
-                if not interval_summary(h, w).connected:
-                    result.violations.append(
-                        _violation(n, h, w, "connectivity", "interval graph disconnected")
-                    )
+    for n, (h, perms) in _ranked(n_max, deadline, result, _with_permutations):
+        ambient_connected = hessenberg_connected(h)
+        for w in perms:
+            if not (ambient_connected or is_admissible(w, h)):
+                continue
+            result.cases += 1
+            if not interval_summary(h, w).connected:
+                result.violations.append(
+                    _violation(n, h, w, "connectivity", "interval graph disconnected")
+                )
 
 
 def _sweep_shortcut(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n in range(1, n_max + 1):
-        for h in hessenberg_functions(n):
-            if deadline.exceeded():
-                result.complete = False
-                result.note = f"stopped inside n={n}"
-                return
-            for w in enumerate_admissible(h):
-                result.cases += 1
-                full = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
-                if regularity_via_w0(h, w) != full:
-                    result.violations.append(
-                        _violation(n, h, w, "shortcut", "top-degree test disagrees with full scan")
-                    )
+    for n, h in _ranked(n_max, deadline, result):
+        for w in enumerate_admissible(h):
+            result.cases += 1
+            full = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
+            if regularity_via_w0(h, w) != full:
+                result.violations.append(
+                    _violation(n, h, w, "shortcut", "top-degree test disagrees with full scan")
+                )
 
 
 def _sweep_phi_injective(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n in range(1, n_max + 1):
-        for h in hessenberg_functions(n):
-            if deadline.exceeded():
-                result.complete = False
-                result.note = f"stopped inside n={n}"
-                return
-            for w in enumerate_admissible(h):
-                interval = bruhat_interval(w)
-                edge_sets = {u: window_edges(h, interval, u) for u in interval}
-                for u in interval:
-                    e_u = edge_sets[u]
-                    lu = length(u)
-                    for a, b in e_u:
-                        v = apply_transposition(u, a, b)
-                        if length(v) <= lu:
-                            continue
-                        result.cases += 1
-                        e_v = set(edge_sets[v])
-                        images = phi_rule(e_u, a, b)
-                        if len(images) != len(e_u):
-                            result.violations.append(
-                                _violation(n, h, w, "phi-injective", "map not total")
+    for n, h in _ranked(n_max, deadline, result):
+        for w in enumerate_admissible(h):
+            interval = bruhat_interval(w)
+            edge_sets = {u: window_edges(h, interval, u) for u in interval}
+            for u in interval:
+                e_u = edge_sets[u]
+                lu = length(u)
+                for a, b in e_u:
+                    v = apply_transposition(u, a, b)
+                    if length(v) <= lu:
+                        continue
+                    result.cases += 1
+                    e_v = set(edge_sets[v])
+                    images = phi_rule(e_u, a, b)
+                    if len(images) != len(e_u):
+                        result.violations.append(
+                            _violation(n, h, w, "phi-injective", "map not total")
+                        )
+                    vals = list(images.values())
+                    if len(set(vals)) != len(vals):
+                        result.violations.append(
+                            _violation(
+                                n, h, w, "phi-injective",
+                                f"not injective at u={format_permutation(u)} (a,b)=({a},{b})",
                             )
-                        vals = list(images.values())
-                        if len(set(vals)) != len(vals):
-                            result.violations.append(
-                                _violation(
-                                    n, h, w, "phi-injective",
-                                    f"not injective at u={format_permutation(u)} (a,b)=({a},{b})",
-                                )
+                        )
+                    if not set(vals) <= e_v:
+                        result.violations.append(
+                            _violation(
+                                n, h, w, "phi-injective",
+                                f"image leaves the edge set at v={format_permutation(v)}",
                             )
-                        if not set(vals) <= e_v:
-                            result.violations.append(
-                                _violation(
-                                    n, h, w, "phi-injective",
-                                    f"image leaves the edge set at v={format_permutation(v)}",
-                                )
+                        )
+                    if len(e_u) > len(e_v):
+                        result.violations.append(
+                            _violation(
+                                n, h, w, "phi-injective",
+                                "degree decreases along an h-order edge",
                             )
-                        if len(e_u) > len(e_v):
-                            result.violations.append(
-                                _violation(
-                                    n, h, w, "phi-injective",
-                                    "degree decreases along an h-order edge",
-                                )
-                            )
+                        )
 
 
 def _sweep_phi_surjective(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n in range(1, n_max + 1):
-        for h in hessenberg_functions(n):
-            if deadline.exceeded():
-                result.complete = False
-                result.note = f"stopped inside n={n}"
-                return
-            for w in enumerate_admissible(h):
-                interval = bruhat_interval(w)
-                e_w = window_edges(h, interval, w)
-                for a, b in transpositions(n):
-                    v = apply_transposition(w, a, b)
-                    if v not in interval or v == w:
-                        continue
-                    result.cases += 1
-                    e_v = set(window_edges(h, interval, v))
-                    images = set(phi_rule(e_w, a, b).values())
-                    if not e_v <= images:
-                        viol = _violation(
-                            n, h, w, "phi-surjective",
-                            f"misses edges at v={format_permutation(v)}: "
-                            f"{sorted(e_v - images)}",
-                        )
-                        viol["v"] = format_permutation(v)
-                        result.violations.append(viol)
+    for n, h in _ranked(n_max, deadline, result):
+        for w in enumerate_admissible(h):
+            interval = bruhat_interval(w)
+            e_w = window_edges(h, interval, w)
+            for a, b in transpositions(n):
+                v = apply_transposition(w, a, b)
+                if v not in interval or v == w:
+                    continue
+                result.cases += 1
+                e_v = set(window_edges(h, interval, v))
+                images = set(phi_rule(e_w, a, b).values())
+                if not e_v <= images:
+                    viol = _violation(
+                        n, h, w, "phi-surjective",
+                        f"misses edges at v={format_permutation(v)}: "
+                        f"{sorted(e_v - images)}",
+                    )
+                    viol["v"] = format_permutation(v)
+                    result.violations.append(viol)
 
 
 def _sweep_patterns(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n in range(1, n_max + 1):
-        for h in hessenberg_functions(n):
-            if deadline.exceeded():
-                result.complete = False
-                result.note = f"stopped inside n={n}"
-                return
-            for w in enumerate_admissible(h):
-                result.cases += 1
-                avoids, witnesses = avoids_all_associated(w, h)
-                regular = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
-                if avoids != regular:
-                    result.violations.append(
-                        _violation(
-                            n, h, w, "patterns",
-                            f"avoidance={avoids} but regular={regular} "
-                            f"(witnesses: {witnesses})",
-                        )
+    for n, h in _ranked(n_max, deadline, result):
+        for w in enumerate_admissible(h):
+            result.cases += 1
+            avoids, witnesses = avoids_all_associated(w, h)
+            regular = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
+            if avoids != regular:
+                result.violations.append(
+                    _violation(
+                        n, h, w, "patterns",
+                        f"avoidance={avoids} but regular={regular} "
+                        f"(witnesses: {witnesses})",
                     )
+                )
 
 
 def _sweep_example61(n_max: int, deadline: _Deadline, result: SweepResult) -> None:

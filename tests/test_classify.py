@@ -2,7 +2,7 @@
 
 import pytest
 
-from hessgkm.classify import classify, component_lower_bound, smooth_points_theorem
+from hessgkm.classify import classify, component_lower_bound
 from hessgkm.graphs import interval_graph
 from hessgkm.hess import (
     cell_dimension,
@@ -11,7 +11,13 @@ from hessgkm.hess import (
     is_admissible,
 )
 from hessgkm.patterns import avoids_all_associated
-from hessgkm.perms import all_permutations, bruhat_interval, identity, longest_element
+from hessgkm.perms import (
+    all_permutations,
+    apply_transposition,
+    bruhat_interval,
+    identity,
+    longest_element,
+)
 from hessgkm.verify import hessenberg_functions
 
 H3344 = (3, 3, 4, 4)
@@ -122,30 +128,15 @@ def test_smooth_points_cover_everything_when_regular(n):
                 assert r.smooth_fixed_points == r.fixed_points
 
 
-def test_smooth_points_theorem_op():
-    assert smooth_points_theorem((3, 2, 1, 4), H3344) == frozenset(
-        {(3, 2, 1, 4), (3, 2, 4, 1)}
-    )
-    w0 = longest_element(4)
-    assert smooth_points_theorem(w0, H3344) == frozenset({w0})
-    # the literal reflection rule over-certifies: full flag at 1324 includes
-    # the top element even though the closure is singular there
-    assert (4, 3, 2, 1) in smooth_points_theorem((1, 3, 2, 4), (4, 4, 4, 4))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_smooth_points_theorem_is_reflection_neighborhood(n):
-    from hessgkm.perms import apply_transposition, transpositions
-
-    for h in hessenberg_functions(n):
-        for w in enumerate_admissible(h):
-            interval = bruhat_interval(w)
-            expected = {w} | {
-                apply_transposition(w, a, b)
-                for a, b in transpositions(n)
-                if apply_transposition(w, a, b) in interval
-            }
-            assert smooth_points_theorem(w, h) == expected
+def test_reflection_rule_over_certifies_at_1324():
+    # The literal reflection rule (every fixed point w t, t a transposition,
+    # is smooth) over-certifies: at full h the neighbor 4321 = 1324 (1,4)
+    # is a fixed point of the cell closure but a singular one.
+    r = classify((1, 3, 2, 4), (4, 4, 4, 4))
+    top = apply_transposition((1, 3, 2, 4), 1, 4)
+    assert top == (4, 3, 2, 1)
+    assert top in r.fixed_points
+    assert top not in r.smooth_fixed_points
 
 
 def test_certified_smooth_points_match_classical_singular_locus():

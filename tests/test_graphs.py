@@ -19,10 +19,9 @@ from hessgkm.graphs import (
     to_dot,
     to_json,
     to_json_dict,
-    translated_unlabeled_graph,
 )
 from hessgkm.hess import cell_dimension, enumerate_admissible, h_length, complexity_dimension, windows
-from hessgkm.perms import all_permutations, bruhat_interval, length, longest_element
+from hessgkm.perms import all_permutations, bruhat_interval, compose, length, longest_element
 from hessgkm.verify import hessenberg_functions, oracle_bruhat_upset
 
 H3344 = (3, 3, 4, 4)
@@ -212,32 +211,26 @@ def test_fixed_point_graph_equals_interval_graph_for_admissible(n):
             assert fixed_point_induced_graph(h, w) == interval_graph(h, w)
 
 
-def test_translated_graph_frozen():
-    g = translated_unlabeled_graph(H3344, (3, 2, 1, 4))
-    assert g.vertices == ((3, 2, 1, 4), (3, 2, 4, 1))
-    assert len(g.edges) == 1
-    # admissible w: translation is trivial
-    ga = translated_unlabeled_graph(H3344, (2, 1, 3, 4))
-    assert ga == fixed_point_induced_graph(H3344, (2, 1, 3, 4))
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_translation_preserves_counts_and_nests_in_bounds(n):
+    # The left translate by u of the graph at the representative w~ keeps
+    # its vertex and edge counts, and nests: translate <= graph induced on
+    # the fixed points <= interval graph.
     from hessgkm.hess import admissible_representative
 
     for h in hessenberg_functions(n):
         for w in all_permutations(n):
-            wt, _ = admissible_representative(w, h)
+            wt, u = admissible_representative(w, h)
             base = fixed_point_induced_graph(h, wt)
-            trans = translated_unlabeled_graph(h, w)
+            trans_vertices = {compose(u, x) for x in base.vertices}
+            trans_edges = {frozenset((compose(u, e.u), compose(u, e.v))) for e in base.edges}
             induced = fixed_point_induced_graph(h, w)
             inter = interval_graph(h, w)
-            assert len(trans.vertices) == len(base.vertices)
-            assert len(trans.edges) == len(base.edges)
-            # translate <= induced-on-fixed <= interval graph edge sets
-            assert trans.edge_pairs() <= induced.edge_pairs()
+            assert len(trans_vertices) == len(base.vertices)
+            assert len(trans_edges) == len(base.edges)
+            assert trans_edges <= induced.edge_pairs()
             assert induced.edge_pairs() <= inter.edge_pairs()
-            assert set(trans.vertices) == set(induced.vertices) <= set(inter.vertices)
+            assert trans_vertices == set(induced.vertices) <= set(inter.vertices)
 
 
 def test_dot_export_deterministic():

@@ -3,7 +3,7 @@
 import pytest
 
 from hessgkm.classify import classify
-from hessgkm.graphs import interval_graph, is_regular
+from hessgkm.graphs import interval_graph, is_regular, summarize
 from hessgkm.hess import admissible_representative, cell_dimension, enumerate_admissible
 from hessgkm.perms import all_permutations
 from hessgkm.roots import (
@@ -309,12 +309,13 @@ def test_arbitrary_graph_shapes():
     c2 = build_root_system("C", 2)
     hs = validate_hessenberg_space(c2, c2.parse_root_list("a1,a2,a1+a2"))
     g = arbitrary_gkm_graph(hs)
-    assert len(g.vertices) == 8 and len(g.edges) == 12
-    assert set(g.degrees().values()) == {3}
-    assert g.is_connected()
+    steps = [(u, v, label) for u, out in g.up.items() for v, label in out.items()]
+    assert len(g.degrees) == 8 and len(steps) == 12
+    assert set(g.degrees.values()) == {3}
+    assert g.connected
     # every edge is a right reflection move by some root of M, labeled by
     # the positive representative of its image at either endpoint
-    for u, v, label in g.edges:
+    for u, v, label in steps:
         assert label in set(c2.positive_roots)
         moves = {
             c
@@ -331,10 +332,71 @@ def test_arbitrary_graph_shapes():
         assert label in images
     empty = validate_hessenberg_space(c2, frozenset())
     g0 = arbitrary_gkm_graph(empty)
-    assert len(g0.edges) == 0 and not g0.is_connected()
+    assert not any(g0.up.values()) and not g0.connected
     a2 = build_root_system("A", 2)
     hexagon = arbitrary_gkm_graph(validate_hessenberg_space(a2, {(1, 0), (0, 1)}))
-    assert len(hexagon.vertices) == 6 and len(hexagon.edges) == 6
+    assert len(hexagon.degrees) == 6 and sum(map(len, hexagon.up.values())) == 6
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+def test_reflection_steps_match_definition(type_label, rank):
+    # The summary of every space against the definition of its moment
+    # graph: edges {w, w s_c} for c in M, labelled by the positive weight.
+    rs = build_root_system(type_label, rank)
+    elements = rs.elements()
+    positive = set(rs.positive_roots)
+    for m in enumerate_hessenberg_spaces(rs):
+        hs = validate_hessenberg_space(rs, m)
+        g = arbitrary_gkm_graph(hs)
+        assert g.regularity(len(m)).ok
+        pairs = set()
+        for w, out in g.up.items():
+            for x, label in out.items():
+                moves = [c for c in m if x == rs.mul(w, rs.reflection(c))]
+                assert len(moves) == 1
+                assert rs.length(x) > rs.length(w)
+                assert label == rs.act(w, moves[0]) and label in positive
+                pairs.add(frozenset((w, x)))
+        edges = {frozenset((w, rs.mul(w, rs.reflection(c)))) for w in elements for c in m}
+        assert pairs == edges
+        # Connectivity from either end of W, against a search over the
+        # definitional edges.
+        adj = {w: set() for w in elements}
+        for e in edges:
+            u, v = e
+            adj[u].add(v)
+            adj[v].add(u)
+        seen, stack = {rs.identity}, [rs.identity]
+        while stack:
+            for y in adj[stack.pop()] - seen:
+                seen.add(y)
+                stack.append(y)
+        connected = len(seen) == len(elements)
+        assert g.connected == connected
+        assert summarize(g.up, rs.longest()).connected == connected
+
+
+@pytest.mark.parametrize("type_label,rank", [("B", 3), ("C", 3), ("G", 2)])
+def test_classify_arbitrary_violator_is_first_in_word_order(type_label, rank):
+    # The reported violator is the least vertex of [w~, w0] in (length,
+    # word) order whose degree, counted by the definition, differs from
+    # the cell dimension.
+    rs = build_root_system(type_label, rank)
+    for m in enumerate_hessenberg_spaces(rs):
+        hs = validate_hessenberg_space(rs, m)
+        refl = [rs.reflection(c) for c in m]
+        for w in rs.elements():
+            report = classify_arbitrary(hs, w)
+            _, rep = z_and_w(hs, rs.inversion_set(w) & m)
+            interval = set(rs.bruhat_interval_up(rep))
+            bad = [
+                v
+                for v in interval
+                if sum(rs.mul(v, s) in interval for s in refl) != report.cell_dimension
+            ]
+            first = min(bad, key=rs.sort_key) if bad else None
+            assert report.violating_vertex == (None if first is None else rs.format_element(first))
+            assert report.regular == (first is None)
 
 
 def test_classify_arbitrary_c2():
@@ -373,7 +435,7 @@ def test_type_a_dictionary(n):
             assert len(rs.inversion_set(w) & hs.roots) == h_length(p, h)
         # graphs agree through the dictionary
         g = arbitrary_gkm_graph(hs)
-        edges = {frozenset({ol[u], ol[v]}) for u, v, _ in g.edges}
+        edges = {frozenset({ol[u], ol[v]}) for u, out in g.up.items() for v in out}
         from hessgkm.graphs import build_hessenberg_graph
 
         assert edges == build_hessenberg_graph(h).edge_pairs()

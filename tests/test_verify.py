@@ -74,10 +74,12 @@ def test_unknown_suite_rejected():
         sweep("bruhat", 0)
 
 
-def test_budget_truncates():
-    result = sweep("phi-injective", 5, budget_seconds=0.0)
-    assert not result.complete
-    assert "stopped" in result.note
+@pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "example61"])
+def test_budget_truncates(suite):
+    result = sweep(suite, 5, budget_seconds=0.0)
+    assert result.complete is False
+    assert result.note == "stopped inside n=1"
+    assert result.cases == 0
 
 
 def test_sweep_all_runs_every_suite():
