@@ -3,7 +3,8 @@
 Verbs: classify, enumerate-admissible, graph, betti, patterns, roots,
 verify.  JSON output is available everywhere (--json, or --format json for
 the graph verb).  Exit codes: 0 success, 1 for verify runs with violations,
-2 for usage errors.  All output is deterministic for fixed inputs.
+2 for usage errors and requests past ``perms.SIZE_LIMIT``.  All output is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .hess import (
     is_admissible,
     parse_hessenberg,
 )
-from .perms import format_permutation, parse_permutation
+from .perms import SIZE_LIMIT, format_permutation, parse_permutation
 
 
 def _emit_json(payload) -> None:
@@ -134,7 +135,7 @@ def _cmd_roots(args) -> int:
         for s in subsets:
             z, w_top = roots.z_and_w(hs, s)
             class_rows.append((s, classes[s], z, w_top))
-        if len(m_sorted) <= 16:
+        if 1 << len(m_sorted) <= SIZE_LIMIT:
             weyl = {rs.mask_of(s) for s in subsets}
             masks = [x for x in roots.submasks(rs.mask_of(m)) if x not in weyl]
             non_weyl = [rs.roots_of_mask(x) for x in sorted(masks, key=roots.mask_order_key)]

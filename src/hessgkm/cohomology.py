@@ -31,7 +31,7 @@ from collections import Counter
 
 from .graphs import GkmEdge, GkmGraph, interval_graph, is_regular
 from .hess import cell_dimension, complexity_dimension, validate_hessenberg, windows
-from .perms import Perm, all_permutations, apply_transposition, format_permutation
+from .perms import Perm, all_permutations, apply_transposition, check_size, format_permutation
 
 Poly = dict[tuple[int, ...], int]
 
@@ -140,6 +140,7 @@ def poincare_polynomial(h) -> tuple[int, ...]:
     """
     h = validate_hessenberg(h)
     n = len(h)
+    check_size(math.comb(n, n // 2), f"Betti states at the widest step C({n}, {n // 2})")
     d = complexity_dimension(h)
     bits = math.factorial(n).bit_length() + 1
     # right[p]: the window partners of position p to its right, as a bitmask
@@ -171,6 +172,7 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
     """
     h = validate_hessenberg(h)
     n = len(h)
+    check_size(math.factorial(n), f"S_{n}")
     g = interval_graph(h, w)
     target = cell_dimension(w, h)
     check = is_regular(g, target)

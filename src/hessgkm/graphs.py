@@ -26,6 +26,7 @@ these graphs:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,13 +43,10 @@ from .perms import (
     all_permutations,
     apply_transposition,
     bruhat_interval,
+    check_size,
     format_permutation,
     length,
 )
-
-# Full-graph construction keeps all of S_n in memory; 8! = 40320 vertices is
-# the default ceiling, overridable via the max_rank argument.
-DEFAULT_MAX_RANK = 8
 
 
 class GkmEdge(NamedTuple):
@@ -126,14 +124,11 @@ def _induced(h: HessFunc, vertex_set: frozenset[Perm], w: Perm | None) -> GkmGra
     return GkmGraph(tuple(sorted(vertex_set)), tuple(edges), h, w)
 
 
-def build_hessenberg_graph(h, max_rank: int = DEFAULT_MAX_RANK) -> GkmGraph:
+def build_hessenberg_graph(h) -> GkmGraph:
     """The full moment graph: vertices S_n, edges all window swaps."""
     h = validate_hessenberg(h)
     n = len(h)
-    if n > max_rank:
-        raise ValueError(
-            f"rank {n} exceeds the vertex-set cap {max_rank} (pass max_rank to override)"
-        )
+    check_size(math.factorial(n), f"S_{n}")
     return _induced(h, frozenset(all_permutations(n)), None)
 
 
@@ -153,7 +148,11 @@ class GraphSummary(NamedTuple):
     up: dict
     down: dict
     degrees: dict
-    connected: bool
+
+    @property
+    def connected(self) -> bool:
+        """Computed on each read; any start vertex gives the same answer."""
+        return len(reach(list(self.up)[:1], self.up, self.down)) == len(self.up)
 
     def regularity(self, expected: int, key=None) -> RegularityCheck:
         """The violator is the least bad vertex, ordered by ``key`` (by
@@ -162,16 +161,16 @@ class GraphSummary(NamedTuple):
         return RegularityCheck(not bad, min(bad, key=key) if bad else None)
 
 
-def summarize(up: dict, start) -> GraphSummary:
+def summarize(up: dict) -> GraphSummary:
     """Degrees and connectivity of the graph whose edges are the steps in
     ``up`` (a map from each vertex to its up-steps, target -> edge label),
-    each edge given once; connectivity is reachability from ``start``."""
+    each edge given once."""
     down: dict = {u: [] for u in up}
     for u, vs in up.items():
         for v in vs:
             down[v].append(u)
     degrees = {u: len(vs) + len(down[u]) for u, vs in up.items()}
-    return GraphSummary(up, down, degrees, len(reach((start,), up, down)) == len(up))
+    return GraphSummary(up, down, degrees)
 
 
 def interval_summary(h, w: Perm) -> GraphSummary:
@@ -180,7 +179,7 @@ def interval_summary(h, w: Perm) -> GraphSummary:
     h = validate_hessenberg(h)
     if len(w) != len(h):
         raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
-    return summarize(_window_steps(h, bruhat_interval(w)), w)
+    return summarize(_window_steps(h, bruhat_interval(w)))
 
 
 def reach(starts, *adjacencies) -> set[Perm]:
@@ -270,23 +269,12 @@ def phi_rule(
     return out
 
 
-def phi_map(
-    h,
-    w: Perm,
-    u: Perm,
-    a: int,
-    b: int,
-    require_window: bool = True,
-) -> dict[tuple[int, int], tuple[int, int]]:
+def phi_map(h, w: Perm, u: Perm, a: int, b: int) -> dict[tuple[int, int], tuple[int, int]]:
     """The edge comparison map from the edges at u to the edges at v = u(a,b).
 
     Applies :func:`phi_rule` to the edge set of the interval graph of
     (w, h) at u.  With (a, b) itself an edge at u and a length-increasing
     swap, the map is injective into the edges at v.
-
-    ``require_window=False`` drops the demand that (a, b) be a window pair,
-    which is the setting of the surjectivity check at u = w for an
-    arbitrary transposition.
     """
     h = validate_hessenberg(h)
     if not is_admissible(w, h):
@@ -295,10 +283,8 @@ def phi_map(
     v = apply_transposition(u, a, b)
     if length(v) <= length(u):
         raise ValueError(f"({a},{b}) does not increase length at {format_permutation(u)}")
-    if require_window and (a, b) not in e_u:
+    if (a, b) not in e_u:
         raise ValueError(f"({a},{b}) is not an edge of the interval graph at {format_permutation(u)}")
-    if v not in bruhat_interval(w):
-        raise ValueError(f"{format_permutation(v)} leaves the interval of {format_permutation(w)}")
     return phi_rule(e_u, a, b)
 
 

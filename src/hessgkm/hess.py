@@ -23,15 +23,10 @@ is fully supported; nothing here special-cases it.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from .perms import (
-    Perm,
-    all_permutations,
-    bruhat_interval,
-    compose,
-    inverse,
-)
+from .perms import Perm, all_permutations, bruhat_interval, check_size, compose, inverse
 
 HessFunc = tuple[int, ...]
 
@@ -119,6 +114,7 @@ def is_admissible(w: Perm, h: HessFunc) -> bool:
 @lru_cache(maxsize=None)
 def enumerate_admissible(h: HessFunc) -> tuple[Perm, ...]:
     """All h-admissible permutations, in lexicographic order."""
+    check_size(math.factorial(len(h)), f"S_{len(h)}")
     return tuple(w for w in all_permutations(len(h)) if is_admissible(w, h))
 
 

@@ -17,6 +17,10 @@ extension of a failing prefix lies above w.  The cost therefore follows
 the size of the interval rather than n!, and the elements come out in
 lexicographic order.
 
+Every verb guards the factorial growth of S_n, W and the intervals with
+one bound, :data:`SIZE_LIMIT`, on the elements a call would materialize;
+:func:`check_size` raises ``ValueError`` naming it, so the CLI exits 2.
+
 Text form: a digit string for n <= 9 (``"4312"``), comma-separated values
 for larger n (``"10,3,1,2,4,5,6,7,8,9"``).
 """
@@ -29,6 +33,15 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
+
+# The most elements any call materializes: 8! = 40,320 fits, 9! does not.
+SIZE_LIMIT = 1 << 16
+
+
+def check_size(count: int, what: str) -> None:
+    """Fail fast when ``what`` would hold more than SIZE_LIMIT items."""
+    if count > SIZE_LIMIT:
+        raise ValueError(f"{what}: {count} items exceed the size limit SIZE_LIMIT = {SIZE_LIMIT}")
 
 
 def as_permutation(entries: Iterable[int]) -> Perm:
@@ -153,11 +166,14 @@ def _extend_upper(
     ``free`` has bit x set for each value x not in the prefix.  ``slack[t]``
     is the number of prefix entries of v that are >= t minus the same count
     for w[:k]; the prefix satisfies the criterion iff no slack is negative.
+    Stops once ``out`` passes the size limit.
     """
     n = len(w)
     if k == n - 1:
         # The last value is forced, and the full prefix never decides.
         out.append((*prefix, free.bit_length() - 1))
+        if len(out) > SIZE_LIMIT:
+            check_size(len(out), f"interval [{format_permutation(w)}, w0] (enumeration stopped)")
         return
     y = w[k]
     # v[k] = x < y lowers the slack on (x, y] by one, so x must be at least

@@ -1,10 +1,10 @@
 """Root systems, Weyl groups, and Hessenberg spaces in arbitrary Lie type.
 
 Roots are stored as integer coordinate vectors over the simple roots, so
-"a1+a2" is (1, 1).  Supported types: A, B, C, D (within a group-order cap),
-G2, and F4.  Conventions follow the standard Euclidean realizations; in
-particular for type C the last simple root is long, so C2 has positive
-roots a1, a2, a1+a2, 2a1+a2.
+"a1+a2" is (1, 1).  Supported types: A, B, C, D (while |W| is within
+:data:`hessgkm.perms.SIZE_LIMIT`), G2, and F4.  Conventions follow the
+standard Euclidean realizations; in particular for type C the last simple
+root is long, so C2 has positive roots a1, a2, a1+a2, 2a1+a2.
 
 Weyl group elements are stored as permutations of the signed root list
 (positives first, then their negatives); this representation is faithful
@@ -48,13 +48,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .graphs import GraphSummary, summarize
-from .perms import Perm, compose as perm_compose
+from .perms import Perm, check_size, compose as perm_compose
 
 Coords = tuple[int, ...]
 Element = tuple[int, ...]  # permutation of the signed root index list
-
-# Covers A<=7, B/C<=6, D<=6, G2, F4; E types are not built here.
-DEFAULT_MAX_ORDER = 50_000
 
 
 def _factorial(n: int) -> int:
@@ -134,16 +131,14 @@ def _simple_roots_euclidean(type_label: str, rank: int) -> list[tuple[Fraction, 
 class RootSystem:
     """Positive roots, reflections, and the Weyl group of one Cartan type."""
 
-    def __init__(self, type_label: str, rank: int, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, type_label: str, rank: int):
         type_label = type_label.upper()
         simples = _simple_roots_euclidean(type_label, rank)
         self.type_label = type_label
         self.rank = rank
         self.order = _ORDER_FORMULA[type_label](rank)
-        if self.order > max_order:
-            raise ValueError(
-                f"|W({type_label}{rank})| = {self.order} exceeds the cap {max_order}"
-            )
+        # Covers A<=7, B/C<=6, D<=6, G2, F4; E types are not built here.
+        check_size(self.order, f"W({type_label}{rank})")
         self._simple_euclid = tuple(simples)
         gram = [[sum(a * b for a, b in zip(x, y)) for y in simples] for x in simples]
         # cartan[i][j] = <alpha_j, alpha_i^vee>
@@ -516,10 +511,8 @@ class RootSystem:
         return out
 
 
-def build_root_system(
-    type_label: str, rank: int, max_order: int = DEFAULT_MAX_ORDER
-) -> RootSystem:
-    return RootSystem(type_label, rank, max_order)
+def build_root_system(type_label: str, rank: int) -> RootSystem:
+    return RootSystem(type_label, rank)
 
 
 def root_from_positions(rs: RootSystem, i: int, j: int) -> Coords:
@@ -780,7 +773,7 @@ def _reflection_steps(hs: HessenbergSpace, vertex_set) -> dict[Element, dict[Ele
 def arbitrary_gkm_graph(hs: HessenbergSpace) -> GraphSummary:
     """Moment graph on all of W: edges {w, w s_a} for a in M."""
     rs = hs.rs
-    return summarize(_reflection_steps(hs, frozenset(rs.elements())), rs.identity)
+    return summarize(_reflection_steps(hs, frozenset(rs.elements())))
 
 
 @dataclass(frozen=True)
@@ -824,9 +817,8 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
     interval = frozenset(rs.bruhat_interval_up(rep))
     expected = len(hs.roots) - len(s)
     # The first violator in (length, word) order, as the report shows it.
-    regular, violator = summarize(_reflection_steps(hs, interval), rep).regularity(
-        expected, rs.sort_key
-    )
+    steps = _reflection_steps(hs, interval)
+    regular, violator = summarize(steps).regularity(expected, rs.sort_key)
     if not regular:
         smooth, reason = "unknown", "interval graph is not regular"
     elif not rs.simply_laced:

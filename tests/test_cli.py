@@ -152,6 +152,44 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_rejects_n_max_above_6(capsys):
+    # The sweep cap bounds run time and is separate from the size limit.
+    code = main(["verify", "--suite", "bruhat", "--n-max", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "n_max = 6" in captured.err
+
+
+NINES = ",".join(["9"] * 9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--h", ",".join(["10"] * 10), "--w", "1,2,3,4,5,6,7,8,9,10"],
+        ["graph", "--h", NINES],
+        ["enumerate-admissible", "--h", NINES],
+        ["betti", "--h", ",".join(["19"] * 19)],
+        ["roots", "--type", "B", "--rank", "7"],
+    ],
+    ids=["classify", "graph", "enumerate-admissible", "betti", "roots"],
+)
+def test_oversized_requests_exit_2(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "size limit SIZE_LIMIT = 65536" in captured.err
+
+
+def test_roots_lists_non_weyl_subsets_up_to_16_roots(capsys):
+    # M = all 16 positive roots of B4: 2^16 subsets is at the size limit.
+    code, out = run_cli(["roots", "--type", "B", "--rank", "4", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["m"]) == 16
+    assert len(payload["non_weyl_subsets"]) == 65152
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hessgkm", "betti", "--h", "2,3,3"],

@@ -1,6 +1,7 @@
 """Moment graph construction, degrees, regularity, connectivity, exports."""
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -54,10 +55,10 @@ def test_full_flag_edge_count():
 
 
 def test_rank_cap():
-    with pytest.raises(ValueError):
-        build_hessenberg_graph((3, 3, 3), max_rank=2)
-    # override allows it
-    assert len(build_hessenberg_graph((3, 3, 3), max_rank=3).vertices) == 6
+    # S_9 (362,880 vertices) is past the size limit, so rank 9 fails before
+    # any vertex is built; 8! = 40,320 fits.
+    with pytest.raises(ValueError, match="S_9: 362880 items exceed the size limit"):
+        build_hessenberg_graph((9,) * 9)
 
 
 def test_interval_graph_vertices_and_edges():
@@ -174,6 +175,38 @@ def test_interval_summary_matches_graph(n):
             for d in set(degs.values()) | {cell_dimension(w, h)}:
                 assert s.regularity(d) == is_regular(g, d)
             assert s.connected == is_connected(g)
+
+
+def _pattern(values):
+    return tuple(sorted(values).index(x) + 1 for x in values)
+
+
+@pytest.mark.parametrize(
+    "n,regular_count", [(1, 1), (2, 2), (3, 6), (4, 22), (5, 88), (6, 366)]
+)
+def test_full_h_regularity_matches_classical_criteria(n, regular_count):
+    # At h = (n, ..., n) the cell closure of w is w0 times the Schubert
+    # variety of w0 w.  Its interval graph is regular iff the rank-generating
+    # function of [w, w0] is palindromic (Carrell-Peterson) iff w0 w avoids
+    # 3412 and 4231 (Lakshmibai-Sandhya).  The regular counts are the
+    # smooth-permutation counts.
+    h = (n,) * n
+    w0 = longest_element(n)
+    regular = 0
+    for w in all_permutations(n):
+        is_reg = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
+        ranks = [0] * (length(w0) + 1)
+        for v in bruhat_interval(w):
+            ranks[length(v)] += 1
+        ranks = ranks[length(w):]
+        palindromic = ranks == ranks[::-1]
+        avoids = all(
+            _pattern(values) not in ((3, 4, 1, 2), (4, 2, 3, 1))
+            for values in combinations(compose(w0, w), 4)
+        )
+        assert is_reg == palindromic == avoids, w
+        regular += is_reg
+    assert regular == regular_count
 
 
 def test_phi_map_worked_example():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hessgkm.perms import (
+    SIZE_LIMIT,
     all_permutations,
     apply_transposition,
     as_permutation,
@@ -148,6 +149,14 @@ def test_interval_frozen_values():
     assert bruhat_interval(longest_element(5)) == frozenset({longest_element(5)})
     assert bruhat_interval((4, 3, 1, 2)) == frozenset({(4, 3, 1, 2), (4, 3, 2, 1)})
     assert len(bruhat_interval(identity(4))) == 24
+
+
+def test_interval_size_limit_boundary():
+    # All of S_8 (40,320) fits under the size limit; at n = 9 the
+    # enumeration stops as soon as it passes the limit.
+    assert len(bruhat_interval(identity(8))) == 40320 <= SIZE_LIMIT
+    with pytest.raises(ValueError, match="65537 items exceed the size limit SIZE_LIMIT = 65536"):
+        bruhat_interval(identity(9))
 
 
 def test_interval_matches_chain_oracle():

@@ -68,7 +68,7 @@ def test_clean_suites_have_no_violations_n5(suite):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         sweep("nope", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="capped at n_max = 6"):
         sweep("bruhat", 7)
     with pytest.raises(ValueError, match="n_max"):
         sweep("bruhat", 0)
