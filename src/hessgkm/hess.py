@@ -10,8 +10,8 @@ positions (i, j) with i < j <= h(i); they control everything downstream:
 * h-admissibility: w is admissible iff the position of w(j) + 1 in w is
   at most h(j) for every j with w(j) <= n - 1,
 * the unique admissible representative w~ >= w that agrees with w in
-  relative order on every window pair, together with the translation
-  u = w o w~^{-1},
+  relative order on every window pair, reached from w by a greedy ascent
+  of value swaps k <-> k + 1, together with the translation u = w o w~^{-1},
 * the fixed-point set of the cell closure, u . [w~, w0], which equals
   [w, w0] exactly when w is admissible,
 * the h-Bruhat order: reachability by length-increasing window swaps (its
@@ -123,23 +123,28 @@ def admissible_representative(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
     """The unique admissible w~ >= w agreeing with w on window order, and u.
 
     Returns (w~, u) with u = compose(w, inverse(w~)), so that
-    compose(u, w~) == w.  Found by searching [w, w0]; exactly one candidate
-    must survive, which doubles as a built-in self-check.
+    compose(u, w~) == w.  Found by greedy ascent: while some value k sits
+    left of k + 1 at positions p < q with q > h(p) -- exactly a failure of
+    :func:`is_admissible` -- swap the values k and k + 1.  Each swap is left
+    multiplication by s_k, raises the length by one and keeps the window
+    order ((p, q) is not a window pair), so at most C(n, 2) swaps end at an
+    admissible element above w.  The scan of [w, w0] it replaces is
+    :func:`hessgkm.verify.oracle_admissible_representative`.
     """
     _check_rank(w, h)
-    win = windows(h)
-    candidates = []
-    for v in sorted(bruhat_interval(w)):
-        if not is_admissible(v, h):
-            continue
-        if all((v[i - 1] < v[j - 1]) == (w[i - 1] < w[j - 1]) for i, j in win):
-            candidates.append(v)
-    if len(candidates) != 1:
-        raise RuntimeError(
-            f"expected exactly one admissible representative for w={w}, h={h}; "
-            f"found {len(candidates)}: {candidates}"
-        )
-    wt = candidates[0]
+    n = len(w)
+    v = list(w)
+    pos = [0, *inverse(w)]  # pos[k] is the position of the value k
+    ascending = True
+    while ascending:
+        ascending = False
+        for k in range(1, n):
+            p, q = pos[k], pos[k + 1]
+            if q > h[p - 1]:  # q > h(p) >= p, so k sits left of k + 1
+                v[p - 1], v[q - 1] = k + 1, k
+                pos[k], pos[k + 1] = q, p
+                ascending = True
+    wt = tuple(v)
     return wt, compose(w, inverse(wt))
 
 

@@ -25,10 +25,11 @@ for non-admissible w.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from .hess import HessFunc, is_admissible, validate_hessenberg
-from .perms import Perm, format_permutation
+from .perms import Perm, check_size, format_permutation
 
 PATTERN_IDS = ("2143", "1324", "1243", "2134", "1423", "2314", "2413")
 
@@ -68,6 +69,7 @@ def contains_hpattern(w: Perm, h, pattern_id: str) -> Witness | None:
         raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
     if pattern_id not in PATTERN_IDS:
         raise ValueError(f"unknown pattern id {pattern_id!r}")
+    check_size(math.comb(len(w), 4), "position quadruples")
     for i, j, k, l in combinations(range(1, len(w) + 1), 4):
         if not _window_ok(pattern_id, h, i, j, k, l):
             continue

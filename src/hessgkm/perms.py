@@ -13,9 +13,10 @@ the same order lives in :mod:`hessgkm.verify`.
 Upper intervals [w, w0] are built by one depth-first enumerator for every
 n.  Because the k-th condition involves only v[:k], it grows v one
 position at a time and drops a prefix as soon as its condition fails; no
-extension of a failing prefix lies above w.  The cost therefore follows
-the size of the interval rather than n!, and the elements come out in
-lexicographic order.
+extension of a failing prefix lies above w.  The last two positions are
+filled in one step, since only the second-to-last needs the test and the
+last value is forced.  The cost therefore follows the size of the interval
+rather than n!, and the elements come out in lexicographic order.
 
 Every verb guards the factorial growth of S_n, W and the intervals with
 one bound, :data:`SIZE_LIMIT`, on the elements a call would materialize;
@@ -161,7 +162,7 @@ def _extend_upper(
     w: Perm, k: int, prefix: list[int], free: int, slack: list[int], out: list[Perm]
 ) -> None:
     """Append to ``out``, in lexicographic order, every v >= w with
-    v[:k] == prefix.
+    v[:k] == prefix, for k <= n - 2.
 
     ``free`` has bit x set for each value x not in the prefix.  ``slack[t]``
     is the number of prefix entries of v that are >= t minus the same count
@@ -169,12 +170,6 @@ def _extend_upper(
     Stops once ``out`` passes the size limit.
     """
     n = len(w)
-    if k == n - 1:
-        # The last value is forced, and the full prefix never decides.
-        out.append((*prefix, free.bit_length() - 1))
-        if len(out) > SIZE_LIMIT:
-            check_size(len(out), f"interval [{format_permutation(w)}, w0] (enumeration stopped)")
-        return
     y = w[k]
     # v[k] = x < y lowers the slack on (x, y] by one, so x must be at least
     # the highest threshold z <= y whose slack is already 0 (slack[1] is
@@ -182,6 +177,18 @@ def _extend_upper(
     z = y
     while slack[z]:
         z -= 1
+    if k == n - 2:
+        # Two free values a < b remain; the last one is forced, and the
+        # full prefix never decides.
+        b = free.bit_length() - 1
+        a = (free ^ (1 << b)).bit_length() - 1
+        for x, last in ((a, b), (b, a)):
+            if x >= z:
+                out.append((*prefix, x, last))
+                if len(out) > SIZE_LIMIT:
+                    what = f"interval [{format_permutation(w)}, w0] (enumeration stopped)"
+                    check_size(len(out), what)
+        return
     for x in range(z, n + 1):
         if not free >> x & 1:
             continue
@@ -209,6 +216,8 @@ def bruhat_interval(w: Perm) -> frozenset[Perm]:
     24
     """
     n = len(w)
+    if n == 1:
+        return frozenset([w])
     out: list[Perm] = []
     _extend_upper(w, 0, [], (1 << (n + 1)) - 2, [0] * (n + 1), out)
     return frozenset(out)

@@ -6,9 +6,10 @@ permutations, and records counterexamples; a clean run returns zero
 violations.  The Bruhat oracle here decides the order by chain
 reachability (BFS over length-increasing transposition moves) and shares
 no decision logic with the sorted-prefix criterion it certifies.
-:func:`oracle_weyl_type_subsets` likewise tests every subset of a
-Hessenberg space M against the definition of Weyl type, for the
-backtracking enumerator in :mod:`hessgkm.roots`, and
+:func:`oracle_admissible_representative` scans [w, w0] for the greedy
+ascent in :mod:`hessgkm.hess`.  :func:`oracle_weyl_type_subsets` likewise
+tests every subset of a Hessenberg space M against the definition of Weyl
+type, for the backtracking enumerator in :mod:`hessgkm.roots`, and
 :func:`oracle_poincare_polynomial` counts cell dimensions over all of S_n,
 for the dynamic program in :mod:`hessgkm.cohomology`.
 
@@ -16,7 +17,7 @@ Suites
 ------
 bruhat          criterion vs. chain oracle on all pairs, and the library
                 upper interval vs. the chain upset for every u
-representative  existence/uniqueness and defining properties of w~
+representative  defining properties of w~, and w~ vs. the interval-scan oracle
 fixed-points    fixed set of the cell closure vs. interval, admissibility
 connectivity    interval graph connected when admissible or ambient connected
 shortcut        top-degree test vs. full regularity scan (admissible w)
@@ -147,6 +148,18 @@ def oracle_bruhat(u: Perm, v: Perm) -> bool:
     return v in oracle_bruhat_upset(u)
 
 
+def oracle_admissible_representative(w: Perm, h: HessFunc) -> list[Perm]:
+    """Every admissible v in [w, w0] that agrees with w on window order,
+    sorted; by uniqueness the list is exactly [w~]."""
+    win = windows(h)
+    return sorted(
+        v
+        for v in bruhat_interval(w)
+        if all((v[i - 1] < v[j - 1]) == (w[i - 1] < w[j - 1]) for i, j in win)
+        and is_admissible(v, h)
+    )
+
+
 def oracle_weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
     """Weyl-type subsets of M by the definition: every one of the 2^|M|
     subsets is tested with :func:`hessgkm.roots.is_weyl_type`.  Sorted like
@@ -235,12 +248,12 @@ def _sweep_representative(n_max: int, deadline: _Deadline, result: SweepResult) 
         win = windows(h)
         for w in perms:
             result.cases += 1
-            try:
-                wt, u = admissible_representative(w, h)
-            except RuntimeError as exc:
-                result.violations.append(_violation(n, h, w, "representative", str(exc)))
-                continue
+            wt, u = admissible_representative(w, h)
             problems = []
+            candidates = oracle_admissible_representative(w, h)
+            if candidates != [wt]:
+                found = ", ".join(map(format_permutation, candidates))
+                problems.append(f"interval scan finds [{found}], not {format_permutation(wt)}")
             if not is_admissible(wt, h):
                 problems.append("representative not admissible")
             if not bruhat_leq(w, wt):

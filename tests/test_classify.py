@@ -15,7 +15,9 @@ from hessgkm.perms import (
     all_permutations,
     apply_transposition,
     bruhat_interval,
+    bruhat_leq,
     identity,
+    length,
     longest_element,
 )
 from hessgkm.verify import hessenberg_functions
@@ -146,6 +148,21 @@ def test_certified_smooth_points_match_classical_singular_locus():
     r = classify((1, 3, 2, 4), (4, 4, 4, 4))
     singular = {(3, 4, 1, 2), (3, 4, 2, 1), (4, 3, 1, 2), (4, 3, 2, 1)}
     assert set(r.fixed_points) - set(r.smooth_fixed_points) == singular
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_full_h_smooth_points_match_carrell_peterson_locus(n):
+    # At h = (n,...,n) the closure is a Schubert variety up to w0, and by
+    # the local Carrell-Peterson criterion it is rationally smooth at x iff
+    # every y in [w, x] has degree l(w0) - l(w) in the Bruhat graph.
+    full = (n,) * n
+    for w in all_permutations(n):
+        interval = sorted(bruhat_interval(w))
+        degrees = interval_graph(full, w).degrees()
+        dim = length(longest_element(n)) - length(w)
+        bad = [y for y in interval if degrees[y] != dim]
+        locus = [x for x in interval if not any(bruhat_leq(y, x) for y in bad)]
+        assert list(classify(w, full).smooth_fixed_points) == locus
 
 
 def test_component_lower_bound_frozen():

@@ -171,8 +171,9 @@ NINES = ",".join(["9"] * 9)
         ["enumerate-admissible", "--h", NINES],
         ["betti", "--h", ",".join(["19"] * 19)],
         ["roots", "--type", "B", "--rank", "7"],
+        ["patterns", "--h", ",".join(["37"] * 37), "--w", ",".join(map(str, range(1, 38)))],
     ],
-    ids=["classify", "graph", "enumerate-admissible", "betti", "roots"],
+    ids=["classify", "graph", "enumerate-admissible", "betti", "roots", "patterns"],
 )
 def test_oversized_requests_exit_2(argv, capsys):
     code = main(argv)

@@ -26,7 +26,7 @@ from hessgkm.perms import (
     inverse,
     longest_element,
 )
-from hessgkm.verify import hessenberg_functions
+from hessgkm.verify import hessenberg_functions, oracle_admissible_representative
 
 H3344 = (3, 3, 4, 4)
 
@@ -111,7 +111,7 @@ def test_representative_frozen_values():
     assert admissible_representative((1, 2, 3), (1, 2, 3)) == ((3, 2, 1), (3, 2, 1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_representative_properties_exhaustive(n):
     e = identity(n)
     for h in hessenberg_functions(n):
@@ -126,6 +126,26 @@ def test_representative_properties_exhaustive(n):
                 assert (wt[i - 1] < wt[j - 1]) == (w[i - 1] < w[j - 1])
             if is_admissible(w, h):
                 assert wt == w and u == e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_representative_matches_interval_scan_oracle(n):
+    # The greedy ascent against a scan of [w, w0] for every admissible
+    # element with w's window order: the scan finds w~ and nothing else.
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            assert oracle_admissible_representative(w, h) == [admissible_representative(w, h)[0]]
+
+
+def test_admissible_pair_counts_observed():
+    # Observed, not proved: summed over all h at rank n, the admissible
+    # permutations number (2n - 1)!! for n = 1..6.  The n <= 5 total, 1,069,
+    # is the case count of the `shortcut` suite.
+    totals = [
+        sum(len(enumerate_admissible(h)) for h in hessenberg_functions(n)) for n in range(1, 7)
+    ]
+    assert totals == [1, 3, 15, 105, 945, 10395]
+    assert sum(totals[:5]) == 1069
 
 
 def test_fixed_points_frozen():
