@@ -127,9 +127,9 @@ def _cmd_roots(args) -> int:
 
     class_rows = []
     non_weyl = None
-    elements = []
+    elements = ()
     if want_tables:
-        elements = sorted(rs.elements(), key=rs.sort_key)
+        elements = rs._sorted_elements
         classes = roots.partition_classes(hs)
         subsets = roots.weyl_type_subsets(hs)
         for s in subsets:

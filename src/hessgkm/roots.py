@@ -12,12 +12,14 @@ and makes composition, inversion sets, and lengths cheap.  Composition is
 function composition, matching :func:`hessgkm.perms.compose`.
 
 Sets of positive roots are also integer masks (bit i is
-``positive_roots[i]``).  On first use by a Hessenberg-space function a
-system builds, once, each element's inversion mask and the mask of roots
-it sends to a negative simple root, the (a, b, a+b) index triples and each
-root's down-closure; left weak order is then inversion-mask containment
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 3.1.3).  Tuples of
-coordinates stay the type of every public argument and result.
+``positive_roots[i]``).  Each table of a system is built once, on first
+use and never by :meth:`RootSystem.elements`: canonical words in one pass,
+element ids with the ids of each longer w s_c, inversion masks both ways,
+the mask of roots each element sends to a negative simple root, the
+(a, b, a+b) index triples and each root's down-closure.  Left weak order is
+inversion-mask containment (Bjorner-Brenti, Combinatorics of Coxeter
+Groups, Prop. 3.1.3).  Tuples of coordinates stay the type of every public
+argument and result.
 
 A Hessenberg space is a subset M of the positive roots closed under
 subtracting positive roots (if a is in M, b is positive, and a - b is a
@@ -31,8 +33,8 @@ module over the Borel.  The machinery built on M:
 * The partition of W into classes {w : N(w) & M = S}, one per Weyl-type S;
   each class is a left weak order interval [z_S, w_S], where z_S is the
   unique class member sending no positive root outside M to a negative
-  simple root, and w_S = w0 * z_{M-S}.  Both bounds are checked against
-  the whole class and memoized per space.
+  simple root, and w_S = w0 * z_{M-S}, found by N(w0 z) = Phi+ - N(z).
+  Both bounds are checked against the whole class and memoized per space.
 * The admissible elements: the class tops w_S.
 * The moment graph on W with edges {w, w s_a} for a in M, and the
   regularity verdict on Bruhat interval subgraphs; the smoothness
@@ -43,6 +45,7 @@ module over the Borel.  The machinery built on M:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,18 +57,21 @@ Coords = tuple[int, ...]
 Element = tuple[int, ...]  # permutation of the signed root index list
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
 _ORDER_FORMULA = {
-    "A": lambda r: _factorial(r + 1),
-    "B": lambda r: (1 << r) * _factorial(r),
-    "C": lambda r: (1 << r) * _factorial(r),
-    "D": lambda r: (1 << (r - 1)) * _factorial(r),
+    "A": lambda r: math.factorial(r + 1),
+    "B": lambda r: (1 << r) * math.factorial(r),
+    "C": lambda r: (1 << r) * math.factorial(r),
+    "D": lambda r: (1 << (r - 1)) * math.factorial(r),
     "G": lambda r: 12,
     "F": lambda r: 1152,
 }
@@ -145,7 +151,6 @@ class RootSystem:
         self.cartan = [
             [int(2 * gram[i][j] / gram[i][i]) for j in range(rank)] for i in range(rank)
         ]
-        self._gram = gram
 
         self.simple_roots: tuple[Coords, ...] = tuple(
             tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)
@@ -170,10 +175,7 @@ class RootSystem:
             self._simple_reflection(i) for i in range(rank)
         )
         self._elements: tuple[Element, ...] | None = None
-        self._longest: Element | None = None
         self._reflection_memo: dict[Coords, Element] = {}
-        self._bruhat_memo: dict[tuple[Element, Element], bool] = {}
-        self._word_memo: dict[Element, tuple[int, ...]] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -212,7 +214,7 @@ class RootSystem:
 
     def mul(self, a: Element, b: Element) -> Element:
         """Function composition: (a*b)(root) = a(b(root))."""
-        return tuple(a[x] for x in b)
+        return tuple([a[x] for x in b])
 
     def inv(self, w: Element) -> Element:
         out = [0] * len(w)
@@ -243,9 +245,7 @@ class RootSystem:
         return mask
 
     def roots_of_mask(self, mask: int) -> frozenset[Coords]:
-        return frozenset(
-            self.positive_roots[i] for i in range(self._num_positive) if mask >> i & 1
-        )
+        return frozenset(map(self.positive_roots.__getitem__, _bits(mask)))
 
     def _euclid(self, coords: Coords) -> tuple[Fraction, ...]:
         dim = len(self._simple_euclid[0])
@@ -303,19 +303,7 @@ class RootSystem:
         return self._elements
 
     def longest(self) -> Element:
-        if self._longest is not None:
-            return self._longest
-        w = self.identity
-        p = self._num_positive
-        progressed = True
-        while progressed:
-            progressed = False
-            for i, s in enumerate(self.generators):
-                if w[self._simple_indices[i]] < p:  # w(alpha_i) still positive
-                    w = self.mul(w, s)
-                    progressed = True
-        self._longest = w
-        return w
+        return self._element_of_mask[(1 << self._num_positive) - 1]
 
     # -- mask tables, built on first use by the Hessenberg-space functions ---------
 
@@ -347,15 +335,35 @@ class RootSystem:
         return {w: self.inversion_mask(w) for w in self.elements()}
 
     @cached_property
+    def _element_of_mask(self) -> dict[int, Element]:
+        return {mask: w for w, mask in self._inversion_masks.items()}
+
+    @cached_property
+    def _reflection_table(self):
+        """Element ids in :meth:`elements` order and, per id, the moves
+        (c, id of w s_c) over the positive roots c in order with w(c) > 0:
+        those make w longer (the chain definition, Bjorner-Brenti, ch. 2)."""
+        ids = {w: k for k, w in enumerate(self.elements())}
+        p, refl = self._num_positive, self.reflections()
+        rows = tuple(tuple((c, ids[self.mul(w, refl[c])]) for c in range(p) if w[c] < p) for w in ids)
+        return ids, rows
+
+    @cached_property
     def _neg_simple_masks(self) -> dict[Element, int]:
-        """Per element, the mask of positive roots it sends to a negative
-        simple root."""
+        """Per element, the mask of positive roots sent to negative simple roots."""
         p = self._num_positive
         neg_simple = {p + i for i in self._simple_indices}
-        return {
-            w: sum(1 << i for i in range(p) if w[i] in neg_simple)
-            for w in self.elements()
-        }
+        return {w: sum(1 << i for i in range(p) if w[i] in neg_simple) for w in self.elements()}
+
+    @cached_property
+    def _words(self) -> dict[Element, tuple[int, ...]]:
+        """Canonical words, in :meth:`elements` order (by length): the least
+        i with w^-1(alpha_i) < 0, then the word of the shorter s_i w."""
+        p, words = self._num_positive, {}
+        for w in self.elements():
+            i = next((i for i, j in enumerate(self._simple_indices) if w.index(j) >= p), None)
+            words[w] = () if i is None else (i,) + words[self.mul(self.generators[i], w)]
+        return words
 
     @cached_property
     def _sorted_elements(self) -> tuple[Element, ...]:
@@ -363,9 +371,7 @@ class RootSystem:
 
     def left_descents(self, w: Element) -> list[int]:
         lw = self.length(w)
-        return [
-            i for i, s in enumerate(self.generators) if self.length(self.mul(s, w)) < lw
-        ]
+        return [i for i, s in enumerate(self.generators) if self.length(self.mul(s, w)) < lw]
 
     def right_descents(self, w: Element) -> list[int]:
         p = self._num_positive
@@ -373,24 +379,15 @@ class RootSystem:
 
     def canonical_word(self, w: Element) -> tuple[int, ...]:
         """Reduced word, greedy smallest left descent first (0-indexed letters)."""
-        if w in self._word_memo:
-            return self._word_memo[w]
-        word = []
-        x = w
-        while x != self.identity:
-            i = min(self.left_descents(x))
-            word.append(i)
-            x = self.mul(self.generators[i], x)
-        out = tuple(word)
-        self._word_memo[w] = out
-        return out
+        return self._words[w]
 
     def format_element(self, w: Element) -> str:
-        word = self.canonical_word(w)
+        word = self._words[w]
         return "".join(f"s{i + 1}" for i in word) if word else "e"
 
     def sort_key(self, w: Element):
-        return (self.length(w), self.canonical_word(w))
+        word = self._words[w]
+        return (len(word), word)
 
     # -- orders ----------------------------------------------------------------------
 
@@ -398,30 +395,36 @@ class RootSystem:
         """Strong Bruhat order, decided by the right-descent recursion."""
         if u == v:
             return True
-        key = (u, v)
-        memo = self._bruhat_memo
-        if key in memo:
-            return memo[key]
         if self.length(u) >= self.length(v):
-            memo[key] = False
             return False
-        ds = self.right_descents(v)
-        s = self.generators[ds[0]]
+        s = self.generators[self.right_descents(v)[0]]
         vs = self.mul(v, s)
         us = self.mul(u, s)
         if self.length(us) < self.length(u):
-            out = self.bruhat_leq(us, vs)
-        else:
-            out = self.bruhat_leq(u, vs)
-        memo[key] = out
-        return out
+            return self.bruhat_leq(us, vs)
+        return self.bruhat_leq(u, vs)
 
     def weak_leq(self, u: Element, v: Element) -> bool:
         """Left weak order: l(v) = l(u) + l(v u^{-1})."""
         return self.length(v) == self.length(u) + self.length(self.mul(v, self.inv(u)))
 
     def bruhat_interval_up(self, w: Element) -> tuple[Element, ...]:
-        return tuple(v for v in self.elements() if self.bruhat_leq(w, v))
+        """[w, w0] in :meth:`elements` order, searched along the moves
+        x -> x s_c with x(c) > 0.
+
+        >>> g2 = build_root_system("G", 2)
+        >>> len(g2.bruhat_interval_up(g2.identity)), len(g2.bruhat_interval_up(g2.longest()))
+        (12, 1)
+        """
+        ids, rows = self._reflection_table
+        seen = {ids[w]}
+        stack = list(seen)
+        while stack:
+            fresh = {y for _, y in rows[stack.pop()]} - seen
+            seen |= fresh
+            stack.extend(fresh)
+        check_size(len(seen), "upper Bruhat interval")
+        return tuple(map(self.elements().__getitem__, sorted(seen)))
 
     # -- text forms ---------------------------------------------------------------------
 
@@ -598,7 +601,7 @@ def mask_order_key(mask: int) -> tuple[int, list[int]]:
     """Order on root masks: by size, then by the sorted root indices."""
     # A list, not a tuple: the interpreter keeps up to 2000 freed tuples of
     # each small size for reuse, which held about 3 MB after the F4 sorts.
-    return mask.bit_count(), [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return mask.bit_count(), _bits(mask)
 
 
 def submasks(mask: int):
@@ -657,10 +660,8 @@ def weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
     return hs._cache("weyl_type_subsets", compute)
 
 
-def partition_classes(hs: HessenbergSpace) -> dict[frozenset[Coords], tuple[Element, ...]]:
-    """Group W by the trace of the inversion set on M.  Keys come in the
-    order of :func:`weyl_type_subsets`; each class is sorted by (length,
-    word)."""
+def _classes_by_mask(hs: HessenbergSpace) -> dict[int, tuple[Element, ...]]:
+    """The classes of :func:`partition_classes`, keyed by trace mask."""
 
     def compute():
         rs = hs.rs
@@ -669,11 +670,16 @@ def partition_classes(hs: HessenbergSpace) -> dict[frozenset[Coords], tuple[Elem
         buckets: dict[int, list[Element]] = {}
         for w in rs._sorted_elements:
             buckets.setdefault(inv[w] & m_mask, []).append(w)
-        return {
-            rs.roots_of_mask(s): tuple(buckets[s]) for s in sorted(buckets, key=mask_order_key)
-        }
+        return {s: tuple(buckets[s]) for s in sorted(buckets, key=mask_order_key)}
 
-    return hs._cache("partition_classes", compute)
+    return hs._cache("classes", compute)
+
+
+def partition_classes(hs: HessenbergSpace) -> dict[frozenset[Coords], tuple[Element, ...]]:
+    """Group W by the trace of the inversion set on M.  Keys come in the
+    order of :func:`weyl_type_subsets`; each class is sorted by (length,
+    word)."""
+    return {hs.rs.roots_of_mask(s): cls for s, cls in _classes_by_mask(hs).items()}
 
 
 def _z_element(hs: HessenbergSpace, cls: tuple[Element, ...]) -> Element:
@@ -682,9 +688,7 @@ def _z_element(hs: HessenbergSpace, cls: tuple[Element, ...]) -> Element:
     neg, outside = hs.rs._neg_simple_masks, ~_m_mask(hs)
     hits = [w for w in cls if not neg[w] & outside]
     if len(hits) != 1:
-        raise RuntimeError(
-            f"expected exactly one class minimum, found {len(hits)}"
-        )
+        raise RuntimeError(f"expected exactly one class minimum, found {len(hits)}")
     return hits[0]
 
 
@@ -695,23 +699,28 @@ def z_and_w(hs: HessenbergSpace, subset) -> tuple[Element, Element]:
     verified to bound the class (inversion-mask containment), which doubles
     as an internal self-check.  Memoized per space.
     """
-    rs = hs.rs
-    s = frozenset(subset)
-    classes = partition_classes(hs)
-    if s not in classes:
-        raise ValueError(f"{rs.format_root_set(s)} is not a Weyl-type subset of M")
+    return _class_bounds(hs, hs.rs.mask_of(subset))
+
+
+def _class_bounds(hs: HessenbergSpace, s: int) -> tuple[Element, Element]:
+    """:func:`z_and_w` for the mask ``s`` of S."""
     bounds = hs._cache("z_and_w", dict)
     if s in bounds:
         return bounds[s]
-    comp = hs.roots - s
-    if comp not in classes:
+    rs, m_mask = hs.rs, _m_mask(hs)
+    classes = _classes_by_mask(hs)
+    if s not in classes:
+        raise ValueError(f"{rs.format_root_set(rs.roots_of_mask(s))} is not a Weyl-type subset of M")
+    if m_mask & ~s not in classes:
         raise RuntimeError("complement of a Weyl-type subset has no class")
     cls = classes[s]
-    z = _z_element(hs, cls)
-    w = rs.mul(rs.longest(), _z_element(hs, classes[comp]))
-    if w not in cls:
-        raise RuntimeError("computed class maximum lies outside the class")
     inv = rs._inversion_masks
+    z = _z_element(hs, cls)
+    # N(w0 z') is the complement of N(z') in Phi+, here for z' = z_{M-S}.
+    every = (1 << rs._num_positive) - 1
+    w = rs._element_of_mask[every & ~inv[_z_element(hs, classes[m_mask & ~s])]]
+    if inv[w] & m_mask != s:
+        raise RuntimeError("computed class maximum lies outside the class")
     low, high = inv[z], inv[w]
     for x in cls:
         if low & ~inv[x] or inv[x] & ~high:
@@ -753,20 +762,14 @@ def _reflection_steps(hs: HessenbergSpace, vertex_set) -> dict[Element, dict[Ele
     than w, so every edge {w, w s_c} appears once, from its shorter end,
     labelled by its positive weight."""
     rs = hs.rs
-    inv = rs._inversion_masks
-    moves = [
-        (1 << rs._pos_index[c], c, rs.reflection(c))
-        for c in sorted(hs.roots, key=rs._pos_index.__getitem__)
-    ]
+    elements, signed, m_mask = rs.elements(), rs._signed, _m_mask(hs)
+    ids, rows = rs._reflection_table
     steps = {}
     for w in vertex_set:
         out = steps[w] = {}
-        n_w = inv[w]
-        for bit, c, s in moves:
-            if not n_w & bit:
-                x = rs.mul(w, s)
-                if x in vertex_set:
-                    out[x] = rs.act(w, c)
+        for c, k in rows[ids[w]]:
+            if m_mask >> c & 1 and elements[k] in vertex_set:
+                out[elements[k]] = signed[w[c]]
     return steps
 
 
@@ -812,10 +815,10 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
     """Regularity of the interval graph at the admissible representative of
     w, with the smoothness verdict gated on the simply-laced hypothesis."""
     rs = hs.rs
-    s = rs.inversion_set(w) & hs.roots
-    _, rep = z_and_w(hs, s)
+    s = rs._inversion_masks[w] & _m_mask(hs)
+    _, rep = _class_bounds(hs, s)
     interval = frozenset(rs.bruhat_interval_up(rep))
-    expected = len(hs.roots) - len(s)
+    expected = len(hs.roots) - s.bit_count()
     # The first violator in (length, word) order, as the report shows it.
     steps = _reflection_steps(hs, interval)
     regular, violator = summarize(steps).regularity(expected, rs.sort_key)
@@ -825,12 +828,11 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
         smooth, reason = "unknown", "non-simply-laced"
     else:
         smooth, reason = "yes", None
-    s_sorted = sorted(s, key=lambda c: rs._pos_index[c])
     return WeylClassification(
         type_label=rs.type_label,
         rank=rs.rank,
         element=rs.format_element(w),
-        class_subset=tuple(rs.format_root(c) for c in s_sorted),
+        class_subset=tuple(rs.format_root(rs.positive_roots[c]) for c in _bits(s)),
         representative=rs.format_element(rep),
         cell_dimension=expected,
         interval_size=len(interval),

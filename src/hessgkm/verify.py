@@ -11,7 +11,9 @@ ascent in :mod:`hessgkm.hess`.  :func:`oracle_weyl_type_subsets` likewise
 tests every subset of a Hessenberg space M against the definition of Weyl
 type, for the backtracking enumerator in :mod:`hessgkm.roots`, and
 :func:`oracle_poincare_polynomial` counts cell dimensions over all of S_n,
-for the dynamic program in :mod:`hessgkm.cohomology`.
+for the dynamic program in :mod:`hessgkm.cohomology`, and
+:func:`oracle_canonical_word` strips left descents one at a time, for the
+word table of :class:`hessgkm.roots.RootSystem`.
 
 Suites
 ------
@@ -66,7 +68,7 @@ from .perms import (
     length,
     transpositions,
 )
-from .roots import Coords, HessenbergSpace, is_weyl_type, mask_order_key, submasks
+from .roots import Coords, Element, HessenbergSpace, RootSystem, is_weyl_type, mask_order_key, submasks
 
 _CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 
@@ -169,6 +171,18 @@ def oracle_weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
         x for x in submasks(rs.mask_of(hs.roots)) if is_weyl_type(hs, rs.roots_of_mask(x))
     ]
     return [rs.roots_of_mask(x) for x in sorted(found, key=mask_order_key)]
+
+
+def oracle_canonical_word(rs: RootSystem, w: Element) -> tuple[int, ...]:
+    """The reduced word of w by the greedy loop: take the smallest left
+    descent i, then continue from s_i w, until the identity."""
+    word = []
+    x = w
+    while x != rs.identity:
+        i = min(rs.left_descents(x))
+        word.append(i)
+        x = rs.mul(rs.generators[i], x)
+    return tuple(word)
 
 
 def oracle_poincare_polynomial(h) -> tuple[int, ...]:

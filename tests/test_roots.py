@@ -21,7 +21,7 @@ from hessgkm.roots import (
     weyl_type_subsets,
     z_and_w,
 )
-from hessgkm.verify import hessenberg_functions, oracle_weyl_type_subsets
+from hessgkm.verify import hessenberg_functions, oracle_canonical_word, oracle_weyl_type_subsets
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
 
@@ -160,6 +160,21 @@ def test_bruhat_recursion_matches_chain_oracle(type_label, rank):
                 rs.format_element(u),
                 rs.format_element(v),
             )
+
+
+@pytest.mark.parametrize("type_label,rank", SYSTEMS)
+def test_canonical_words_match_greedy_oracle(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    for w in rs.elements():
+        assert rs.canonical_word(w) == oracle_canonical_word(rs, w)
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+def test_bruhat_interval_up_matches_bruhat_leq(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    elements = rs.elements()
+    for w in elements:
+        assert rs.bruhat_interval_up(w) == tuple(v for v in elements if rs.bruhat_leq(w, v))
 
 
 def test_weak_order_is_inversion_containment():
@@ -399,6 +414,28 @@ def test_classify_arbitrary_violator_is_first_in_word_order(type_label, rank):
             assert report.regular == (first is None)
 
 
+@pytest.mark.parametrize(
+    "type_label,rank,regular_count",
+    [("A", 3, 22), ("B", 3, 34), ("C", 3, 34), ("D", 4, 108), ("G", 2, 12)],
+)
+def test_full_m_regularity_matches_palindromy(type_label, rank, regular_count):
+    # At M = Phi+ every class is one element, so the representative is w and
+    # the variety is the Schubert variety of w0 w (up to w0): by
+    # Carrell-Peterson its graph is regular iff the rank-generating
+    # function of [w, w0] is palindromic.
+    rs = build_root_system(type_label, rank)
+    hs = validate_hessenberg_space(rs, rs.positive_roots)
+    regular = 0
+    for w in rs.elements():
+        ranks = [0] * (len(rs.positive_roots) + 1 - rs.length(w))
+        for v in rs.bruhat_interval_up(w):
+            ranks[rs.length(v) - rs.length(w)] += 1
+        report = classify_arbitrary(hs, w)
+        assert report.regular == (ranks == ranks[::-1]), rs.format_element(w)
+        regular += report.regular
+    assert regular == regular_count
+
+
 def test_classify_arbitrary_c2():
     c2 = build_root_system("C", 2)
     hs = validate_hessenberg_space(c2, c2.parse_root_list("a1,a2,a1+a2"))
@@ -441,7 +478,7 @@ def test_type_a_dictionary(n):
         assert edges == build_hessenberg_graph(h).edge_pairs()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_type_a_classification_agrees(n):
     rs = build_root_system("A", n - 1)
     ol = rs.one_line_map()
