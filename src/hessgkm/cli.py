@@ -3,8 +3,9 @@
 Verbs: classify, enumerate-admissible, graph, betti, patterns, roots,
 verify.  JSON output is available everywhere (--json, or --format json for
 the graph verb).  Exit codes: 0 success, 1 for verify runs with violations,
-2 for usage errors and requests past ``perms.SIZE_LIMIT``.  All output is
-deterministic for fixed inputs.
+2 for usage errors, requests past ``perms.SIZE_LIMIT`` and output that
+cannot be written (an unwritable ``--out``).  All output is deterministic
+for fixed inputs.
 """
 
 from __future__ import annotations
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

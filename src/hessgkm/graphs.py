@@ -6,11 +6,12 @@ The full graph on a Hessenberg function h has vertex set S_n and one edge
 and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 +-(t_a - t_b), reconstructed from val on demand.
 
-Every induced graph is enumerated by one traversal, :func:`_window_steps`:
-for each vertex u, the in-set window swaps u(i,j) with u(i) < u(j), so each
-edge appears once, from its lower end.  :func:`summarize` reads degrees,
-regularity and connectivity off such up-steps without building edge
-objects; it is type-neutral, and :mod:`hessgkm.roots` runs the moment
+An induced graph is enumerated by one traversal of the in-set window swaps
+u(i,j) with u(i) < u(j) at each vertex u, so each edge appears once, from
+its lower end.  :func:`_window_steps` maps them by target for the
+summaries; :func:`_induced` emits them as sorted edge objects.
+:func:`summarize` reads degrees, regularity and connectivity off such
+up-steps without building edge objects; it is type-neutral, and :mod:`hessgkm.roots` runs the moment
 graphs of arbitrary Lie type through it too.  :func:`interval_summary` is
 its type A entry point, used by :mod:`hessgkm.classify` and the graph
 sweeps of :mod:`hessgkm.verify`.  ``GkmEdge`` objects are built only for
@@ -25,9 +26,10 @@ these graphs:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .hess import (
@@ -115,13 +117,33 @@ def _window_steps(
 
 
 def _induced(h: HessFunc, vertex_set: frozenset[Perm], w: Perm | None) -> GkmGraph:
-    edges = [
-        GkmEdge(u, v, ij, (u[ij[0] - 1], u[ij[1] - 1]))
-        for u, out in _window_steps(h, vertex_set).items()
-        for v, ij in out.items()
-    ]
-    edges.sort()
-    return GkmGraph(tuple(sorted(vertex_set)), tuple(edges), h, w)
+    """The graph induced on ``vertex_set``, its edges in sorted order: the
+    vertices ascending, each one's up-steps by target (for a fixed u the
+    target determines the window pair and the value pair).  An edge refers
+    to the vertex objects and to a shared value pair, so it costs one tuple.
+
+    This walks the window swaps as :func:`_window_steps` does, but in order
+    and without its map of maps, which would double the peak memory here."""
+    vertices = sorted(vertex_set)
+    vertex_of = dict(zip(vertices, vertices))
+    n = len(h)
+    pair = [[(a, b) for b in range(n + 1)] for a in range(n + 1)]
+    wins = windows(h)
+    edges = []
+    for u in vertices:
+        out = []
+        for ij in wins:
+            i, j = ij
+            a, b = u[i - 1], u[j - 1]
+            if a < b:
+                v = list(u)
+                v[i - 1], v[j - 1] = b, a
+                v = vertex_of.get(tuple(v))
+                if v is not None:
+                    out.append(GkmEdge(u, v, ij, pair[a][b]))
+        out.sort()
+        edges += out
+    return GkmGraph(tuple(vertices), tuple(edges), h, w)
 
 
 def build_hessenberg_graph(h) -> GkmGraph:
@@ -295,17 +317,17 @@ def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
 
 
 def to_dot(g: GkmGraph) -> str:
-    """DOT text with deterministic vertex and edge order."""
-    lines = ["graph {"]
-    for u in g.vertices:
-        lines.append(f'  "{format_permutation(u)}";')
-    for e in g.edges:
-        a, b = e.val
-        lines.append(
-            f'  "{format_permutation(e.u)}" -- "{format_permutation(e.v)}" [weight="t{a}-t{b}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """DOT text with deterministic vertex and edge order.  Each vertex is
+    formatted once, and each vertex's edges (consecutive in ``g.edges``)
+    become one string, so a big graph's text is not held line by line."""
+    label = {u: format_permutation(u) for u in g.vertices}
+    parts = ["graph {\n"]
+    parts += [f'  "{x}";\n' for x in label.values()]
+    for u, group in groupby(g.edges, itemgetter(0)):
+        head = f'  "{label[u]}" -- "'
+        parts.append("".join(f'{head}{label[v]}" [weight="t{a}-t{b}"];\n' for _, v, _, (a, b) in group))
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def to_json_dict(g: GkmGraph) -> dict:
@@ -326,5 +348,41 @@ def to_json_dict(g: GkmGraph) -> dict:
     }
 
 
+# An edge object of to_json's "edges" array, in the layout of ``json.dumps``
+# with ``sort_keys=True, indent=2``.
+_JSON_EDGE = (
+    '{\n      "pos": [\n        %d,\n        %d\n      ],\n      "u": "%s",\n      "v": "%s",\n'
+    '      "val": [\n        %d,\n        %d\n      ]\n    }'
+)
+
+
+def _json_array(items: list[str]) -> list[str]:
+    """The pieces of a top-level member array of encoded ``items``, in the
+    ``indent=2`` layout.  Each item may itself be several array items
+    joined by the separator."""
+    if not items:
+        return ["[]"]
+    pieces = ["[\n    "]
+    for x in items:
+        pieces += (x, ",\n    ")
+    pieces[-1] = "\n  ]"
+    return pieces
+
+
 def to_json(g: GkmGraph) -> str:
-    return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(to_json_dict(g), sort_keys=True, indent=2)`` and a newline,
+    written directly: labels hold only digits and commas, so nothing needs
+    escaping.  Vertices and edges are chunked as in :func:`to_dot`;
+    ``verify.oracle_graph_json`` is the encoder path."""
+    label = {u: format_permutation(u) for u in g.vertices}
+    edges = [
+        ",\n    ".join(_JSON_EDGE % (i, j, label[u], label[v], a, b) for _, v, (i, j), (a, b) in group)
+        for u, group in groupby(g.edges, itemgetter(0))
+    ]
+    w = "null" if g.w is None else f'"{format_permutation(g.w)}"'
+    return "".join([
+        '{\n  "edges": ', *_json_array(edges),
+        ',\n  "h": ', *_json_array([str(x) for x in g.h]),
+        f',\n  "n": {len(g.h)},\n  "vertices": ', *_json_array([f'"{x}"' for x in label.values()]),
+        f',\n  "w": {w}\n}}\n',
+    ])

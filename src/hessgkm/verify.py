@@ -13,7 +13,9 @@ type, for the backtracking enumerator in :mod:`hessgkm.roots`, and
 :func:`oracle_poincare_polynomial` counts cell dimensions over all of S_n,
 for the dynamic program in :mod:`hessgkm.cohomology`, and
 :func:`oracle_canonical_word` strips left descents one at a time, for the
-word table of :class:`hessgkm.roots.RootSystem`.
+word table of :class:`hessgkm.roots.RootSystem`, and
+:func:`oracle_graph_json` runs a graph's JSON export through the standard
+encoder, for the direct writer :func:`hessgkm.graphs.to_json`.
 
 Suites
 ------
@@ -37,10 +39,18 @@ suite; the suites report them rather than masking them.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 
-from .graphs import interval_summary, phi_rule, regularity_via_w0, window_edges
+from .graphs import (
+    GkmGraph,
+    interval_summary,
+    phi_rule,
+    regularity_via_w0,
+    to_json_dict,
+    window_edges,
+)
 from .hess import (
     HessFunc,
     admissible_representative,
@@ -195,6 +205,11 @@ def oracle_poincare_polynomial(h) -> tuple[int, ...]:
     for w in all_permutations(len(h)):
         counts[d - h_length(w, h)] += 1
     return tuple(counts)
+
+
+def oracle_graph_json(g: GkmGraph) -> str:
+    """The JSON export of g by ``json.dumps`` on :func:`hessgkm.graphs.to_json_dict`."""
+    return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
 
 
 class _Deadline:

@@ -24,6 +24,7 @@ GOLDEN_CASES = [
     (["classify", "--h", "3,3,4,4", "--w", "2134", "--json"], "classify_3344_2134.json"),
     (["graph", "--h", "2,2,3", "--format", "dot"], "graph_223.dot"),
     (["graph", "--h", "2,3,3", "--w", "213", "--format", "dot"], "graph_233_213.dot"),
+    (["graph", "--h", "2,3,3", "--w", "213", "--format", "json"], "graph_233_213.json"),
     (
         ["classify", "--h", "3,4,5,6,6,6", "--w", "236451", "--json"],
         "classify_345666_236451.json",
@@ -150,6 +151,14 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.dot"
+    code = main(["graph", "--h", "2,2,3", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
 
 
 def test_verify_rejects_n_max_above_6(capsys):

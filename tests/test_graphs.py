@@ -23,7 +23,7 @@ from hessgkm.graphs import (
 )
 from hessgkm.hess import cell_dimension, enumerate_admissible, h_length, complexity_dimension, windows
 from hessgkm.perms import all_permutations, bruhat_interval, compose, length, longest_element
-from hessgkm.verify import hessenberg_functions, oracle_bruhat_upset
+from hessgkm.verify import hessenberg_functions, oracle_bruhat_upset, oracle_graph_json
 
 H3344 = (3, 3, 4, 4)
 
@@ -284,3 +284,47 @@ def test_json_export_schema():
     full = to_json_dict(build_hessenberg_graph((2, 2, 3)))
     assert full["w"] is None
     assert to_json(g) == to_json(interval_graph((2, 3, 3), (2, 1, 3)))
+
+
+def _export_cases():
+    """The full graph and every interval graph for n <= 4, every full graph
+    for n = 5, both edge-free shapes, and a rank-10 interval graph, whose
+    labels are comma-separated."""
+    for n in range(1, 5):
+        for h in hessenberg_functions(n):
+            yield build_hessenberg_graph(h)
+            for w in all_permutations(n):
+                yield interval_graph(h, w)
+    for h in hessenberg_functions(5):
+        yield build_hessenberg_graph(h)
+    yield build_hessenberg_graph(tuple(range(1, 6)))
+    yield interval_graph((5, 5, 5, 5, 5), longest_element(5))
+    w0 = longest_element(10)
+    yield interval_graph((10,) * 10, compose(w0, (2, 1, 3, 4, 5, 6, 7, 8, 9, 10)))
+
+
+def test_json_export_matches_encoder_oracle():
+    shapes = {"edge-free": 0, "comma labels": 0}
+    for g in _export_cases():
+        text = to_json(g)
+        assert text == oracle_graph_json(g)
+        shapes["edge-free"] += '"edges": []' in text
+        shapes["comma labels"] += '"10,9,' in text
+    assert all(shapes.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_graph_order_is_canonical(n):
+    # Edges are emitted vertex by vertex rather than sorted at the end; the
+    # result must still be the sorted order, each edge once from its lower end.
+    cases = [build_hessenberg_graph(h) for h in hessenberg_functions(n)]
+    if n <= 4:
+        for h in hessenberg_functions(n):
+            for w in all_permutations(n):
+                cases += [interval_graph(h, w), fixed_point_induced_graph(h, w)]
+    for g in cases:
+        assert g.vertices == tuple(sorted(g.vertices))
+        assert g.edges == tuple(sorted(g.edges))
+        assert len(g.edge_pairs()) == len(g.edges)
+        for u, _, (i, j), _ in g.edges:
+            assert u[i - 1] < u[j - 1]
