@@ -1,7 +1,9 @@
 """Combinatorial smoothness and irreducibility tests for Hessenberg
 Schubert geometry, driven entirely by moment-graph data."""
 
-from .classify import ClassificationReport, classify, component_lower_bound
+from types import ModuleType as _ModuleType
+
+from .classify import ClassificationReport, component_lower_bound
 from .cohomology import check_compatibility, localized_class_candidate, poincare_polynomial
 from .graphs import (
     GkmGraph,
@@ -52,4 +54,4 @@ from .roots import (
 )
 from .verify import SweepResult, hessenberg_functions, oracle_bruhat, sweep, sweep_all
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]

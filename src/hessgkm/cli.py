@@ -26,6 +26,11 @@ from .hess import (
 from .perms import SIZE_LIMIT, format_permutation, parse_permutation
 
 
+# Characters per write of a graph export.  The text layer encodes each
+# write into one bytes object, so one write would copy the whole export.
+_WRITE_SLICE = 1 << 16
+
+
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -59,11 +64,12 @@ def _cmd_graph(args) -> int:
     else:
         g = graphs.interval_graph(h, parse_permutation(args.w))
     text = graphs.to_json(g) if args.format == "json" else graphs.to_dot(g)
+    slices = (text[k : k + _WRITE_SLICE] for k in range(0, len(text), _WRITE_SLICE))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(slices)
     else:
-        print(text, end="")
+        sys.stdout.writelines(slices)
     return 0
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .graphs import GkmEdge, GkmGraph, interval_graph, is_regular
+from .graphs import GkmEdge, GkmGraph, interval_summary
 from .hess import cell_dimension, complexity_dimension, validate_hessenberg, windows
 from .perms import Perm, all_permutations, apply_transposition, check_size, format_permutation
 
@@ -78,12 +78,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
         for m2, c2 in q.items():
             out[tuple(x + y for x, y in zip(m1, m2))] += c1 * c2
     return {m: c for m, c in out.items() if c}
-
-
-def poly_scale(p: Poly, c: int) -> Poly:
-    if c == 0:
-        return {}
-    return {m: c * x for m, x in p.items()}
 
 
 def poly_is_zero(p: Poly) -> bool:
@@ -173,18 +167,17 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
     h = validate_hessenberg(h)
     n = len(h)
     check_size(math.factorial(n), f"S_{n}")
-    g = interval_graph(h, w)
-    target = cell_dimension(w, h)
-    check = is_regular(g, target)
+    summary = interval_summary(h, w)
+    check = summary.regularity(cell_dimension(w, h))
     if not check.ok:
         raise ValueError(
             f"interval graph of w={format_permutation(w)}, h={h} is not regular "
             f"(violation at {format_permutation(check.violator)})"
         )
-    interval = g.vertex_set()
+    interval = summary.up
 
     products: dict[Perm, Poly] = {}
-    for u in g.vertices:
+    for u in interval:
         prod = const_poly(n, 1)
         for i, j in windows(h):
             if apply_transposition(u, i, j) not in interval:
@@ -192,13 +185,17 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
                 prod = poly_mul(prod, linear_form(n, min(a, b), max(a, b)))
         products[u] = prod
 
+    # Each edge once, in sorted (u, v) order, with its value pair (u(i), u(j)).
+    vertices = sorted(interval)
+    edges = [(u, v, (u[i - 1], u[j - 1])) for u in vertices for v, (i, j) in sorted(interval[u].items())]
+
     # Spanning-tree sign propagation, one root per component.
-    adj: dict[Perm, list] = {u: [] for u in g.vertices}
-    for e in g.edges:
-        adj[e.u].append((e.v, e.val))
-        adj[e.v].append((e.u, e.val))
+    adj: dict[Perm, list] = {u: [] for u in vertices}
+    for u, v, val in edges:
+        adj[u].append((v, val))
+        adj[v].append((u, val))
     sign: dict[Perm, int] = {}
-    for root in g.vertices:
+    for root in vertices:
         if root in sign:
             continue
         sign[root] = 1
@@ -222,13 +219,13 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
                     )
                 stack.append(v)
 
-    cls = {u: poly_scale(products[u], sign[u]) for u in g.vertices}
+    cls = {u: products[u] if sign[u] > 0 else poly_neg(products[u]) for u in vertices}
     # Non-tree edges can still be inconsistent; verify every internal edge.
-    for e in g.edges:
-        if not divisible_by_form(poly_sub(cls[e.u], cls[e.v]), e.val[0], e.val[1]):
+    for u, v, (a, b) in edges:
+        if not divisible_by_form(poly_sub(cls[u], cls[v]), a, b):
             raise RuntimeError(
                 "sign propagation inconsistent on cycle through edge "
-                f"{format_permutation(e.u)} ~ {format_permutation(e.v)}"
+                f"{format_permutation(u)} ~ {format_permutation(v)}"
             )
 
     full = {u: cls.get(u, zero_poly()) for u in all_permutations(n)}

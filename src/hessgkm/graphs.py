@@ -11,12 +11,12 @@ u(i,j) with u(i) < u(j) at each vertex u, so each edge appears once, from
 its lower end.  :func:`_window_steps` maps them by target for the
 summaries; :func:`_induced` emits them as sorted edge objects.
 :func:`summarize` reads degrees, regularity and connectivity off such
-up-steps without building edge objects; it is type-neutral, and :mod:`hessgkm.roots` runs the moment
-graphs of arbitrary Lie type through it too.  :func:`interval_summary` is
-its type A entry point, used by :mod:`hessgkm.classify` and the graph
-sweeps of :mod:`hessgkm.verify`.  ``GkmEdge`` objects are built only for
-DOT/JSON export, :mod:`hessgkm.cohomology` and the fixed-point graph, as
-these graphs:
+up-steps without building edge objects; it is type-neutral, and
+:mod:`hessgkm.roots` runs the moment graphs of arbitrary Lie type through
+it too.  :func:`interval_summary` is its type A entry point, used by
+:mod:`hessgkm.classify`, :mod:`hessgkm.cohomology` and the sweeps of
+:mod:`hessgkm.verify`.  ``GkmEdge`` objects are built only for DOT/JSON
+export and the compatibility check, on the full graph and on these:
 
 * ``interval_graph(h, w)``     -- induced on the Bruhat interval [w, w0];
 * ``fixed_point_induced_graph``-- induced on the cell-closure fixed points.
@@ -71,9 +71,6 @@ class GkmGraph:
     edges: tuple[GkmEdge, ...]
     h: HessFunc
     w: Perm | None = None
-
-    def vertex_set(self) -> frozenset[Perm]:
-        return frozenset(self.vertices)
 
     def degrees(self) -> dict[Perm, int]:
         degs = {u: 0 for u in self.vertices}

@@ -118,7 +118,6 @@ def enumerate_admissible(h: HessFunc) -> tuple[Perm, ...]:
     return tuple(w for w in all_permutations(len(h)) if is_admissible(w, h))
 
 
-@lru_cache(maxsize=None)
 def admissible_representative(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
     """The unique admissible w~ >= w agreeing with w on window order, and u.
 
@@ -148,7 +147,6 @@ def admissible_representative(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
     return wt, compose(w, inverse(wt))
 
 
-@lru_cache(maxsize=None)
 def hess_schubert_fixed_points(w: Perm, h: HessFunc) -> frozenset[Perm]:
     """Fixed points of the cell closure attached to (w, h): u . [w~, w0].
 

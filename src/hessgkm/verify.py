@@ -247,8 +247,8 @@ def _ranked(n_max: int, deadline: _Deadline, result: SweepResult, items=hessenbe
 
 
 def _with_permutations(n: int):
-    """Each Hessenberg function on [n] with one shared list of S_n: the
-    per-(w, h) caches then hold one tuple per permutation, not one per h."""
+    """Each Hessenberg function on [n] with one list of S_n shared by all
+    of them, so the permutations are built once per rank, not once per h."""
     perms = list(all_permutations(n))
     return ((h, perms) for h in hessenberg_functions(n))
 

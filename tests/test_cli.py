@@ -90,6 +90,21 @@ def test_graph_json_and_out_file(tmp_path, capsys):
     assert target.read_text().startswith("graph {")
 
 
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_graph_out_file_matches_stdout_past_one_slice(fmt, tmp_path, capsys):
+    from hessgkm import cli, graphs
+
+    argv = ["graph", "--h", "6,6,6,6,6,6", "--format", fmt]
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and len(out) > 2 * cli._WRITE_SLICE
+    g = graphs.build_hessenberg_graph((6,) * 6)
+    assert out == (graphs.to_json(g) if fmt == "json" else graphs.to_dot(g))
+    target = tmp_path / f"g.{fmt}"
+    code, rest = run_cli(argv + ["--out", str(target)], capsys)
+    assert code == 0 and rest == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
 def test_roots_json(capsys):
     code, out = run_cli(
         ["roots", "--type", "C", "--rank", "2", "--m", "a1,a2,a1+a2", "--json"], capsys

@@ -19,9 +19,9 @@ from hessgkm.cohomology import (
     substitute_equal,
     zero_poly,
 )
-from hessgkm.graphs import build_hessenberg_graph, interval_graph, is_connected, is_regular
-from hessgkm.hess import cell_dimension
-from hessgkm.perms import all_permutations, longest_element
+from hessgkm.graphs import build_hessenberg_graph, interval_graph, is_connected, is_regular, reach
+from hessgkm.hess import cell_dimension, windows
+from hessgkm.perms import all_permutations, apply_transposition, bruhat_interval, longest_element
 from hessgkm.verify import hessenberg_functions, oracle_poincare_polynomial
 
 H3344 = (3, 3, 4, 4)
@@ -175,3 +175,28 @@ def test_localized_classes_compatible_everywhere(n):
             cls = localized_class_candidate(h, w)
             ok, viol = check_compatibility(full, cls)
             assert ok, (h, w, viol)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_localized_class_is_positive_at_least_vertex_of_each_component(n):
+    """The sign convention: the least vertex of each component of a regular
+    interval graph carries the unsigned product of t_a - t_b (a < b) over
+    its windows that leave the interval."""
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            g = interval_graph(h, w)
+            if not is_regular(g, cell_dimension(w, h)).ok:
+                continue
+            cls = localized_class_candidate(h, w)
+            adj = g.adjacency()
+            seen = set()
+            for root in g.vertices:
+                if root in seen:
+                    continue
+                seen |= reach([root], adj)
+                expected = const_poly(n, 1)
+                for i, j in windows(h):
+                    if apply_transposition(root, i, j) not in bruhat_interval(w):
+                        a, b = sorted((root[i - 1], root[j - 1]))
+                        expected = poly_mul(expected, linear_form(n, a, b))
+                assert cls[root] == expected, (h, w, root)

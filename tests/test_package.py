@@ -1,0 +1,46 @@
+"""Package-wide properties: the public namespace and the size of the memo caches."""
+
+import json
+import subprocess
+import sys
+from math import factorial
+from types import ModuleType
+
+import hessgkm
+
+
+def test_submodules_are_not_shadowed_and_stay_out_of_all():
+    import hessgkm.classify as m
+
+    assert isinstance(m, ModuleType)
+    assert isinstance(hessgkm.classify, ModuleType)
+    assert "classify" not in hessgkm.__all__
+    assert [name for name in hessgkm.__all__ if isinstance(getattr(hessgkm, name), ModuleType)] == []
+    assert {"ClassificationReport", "component_lower_bound", "localized_class_candidate", "sweep"} <= set(
+        hessgkm.__all__
+    )
+
+
+# Every lru_cache of the library, found by type, with its entry count.
+_CACHE_SIZES = """
+import functools, gc, json
+from hessgkm import verify
+verify.sweep("representative", 5)
+verify.sweep("fixed-points", 5)
+print(json.dumps({
+    f"{fn.__module__}.{fn.__qualname__}": fn.cache_info().currsize
+    for fn in gc.get_objects()
+    if isinstance(fn, functools._lru_cache_wrapper) and fn.__module__.startswith("hessgkm")
+}))
+"""
+
+
+def test_caches_hold_at_most_one_entry_per_permutation():
+    """Caches keyed by w or by h stay within the permutations of rank <= 5;
+    a cache keyed by a (w, h) pair would hold one entry per sweep case."""
+    proc = subprocess.run([sys.executable, "-c", _CACHE_SIZES], capture_output=True, text=True, check=True)
+    sizes = json.loads(proc.stdout)
+    assert "hessgkm.perms.bruhat_interval" in sizes
+    limit = sum(factorial(n) for n in range(1, 6))
+    assert limit == 153
+    assert {name: size for name, size in sizes.items() if size > limit} == {}
