@@ -136,7 +136,7 @@ def _cmd_roots(args) -> int:
     non_weyl = None
     elements = ()
     if want_tables:
-        elements = rs._sorted_elements
+        elements = [rs.elements()[k] for k in rs._sorted_ids]
         classes = roots.partition_classes(hs)
         subsets = roots.weyl_type_subsets(hs)
         for s in subsets:

@@ -12,14 +12,18 @@ and makes composition, inversion sets, and lengths cheap.  Composition is
 function composition, matching :func:`hessgkm.perms.compose`.
 
 Sets of positive roots are also integer masks (bit i is
-``positive_roots[i]``).  Each table of a system is built once, on first
-use and never by :meth:`RootSystem.elements`: canonical words in one pass,
-element ids with the ids of each longer w s_c, inversion masks both ways,
-the mask of roots each element sends to a negative simple root, the
-(a, b, a+b) index triples and each root's down-closure.  Left weak order is
-inversion-mask containment (Bjorner-Brenti, Combinatorics of Coxeter
-Groups, Prop. 3.1.3).  Tuples of coordinates stay the type of every public
-argument and result.
+``positive_roots[i]``), and an element's id is its position in
+:meth:`RootSystem.elements`.  Each table of a system is built once, on
+first use and never by :meth:`RootSystem.elements`; all but the root
+tables are lists by id: canonical words in one pass, each id's rank in
+(length, word) order, the moves to each longer w s_c, inversion masks (and
+the id of each mask), the mask of roots each element sends to a negative
+simple root, the (a, b, a+b) index triples and each root's down-closure.
+Left weak order is inversion-mask containment (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Prop. 3.1.3).  The class layer and the
+moment graph work on ids; tuples of coordinates and elements stay the type
+of every public argument and result, and a tuple that is not a root or an
+element raises ``ValueError`` where it enters.
 
 A Hessenberg space is a subset M of the positive roots closed under
 subtracting positive roots (if a is in M, b is positive, and a - b is a
@@ -34,13 +38,16 @@ module over the Borel.  The machinery built on M:
   each class is a left weak order interval [z_S, w_S], where z_S is the
   unique class member sending no positive root outside M to a negative
   simple root, and w_S = w0 * z_{M-S}, found by N(w0 z) = Phi+ - N(z).
-  Both bounds are checked against the whole class and memoized per space.
+  One pass over W per space buckets the classes and finds every z_S, so
+  each is found once and reused for the complement class; every member is
+  checked to lie between the bounds by one AND/OR reduction of the class's
+  inversion masks.
 * The admissible elements: the class tops w_S.
 * The moment graph on W with edges {w, w s_a} for a in M, and the
   regularity verdict on Bruhat interval subgraphs; the smoothness
-  conclusion is withheld outside the simply-laced types.  Its steps go
-  through :func:`hessgkm.graphs.summarize`, the core type A uses, for
-  degrees, the first violator and connectivity.
+  conclusion is withheld outside the simply-laced types.  Its steps, keyed
+  by id, go through :func:`hessgkm.graphs.summarize`, the core type A
+  uses, for degrees, the first violator (least by rank) and connectivity.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, reduce
+from operator import and_, or_
 
 from .graphs import GraphSummary, summarize
 from .perms import Perm, check_size, compose as perm_compose
@@ -57,13 +65,18 @@ Coords = tuple[int, ...]
 Element = tuple[int, ...]  # permutation of the signed root index list
 
 
+@cache
+def _byte_bits(k: int) -> tuple[tuple[int, ...], ...]:
+    """Per byte value b, the indices of the set bits of b as byte k of a mask."""
+    return tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def _bits(mask: int) -> list[int]:
     """The indices of the set bits of ``mask``, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    out: list[int] = []
+    for k, b in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if b:
+            out.extend(_byte_bits(k)[b])
     return out
 
 
@@ -175,7 +188,6 @@ class RootSystem:
             self._simple_reflection(i) for i in range(rank)
         )
         self._elements: tuple[Element, ...] | None = None
-        self._reflection_memo: dict[Coords, Element] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -239,9 +251,12 @@ class RootSystem:
         return mask
 
     def mask_of(self, roots) -> int:
-        mask = 0
+        pos, mask = self._pos_index, 0
         for c in roots:
-            mask |= 1 << self._pos_index[c]
+            i = pos.get(c)
+            if i is None:
+                raise ValueError(f"{c} is not a positive root of {self.type_label}{self.rank}")
+            mask |= 1 << i
         return mask
 
     def roots_of_mask(self, mask: int) -> frozenset[Coords]:
@@ -258,23 +273,27 @@ class RootSystem:
         """The reflection in a positive root, as a signed-root permutation."""
         if coords not in self._pos_index:
             raise ValueError(f"{coords} is not a positive root")
-        if coords in self._reflection_memo:
-            return self._reflection_memo[coords]
-        beta_e = self._euclid(coords)
-        bb = sum(x * x for x in beta_e)
-        img = []
-        for c in self._signed:
-            gamma_e = self._euclid(c)
-            pairing = 2 * sum(x * y for x, y in zip(gamma_e, beta_e)) / bb
-            if pairing.denominator != 1:
-                raise RuntimeError("non-integral pairing in reflection")
-            k = int(pairing)
-            img.append(self._signed_index[tuple(x - k * y for x, y in zip(c, coords))])
-        out = self._reflection_memo[coords] = tuple(img)
-        return out
+        return self.reflections()[self._pos_index[coords]]
 
     def reflections(self) -> tuple[Element, ...]:
-        return tuple(self.reflection(c) for c in self.positive_roots)
+        """The reflections in the positive roots, in root order."""
+        return self._reflections
+
+    @cached_property
+    def _reflections(self) -> tuple[Element, ...]:
+        euclid = [self._euclid(c) for c in self._signed]
+        out = []
+        for beta, beta_e in zip(self.positive_roots, euclid):
+            bb = sum(x * x for x in beta_e)
+            img = []
+            for c, gamma_e in zip(self._signed, euclid):
+                pairing = 2 * sum(x * y for x, y in zip(gamma_e, beta_e)) / bb
+                if pairing.denominator != 1:
+                    raise RuntimeError("non-integral pairing in reflection")
+                k = int(pairing)
+                img.append(self._signed_index[tuple(x - k * y for x, y in zip(c, beta))])
+            out.append(tuple(img))
+        return tuple(out)
 
     # -- group enumeration ---------------------------------------------------------
 
@@ -303,9 +322,13 @@ class RootSystem:
         return self._elements
 
     def longest(self) -> Element:
-        return self._element_of_mask[(1 << self._num_positive) - 1]
+        return self.elements()[self._id_of_mask[(1 << self._num_positive) - 1]]
 
-    # -- mask tables, built on first use by the Hessenberg-space functions ---------
+    # -- tables by element id, built on first use by the Hessenberg-space functions --
+    #
+    # An element's id is its position in :meth:`elements`.  Tuples enter the
+    # id space through :meth:`_id` and leave it only where a public function
+    # returns elements.
 
     @cached_property
     def _sum_triples(self) -> tuple[tuple[int, int, int], ...]:
@@ -331,43 +354,68 @@ class RootSystem:
         return tuple(down)
 
     @cached_property
-    def _inversion_masks(self) -> dict[Element, int]:
-        return {w: self.inversion_mask(w) for w in self.elements()}
+    def _ids(self) -> dict[Element, int]:
+        return {w: k for k, w in enumerate(self.elements())}
+
+    def _id(self, w: Element) -> int:
+        """The id of ``w``; a ``ValueError`` names anything not in W."""
+        k = self._ids.get(w)
+        if k is None:
+            raise ValueError(f"{w} is not an element of W({self.type_label}{self.rank})")
+        return k
 
     @cached_property
-    def _element_of_mask(self) -> dict[int, Element]:
-        return {mask: w for w, mask in self._inversion_masks.items()}
+    def _inv_masks(self) -> tuple[int, ...]:
+        return tuple(map(self.inversion_mask, self.elements()))
 
     @cached_property
-    def _reflection_table(self):
-        """Element ids in :meth:`elements` order and, per id, the moves
-        (c, id of w s_c) over the positive roots c in order with w(c) > 0:
-        those make w longer (the chain definition, Bjorner-Brenti, ch. 2)."""
-        ids = {w: k for k, w in enumerate(self.elements())}
-        p, refl = self._num_positive, self.reflections()
-        rows = tuple(tuple((c, ids[self.mul(w, refl[c])]) for c in range(p) if w[c] < p) for w in ids)
-        return ids, rows
+    def _id_of_mask(self) -> dict[int, int]:
+        return {mask: k for k, mask in enumerate(self._inv_masks)}
 
     @cached_property
-    def _neg_simple_masks(self) -> dict[Element, int]:
-        """Per element, the mask of positive roots sent to negative simple roots."""
+    def _neg_simple_masks(self) -> tuple[int, ...]:
+        """Per id, the mask of positive roots sent to negative simple roots."""
         p = self._num_positive
         neg_simple = {p + i for i in self._simple_indices}
-        return {w: sum(1 << i for i in range(p) if w[i] in neg_simple) for w in self.elements()}
+        return tuple(
+            sum(1 << i for i in range(p) if w[i] in neg_simple) for w in self.elements()
+        )
 
     @cached_property
-    def _words(self) -> dict[Element, tuple[int, ...]]:
-        """Canonical words, in :meth:`elements` order (by length): the least
-        i with w^-1(alpha_i) < 0, then the word of the shorter s_i w."""
-        p, words = self._num_positive, {}
+    def _reflection_table(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per id, the moves (c, id of w s_c, signed index of w(c)) over the
+        positive roots c in order with w(c) > 0: those make w longer (the
+        chain definition, Bjorner-Brenti, ch. 2)."""
+        ids, p, refl = self._ids, self._num_positive, self.reflections()
+        return tuple(
+            tuple((c, ids[self.mul(w, refl[c])], w[c]) for c in range(p) if w[c] < p)
+            for w in self.elements()
+        )
+
+    @cached_property
+    def _words(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical words by id, filled in :meth:`elements` order (by
+        length): the least i with w^-1(alpha_i) < 0, then the word of the
+        shorter s_i w."""
+        p, ids, words = self._num_positive, self._ids, []
         for w in self.elements():
             i = next((i for i, j in enumerate(self._simple_indices) if w.index(j) >= p), None)
-            words[w] = () if i is None else (i,) + words[self.mul(self.generators[i], w)]
-        return words
+            words.append(() if i is None else (i,) + words[ids[self.mul(self.generators[i], w)]])
+        return tuple(words)
 
     @cached_property
-    def _sorted_elements(self) -> tuple[Element, ...]:
-        return tuple(sorted(self.elements(), key=self.sort_key))
+    def _sorted_ids(self) -> tuple[int, ...]:
+        """The ids in (length, word) order."""
+        words = self._words
+        return tuple(sorted(range(self.order), key=lambda k: (len(words[k]), words[k])))
+
+    @cached_property
+    def _rank(self) -> tuple[int, ...]:
+        """Per id, its position in :attr:`_sorted_ids`."""
+        rank = [0] * self.order
+        for r, k in enumerate(self._sorted_ids):
+            rank[k] = r
+        return tuple(rank)
 
     def left_descents(self, w: Element) -> list[int]:
         lw = self.length(w)
@@ -379,14 +427,17 @@ class RootSystem:
 
     def canonical_word(self, w: Element) -> tuple[int, ...]:
         """Reduced word, greedy smallest left descent first (0-indexed letters)."""
-        return self._words[w]
+        return self._words[self._id(w)]
 
     def format_element(self, w: Element) -> str:
-        word = self._words[w]
+        return self._format_id(self._id(w))
+
+    def _format_id(self, k: int) -> str:
+        word = self._words[k]
         return "".join(f"s{i + 1}" for i in word) if word else "e"
 
     def sort_key(self, w: Element):
-        word = self._words[w]
+        word = self._words[self._id(w)]
         return (len(word), word)
 
     # -- orders ----------------------------------------------------------------------
@@ -416,15 +467,20 @@ class RootSystem:
         >>> len(g2.bruhat_interval_up(g2.identity)), len(g2.bruhat_interval_up(g2.longest()))
         (12, 1)
         """
-        ids, rows = self._reflection_table
-        seen = {ids[w]}
-        stack = list(seen)
+        return tuple(map(self.elements().__getitem__, sorted(self._interval_ids(self._id(w)))))
+
+    def _interval_ids(self, k: int) -> set[int]:
+        """The ids of [w, w0] for the element w of id ``k``."""
+        rows = self._reflection_table
+        seen = {k}
+        stack = [k]
         while stack:
-            fresh = {y for _, y in rows[stack.pop()]} - seen
-            seen |= fresh
-            stack.extend(fresh)
+            for _, y, _ in rows[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
         check_size(len(seen), "upper Bruhat interval")
-        return tuple(map(self.elements().__getitem__, sorted(seen)))
+        return seen
 
     # -- text forms ---------------------------------------------------------------------
 
@@ -564,15 +620,22 @@ def validate_hessenberg_space(rs: RootSystem, roots) -> HessenbergSpace:
     for c in m:
         if c not in pos:
             raise ValueError(f"{rs.format_root(c)} is not a positive root")
-    for alpha in m:
-        for beta in rs.positive_roots:
-            diff = tuple(a - b for a, b in zip(alpha, beta))
-            if diff in pos and diff not in m:
-                raise ValueError(
-                    f"not closed under subtraction: {rs.format_root(alpha)} - "
-                    f"{rs.format_root(beta)} = {rs.format_root(diff)} is missing"
-                )
-    return HessenbergSpace(rs, m)
+    m_mask, down = rs.mask_of(m), rs._down_masks
+    # M is closed iff it holds the down-closure of each of its roots; the
+    # pairwise scan runs only to name the first missing difference.
+    if any(down[c] & ~m_mask for c in _bits(m_mask)):
+        for alpha in m:
+            for beta in rs.positive_roots:
+                diff = tuple(a - b for a, b in zip(alpha, beta))
+                if diff in pos and diff not in m:
+                    raise ValueError(
+                        f"not closed under subtraction: {rs.format_root(alpha)} - "
+                        f"{rs.format_root(beta)} = {rs.format_root(diff)} is missing"
+                    )
+        raise RuntimeError("down-closure and pairwise closure disagree")
+    hs = HessenbergSpace(rs, m)
+    hs._cache("m_mask", lambda: m_mask)
+    return hs
 
 
 def is_closed_in(rs: RootSystem, subset, ambient) -> bool:
@@ -597,11 +660,18 @@ def is_weyl_type(hs: HessenbergSpace, subset) -> bool:
     return is_closed_in(hs.rs, sub, hs.roots) and is_closed_in(hs.rs, comp, hs.roots)
 
 
-def mask_order_key(mask: int) -> tuple[int, list[int]]:
-    """Order on root masks: by size, then by the sorted root indices."""
-    # A list, not a tuple: the interpreter keeps up to 2000 freed tuples of
-    # each small size for reuse, which held about 3 MB after the F4 sorts.
-    return mask.bit_count(), _bits(mask)
+_SWAP_01 = str.maketrans("01", "10")
+
+
+def mask_order_key(mask: int) -> tuple[int, str]:
+    """Order on root masks: by size, then by the sorted root indices.
+
+    Among masks of one size the first differing index decides, and it is
+    the lowest bit of the difference; so the second part is the bit string
+    read from bit 0 up with 0 and 1 swapped (the bit-reversed mask,
+    negated), and as a string it fixes no width.
+    """
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_SWAP_01)
 
 
 def submasks(mask: int):
@@ -618,8 +688,8 @@ def _m_mask(hs: HessenbergSpace) -> int:
     return hs._cache("m_mask", lambda: hs.rs.mask_of(hs.roots))
 
 
-def weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
-    """All Weyl-type subsets of M, sorted by (size, root order).
+def _weyl_masks(hs: HessenbergSpace) -> list[int]:
+    """The masks of the Weyl-type subsets of M, sorted by :func:`mask_order_key`.
 
     Backtracks over the roots of M in height order.  When root c is
     decided, both parts of every a + b = c in M have been, so c is forced
@@ -631,7 +701,7 @@ def weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
     def compute():
         rs = hs.rs
         m_mask = _m_mask(hs)
-        order = [i for i in range(len(rs.positive_roots)) if m_mask >> i & 1]
+        order = _bits(m_mask)
         pairs: dict[int, list[int]] = {c: [] for c in order}
         for a, b, c in rs._sum_triples:
             if c in pairs and m_mask >> a & 1 and m_mask >> b & 1:
@@ -655,22 +725,61 @@ def weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
                     f"Weyl-type subset {rs.format_root_set(rs.roots_of_mask(s))} "
                     "has no Weyl-type complement in M"
                 )
-        return [rs.roots_of_mask(s) for s in sorted(found, key=mask_order_key)]
+        return sorted(found, key=mask_order_key)
 
-    return hs._cache("weyl_type_subsets", compute)
+    return hs._cache("weyl_masks", compute)
 
 
-def _classes_by_mask(hs: HessenbergSpace) -> dict[int, tuple[Element, ...]]:
-    """The classes of :func:`partition_classes`, keyed by trace mask."""
+def weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
+    """All Weyl-type subsets of M, sorted by (size, root order); see
+    :func:`_weyl_masks`."""
+    return hs._cache("weyl_type_subsets", lambda: list(map(hs.rs.roots_of_mask, _weyl_masks(hs))))
+
+
+def _class_table(hs: HessenbergSpace) -> dict[int, tuple[tuple[int, ...], int, int]]:
+    """Per trace mask S, in :func:`mask_order_key` order: the class
+    {w : N(w) & M = S} as ids in (length, word) order, and the ids of z_S
+    and w_S.
+
+    One pass over W buckets the ids and finds each class's z candidates,
+    the members sending no positive root outside M to a negative simple
+    root; each class must have exactly one.  Then w_S = w0 * z_{M-S} reuses
+    the z of the complement class, and the whole class is checked to lie
+    between z_S and w_S in left weak order.
+    """
 
     def compute():
         rs = hs.rs
         m_mask = _m_mask(hs)
-        inv = rs._inversion_masks
-        buckets: dict[int, list[Element]] = {}
-        for w in rs._sorted_elements:
-            buckets.setdefault(inv[w] & m_mask, []).append(w)
-        return {s: tuple(buckets[s]) for s in sorted(buckets, key=mask_order_key)}
+        inv, neg, outside = rs._inv_masks, rs._neg_simple_masks, ~m_mask
+        buckets: dict[int, list[int]] = {}
+        z_hits: dict[int, list[int]] = {}
+        for k in rs._sorted_ids:
+            s = inv[k] & m_mask
+            buckets.setdefault(s, []).append(k)
+            if not neg[k] & outside:
+                z_hits.setdefault(s, []).append(k)
+        for s in buckets:
+            found = len(z_hits.get(s, ()))
+            if found != 1:
+                raise RuntimeError(f"expected exactly one class minimum, found {found}")
+        every = (1 << rs._num_positive) - 1
+        table = {}
+        for s in sorted(buckets, key=mask_order_key):
+            if m_mask & ~s not in buckets:
+                raise RuntimeError("complement of a Weyl-type subset has no class")
+            z = z_hits[s][0]
+            # N(w0 z') is the complement of N(z') in Phi+, here for z' = z_{M-S}.
+            w = rs._id_of_mask[every & ~inv[z_hits[m_mask & ~s][0]]]
+            if inv[w] & m_mask != s:
+                raise RuntimeError("computed class maximum lies outside the class")
+            # Every member x has N(z) <= N(x) <= N(w) iff N(z) lies in the
+            # meet of the members' masks and their join lies in N(w).
+            masks = [inv[k] for k in buckets[s]]
+            if inv[z] & ~reduce(and_, masks) or reduce(or_, masks) & ~inv[w]:
+                raise RuntimeError("class is not sandwiched between z_S and w_S")
+            table[s] = tuple(buckets[s]), z, w
+        return table
 
     return hs._cache("classes", compute)
 
@@ -679,17 +788,9 @@ def partition_classes(hs: HessenbergSpace) -> dict[frozenset[Coords], tuple[Elem
     """Group W by the trace of the inversion set on M.  Keys come in the
     order of :func:`weyl_type_subsets`; each class is sorted by (length,
     word)."""
-    return {hs.rs.roots_of_mask(s): cls for s, cls in _classes_by_mask(hs).items()}
-
-
-def _z_element(hs: HessenbergSpace, cls: tuple[Element, ...]) -> Element:
-    """The class member sending no positive root outside M to a negative
-    simple root."""
-    neg, outside = hs.rs._neg_simple_masks, ~_m_mask(hs)
-    hits = [w for w in cls if not neg[w] & outside]
-    if len(hits) != 1:
-        raise RuntimeError(f"expected exactly one class minimum, found {len(hits)}")
-    return hits[0]
+    rs = hs.rs
+    at = rs.elements().__getitem__
+    return {rs.roots_of_mask(s): tuple(map(at, row[0])) for s, row in _class_table(hs).items()}
 
 
 def z_and_w(hs: HessenbergSpace, subset) -> tuple[Element, Element]:
@@ -699,40 +800,25 @@ def z_and_w(hs: HessenbergSpace, subset) -> tuple[Element, Element]:
     verified to bound the class (inversion-mask containment), which doubles
     as an internal self-check.  Memoized per space.
     """
-    return _class_bounds(hs, hs.rs.mask_of(subset))
+    elements = hs.rs.elements()
+    z, w = _class_bounds(hs, hs.rs.mask_of(subset))
+    return elements[z], elements[w]
 
 
-def _class_bounds(hs: HessenbergSpace, s: int) -> tuple[Element, Element]:
-    """:func:`z_and_w` for the mask ``s`` of S."""
-    bounds = hs._cache("z_and_w", dict)
-    if s in bounds:
-        return bounds[s]
-    rs, m_mask = hs.rs, _m_mask(hs)
-    classes = _classes_by_mask(hs)
-    if s not in classes:
+def _class_bounds(hs: HessenbergSpace, s: int) -> tuple[int, int]:
+    """The ids of z_S and w_S for the mask ``s`` of S."""
+    row = _class_table(hs).get(s)
+    if row is None:
+        rs = hs.rs
         raise ValueError(f"{rs.format_root_set(rs.roots_of_mask(s))} is not a Weyl-type subset of M")
-    if m_mask & ~s not in classes:
-        raise RuntimeError("complement of a Weyl-type subset has no class")
-    cls = classes[s]
-    inv = rs._inversion_masks
-    z = _z_element(hs, cls)
-    # N(w0 z') is the complement of N(z') in Phi+, here for z' = z_{M-S}.
-    every = (1 << rs._num_positive) - 1
-    w = rs._element_of_mask[every & ~inv[_z_element(hs, classes[m_mask & ~s])]]
-    if inv[w] & m_mask != s:
-        raise RuntimeError("computed class maximum lies outside the class")
-    low, high = inv[z], inv[w]
-    for x in cls:
-        if low & ~inv[x] or inv[x] & ~high:
-            raise RuntimeError("class is not sandwiched between z_S and w_S")
-    bounds[s] = z, w
-    return z, w
+    return row[1], row[2]
 
 
 def h_admissible_elements(hs: HessenbergSpace) -> list[Element]:
     """The class tops w_S over all Weyl-type S, sorted by (length, word)."""
-    tops = {z_and_w(hs, s)[1] for s in weyl_type_subsets(hs)}
-    return sorted(tops, key=hs.rs.sort_key)
+    rs = hs.rs
+    tops = {_class_bounds(hs, s)[1] for s in _weyl_masks(hs)}
+    return list(map(rs.elements().__getitem__, sorted(tops, key=rs._rank.__getitem__)))
 
 
 def enumerate_hessenberg_spaces(rs: RootSystem) -> list[frozenset[Coords]]:
@@ -756,27 +842,26 @@ def enumerate_hessenberg_spaces(rs: RootSystem) -> list[frozenset[Coords]]:
 # -- moment graph over W -----------------------------------------------------------
 
 
-def _reflection_steps(hs: HessenbergSpace, vertex_set) -> dict[Element, dict[Element, Coords]]:
-    """For each w, the map w s_c -> w(c) over the roots c of M outside the
-    inversion set of w with w s_c in the set.  As w(c) > 0, w s_c is longer
-    than w, so every edge {w, w s_c} appears once, from its shorter end,
-    labelled by its positive weight."""
+def _reflection_steps(hs: HessenbergSpace, vertex_ids) -> dict[int, dict[int, Coords]]:
+    """For each id of w, the map id of w s_c -> w(c) over the roots c of M
+    outside the inversion set of w with w s_c in the set.  As w(c) > 0,
+    w s_c is longer than w, so every edge {w, w s_c} appears once, from its
+    shorter end, labelled by its positive weight."""
     rs = hs.rs
-    elements, signed, m_mask = rs.elements(), rs._signed, _m_mask(hs)
-    ids, rows = rs._reflection_table
-    steps = {}
-    for w in vertex_set:
-        out = steps[w] = {}
-        for c, k in rows[ids[w]]:
-            if m_mask >> c & 1 and elements[k] in vertex_set:
-                out[elements[k]] = signed[w[c]]
-    return steps
+    signed, m_mask, rows = rs._signed, _m_mask(hs), rs._reflection_table
+    return {
+        k: {y: signed[wc] for c, y, wc in rows[k] if m_mask >> c & 1 and y in vertex_ids}
+        for k in vertex_ids
+    }
 
 
 def arbitrary_gkm_graph(hs: HessenbergSpace) -> GraphSummary:
     """Moment graph on all of W: edges {w, w s_a} for a in M."""
-    rs = hs.rs
-    return summarize(_reflection_steps(hs, frozenset(rs.elements())))
+    elements = hs.rs.elements()
+    steps = _reflection_steps(hs, range(len(elements)))
+    return summarize(
+        {elements[k]: {elements[y]: c for y, c in out.items()} for k, out in steps.items()}
+    )
 
 
 @dataclass(frozen=True)
@@ -815,13 +900,14 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
     """Regularity of the interval graph at the admissible representative of
     w, with the smoothness verdict gated on the simply-laced hypothesis."""
     rs = hs.rs
-    s = rs._inversion_masks[w] & _m_mask(hs)
+    k = rs._id(w)
+    s = rs._inv_masks[k] & _m_mask(hs)
     _, rep = _class_bounds(hs, s)
-    interval = frozenset(rs.bruhat_interval_up(rep))
+    interval = rs._interval_ids(rep)
     expected = len(hs.roots) - s.bit_count()
     # The first violator in (length, word) order, as the report shows it.
     steps = _reflection_steps(hs, interval)
-    regular, violator = summarize(steps).regularity(expected, rs.sort_key)
+    regular, violator = summarize(steps).regularity(expected, rs._rank.__getitem__)
     if not regular:
         smooth, reason = "unknown", "interval graph is not regular"
     elif not rs.simply_laced:
@@ -831,13 +917,13 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
     return WeylClassification(
         type_label=rs.type_label,
         rank=rs.rank,
-        element=rs.format_element(w),
+        element=rs._format_id(k),
         class_subset=tuple(rs.format_root(rs.positive_roots[c]) for c in _bits(s)),
-        representative=rs.format_element(rep),
+        representative=rs._format_id(rep),
         cell_dimension=expected,
         interval_size=len(interval),
         regular=regular,
-        violating_vertex=None if violator is None else rs.format_element(violator),
+        violating_vertex=None if violator is None else rs._format_id(violator),
         simply_laced=rs.simply_laced,
         hess_schubert_smooth=smooth,
         reason=reason,

@@ -1,5 +1,8 @@
 """Root systems, Weyl groups, Hessenberg spaces, and class partitions."""
 
+import random
+from functools import cached_property
+
 import pytest
 
 from hessgkm.classify import classify
@@ -8,6 +11,7 @@ from hessgkm.hess import admissible_representative, cell_dimension, enumerate_ad
 from hessgkm.perms import all_permutations
 from hessgkm.roots import (
     RootSystem,
+    _bits,
     arbitrary_gkm_graph,
     build_root_system,
     classify_arbitrary,
@@ -15,8 +19,10 @@ from hessgkm.roots import (
     h_admissible_elements,
     hessenberg_space_from_function,
     is_weyl_type,
+    mask_order_key,
     partition_classes,
     root_from_positions,
+    submasks,
     validate_hessenberg_space,
     weyl_type_subsets,
     z_and_w,
@@ -198,6 +204,58 @@ def test_validate_hessenberg_space():
         validate_hessenberg_space(a2, {(2, 0)})  # not a root
 
 
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 2), ("C", 2), ("G", 2)])
+def test_validate_closure_matches_pairwise_definition(type_label, rank):
+    # Accepted exactly when every difference of a root of M and a positive
+    # root that is a positive root lies in M, over every subset of Phi+.
+    rs = build_root_system(type_label, rank)
+    positive = set(rs.positive_roots)
+    for mask in submasks((1 << len(positive)) - 1):
+        m = rs.roots_of_mask(mask)
+        closed = all(
+            diff not in positive or diff in m
+            for alpha in m
+            for beta in positive
+            for diff in [tuple(a - b for a, b in zip(alpha, beta))]
+        )
+        try:
+            validate_hessenberg_space(rs, m)
+        except ValueError as err:
+            assert not closed and str(err).startswith("not closed under subtraction: ")
+        else:
+            assert closed
+
+
+def _reference_mask_key(mask):
+    return mask.bit_count(), [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_mask_order_key_matches_index_lists():
+    rng = random.Random(0)
+    cases = [
+        list(submasks((1 << 12) - 1)),
+        # Random masks up to 36 bits, the width of B6, the widest system
+        # within the size limit.
+        [rng.getrandbits(rng.randint(0, 36)) for _ in range(4000)],
+        # No width is fixed: masks far past 64 bits are ordered alike.
+        [rng.getrandbits(rng.randint(60, 200)) for _ in range(1000)] + [1 << 100 | 1, 1 << 99 | 2, 3],
+    ]
+    for masks in cases:
+        assert sorted(masks, key=mask_order_key) == sorted(masks, key=_reference_mask_key)
+        for mask in masks:
+            assert _bits(mask) == _reference_mask_key(mask)[1]
+    assert _bits(0) == []
+
+
+def test_elements_builds_no_tables():
+    # Enumerating the group builds no table; each is built on first use.
+    tables = {name for name, v in vars(RootSystem).items() if isinstance(v, cached_property)}
+    assert {"_ids", "_inv_masks", "_rank", "_reflection_table", "_reflections"} <= tables
+    rs = build_root_system("F", 4)
+    rs.elements()
+    assert not tables & set(vars(rs))
+
+
 def test_weyl_type_subsets_c2():
     c2 = build_root_system("C", 2)
     hs = validate_hessenberg_space(c2, c2.parse_root_list("a1,a2,a1+a2"))
@@ -280,6 +338,18 @@ def test_z_and_w_rejects_non_weyl_type():
     hs = validate_hessenberg_space(c2, c2.parse_root_list("a1,a2,a1+a2"))
     with pytest.raises(ValueError):
         z_and_w(hs, {(1, 1)})
+
+
+def test_tuples_outside_the_system_raise_value_error():
+    # Tuples enter the id space with a ValueError that names them.
+    b2 = build_root_system("B", 2)
+    hs = validate_hessenberg_space(b2, b2.positive_roots)
+    with pytest.raises(ValueError, match=r"\(5, 5\) is not a positive root of B2"):
+        z_and_w(hs, {(5, 5)})
+    with pytest.raises(ValueError, match=r"\(0, 0, 0, 0, 0, 0, 0, 0\) is not an element of W\(B2\)"):
+        classify_arbitrary(hs, (0,) * 8)
+    with pytest.raises(ValueError, match="is not an element"):
+        b2.bruhat_interval_up((0,) * 8)
 
 
 @pytest.mark.parametrize("type_label,rank", SYSTEMS)
@@ -391,11 +461,11 @@ def test_reflection_steps_match_definition(type_label, rank):
         assert g.connected == connected
 
 
-@pytest.mark.parametrize("type_label,rank", [("B", 3), ("C", 3), ("G", 2)])
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("A", 4), ("B", 3), ("C", 3), ("G", 2)])
 def test_classify_arbitrary_violator_is_first_in_word_order(type_label, rank):
     # The reported violator is the least vertex of [w~, w0] in (length,
     # word) order whose degree, counted by the definition, differs from
-    # the cell dimension.
+    # the cell dimension; in the simply-laced types the verdict follows it.
     rs = build_root_system(type_label, rank)
     for m in enumerate_hessenberg_spaces(rs):
         hs = validate_hessenberg_space(rs, m)
@@ -412,6 +482,7 @@ def test_classify_arbitrary_violator_is_first_in_word_order(type_label, rank):
             first = min(bad, key=rs.sort_key) if bad else None
             assert report.violating_vertex == (None if first is None else rs.format_element(first))
             assert report.regular == (first is None)
+            assert (report.hess_schubert_smooth == "yes") == (report.regular and rs.simply_laced)
 
 
 @pytest.mark.parametrize(
