@@ -18,7 +18,8 @@ first use and never by :meth:`RootSystem.elements`; all but the root
 tables are lists by id: canonical words in one pass, each id's rank in
 (length, word) order, the moves to each longer w s_c, inversion masks (and
 the id of each mask), the mask of roots each element sends to a negative
-simple root, the (a, b, a+b) index triples and each root's down-closure.
+simple root, the (a, b, a+b) index triples, each root's down-closure and
+each root's label.
 Left weak order is inversion-mask containment (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Prop. 3.1.3).  The class layer and the
 moment graph work on ids; tuples of coordinates and elements stay the type
@@ -38,7 +39,8 @@ module over the Borel.  The machinery built on M:
   each class is a left weak order interval [z_S, w_S], where z_S is the
   unique class member sending no positive root outside M to a negative
   simple root, and w_S = w0 * z_{M-S}, found by N(w0 z) = Phi+ - N(z).
-  One pass over W per space buckets the classes and finds every z_S, so
+  One pass over W per space buckets the classes under the Weyl-type masks,
+  checks that the traces are exactly those masks, and finds every z_S, so
   each is found once and reused for the complement class; every member is
   checked to lie between the bounds by one AND/OR reduction of the class's
   inversion masks.
@@ -491,6 +493,11 @@ class RootSystem:
                 terms.append(f"a{j + 1}" if c == 1 else f"{c}a{j + 1}")
         return "+".join(terms) if terms else "0"
 
+    @cached_property
+    def _root_labels(self) -> tuple[str, ...]:
+        """:meth:`format_root` of each positive root, in root order."""
+        return tuple(map(self.format_root, self.positive_roots))
+
     def format_root_set(self, roots) -> str:
         ordered = sorted(roots, key=lambda c: self._pos_index[c])
         return "{" + ", ".join(self.format_root(c) for c in ordered) + "}"
@@ -689,13 +696,15 @@ def _m_mask(hs: HessenbergSpace) -> int:
 
 
 def _weyl_masks(hs: HessenbergSpace) -> list[int]:
-    """The masks of the Weyl-type subsets of M, sorted by :func:`mask_order_key`.
+    """The masks of the Weyl-type subsets of M, sorted by :func:`mask_order_key`;
+    this is the key order of :func:`_class_table`.
 
     Backtracks over the roots of M in height order.  When root c is
-    decided, both parts of every a + b = c in M have been, so c is forced
-    into S if some such pair lies in S, out of S if some pair lies outside,
-    and the branch dies if both.  The leaves are exactly the Weyl-type
-    subsets; that they come in complementary pairs is checked.
+    decided, both parts of every a + b = c in M have been, so one loop over
+    those pairs forces c into S if some pair lies in S, out of S if some
+    pair lies outside, and kills the branch if both.  The leaves are
+    exactly the Weyl-type subsets; that they come in complementary pairs is
+    checked.
     """
 
     def compute():
@@ -706,18 +715,27 @@ def _weyl_masks(hs: HessenbergSpace) -> list[int]:
         for a, b, c in rs._sum_triples:
             if c in pairs and m_mask >> a & 1 and m_mask >> b & 1:
                 pairs[c].append(1 << a | 1 << b)
+        steps = [(1 << c, pairs[c]) for c in order]
+        last = len(steps)
         found: list[int] = []
         stack = [(0, 0, 0)]  # (roots of M decided, mask in S, mask outside S)
         while stack:
             k, inside, outside = stack.pop()
-            if k == len(order):
+            if k == last:
                 found.append(inside)
                 continue
-            c = order[k]
-            if not any(outside & pm == pm for pm in pairs[c]):
-                stack.append((k + 1, inside | 1 << c, outside))
-            if not any(inside & pm == pm for pm in pairs[c]):
-                stack.append((k + 1, inside, outside | 1 << c))
+            bit, pms = steps[k]
+            can_in = can_out = True
+            # A pair cannot lie both in S and outside it, so one test each.
+            for pm in pms:
+                if inside & pm == pm:
+                    can_out = False
+                elif outside & pm == pm:
+                    can_in = False
+            if can_in:
+                stack.append((k + 1, inside | bit, outside))
+            if can_out:
+                stack.append((k + 1, inside, outside | bit))
         masks = set(found)
         for s in found:
             if m_mask & ~s not in masks:
@@ -730,42 +748,53 @@ def _weyl_masks(hs: HessenbergSpace) -> list[int]:
     return hs._cache("weyl_masks", compute)
 
 
+def _root_sets(hs: HessenbergSpace) -> dict[int, frozenset[Coords]]:
+    """Per Weyl-type mask, in :func:`_weyl_masks` order, its set of roots."""
+    return hs._cache("root_sets", lambda: {s: hs.rs.roots_of_mask(s) for s in _weyl_masks(hs)})
+
+
 def weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
     """All Weyl-type subsets of M, sorted by (size, root order); see
-    :func:`_weyl_masks`."""
-    return hs._cache("weyl_type_subsets", lambda: list(map(hs.rs.roots_of_mask, _weyl_masks(hs))))
+    :func:`_weyl_masks`.  Each call returns a new list."""
+    return list(_root_sets(hs).values())
 
 
 def _class_table(hs: HessenbergSpace) -> dict[int, tuple[tuple[int, ...], int, int]]:
-    """Per trace mask S, in :func:`mask_order_key` order: the class
+    """Per trace mask S, in :func:`_weyl_masks` order: the class
     {w : N(w) & M = S} as ids in (length, word) order, and the ids of z_S
     and w_S.
 
-    One pass over W buckets the ids and finds each class's z candidates,
-    the members sending no positive root outside M to a negative simple
-    root; each class must have exactly one.  Then w_S = w0 * z_{M-S} reuses
-    the z of the complement class, and the whole class is checked to lie
-    between z_S and w_S in left weak order.
+    One pass over W buckets the ids by trace and finds each class's z
+    candidates, the members sending no positive root outside M to a
+    negative simple root; the traces must be exactly the Weyl-type masks,
+    and each class must have exactly one candidate.  Then w_S = w0 * z_{M-S}
+    reuses the z of the complement class, and the whole class is checked to
+    lie between z_S and w_S in left weak order.
     """
 
     def compute():
         rs = hs.rs
         m_mask = _m_mask(hs)
+        weyl = _weyl_masks(hs)
         inv, neg, outside = rs._inv_masks, rs._neg_simple_masks, ~m_mask
-        buckets: dict[int, list[int]] = {}
-        z_hits: dict[int, list[int]] = {}
-        for k in rs._sorted_ids:
-            s = inv[k] & m_mask
-            buckets.setdefault(s, []).append(k)
-            if not neg[k] & outside:
-                z_hits.setdefault(s, []).append(k)
-        for s in buckets:
-            found = len(z_hits.get(s, ()))
-            if found != 1:
-                raise RuntimeError(f"expected exactly one class minimum, found {found}")
+        buckets: dict[int, list[int]] = {s: [] for s in weyl}
+        z_hits: dict[int, list[int]] = {s: [] for s in weyl}
+        try:
+            for k in rs._sorted_ids:
+                s = inv[k] & m_mask
+                buckets[s].append(k)
+                if not neg[k] & outside:
+                    z_hits[s].append(k)
+        except KeyError:
+            raise RuntimeError("a class trace is not a Weyl-type subset") from None
+        if not all(buckets.values()):
+            raise RuntimeError("a Weyl-type subset is not a class trace")
+        for hits in z_hits.values():
+            if len(hits) != 1:
+                raise RuntimeError(f"expected exactly one class minimum, found {len(hits)}")
         every = (1 << rs._num_positive) - 1
         table = {}
-        for s in sorted(buckets, key=mask_order_key):
+        for s, members in buckets.items():
             if m_mask & ~s not in buckets:
                 raise RuntimeError("complement of a Weyl-type subset has no class")
             z = z_hits[s][0]
@@ -775,10 +804,10 @@ def _class_table(hs: HessenbergSpace) -> dict[int, tuple[tuple[int, ...], int, i
                 raise RuntimeError("computed class maximum lies outside the class")
             # Every member x has N(z) <= N(x) <= N(w) iff N(z) lies in the
             # meet of the members' masks and their join lies in N(w).
-            masks = [inv[k] for k in buckets[s]]
+            masks = [inv[k] for k in members]
             if inv[z] & ~reduce(and_, masks) or reduce(or_, masks) & ~inv[w]:
                 raise RuntimeError("class is not sandwiched between z_S and w_S")
-            table[s] = tuple(buckets[s]), z, w
+            table[s] = tuple(members), z, w
         return table
 
     return hs._cache("classes", compute)
@@ -786,11 +815,10 @@ def _class_table(hs: HessenbergSpace) -> dict[int, tuple[tuple[int, ...], int, i
 
 def partition_classes(hs: HessenbergSpace) -> dict[frozenset[Coords], tuple[Element, ...]]:
     """Group W by the trace of the inversion set on M.  Keys come in the
-    order of :func:`weyl_type_subsets`; each class is sorted by (length,
-    word)."""
-    rs = hs.rs
-    at = rs.elements().__getitem__
-    return {rs.roots_of_mask(s): tuple(map(at, row[0])) for s, row in _class_table(hs).items()}
+    order of :func:`weyl_type_subsets`, which the class traces are checked
+    to equal; each class is sorted by (length, word)."""
+    at, sets = hs.rs.elements().__getitem__, _root_sets(hs)
+    return {sets[s]: tuple(map(at, row[0])) for s, row in _class_table(hs).items()}
 
 
 def z_and_w(hs: HessenbergSpace, subset) -> tuple[Element, Element]:
@@ -918,7 +946,7 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
         type_label=rs.type_label,
         rank=rs.rank,
         element=rs._format_id(k),
-        class_subset=tuple(rs.format_root(rs.positive_roots[c]) for c in _bits(s)),
+        class_subset=tuple(map(rs._root_labels.__getitem__, _bits(s))),
         representative=rs._format_id(rep),
         cell_dimension=expected,
         interval_size=len(interval),

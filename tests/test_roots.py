@@ -12,6 +12,7 @@ from hessgkm.perms import all_permutations
 from hessgkm.roots import (
     RootSystem,
     _bits,
+    _weyl_masks,
     arbitrary_gkm_graph,
     build_root_system,
     classify_arbitrary,
@@ -338,6 +339,68 @@ def test_z_and_w_rejects_non_weyl_type():
     hs = validate_hessenberg_space(c2, c2.parse_root_list("a1,a2,a1+a2"))
     with pytest.raises(ValueError):
         z_and_w(hs, {(1, 1)})
+
+
+def test_weyl_type_subsets_returns_a_new_list():
+    b2 = build_root_system("B", 2)
+    hs = validate_hessenberg_space(b2, b2.positive_roots)
+    subsets = weyl_type_subsets(hs)
+    assert len(subsets) == 8
+    subsets.pop()
+    assert len(weyl_type_subsets(hs)) == 8
+    assert weyl_type_subsets(hs) == oracle_weyl_type_subsets(hs)
+
+
+CLASS_TOTALS = {
+    ("A", 1): 3,
+    ("A", 2): 15,
+    ("A", 3): 105,
+    ("A", 4): 945,
+    ("A", 5): 10395,
+    ("B", 2): 23,
+    ("C", 2): 23,
+    ("B", 3): 273,
+    ("C", 3): 273,
+    ("D", 4): 1659,
+    ("G", 2): 45,
+    ("F", 4): 17811,
+}
+
+
+@pytest.mark.parametrize("type_label,rank", sorted(CLASS_TOTALS))
+def test_class_totals_over_all_spaces(type_label, rank):
+    # Observed counts of classes summed over every Hessenberg space.  In
+    # type A_{n-1} a class is one h-admissible permutation of the type A
+    # engine, so the totals must agree with it.
+    rs = build_root_system(type_label, rank)
+    total = sum(
+        len(partition_classes(validate_hessenberg_space(rs, m)))
+        for m in enumerate_hessenberg_spaces(rs)
+    )
+    assert total == CLASS_TOTALS[type_label, rank]
+    if type_label == "A" and rank <= 4:
+        assert total == sum(len(enumerate_admissible(h)) for h in hessenberg_functions(rank + 1))
+
+
+def test_class_table_checks_traces_against_weyl_masks():
+    b3 = build_root_system("B", 3)
+    m = b3.positive_roots
+    masks = _weyl_masks(validate_hessenberg_space(b3, m))
+    # A Weyl-type subset missing from the backtracker's list is a trace
+    # that is not one of its masks.
+    hs = validate_hessenberg_space(b3, m)
+    hs._cache("weyl_masks", lambda: masks[:3] + masks[4:])
+    with pytest.raises(RuntimeError, match="class trace"):
+        partition_classes(hs)
+    # A mask with no class, seen after the table is built, is refused as
+    # not of Weyl type.
+    hs = validate_hessenberg_space(b3, m)
+    partition_classes(hs)
+    bogus = b3.mask_of([(1, 0, 0), (0, 1, 0)])
+    assert bogus not in masks
+    hs._cache("weyl_masks", list).append(bogus)
+    with pytest.raises(ValueError, match="is not a Weyl-type subset"):
+        h_admissible_elements(hs)
 
 
 def test_tuples_outside_the_system_raise_value_error():
