@@ -120,7 +120,7 @@ def _cmd_patterns(args) -> int:
 
 def _cmd_roots(args) -> int:
     rs = roots.build_root_system(args.type, args.rank)
-    m = rs.parse_root_list(args.m) if args.m else frozenset(rs.positive_roots)
+    m = rs.parse_root_list(args.m) if args.m is not None else frozenset(rs.positive_roots)
     hs = roots.validate_hessenberg_space(rs, m)
     m_sorted = sorted(m, key=lambda c: rs._pos_index[c])
     want_tables = args.tables or args.json

@@ -3,8 +3,8 @@
 A class assigns to every vertex a polynomial in Z[t_1, ..., t_n], stored
 sparsely as {exponent tuple: coefficient}.  A class is compatible with the
 graph when for every edge with value pair (a, b) the difference of the two
-endpoint polynomials is divisible by t_a - t_b; divisibility is decided by
-substituting t_a := t_b and checking for zero, which is exact over Z.
+endpoint polynomials is divisible by t_a - t_b; this is decided by
+substituting t_a := t_b into both and comparing, which is exact over Z.
 
 Betti numbers come from the cell dimensions: the 2k-th coefficient counts
 permutations whose cell has dimension k = d_h - l_h(w), and the total is n!.
@@ -17,11 +17,14 @@ step v ends with C(n, v) states, 2^n over the whole pass whatever h is,
 h = (n, ..., n) included, and at most n 2^n transitions.  Each state
 carries its generating polynomial in l_h.
 
-For a regular interval graph the localized class candidate assigns to each
-interval vertex the product of the weights of the full-graph edges leaving
-the interval there, with signs fixed by propagation along a spanning tree
-(root positive).  The underlying product is only determined up to a global
-constant per connected component; the root-positive choice is a convention.
+For a regular interval graph, GKM localization gives the interval class at
+each interval vertex u as the product of the weights of the full-graph edges
+that leave the interval at u.  The interval [w, w0] is an upper set, so each
+leaving edge goes down in Bruhat order: its value pair (u(i), u(j)) has
+u(i) > u(j) at every such edge.  All weights therefore have one orientation,
+and writing each as t_a - t_b with a < b changes the class only by the global
+sign (-1)^{l_h(w)} (l_h(w) edges leave at every vertex).  The unsigned
+products are the class; each interval edge is still checked.
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ from .hess import cell_dimension, complexity_dimension, validate_hessenberg, win
 from .perms import Perm, all_permutations, apply_transposition, check_size, format_permutation
 
 Poly = dict[tuple[int, ...], int]
-
-
-def zero_poly() -> Poly:
-    return {}
 
 
 def const_poly(n: int, c: int) -> Poly:
@@ -57,31 +56,12 @@ def linear_form(n: int, a: int, b: int) -> Poly:
     return {tuple(ea): 1, tuple(eb): -1}
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = Counter(p)
-    for m, c in q.items():
-        out[m] += c
-    return {m: c for m, c in out.items() if c}
-
-
-def poly_neg(p: Poly) -> Poly:
-    return {m: -c for m, c in p.items()}
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Counter = Counter()
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             out[tuple(x + y for x, y in zip(m1, m2))] += c1 * c2
     return {m: c for m, c in out.items() if c}
-
-
-def poly_is_zero(p: Poly) -> bool:
-    return not p
 
 
 def substitute_equal(p: Poly, a: int, b: int) -> Poly:
@@ -95,14 +75,12 @@ def substitute_equal(p: Poly, a: int, b: int) -> Poly:
     return {m: c for m, c in out.items() if c}
 
 
-def divisible_by_form(p: Poly, a: int, b: int) -> bool:
-    """Whether t_a - t_b divides p (sign-free: (a, b) and (b, a) agree)."""
-    return poly_is_zero(substitute_equal(p, a, b))
+def congruent(p: Poly, q: Poly, a: int, b: int) -> bool:
+    """Whether p == q mod (t_a - t_b); sign-free: (a, b) and (b, a) agree.
 
-
-def serialize_poly(p: Poly) -> list[list]:
-    """Deterministic list-of-(exponents, coefficient) form."""
-    return [[list(m), p[m]] for m in sorted(p)]
+    Substitution is linear and drops zero coefficients, so this is
+    t_a - t_b dividing p - q without building the difference."""
+    return substitute_equal(p, a, b) == substitute_equal(q, a, b)
 
 
 def check_compatibility(g: GkmGraph, cls: dict[Perm, Poly]) -> tuple[bool, list[GkmEdge]]:
@@ -111,11 +89,7 @@ def check_compatibility(g: GkmGraph, cls: dict[Perm, Poly]) -> tuple[bool, list[
     Returns (ok, offending edges)."""
     if set(cls) != set(g.vertices):
         raise ValueError("class domain does not match the graph vertex set")
-    violations = []
-    for e in g.edges:
-        diff = poly_sub(cls[e.u], cls[e.v])
-        if not divisible_by_form(diff, e.val[0], e.val[1]):
-            violations.append(e)
+    violations = [e for e in g.edges if not congruent(cls[e.u], cls[e.v], *e.val)]
     return (not violations, violations)
 
 
@@ -155,14 +129,14 @@ def poincare_polynomial(h) -> tuple[int, ...]:
 
 
 def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
-    """Candidate localization of the interval class on the full graph.
+    """Localization of the interval class on the full graph.
 
     Defined when the interval graph of (w, h) is regular.  Each interval
-    vertex gets +-1 times the product of t_a - t_b over the full-graph
-    edges at that vertex whose other endpoint leaves the interval; vertices
-    outside the interval get zero.  Signs are propagated along a spanning
-    tree of each component, root positive; a cycle that cannot be signed
-    consistently raises rather than being patched silently.
+    vertex u gets the product of t_a - t_b (a < b) over the full-graph edges
+    at u whose other endpoint leaves the interval; vertices outside the
+    interval get zero.  No signs are needed (see the module docstring).
+    Every interval edge is checked, and one whose two products are not
+    congruent raises rather than being patched silently.
     """
     h = validate_hessenberg(h)
     n = len(h)
@@ -176,57 +150,20 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
         )
     interval = summary.up
 
-    products: dict[Perm, Poly] = {}
+    cls: dict[Perm, Poly] = {}
     for u in interval:
         prod = const_poly(n, 1)
         for i, j in windows(h):
             if apply_transposition(u, i, j) not in interval:
                 a, b = u[i - 1], u[j - 1]
                 prod = poly_mul(prod, linear_form(n, min(a, b), max(a, b)))
-        products[u] = prod
+        cls[u] = prod
 
-    # Each edge once, in sorted (u, v) order, with its value pair (u(i), u(j)).
-    vertices = sorted(interval)
-    edges = [(u, v, (u[i - 1], u[j - 1])) for u in vertices for v, (i, j) in sorted(interval[u].items())]
+    for u, steps in interval.items():
+        for v, (i, j) in steps.items():
+            if not congruent(cls[u], cls[v], u[i - 1], u[j - 1]):
+                raise RuntimeError(
+                    f"localized class not congruent on edge {format_permutation(u)} ~ {format_permutation(v)}"
+                )
 
-    # Spanning-tree sign propagation, one root per component.
-    adj: dict[Perm, list] = {u: [] for u in vertices}
-    for u, v, val in edges:
-        adj[u].append((v, val))
-        adj[v].append((u, val))
-    sign: dict[Perm, int] = {}
-    for root in vertices:
-        if root in sign:
-            continue
-        sign[root] = 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, val in adj[u]:
-                if v in sign:
-                    continue
-                fu = substitute_equal(products[u], val[0], val[1])
-                fv = substitute_equal(products[v], val[0], val[1])
-                if fu == fv:
-                    sign[v] = sign[u]
-                elif fu == poly_neg(fv):
-                    sign[v] = -sign[u]
-                else:
-                    raise RuntimeError(
-                        "sign propagation failed on edge "
-                        f"{format_permutation(u)} ~ {format_permutation(v)}: "
-                        "residues are not equal up to sign"
-                    )
-                stack.append(v)
-
-    cls = {u: products[u] if sign[u] > 0 else poly_neg(products[u]) for u in vertices}
-    # Non-tree edges can still be inconsistent; verify every internal edge.
-    for u, v, (a, b) in edges:
-        if not divisible_by_form(poly_sub(cls[u], cls[v]), a, b):
-            raise RuntimeError(
-                "sign propagation inconsistent on cycle through edge "
-                f"{format_permutation(u)} ~ {format_permutation(v)}"
-            )
-
-    full = {u: cls.get(u, zero_poly()) for u in all_permutations(n)}
-    return full
+    return {u: cls.get(u, {}) for u in all_permutations(n)}

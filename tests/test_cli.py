@@ -118,6 +118,17 @@ def test_roots_json(capsys):
     assert classes[("a1",)] == ("s1", "s2s1")
 
 
+def test_roots_empty_m_is_the_empty_space(capsys):
+    base = ["roots", "--type", "A", "--rank", "2"]
+    code, empty = run_cli(base + ["--m", ""], capsys)
+    assert code == 0
+    assert "M: {}" in empty.splitlines()
+    assert run_cli(base + ["--m", " , "], capsys) == (0, empty)
+    code, full = run_cli(base, capsys)
+    assert code == 0
+    assert "M: {a1, a2, a1+a2}" in full.splitlines()
+
+
 def test_verify_verb_clean_suite(capsys):
     code, out = run_cli(["verify", "--suite", "patterns", "--n-max", "4"], capsys)
     assert code == 0

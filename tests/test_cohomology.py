@@ -6,20 +6,15 @@ import pytest
 
 from hessgkm.cohomology import (
     check_compatibility,
+    congruent,
     const_poly,
-    divisible_by_form,
     linear_form,
     localized_class_candidate,
     poincare_polynomial,
-    poly_is_zero,
     poly_mul,
-    poly_neg,
-    poly_sub,
-    serialize_poly,
     substitute_equal,
-    zero_poly,
 )
-from hessgkm.graphs import build_hessenberg_graph, interval_graph, is_connected, is_regular, reach
+from hessgkm.graphs import build_hessenberg_graph, interval_graph, is_regular
 from hessgkm.hess import cell_dimension, windows
 from hessgkm.perms import all_permutations, apply_transposition, bruhat_interval, longest_element
 from hessgkm.verify import hessenberg_functions, oracle_poincare_polynomial
@@ -30,30 +25,57 @@ H3344 = (3, 3, 4, 4)
 def test_poly_basics():
     f = linear_form(3, 1, 2)
     g = linear_form(3, 2, 3)
-    assert poly_is_zero(poly_sub(f, f))
     # (t1 - t2)(t2 - t3) = t1 t2 - t1 t3 - t2^2 + t2 t3
-    prod = poly_mul(f, g)
-    assert serialize_poly(prod) == [
-        [[0, 1, 1], 1],
-        [[0, 2, 0], -1],
-        [[1, 0, 1], -1],
-        [[1, 1, 0], 1],
-    ]
+    assert poly_mul(f, g) == {(0, 1, 1): 1, (0, 2, 0): -1, (1, 0, 1): -1, (1, 1, 0): 1}
+    # a coefficient that cancels is dropped: (t1 - t2)(t1 + t2) = t1^2 - t2^2
+    assert poly_mul(f, {(1, 0, 0): 1, (0, 1, 0): 1}) == {(2, 0, 0): 1, (0, 2, 0): -1}
+    assert poly_mul(f, const_poly(3, 0)) == {}
     with pytest.raises(ValueError):
         linear_form(3, 1, 4)
 
 
 def test_divisibility_is_sign_free():
     f = linear_form(4, 2, 4)
-    assert divisible_by_form(f, 2, 4)
-    assert divisible_by_form(f, 4, 2)
-    assert divisible_by_form(poly_neg(f), 2, 4)
-    assert not divisible_by_form(linear_form(4, 1, 2), 2, 4)
+    neg = {m: -c for m, c in f.items()}
+    for a, b in [(2, 4), (4, 2)]:
+        assert congruent(f, {}, a, b)
+        assert congruent({}, f, a, b)
+        assert congruent(neg, {}, a, b)
+        assert congruent(f, neg, a, b)
+        assert not congruent(linear_form(4, 1, 2), {}, a, b)
+        assert not congruent(const_poly(4, 1), const_poly(4, -1), a, b)
+
+
+def test_congruence_matches_the_definition():
+    """p == q mod (t_a - t_b) exactly when t_a := t_b kills p - q."""
+    n = 3
+    monomials = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 2, 0)]
+    polys = [{}]
+    for m1 in monomials:
+        for c1 in (1, -1):
+            polys.append({m1: c1})
+            for m2 in monomials:
+                if m2 > m1:
+                    polys.append({m1: c1, m2: 1})
+    polys += [linear_form(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    agree = disagree = 0
+    for p in polys:
+        for q in polys:
+            diff = {m: p.get(m, 0) - q.get(m, 0) for m in set(p) | set(q)}
+            diff = {m: c for m, c in diff.items() if c}
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    if a != b:
+                        expected = substitute_equal(diff, a, b) == {}
+                        assert congruent(p, q, a, b) == expected, (p, q, a, b)
+                        agree += expected
+                        disagree += not expected
+    assert agree and disagree
 
 
 def test_substitution():
     f = linear_form(2, 1, 2)
-    assert poly_is_zero(substitute_equal(f, 1, 2))
+    assert substitute_equal(f, 1, 2) == {}
     g = {(2, 0): 1}
     assert substitute_equal(g, 1, 2) == {(0, 2): 1}
 
@@ -75,7 +97,7 @@ def test_check_compatibility_trivial_cases():
 def test_check_compatibility_domain_mismatch():
     g = build_hessenberg_graph((2, 2))
     with pytest.raises(ValueError):
-        check_compatibility(g, {(1, 2): zero_poly()})
+        check_compatibility(g, {(1, 2): {}})
 
 
 def test_poincare_frozen_values():
@@ -178,25 +200,23 @@ def test_localized_classes_compatible_everywhere(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_localized_class_is_positive_at_least_vertex_of_each_component(n):
-    """The sign convention: the least vertex of each component of a regular
-    interval graph carries the unsigned product of t_a - t_b (a < b) over
-    its windows that leave the interval."""
+def test_localized_class_is_unsigned_product_at_every_vertex(n):
+    """Every interval vertex of a regular interval graph carries the
+    unsigned product of t_a - t_b (a < b) over its windows that leave the
+    interval, and every other vertex carries zero."""
     for h in hessenberg_functions(n):
         for w in all_permutations(n):
             g = interval_graph(h, w)
             if not is_regular(g, cell_dimension(w, h)).ok:
                 continue
             cls = localized_class_candidate(h, w)
-            adj = g.adjacency()
-            seen = set()
-            for root in g.vertices:
-                if root in seen:
-                    continue
-                seen |= reach([root], adj)
-                expected = const_poly(n, 1)
-                for i, j in windows(h):
-                    if apply_transposition(root, i, j) not in bruhat_interval(w):
-                        a, b = sorted((root[i - 1], root[j - 1]))
-                        expected = poly_mul(expected, linear_form(n, a, b))
-                assert cls[root] == expected, (h, w, root)
+            interval = bruhat_interval(w)
+            for u in all_permutations(n):
+                expected = {}
+                if u in interval:
+                    expected = const_poly(n, 1)
+                    for i, j in windows(h):
+                        if apply_transposition(u, i, j) not in interval:
+                            a, b = sorted((u[i - 1], u[j - 1]))
+                            expected = poly_mul(expected, linear_form(n, a, b))
+                assert cls[u] == expected, (h, w, u)
