@@ -161,6 +161,21 @@ def test_verify_json(capsys):
     assert payload[0]["suite"] == "bruhat" and payload[0]["violations"] == []
 
 
+def _zero_elapsed(text: str) -> str:
+    """A ``verify --json`` output with every ``elapsed_seconds`` set to 0."""
+    results = json.loads(text)
+    for r in results:
+        r["elapsed_seconds"] = 0
+    return json.dumps(results, sort_keys=True, indent=2) + "\n"
+
+
+def test_verify_all_matches_golden(capsys):
+    # Every suite's cases and violations, in order, field for field.
+    code, out = run_cli(["verify", "--suite", "all", "--n-max", "4", "--json"], capsys)
+    assert code == 1
+    assert _zero_elapsed(out) == (GOLDEN / "verify_n4.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_verify_rejects_n_max_below_1(n_max, capsys):
     code = main(["verify", "--suite", "bruhat", "--n-max", n_max])

@@ -82,6 +82,14 @@ def test_budget_truncates(suite):
     assert result.cases == 0
 
 
+def test_example61_runs_under_exhausted_budget():
+    # The fixed case is one case: no budget truncates it.
+    result = sweep("example61", 5, budget_seconds=0.0)
+    assert result.complete is True
+    assert result.cases == 1
+    assert len(result.violations) == 2
+
+
 def test_sweep_all_runs_every_suite():
     results = sweep_all(3)
     assert [r.suite for r in results] == list(SUITE_NAMES)
