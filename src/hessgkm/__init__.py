@@ -8,7 +8,6 @@ from .cohomology import check_compatibility, localized_class_candidate, poincare
 from .graphs import (
     GkmGraph,
     build_hessenberg_graph,
-    degree,
     edge_set_at,
     fixed_point_induced_graph,
     interval_graph,
@@ -52,6 +51,6 @@ from .roots import (
     weyl_type_subsets,
     z_and_w,
 )
-from .verify import SweepResult, hessenberg_functions, oracle_bruhat, sweep, sweep_all
+from .verify import SweepResult, hessenberg_functions, sweep, sweep_all
 
 __all__ = [name for name in dir() if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from .graphs import GraphSummary, interval_summary, reach
 from .hess import (
     HessFunc,
+    _check_rank,
     admissible_representative,
     cell_dimension,
     complexity_dimension,
@@ -150,8 +151,7 @@ def _local_degree_smooth_set(s: GraphSummary, wt: Perm, h: HessFunc) -> set[Perm
 
 def classify(w: Perm, h) -> ClassificationReport:
     h = validate_hessenberg(h)
-    if len(w) != len(h):
-        raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
+    _check_rank(w, h)
     n = len(w)
     adm = is_admissible(w, h)
     wt, u = admissible_representative(w, h)
@@ -240,8 +240,7 @@ def component_lower_bound(w: Perm, h) -> frozenset[Perm]:
     intersection: w, plus every interval vertex that lies in no other
     vertex's cell-closure fixed set.  Never claimed complete."""
     h = validate_hessenberg(h)
-    if len(w) != len(h):
-        raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
+    _check_rank(w, h)
     interval = sorted(bruhat_interval(w))
     fixed_sets = {u: hess_schubert_fixed_points(u, h) for u in interval}
     bound = {w}

@@ -122,7 +122,6 @@ def _cmd_roots(args) -> int:
     rs = roots.build_root_system(args.type, args.rank)
     m = rs.parse_root_list(args.m) if args.m is not None else frozenset(rs.positive_roots)
     hs = roots.validate_hessenberg_space(rs, m)
-    m_sorted = sorted(m, key=lambda c: rs._pos_index[c])
     want_tables = args.tables or args.json
     one_line = rs.one_line_map() if rs.type_label == "A" and rs.rank + 1 <= 9 else None
 
@@ -142,7 +141,7 @@ def _cmd_roots(args) -> int:
         for s in subsets:
             z, w_top = roots.z_and_w(hs, s)
             class_rows.append((s, classes[s], z, w_top))
-        if 1 << len(m_sorted) <= SIZE_LIMIT:
+        if 1 << len(m) <= SIZE_LIMIT:
             weyl = {rs.mask_of(s) for s in subsets}
             masks = [x for x in roots.submasks(rs.mask_of(m)) if x not in weyl]
             non_weyl = [rs.roots_of_mask(x) for x in sorted(masks, key=roots.mask_order_key)]
@@ -152,46 +151,33 @@ def _cmd_roots(args) -> int:
             "type": rs.type_label,
             "rank": rs.rank,
             "weyl_order": rs.order,
-            "positive_roots": [rs.format_root(c) for c in rs.positive_roots],
-            "m": [rs.format_root(c) for c in m_sorted],
+            "positive_roots": rs.format_roots(rs.positive_roots),
+            "m": rs.format_roots(m),
             "n_table": [
                 {
                     "element": label(w),
-                    "inversions": [
-                        rs.format_root(c)
-                        for c in sorted(rs.inversion_set(w), key=lambda c: rs._pos_index[c])
-                    ],
-                    "inversions_in_m": [
-                        rs.format_root(c)
-                        for c in sorted(rs.inversion_set(w) & m, key=lambda c: rs._pos_index[c])
-                    ],
+                    "inversions": rs.format_roots(rs.inversion_set(w)),
+                    "inversions_in_m": rs.format_roots(rs.inversion_set(w) & m),
                 }
                 for w in elements
             ],
             "classes": [
                 {
-                    "subset": [rs.format_root(c) for c in sorted(s, key=lambda c: rs._pos_index[c])],
+                    "subset": rs.format_roots(s),
                     "elements": [label(x) for x in cls],
                     "z": label(z),
                     "w": label(w_top),
                 }
                 for s, cls, z, w_top in class_rows
             ],
-            "non_weyl_subsets": (
-                None
-                if non_weyl is None
-                else [
-                    [rs.format_root(c) for c in sorted(s, key=lambda c: rs._pos_index[c])]
-                    for s in non_weyl
-                ]
-            ),
+            "non_weyl_subsets": None if non_weyl is None else [rs.format_roots(s) for s in non_weyl],
         }
         _emit_json(payload)
         return 0
 
     print(f"type: {rs.type_label}{rs.rank}")
     print(f"|W|: {rs.order}")
-    print("positive roots: " + ", ".join(rs.format_root(c) for c in rs.positive_roots))
+    print("positive roots: " + ", ".join(rs.format_roots(rs.positive_roots)))
     print("M: " + rs.format_root_set(m))
     if args.tables:
         print()

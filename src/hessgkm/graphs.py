@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 from .hess import (
     HessFunc,
+    _check_rank,
     cell_dimension,
     hess_schubert_fixed_points,
     is_admissible,
@@ -86,9 +87,6 @@ class GkmGraph:
             adj[e.v].append(e.u)
         return adj
 
-    def edge_pairs(self) -> frozenset[frozenset[Perm]]:
-        return frozenset(frozenset((e.u, e.v)) for e in self.edges)
-
 
 def _window_steps(
     h: HessFunc, vertex_set: frozenset[Perm]
@@ -96,8 +94,9 @@ def _window_steps(
     """For each vertex u, the map v -> (i, j) over the window swaps
     v = u(i,j) in the set with u(i) < u(j): every edge of the induced graph
     once, from its lower end (v is longer than u, so these are the h-Bruhat
-    steps)."""
+    steps).  Each v is the set's own vertex object, not a fresh tuple."""
     wins = windows(h)
+    vertex_of = {u: u for u in vertex_set}
     steps = {}
     for u in vertex_set:
         out = steps[u] = {}
@@ -107,8 +106,8 @@ def _window_steps(
             if a < b:
                 v = list(u)
                 v[i - 1], v[j - 1] = b, a
-                v = tuple(v)
-                if v in vertex_set:
+                v = vertex_of.get(tuple(v))
+                if v is not None:
                     out[v] = ij
     return steps
 
@@ -119,8 +118,8 @@ def _induced(h: HessFunc, vertex_set: frozenset[Perm], w: Perm | None) -> GkmGra
     target determines the window pair and the value pair).  An edge refers
     to the vertex objects and to a shared value pair, so it costs one tuple.
 
-    This walks the window swaps as :func:`_window_steps` does, but in order
-    and without its map of maps, which would double the peak memory here."""
+    This walks the window swaps as :func:`_window_steps` does, but in sorted
+    order and straight into edge objects, with no map of maps between."""
     vertices = sorted(vertex_set)
     vertex_of = dict(zip(vertices, vertices))
     n = len(h)
@@ -154,8 +153,7 @@ def build_hessenberg_graph(h) -> GkmGraph:
 def interval_graph(h, w: Perm) -> GkmGraph:
     """Subgraph induced on the Bruhat interval [w, w0]."""
     h = validate_hessenberg(h)
-    if len(w) != len(h):
-        raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
+    _check_rank(w, h)
     return _induced(h, bruhat_interval(w), w)
 
 
@@ -196,8 +194,7 @@ def interval_summary(h, w: Perm) -> GraphSummary:
     """Degrees and connectivity of ``interval_graph(h, w)``, read off the
     window steps (labelled by window pair) without building edge objects."""
     h = validate_hessenberg(h)
-    if len(w) != len(h):
-        raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
+    _check_rank(w, h)
     return summarize(_window_steps(h, bruhat_interval(w)))
 
 
@@ -225,14 +222,11 @@ def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
     """Window transpositions (i, j) with u(i,j) >= w: the edges at u in the
     interval graph of (w, h)."""
     h = validate_hessenberg(h)
+    _check_rank(w, h)
     interval = bruhat_interval(w)
     if u not in interval:
         raise ValueError(f"{format_permutation(u)} is not in the interval of {format_permutation(w)}")
     return frozenset(window_edges(h, interval, u))
-
-
-def degree(h, w: Perm, u: Perm) -> int:
-    return len(edge_set_at(h, w, u))
 
 
 def is_regular(g: GkmGraph, expected: int) -> RegularityCheck:
@@ -252,7 +246,7 @@ def regularity_via_w0(h, w: Perm) -> bool:
     if not is_admissible(w, h):
         raise ValueError(f"{format_permutation(w)} is not admissible for h={h}; the shortcut does not apply")
     w0 = tuple(range(len(w), 0, -1))
-    return degree(h, w, w0) == cell_dimension(w, h)
+    return len(edge_set_at(h, w, w0)) == cell_dimension(w, h)
 
 
 def is_connected(g: GkmGraph) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .hess import HessFunc, is_admissible, validate_hessenberg
+from .hess import HessFunc, _check_rank, is_admissible, validate_hessenberg
 from .perms import Perm, check_size, format_permutation
 
 PATTERN_IDS = ("2143", "1324", "1243", "2134", "1423", "2314", "2413")
@@ -65,8 +65,7 @@ def contains_hpattern(w: Perm, h, pattern_id: str) -> Witness | None:
     (1, 2, 3, 4)
     """
     h = validate_hessenberg(h)
-    if len(w) != len(h):
-        raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
+    _check_rank(w, h)
     if pattern_id not in PATTERN_IDS:
         raise ValueError(f"unknown pattern id {pattern_id!r}")
     check_size(math.comb(len(w), 4), "position quadruples")

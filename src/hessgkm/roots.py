@@ -21,10 +21,12 @@ the id of each mask), the mask of roots each element sends to a negative
 simple root, the (a, b, a+b) index triples, each root's down-closure and
 each root's label.
 Left weak order is inversion-mask containment (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, Prop. 3.1.3).  The class layer and the
-moment graph work on ids; tuples of coordinates and elements stay the type
-of every public argument and result, and a tuple that is not a root or an
-element raises ``ValueError`` where it enters.
+Combinatorics of Coxeter Groups, Prop. 3.1.3).  The slow definitions behind
+these tables (the right-descent Bruhat recursion, weak order by lengths, the
+greedy word, Weyl type by closure) are oracles in :mod:`hessgkm.verify`.
+The class layer and the moment graph work on ids; tuples of coordinates and
+elements stay the type of every public argument and result, and a tuple
+that is not a root or an element raises ``ValueError`` where it enters.
 
 A Hessenberg space is a subset M of the positive roots closed under
 subtracting positive roots (if a is in M, b is positive, and a - b is a
@@ -33,8 +35,7 @@ module over the Borel.  The machinery built on M:
 
 * Weyl-type subsets: S with both S and M - S closed under addition inside
   M; these are exactly the traces N(w) & M of inversion sets.  They are
-  enumerated by backtracking over M in height order (the definitional
-  2^|M| scan is kept as an oracle in :mod:`hessgkm.verify`).
+  enumerated by backtracking over M in height order.
 * The partition of W into classes {w : N(w) & M = S}, one per Weyl-type S;
   each class is a left weak order interval [z_S, w_S], where z_S is the
   unique class member sending no positive root outside M to a negative
@@ -230,12 +231,6 @@ class RootSystem:
         """Function composition: (a*b)(root) = a(b(root))."""
         return tuple([a[x] for x in b])
 
-    def inv(self, w: Element) -> Element:
-        out = [0] * len(w)
-        for i, x in enumerate(w):
-            out[x] = i
-        return tuple(out)
-
     def length(self, w: Element) -> int:
         p = self._num_positive
         return sum(1 for i in range(p) if w[i] >= p)
@@ -419,14 +414,6 @@ class RootSystem:
             rank[k] = r
         return tuple(rank)
 
-    def left_descents(self, w: Element) -> list[int]:
-        lw = self.length(w)
-        return [i for i, s in enumerate(self.generators) if self.length(self.mul(s, w)) < lw]
-
-    def right_descents(self, w: Element) -> list[int]:
-        p = self._num_positive
-        return [i for i in range(self.rank) if w[self._simple_indices[i]] >= p]
-
     def canonical_word(self, w: Element) -> tuple[int, ...]:
         """Reduced word, greedy smallest left descent first (0-indexed letters)."""
         return self._words[self._id(w)]
@@ -438,28 +425,7 @@ class RootSystem:
         word = self._words[k]
         return "".join(f"s{i + 1}" for i in word) if word else "e"
 
-    def sort_key(self, w: Element):
-        word = self._words[self._id(w)]
-        return (len(word), word)
-
     # -- orders ----------------------------------------------------------------------
-
-    def bruhat_leq(self, u: Element, v: Element) -> bool:
-        """Strong Bruhat order, decided by the right-descent recursion."""
-        if u == v:
-            return True
-        if self.length(u) >= self.length(v):
-            return False
-        s = self.generators[self.right_descents(v)[0]]
-        vs = self.mul(v, s)
-        us = self.mul(u, s)
-        if self.length(us) < self.length(u):
-            return self.bruhat_leq(us, vs)
-        return self.bruhat_leq(u, vs)
-
-    def weak_leq(self, u: Element, v: Element) -> bool:
-        """Left weak order: l(v) = l(u) + l(v u^{-1})."""
-        return self.length(v) == self.length(u) + self.length(self.mul(v, self.inv(u)))
 
     def bruhat_interval_up(self, w: Element) -> tuple[Element, ...]:
         """[w, w0] in :meth:`elements` order, searched along the moves
@@ -498,9 +464,12 @@ class RootSystem:
         """:meth:`format_root` of each positive root, in root order."""
         return tuple(map(self.format_root, self.positive_roots))
 
+    def format_roots(self, roots) -> list[str]:
+        """The labels of a set of positive roots, in root order."""
+        return [self._root_labels[i] for i in sorted(map(self._pos_index.__getitem__, roots))]
+
     def format_root_set(self, roots) -> str:
-        ordered = sorted(roots, key=lambda c: self._pos_index[c])
-        return "{" + ", ".join(self.format_root(c) for c in ordered) + "}"
+        return "{" + ", ".join(self.format_roots(roots)) + "}"
 
     def parse_root(self, text: str) -> Coords:
         text = text.strip()
@@ -643,28 +612,6 @@ def validate_hessenberg_space(rs: RootSystem, roots) -> HessenbergSpace:
     hs = HessenbergSpace(rs, m)
     hs._cache("m_mask", lambda: m_mask)
     return hs
-
-
-def is_closed_in(rs: RootSystem, subset, ambient) -> bool:
-    """Whether a + b lands back in `subset` whenever a, b are in `subset`
-    and a + b lies in `ambient`."""
-    sub = frozenset(subset)
-    amb = frozenset(ambient)
-    items = sorted(sub)
-    for idx, a in enumerate(items):
-        for b in items[idx:]:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in amb and s not in sub:
-                return False
-    return True
-
-
-def is_weyl_type(hs: HessenbergSpace, subset) -> bool:
-    sub = frozenset(subset)
-    if not sub <= hs.roots:
-        raise ValueError("subset is not contained in M")
-    comp = hs.roots - sub
-    return is_closed_in(hs.rs, sub, hs.roots) and is_closed_in(hs.rs, comp, hs.roots)
 
 
 _SWAP_01 = str.maketrans("01", "10")

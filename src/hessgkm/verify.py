@@ -3,19 +3,29 @@
 Every suite iterates all Hessenberg functions of each rank up to n_max
 (Catalan-many: 1, 2, 5, 14, 42, 132 for n = 1..6) and the relevant
 permutations, and records counterexamples; a clean run returns zero
-violations.  The Bruhat oracle here decides the order by chain
-reachability (BFS over length-increasing transposition moves) and shares
-no decision logic with the sorted-prefix criterion it certifies.
-:func:`oracle_admissible_representative` scans [w, w0] for the greedy
-ascent in :mod:`hessgkm.hess`.  :func:`oracle_weyl_type_subsets` likewise
-tests every subset of a Hessenberg space M against the definition of Weyl
-type, for the backtracking enumerator in :mod:`hessgkm.roots`, and
-:func:`oracle_poincare_polynomial` counts cell dimensions over all of S_n,
-for the dynamic program in :mod:`hessgkm.cohomology`, and
-:func:`oracle_canonical_word` strips left descents one at a time, for the
-word table of :class:`hessgkm.roots.RootSystem`, and
-:func:`oracle_graph_json` runs a graph's JSON export through the standard
-encoder, for the direct writer :func:`hessgkm.graphs.to_json`.
+violations.  A suite is a case generator: given one item of rank n (a
+permutation, an h, or an h with the shared list of S_n) it yields
+``(h, w, problems)`` for each case, a problem being a detail string or a
+(detail, extra fields) pair.  :func:`sweep` alone walks the ranks, checks
+the deadline, counts the cases and builds the violation records.
+
+Oracles
+-------
+Each shares no decision logic with the library result it checks.
+
+oracle_bruhat(_upset)             chain reachability (BFS over length-
+                                  increasing transpositions), for perms
+oracle_admissible_representative  a scan of [w, w0], for the greedy ascent
+oracle_poincare_polynomial        cell dimensions over S_n, for the DP
+oracle_graph_json                 ``json.dumps``, for the direct JSON writer
+oracle_weyl_bruhat_leq            the right-descent recursion, for the
+                                  general-type upper intervals
+oracle_weak_leq                   l(v) = l(u) + l(v u^-1), for weak order
+                                  as inversion-mask containment
+oracle_canonical_word             greedy left descents, for the word table
+oracle_weyl_type_subsets          2^|M| subsets tested with is_weyl_type
+                                  (two is_closed_in tests), for the
+                                  Weyl-type backtracker
 
 Suites
 ------
@@ -68,6 +78,7 @@ from .hess import (
 from .patterns import avoids_all_associated
 from .perms import (
     Perm,
+    _check_same_rank,
     all_permutations,
     apply_transposition,
     bruhat_interval,
@@ -78,7 +89,7 @@ from .perms import (
     length,
     transpositions,
 )
-from .roots import Coords, Element, HessenbergSpace, RootSystem, is_weyl_type, mask_order_key, submasks
+from .roots import Coords, Element, HessenbergSpace, RootSystem, mask_order_key, submasks
 
 _CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 
@@ -155,8 +166,7 @@ def oracle_bruhat_upset(u: Perm) -> frozenset[Perm]:
 def oracle_bruhat(u: Perm, v: Perm) -> bool:
     """Chain-reachability decision of u <= v, independent of the
     sorted-prefix criterion."""
-    if len(u) != len(v):
-        raise ValueError(f"rank mismatch: {len(u)} vs {len(v)}")
+    _check_same_rank(u, v)
     return v in oracle_bruhat_upset(u)
 
 
@@ -172,9 +182,32 @@ def oracle_admissible_representative(w: Perm, h: HessFunc) -> list[Perm]:
     )
 
 
+def is_closed_in(rs: RootSystem, subset, ambient) -> bool:
+    """Whether a + b lands back in `subset` whenever a, b are in `subset`
+    and a + b lies in `ambient`."""
+    sub = frozenset(subset)
+    amb = frozenset(ambient)
+    items = sorted(sub)
+    for idx, a in enumerate(items):
+        for b in items[idx:]:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in amb and s not in sub:
+                return False
+    return True
+
+
+def is_weyl_type(hs: HessenbergSpace, subset) -> bool:
+    """Whether S and M - S are both closed under addition inside M."""
+    sub = frozenset(subset)
+    if not sub <= hs.roots:
+        raise ValueError("subset is not contained in M")
+    comp = hs.roots - sub
+    return is_closed_in(hs.rs, sub, hs.roots) and is_closed_in(hs.rs, comp, hs.roots)
+
+
 def oracle_weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
     """Weyl-type subsets of M by the definition: every one of the 2^|M|
-    subsets is tested with :func:`hessgkm.roots.is_weyl_type`.  Sorted like
+    subsets is tested with :func:`is_weyl_type`.  Sorted like
     :func:`hessgkm.roots.weyl_type_subsets`."""
     rs = hs.rs
     found = [
@@ -183,13 +216,33 @@ def oracle_weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
     return [rs.roots_of_mask(x) for x in sorted(found, key=mask_order_key)]
 
 
+def oracle_weyl_bruhat_leq(rs: RootSystem, u: Element, v: Element) -> bool:
+    """Strong Bruhat order by the right-descent recursion: for a right
+    descent s of v, u <= v iff min(u, us) <= vs."""
+    if u == v:
+        return True
+    if rs.length(u) >= rs.length(v):
+        return False
+    # s is a right descent of v iff v sends its simple root to a negative root.
+    s = next(s for s, a in zip(rs.generators, rs.simple_roots) if min(rs.act(v, a)) < 0)
+    us = rs.mul(u, s)
+    return oracle_weyl_bruhat_leq(rs, min(u, us, key=rs.length), rs.mul(v, s))
+
+
+def oracle_weak_leq(rs: RootSystem, u: Element, v: Element) -> bool:
+    """Left weak order by lengths: l(v) = l(u) + l(v u^-1)."""
+    u_inv = tuple(sorted(range(len(u)), key=u.__getitem__))
+    return rs.length(v) == rs.length(u) + rs.length(rs.mul(v, u_inv))
+
+
 def oracle_canonical_word(rs: RootSystem, w: Element) -> tuple[int, ...]:
     """The reduced word of w by the greedy loop: take the smallest left
     descent i, then continue from s_i w, until the identity."""
     word = []
     x = w
     while x != rs.identity:
-        i = min(rs.left_descents(x))
+        lx = rs.length(x)
+        i = next(i for i, s in enumerate(rs.generators) if rs.length(rs.mul(s, x)) < lx)
         word.append(i)
         x = rs.mul(rs.generators[i], x)
     return tuple(word)
@@ -215,7 +268,7 @@ def oracle_graph_json(g: GkmGraph) -> str:
 class _Deadline:
     def __init__(self, budget_seconds: float | None):
         self.start = time.perf_counter()
-        self.limit = None if budget_seconds is None else budget_seconds
+        self.limit = budget_seconds
 
     def exceeded(self) -> bool:
         return self.limit is not None and time.perf_counter() - self.start > self.limit
@@ -233,19 +286,6 @@ def _violation(n: int, h: HessFunc | None, w: Perm | None, check: str, detail: s
     return out
 
 
-def _ranked(n_max: int, deadline: _Deadline, result: SweepResult, items=hessenberg_functions):
-    """Yield (n, x) for every x in items(n), n = 1..n_max, checking the
-    deadline before each x; once it has passed, mark the result incomplete
-    and stop."""
-    for n in range(1, n_max + 1):
-        for x in items(n):
-            if deadline.exceeded():
-                result.complete = False
-                result.note = f"stopped inside n={n}"
-                return
-            yield n, x
-
-
 def _with_permutations(n: int):
     """Each Hessenberg function on [n] with one list of S_n shared by all
     of them, so the permutations are built once per rank, not once per h."""
@@ -253,222 +293,177 @@ def _with_permutations(n: int):
     return ((h, perms) for h in hessenberg_functions(n))
 
 
-def _sweep_bruhat(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n, u in _ranked(n_max, deadline, result, all_permutations):
-        upset = oracle_bruhat_upset(u)
-        if bruhat_interval(u) != upset:
-            result.violations.append(
-                _violation(n, None, u, "bruhat", "library interval and chain oracle disagree")
-            )
-        for v in all_permutations(n):
-            result.cases += 1
-            if bruhat_leq(u, v) != (v in upset):
-                result.violations.append(
-                    _violation(
-                        n, None, u, "bruhat",
-                        f"criterion and chain oracle disagree on v={format_permutation(v)}",
-                    )
-                )
+def _bruhat(n: int, u: Perm):
+    upset = oracle_bruhat_upset(u)
+    # The interval check rides on the first case of u.
+    problems = [] if bruhat_interval(u) == upset else ["library interval and chain oracle disagree"]
+    for v in all_permutations(n):
+        if bruhat_leq(u, v) != (v in upset):
+            problems.append(f"criterion and chain oracle disagree on v={format_permutation(v)}")
+        yield None, u, problems
+        problems = []
 
 
-def _sweep_representative(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n, (h, perms) in _ranked(n_max, deadline, result, _with_permutations):
-        e = identity(n)
-        win = windows(h)
-        for w in perms:
-            result.cases += 1
-            wt, u = admissible_representative(w, h)
-            problems = []
-            candidates = oracle_admissible_representative(w, h)
-            if candidates != [wt]:
-                found = ", ".join(map(format_permutation, candidates))
-                problems.append(f"interval scan finds [{found}], not {format_permutation(wt)}")
-            if not is_admissible(wt, h):
-                problems.append("representative not admissible")
-            if not bruhat_leq(w, wt):
-                problems.append("representative not above w")
-            if any((wt[i - 1] < wt[j - 1]) != (w[i - 1] < w[j - 1]) for i, j in win):
-                problems.append("window order disagrees")
-            if compose(u, wt) != w:
-                problems.append("translation does not recover w")
-            if is_admissible(w, h) and (wt != w or u != e):
-                problems.append("admissible w not its own representative")
-            for p in problems:
-                result.violations.append(_violation(n, h, w, "representative", p))
+def _representative(n: int, item):
+    h, perms = item
+    e = identity(n)
+    win = windows(h)
+    for w in perms:
+        wt, u = admissible_representative(w, h)
+        problems = []
+        candidates = oracle_admissible_representative(w, h)
+        if candidates != [wt]:
+            found = ", ".join(map(format_permutation, candidates))
+            problems.append(f"interval scan finds [{found}], not {format_permutation(wt)}")
+        if not is_admissible(wt, h):
+            problems.append("representative not admissible")
+        if not bruhat_leq(w, wt):
+            problems.append("representative not above w")
+        if any((wt[i - 1] < wt[j - 1]) != (w[i - 1] < w[j - 1]) for i, j in win):
+            problems.append("window order disagrees")
+        if compose(u, wt) != w:
+            problems.append("translation does not recover w")
+        if is_admissible(w, h) and (wt != w or u != e):
+            problems.append("admissible w not its own representative")
+        yield h, w, problems
 
 
-def _sweep_fixed_points(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n, (h, perms) in _ranked(n_max, deadline, result, _with_permutations):
-        for w in perms:
-            result.cases += 1
-            fixed = hess_schubert_fixed_points(w, h)
-            interval = bruhat_interval(w)
-            if not fixed <= interval:
-                result.violations.append(
-                    _violation(n, h, w, "fixed-points", "fixed set leaves the interval")
-                )
-            if (fixed == interval) != is_admissible(w, h):
-                result.violations.append(
-                    _violation(
-                        n, h, w, "fixed-points",
-                        "fixed set equals interval iff admissible fails",
-                    )
-                )
+def _fixed_points(n: int, item):
+    h, perms = item
+    for w in perms:
+        fixed = hess_schubert_fixed_points(w, h)
+        interval = bruhat_interval(w)
+        problems = [] if fixed <= interval else ["fixed set leaves the interval"]
+        if (fixed == interval) != is_admissible(w, h):
+            problems.append("fixed set equals interval iff admissible fails")
+        yield h, w, problems
 
 
-def _sweep_connectivity(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n, (h, perms) in _ranked(n_max, deadline, result, _with_permutations):
-        ambient_connected = hessenberg_connected(h)
-        for w in perms:
-            if not (ambient_connected or is_admissible(w, h)):
-                continue
-            result.cases += 1
-            if not interval_summary(h, w).connected:
-                result.violations.append(
-                    _violation(n, h, w, "connectivity", "interval graph disconnected")
-                )
+def _connectivity(n: int, item):
+    h, perms = item
+    ambient_connected = hessenberg_connected(h)
+    for w in perms:
+        if ambient_connected or is_admissible(w, h):
+            yield h, w, [] if interval_summary(h, w).connected else ["interval graph disconnected"]
 
 
-def _sweep_shortcut(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n, h in _ranked(n_max, deadline, result):
-        for w in enumerate_admissible(h):
-            result.cases += 1
-            full = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
-            if regularity_via_w0(h, w) != full:
-                result.violations.append(
-                    _violation(n, h, w, "shortcut", "top-degree test disagrees with full scan")
-                )
+def _shortcut(n: int, h: HessFunc):
+    for w in enumerate_admissible(h):
+        full = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
+        yield h, w, [] if regularity_via_w0(h, w) == full else ["top-degree test disagrees with full scan"]
 
 
-def _sweep_phi_injective(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n, h in _ranked(n_max, deadline, result):
-        for w in enumerate_admissible(h):
-            interval = bruhat_interval(w)
-            edge_sets = {u: window_edges(h, interval, u) for u in interval}
-            for u in interval:
-                e_u = edge_sets[u]
-                lu = length(u)
-                for a, b in e_u:
-                    v = apply_transposition(u, a, b)
-                    if length(v) <= lu:
-                        continue
-                    result.cases += 1
-                    e_v = set(edge_sets[v])
-                    images = phi_rule(e_u, a, b)
-                    if len(images) != len(e_u):
-                        result.violations.append(
-                            _violation(n, h, w, "phi-injective", "map not total")
-                        )
-                    vals = list(images.values())
-                    if len(set(vals)) != len(vals):
-                        result.violations.append(
-                            _violation(
-                                n, h, w, "phi-injective",
-                                f"not injective at u={format_permutation(u)} (a,b)=({a},{b})",
-                            )
-                        )
-                    if not set(vals) <= e_v:
-                        result.violations.append(
-                            _violation(
-                                n, h, w, "phi-injective",
-                                f"image leaves the edge set at v={format_permutation(v)}",
-                            )
-                        )
-                    if len(e_u) > len(e_v):
-                        result.violations.append(
-                            _violation(
-                                n, h, w, "phi-injective",
-                                "degree decreases along an h-order edge",
-                            )
-                        )
-
-
-def _sweep_phi_surjective(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n, h in _ranked(n_max, deadline, result):
-        for w in enumerate_admissible(h):
-            interval = bruhat_interval(w)
-            e_w = window_edges(h, interval, w)
-            for a, b in transpositions(n):
-                v = apply_transposition(w, a, b)
-                if v not in interval or v == w:
+def _phi_injective(n: int, h: HessFunc):
+    for w in enumerate_admissible(h):
+        interval = bruhat_interval(w)
+        edge_sets = {u: window_edges(h, interval, u) for u in interval}
+        for u in interval:
+            e_u = edge_sets[u]
+            lu = length(u)
+            for a, b in e_u:
+                v = apply_transposition(u, a, b)
+                if length(v) <= lu:
                     continue
-                result.cases += 1
-                e_v = set(window_edges(h, interval, v))
-                images = set(phi_rule(e_w, a, b).values())
-                if not e_v <= images:
-                    viol = _violation(
-                        n, h, w, "phi-surjective",
-                        f"misses edges at v={format_permutation(v)}: "
-                        f"{sorted(e_v - images)}",
-                    )
-                    viol["v"] = format_permutation(v)
-                    result.violations.append(viol)
+                e_v = set(edge_sets[v])
+                images = phi_rule(e_u, a, b)
+                problems = [] if len(images) == len(e_u) else ["map not total"]
+                vals = list(images.values())
+                if len(set(vals)) != len(vals):
+                    problems.append(f"not injective at u={format_permutation(u)} (a,b)=({a},{b})")
+                if not set(vals) <= e_v:
+                    problems.append(f"image leaves the edge set at v={format_permutation(v)}")
+                if len(e_u) > len(e_v):
+                    problems.append("degree decreases along an h-order edge")
+                yield h, w, problems
 
 
-def _sweep_patterns(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    for n, h in _ranked(n_max, deadline, result):
-        for w in enumerate_admissible(h):
-            result.cases += 1
-            avoids, witnesses = avoids_all_associated(w, h)
-            regular = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
-            if avoids != regular:
-                result.violations.append(
-                    _violation(
-                        n, h, w, "patterns",
-                        f"avoidance={avoids} but regular={regular} "
-                        f"(witnesses: {witnesses})",
-                    )
-                )
+def _phi_surjective(n: int, h: HessFunc):
+    for w in enumerate_admissible(h):
+        interval = bruhat_interval(w)
+        e_w = window_edges(h, interval, w)
+        for a, b in transpositions(n):
+            v = apply_transposition(w, a, b)
+            if v not in interval or v == w:
+                continue
+            e_v = set(window_edges(h, interval, v))
+            images = set(phi_rule(e_w, a, b).values())
+            problems = []
+            if not e_v <= images:
+                v_text = format_permutation(v)
+                problems.append((f"misses edges at v={v_text}: {sorted(e_v - images)}", {"v": v_text}))
+            yield h, w, problems
 
 
-def _sweep_example61(n_max: int, deadline: _Deadline, result: SweepResult) -> None:
-    # Fixed rank-6 case; n_max does not apply.
+def _patterns(n: int, h: HessFunc):
+    for w in enumerate_admissible(h):
+        avoids, witnesses = avoids_all_associated(w, h)
+        regular = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
+        problems = []
+        if avoids != regular:
+            problems.append(f"avoidance={avoids} but regular={regular} (witnesses: {witnesses})")
+        yield h, w, problems
+
+
+def _example61(n: int, _):
     h = validate_hessenberg((3, 4, 5, 6, 6, 6))
     w = (2, 3, 6, 4, 5, 1)
-    result.cases += 1
     if not is_admissible(w, h):
-        result.violations.append(_violation(6, h, w, "example61", "w should be admissible"))
+        yield h, w, ["w should be admissible"]
         return
     lw = h_length(w, h)
-    for u in bruhat_interval(w):
-        if u != w and h_length(u, h) <= lw:
-            result.violations.append(
-                _violation(
-                    6, h, w, "example61",
-                    f"window length not minimal: l_h({format_permutation(u)}) <= {lw}",
-                )
-            )
+    problems = [
+        f"window length not minimal: l_h({format_permutation(u)}) <= {lw}"
+        for u in bruhat_interval(w)
+        if u != w and h_length(u, h) <= lw
+    ]
     if interval_summary(h, w).regularity(cell_dimension(w, h)).ok:
-        result.violations.append(
-            _violation(6, h, w, "example61", "interval graph unexpectedly regular")
-        )
+        problems.append("interval graph unexpectedly regular")
+    yield h, w, problems
 
 
+# Per suite: its items of rank n and its case generator.  example61 has no
+# items: its one rank-6 case runs whatever n_max and the budget.
 _SUITES = {
-    "bruhat": _sweep_bruhat,
-    "representative": _sweep_representative,
-    "fixed-points": _sweep_fixed_points,
-    "connectivity": _sweep_connectivity,
-    "shortcut": _sweep_shortcut,
-    "phi-injective": _sweep_phi_injective,
-    "phi-surjective": _sweep_phi_surjective,
-    "patterns": _sweep_patterns,
-    "example61": _sweep_example61,
+    "bruhat": (all_permutations, _bruhat),
+    "representative": (_with_permutations, _representative),
+    "fixed-points": (_with_permutations, _fixed_points),
+    "connectivity": (_with_permutations, _connectivity),
+    "shortcut": (hessenberg_functions, _shortcut),
+    "phi-injective": (hessenberg_functions, _phi_injective),
+    "phi-surjective": (hessenberg_functions, _phi_surjective),
+    "patterns": (hessenberg_functions, _patterns),
+    "example61": (None, _example61),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
 def sweep(suite_id: str, n_max: int, budget_seconds: float | None = None) -> SweepResult:
+    """Run one suite over the ranks 1..n_max.  The deadline is checked
+    before each item; once it has passed, the result is marked incomplete."""
     if suite_id not in _SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_NAMES)}")
     if n_max < 1:
         raise ValueError(f"n_max = {n_max} is below the lower limit 1")
     if n_max > 6:
         raise ValueError("sweeps are capped at n_max = 6")
+    items, cases = _SUITES[suite_id]
+    if items is None:  # the fixed example61 case: no budget truncates it
+        budget_seconds, ranked = None, [(6, None)]
+    else:
+        ranked = ((n, x) for n in range(1, n_max + 1) for x in items(n))
     deadline = _Deadline(budget_seconds)
     result = SweepResult(suite=suite_id, n_max=n_max, cases=0)
-    _SUITES[suite_id](n_max, deadline, result)
+    for n, x in ranked:
+        if deadline.exceeded():
+            result.complete = False
+            result.note = f"stopped inside n={n}"
+            break
+        for h, w, problems in cases(n, x):
+            result.cases += 1
+            for p in problems:
+                detail, extra = (p, {}) if isinstance(p, str) else p
+                result.violations.append({**_violation(n, h, w, suite_id, detail), **extra})
     result.elapsed = deadline.elapsed()
     return result
 

@@ -69,7 +69,7 @@ from hessgkm.roots import (
     weyl_type_subsets,
     z_and_w,
 )
-from hessgkm.verify import hessenberg_functions, sweep
+from hessgkm.verify import hessenberg_functions, oracle_weak_leq, sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,7 +135,7 @@ def test_criterion_3_admissible_irregular_case():
 def test_criterion_4_figure_reproduction():
     start = time.perf_counter()
     g = build_hessenberg_graph((2, 2, 3))
-    three_edges = g.edge_pairs() == {
+    three_edges = {frozenset((e.u, e.v)) for e in g.edges} == {
         frozenset({(1, 2, 3), (2, 1, 3)}),
         frozenset({(2, 3, 1), (3, 2, 1)}),
         frozenset({(1, 3, 2), (3, 1, 2)}),
@@ -278,7 +278,7 @@ def test_criterion_6_rank2_tables():
         for s, cls in classes.items():
             z, w_top = z_and_w(hs, s)
             members = {
-                x for x in rs.elements() if rs.weak_leq(z, x) and rs.weak_leq(x, w_top)
+                x for x in rs.elements() if oracle_weak_leq(rs, z, x) and oracle_weak_leq(rs, x, w_top)
             }
             checks.append(members == set(cls))
 

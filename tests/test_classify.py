@@ -3,14 +3,24 @@
 import pytest
 
 from hessgkm.classify import classify, component_lower_bound
-from hessgkm.graphs import interval_graph
+from hessgkm.cohomology import localized_class_candidate
+from hessgkm.graphs import (
+    edge_set_at,
+    fixed_point_induced_graph,
+    interval_graph,
+    interval_summary,
+    phi_map,
+    regularity_via_w0,
+)
 from hessgkm.hess import (
+    admissible_representative,
     cell_dimension,
     enumerate_admissible,
+    h_length,
     hess_schubert_fixed_points,
     is_admissible,
 )
-from hessgkm.patterns import avoids_all_associated
+from hessgkm.patterns import avoids_all_associated, contains_hpattern, pattern_witnesses
 from hessgkm.perms import (
     all_permutations,
     apply_transposition,
@@ -73,9 +83,32 @@ def test_report_top_element():
     assert r.fixed_points == (w0,)
 
 
-def test_rank_mismatch():
-    with pytest.raises(ValueError):
-        classify((1, 2, 3), H3344)
+# Every entry point taking a (w, h) pair, called with |w| = 3 and |h| = 4.
+RANK_MISMATCH_CALLS = {
+    "classify": lambda w, h: classify(w, h),
+    "component_lower_bound": lambda w, h: component_lower_bound(w, h),
+    "h_length": lambda w, h: h_length(w, h),
+    "cell_dimension": lambda w, h: cell_dimension(w, h),
+    "is_admissible": lambda w, h: is_admissible(w, h),
+    "admissible_representative": lambda w, h: admissible_representative(w, h),
+    "hess_schubert_fixed_points": lambda w, h: hess_schubert_fixed_points(w, h),
+    "interval_graph": lambda w, h: interval_graph(h, w),
+    "interval_summary": lambda w, h: interval_summary(h, w),
+    "fixed_point_induced_graph": lambda w, h: fixed_point_induced_graph(h, w),
+    "edge_set_at": lambda w, h: edge_set_at(h, w, w),
+    "regularity_via_w0": lambda w, h: regularity_via_w0(h, w),
+    "phi_map": lambda w, h: phi_map(h, w, w, 1, 2),
+    "localized_class_candidate": lambda w, h: localized_class_candidate(h, w),
+    "contains_hpattern": lambda w, h: contains_hpattern(w, h, "2134"),
+    "pattern_witnesses": lambda w, h: pattern_witnesses(w, h),
+    "avoids_all_associated": lambda w, h: avoids_all_associated(w, h),
+}
+
+
+@pytest.mark.parametrize("entry", RANK_MISMATCH_CALLS)
+def test_rank_mismatch(entry):
+    with pytest.raises(ValueError, match=r"rank mismatch: \|w\| = 3, \|h\| = 4"):
+        RANK_MISMATCH_CALLS[entry]((1, 2, 3), H3344)
 
 
 def test_json_round_trip_shape():

@@ -19,7 +19,6 @@ from hessgkm.roots import (
     enumerate_hessenberg_spaces,
     h_admissible_elements,
     hessenberg_space_from_function,
-    is_weyl_type,
     mask_order_key,
     partition_classes,
     root_from_positions,
@@ -28,7 +27,14 @@ from hessgkm.roots import (
     weyl_type_subsets,
     z_and_w,
 )
-from hessgkm.verify import hessenberg_functions, oracle_canonical_word, oracle_weyl_type_subsets
+from hessgkm.verify import (
+    hessenberg_functions,
+    is_weyl_type,
+    oracle_canonical_word,
+    oracle_weak_leq,
+    oracle_weyl_bruhat_leq,
+    oracle_weyl_type_subsets,
+)
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
 
@@ -161,7 +167,7 @@ def test_bruhat_recursion_matches_chain_oracle(type_label, rank):
     elements = rs.elements()
     for u in elements:
         for v in elements:
-            assert rs.bruhat_leq(u, v) == chain_oracle_leq(rs, u, v), (
+            assert oracle_weyl_bruhat_leq(rs, u, v) == chain_oracle_leq(rs, u, v), (
                 type_label,
                 rank,
                 rs.format_element(u),
@@ -181,7 +187,7 @@ def test_bruhat_interval_up_matches_bruhat_leq(type_label, rank):
     rs = build_root_system(type_label, rank)
     elements = rs.elements()
     for w in elements:
-        assert rs.bruhat_interval_up(w) == tuple(v for v in elements if rs.bruhat_leq(w, v))
+        assert rs.bruhat_interval_up(w) == tuple(v for v in elements if oracle_weyl_bruhat_leq(rs, w, v))
 
 
 def test_weak_order_is_inversion_containment():
@@ -190,7 +196,7 @@ def test_weak_order_is_inversion_containment():
         for u in rs.elements():
             nu = rs.inversion_set(u)
             for v in rs.elements():
-                assert rs.weak_leq(u, v) == (nu <= rs.inversion_set(v))
+                assert oracle_weak_leq(rs, u, v) == (nu <= rs.inversion_set(v))
 
 
 def test_validate_hessenberg_space():
@@ -450,7 +456,7 @@ def test_weak_interval_reverse_inclusion_small(type_label, rank):
         for s, cls in classes.items():
             z, w_top = z_and_w(hs, s)
             members = {
-                x for x in rs.elements() if rs.weak_leq(z, x) and rs.weak_leq(x, w_top)
+                x for x in rs.elements() if oracle_weak_leq(rs, z, x) and oracle_weak_leq(rs, x, w_top)
             }
             assert members == set(cls)
 
@@ -542,7 +548,7 @@ def test_classify_arbitrary_violator_is_first_in_word_order(type_label, rank):
                 for v in interval
                 if sum(rs.mul(v, s) in interval for s in refl) != report.cell_dimension
             ]
-            first = min(bad, key=rs.sort_key) if bad else None
+            first = min(bad, key=lambda v: (len(rs.canonical_word(v)), rs.canonical_word(v))) if bad else None
             assert report.violating_vertex == (None if first is None else rs.format_element(first))
             assert report.regular == (first is None)
             assert (report.hess_schubert_smooth == "yes") == (report.regular and rs.simply_laced)
@@ -609,7 +615,7 @@ def test_type_a_dictionary(n):
         edges = {frozenset({ol[u], ol[v]}) for u, out in g.up.items() for v in out}
         from hessgkm.graphs import build_hessenberg_graph
 
-        assert edges == build_hessenberg_graph(h).edge_pairs()
+        assert edges == {frozenset((e.u, e.v)) for e in build_hessenberg_graph(h).edges}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
