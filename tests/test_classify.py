@@ -85,13 +85,13 @@ def test_report_top_element():
 
 # Every entry point taking a (w, h) pair, called with |w| = 3 and |h| = 4.
 RANK_MISMATCH_CALLS = {
-    "classify": lambda w, h: classify(w, h),
-    "component_lower_bound": lambda w, h: component_lower_bound(w, h),
-    "h_length": lambda w, h: h_length(w, h),
-    "cell_dimension": lambda w, h: cell_dimension(w, h),
-    "is_admissible": lambda w, h: is_admissible(w, h),
-    "admissible_representative": lambda w, h: admissible_representative(w, h),
-    "hess_schubert_fixed_points": lambda w, h: hess_schubert_fixed_points(w, h),
+    "classify": classify,
+    "component_lower_bound": component_lower_bound,
+    "h_length": h_length,
+    "cell_dimension": cell_dimension,
+    "is_admissible": is_admissible,
+    "admissible_representative": admissible_representative,
+    "hess_schubert_fixed_points": hess_schubert_fixed_points,
     "interval_graph": lambda w, h: interval_graph(h, w),
     "interval_summary": lambda w, h: interval_summary(h, w),
     "fixed_point_induced_graph": lambda w, h: fixed_point_induced_graph(h, w),
@@ -100,8 +100,8 @@ RANK_MISMATCH_CALLS = {
     "phi_map": lambda w, h: phi_map(h, w, w, 1, 2),
     "localized_class_candidate": lambda w, h: localized_class_candidate(h, w),
     "contains_hpattern": lambda w, h: contains_hpattern(w, h, "2134"),
-    "pattern_witnesses": lambda w, h: pattern_witnesses(w, h),
-    "avoids_all_associated": lambda w, h: avoids_all_associated(w, h),
+    "pattern_witnesses": pattern_witnesses,
+    "avoids_all_associated": avoids_all_associated,
 }
 
 
