@@ -147,7 +147,7 @@ def test_verify_text_groups_violations(capsys):
     assert code == 1
     lines = out.splitlines()
     assert len(lines) < 10
-    assert "FAIL (312 violations)" in lines[0]
+    assert "FAIL (312 violations) cases=3910 " in lines[0]
     assert lines[1].startswith("  phi-surjective: 312 violations, first 3: ")
     assert lines[1].count("misses edges at v=") == 3
 
