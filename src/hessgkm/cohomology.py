@@ -34,7 +34,7 @@ from collections import Counter
 
 from .graphs import GkmEdge, GkmGraph, interval_summary
 from .hess import cell_dimension, complexity_dimension, validate_hessenberg, windows
-from .perms import Perm, all_permutations, apply_transposition, check_size, format_permutation
+from .perms import Perm, all_permutations, check_size, format_permutation
 
 Poly = dict[tuple[int, ...], int]
 
@@ -152,9 +152,10 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
 
     cls: dict[Perm, Poly] = {}
     for u in interval:
+        inside = set(summary.edges_at(u))
         prod = const_poly(n, 1)
         for i, j in windows(h):
-            if apply_transposition(u, i, j) not in interval:
+            if (i, j) not in inside:
                 a, b = u[i - 1], u[j - 1]
                 prod = poly_mul(prod, linear_form(n, min(a, b), max(a, b)))
         cls[u] = prod

@@ -8,15 +8,15 @@ and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 
 An induced graph is enumerated by one traversal of the in-set window swaps
 u(i,j) with u(i) < u(j) at each vertex u, so each edge appears once, from
-its lower end.  :func:`_window_steps` maps them by target for the
-summaries; :func:`_induced` emits them as sorted edge objects.
-:func:`summarize` reads degrees, regularity and connectivity off such
-up-steps without building edge objects; it is type-neutral, and
-:mod:`hessgkm.roots` runs the moment graphs of arbitrary Lie type through
-it too.  :func:`interval_summary` is its type A entry point, used by
-:mod:`hessgkm.classify`, :mod:`hessgkm.cohomology` and the sweeps of
-:mod:`hessgkm.verify`.  ``GkmEdge`` objects are built only for DOT/JSON
-export and the compatibility check, on the full graph and on these:
+its lower end.  Each edge question has one source.  A whole interval's is
+the summary: :func:`_window_steps` maps the swaps by target, and
+:func:`summarize` reads degrees, regularity, connectivity and the edges at
+each vertex (:meth:`GraphSummary.edges_at`) off them; it is type-neutral,
+and :mod:`hessgkm.roots` runs the graphs of arbitrary Lie type through it.
+:func:`interval_summary` is its type A entry point.  One vertex's is
+:func:`edge_set_at`, which probes u's windows alone.  Export's is
+:func:`_induced`, the only builder of ``GkmEdge`` objects, for DOT/JSON and
+the compatibility check, on the full graph and on these:
 
 * ``interval_graph(h, w)``     -- induced on the Bruhat interval [w, w0];
 * ``fixed_point_induced_graph``-- induced on the cell-closure fixed points.
@@ -119,7 +119,10 @@ def _induced(h: HessFunc, vertex_set: frozenset[Perm], w: Perm | None) -> GkmGra
     to the vertex objects and to a shared value pair, so it costs one tuple.
 
     This walks the window swaps as :func:`_window_steps` does, but in sorted
-    order and straight into edge objects, with no map of maps between."""
+    order and straight into edge objects, with no map of maps between.
+    Built from the summary walk, hessbench ``export`` took 8-10% longer on a
+    2-vCPU VM (``wall_s`` 0.363-0.378 -> 0.395-0.413 s, 3 alternating pairs)
+    and the S_8 export's peak RSS stayed 126 MB (DOT) and 239 MB (JSON)."""
     vertices = sorted(vertex_set)
     vertex_of = dict(zip(vertices, vertices))
     n = len(h)
@@ -177,6 +180,10 @@ class GraphSummary(NamedTuple):
         bad = [u for u, d in self.degrees.items() if d != expected]
         return RegularityCheck(not bad, min(bad, key=key) if bad else None)
 
+    def edges_at(self, u) -> list:
+        """The labels of u's up-steps, then those of the steps into u."""
+        return [*self.up[u].values(), *(self.up[x][u] for x in self.down[u])]
+
 
 def summarize(up: dict) -> GraphSummary:
     """Degrees and connectivity of the graph whose edges are the steps in
@@ -212,21 +219,15 @@ def reach(starts, *adjacencies) -> set[Perm]:
     return seen
 
 
-def window_edges(h: HessFunc, interval: frozenset[Perm], u: Perm) -> list[tuple[int, int]]:
-    """Window pairs (i, j) with u(i,j) in the interval, in window order:
-    the edges at u of the graph induced on the interval."""
-    return [(i, j) for i, j in windows(h) if apply_transposition(u, i, j) in interval]
-
-
 def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
     """Window transpositions (i, j) with u(i,j) >= w: the edges at u in the
-    interval graph of (w, h)."""
+    interval graph of (w, h), probed at u alone."""
     h = validate_hessenberg(h)
     _check_rank(w, h)
     interval = bruhat_interval(w)
     if u not in interval:
         raise ValueError(f"{format_permutation(u)} is not in the interval of {format_permutation(w)}")
-    return frozenset(window_edges(h, interval, u))
+    return frozenset((i, j) for i, j in windows(h) if apply_transposition(u, i, j) in interval)
 
 
 def is_regular(g: GkmGraph, expected: int) -> RegularityCheck:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .perms import Perm, all_permutations, bruhat_interval, check_size, compose, inverse
+from .perms import Perm, _fields, all_permutations, bruhat_interval, check_size, compose, inverse
 
 HessFunc = tuple[int, ...]
 
@@ -54,9 +54,10 @@ def validate_hessenberg(values) -> HessFunc:
 
 def parse_hessenberg(text: str) -> HessFunc:
     """Parse comma-separated values, e.g. "3,3,4,4"."""
-    parts = [p.strip() for p in text.strip().split(",") if p.strip()]
-    if not parts:
+    text = text.strip()
+    if not text:
         raise ValueError("empty Hessenberg function")
+    parts = _fields(text.split(","), text)
     try:
         values = [int(p) for p in parts]
     except ValueError:

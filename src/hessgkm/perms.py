@@ -223,13 +223,21 @@ def bruhat_interval(w: Perm) -> frozenset[Perm]:
     return frozenset(out)
 
 
+def _fields(items: list[str], text: str) -> list[str]:
+    """The stripped items of a comma-separated ``text``; an empty one raises."""
+    out = [x.strip() for x in items]
+    if "" in out:
+        raise ValueError(f"empty field {out.index('') + 1} in {text!r}")
+    return out
+
+
 def parse_permutation(text: str) -> Perm:
     """Parse one-line notation: "4312", or "10,3,1,..." for n >= 10."""
     text = text.strip()
     if not text:
         raise ValueError("empty permutation")
     if "," in text:
-        parts = [p.strip() for p in text.split(",")]
+        parts = _fields(text.split(","), text)
     else:
         parts = list(text)
     try:

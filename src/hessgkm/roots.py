@@ -4,7 +4,12 @@ Roots are stored as integer coordinate vectors over the simple roots, so
 "a1+a2" is (1, 1).  Supported types: A, B, C, D (while |W| is within
 :data:`hessgkm.perms.SIZE_LIMIT`), G2, and F4.  Conventions follow the
 standard Euclidean realizations; in particular for type C the last simple
-root is long, so C2 has positive roots a1, a2, a1+a2, 2a1+a2.
+root is long, so C2 has positive roots a1, a2, a1+a2, 2a1+a2.  Only their
+Gram matrix is used, through one pairing: the integer coroot row
+<alpha_j, beta^vee> = 2 (alpha_j, beta) / (beta, beta) of a root beta.  The
+simple rows are ``cartan`` and close the positive roots, and every
+reflection s_beta(gamma) = gamma - <gamma, beta^vee> beta, the generators
+and :meth:`RootSystem.reflections` alike, is built from beta's row.
 
 Weyl group elements are stored as permutations of the signed root list
 (positives first, then their negatives); this representation is faithful
@@ -48,8 +53,9 @@ module over the Borel.  The machinery built on M:
 * The admissible elements: the class tops w_S.
 * The moment graph on W with edges {w, w s_a} for a in M, and the
   regularity verdict on Bruhat interval subgraphs; the smoothness
-  conclusion is withheld outside the simply-laced types.  Its steps, keyed
-  by id, go through :func:`hessgkm.graphs.summarize`, the core type A
+  conclusion is withheld outside the simply-laced types.  Its edges have
+  one source, the per-id moves w -> w s_c of the reflection table; keyed by
+  id, they go through :func:`hessgkm.graphs.summarize`, the core type A
   uses, for degrees, the first violator (least by rank) and connectivity.
 """
 
@@ -62,7 +68,7 @@ from functools import cache, cached_property, reduce
 from operator import and_, or_
 
 from .graphs import GraphSummary, summarize
-from .perms import Perm, check_size, compose as perm_compose
+from .perms import Perm, _fields, check_size, compose as perm_compose
 
 Coords = tuple[int, ...]
 Element = tuple[int, ...]  # permutation of the signed root index list
@@ -103,10 +109,7 @@ _POSITIVE_COUNT = {
 
 
 def _unit_diff(dim: int, i: int, j: int) -> tuple[Fraction, ...]:
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(1)
-    v[j] = Fraction(-1)
-    return tuple(v)
+    return tuple(Fraction((k == i) - (k == j)) for k in range(dim))
 
 
 def _simple_roots_euclidean(type_label: str, rank: int) -> list[tuple[Fraction, ...]]:
@@ -127,8 +130,7 @@ def _simple_roots_euclidean(type_label: str, rank: int) -> list[tuple[Fraction, 
             raise ValueError("type D needs rank >= 3")
         out = [_unit_diff(rank, i, i + 1) for i in range(rank - 1)]
         last = [Fraction(0)] * rank
-        last[rank - 2] = Fraction(1)
-        last[rank - 1] = Fraction(1)
+        last[rank - 2] = last[rank - 1] = Fraction(1)
         return out + [tuple(last)]
     if t == "G":
         if rank != 2:
@@ -150,6 +152,12 @@ def _simple_roots_euclidean(type_label: str, rank: int) -> list[tuple[Fraction, 
     raise ValueError(f"unsupported type {type_label!r} (supported: A, B, C, D, G2, F4)")
 
 
+def _reflect_coords(gamma: Coords, beta: Coords, row: tuple[int, ...]) -> Coords:
+    """s_beta(gamma) = gamma - <gamma, beta^vee> beta, given beta's coroot row."""
+    k = sum(x * y for x, y in zip(gamma, row))
+    return tuple(x - k * y for x, y in zip(gamma, beta))
+
+
 class RootSystem:
     """Positive roots, reflections, and the Weyl group of one Cartan type."""
 
@@ -161,66 +169,58 @@ class RootSystem:
         self.order = _ORDER_FORMULA[type_label](rank)
         # Covers A<=7, B/C<=6, D<=6, G2, F4; E types are not built here.
         check_size(self.order, f"W({type_label}{rank})")
-        self._simple_euclid = tuple(simples)
-        gram = [[sum(a * b for a, b in zip(x, y)) for y in simples] for x in simples]
-        # cartan[i][j] = <alpha_j, alpha_i^vee>
-        self.cartan = [
-            [int(2 * gram[i][j] / gram[i][i]) for j in range(rank)] for i in range(rank)
-        ]
-
+        # gram[i][j] = (alpha_i, alpha_j), exact
+        self._gram = [[sum(a * b for a, b in zip(x, y)) for y in simples] for x in simples]
         self.simple_roots: tuple[Coords, ...] = tuple(
             tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)
         )
+        # cartan[i][j] = <alpha_j, alpha_i^vee>: the coroot rows of the simple roots
+        self.cartan = [list(self._coroot(a)) for a in self.simple_roots]
         self.positive_roots = self._close_positive_roots()
         expected = _POSITIVE_COUNT[type_label](rank)
-        if len(self.positive_roots) != expected:
-            raise RuntimeError(
-                f"positive root closure produced {len(self.positive_roots)} roots, "
-                f"expected {expected}"
-            )
+        self._num_positive = p = len(self.positive_roots)
+        if p != expected:
+            raise RuntimeError(f"positive root closure produced {p} roots, expected {expected}")
         self._pos_index = {c: i for i, c in enumerate(self.positive_roots)}
-        p = len(self.positive_roots)
-        self._num_positive = p
         self._signed: tuple[Coords, ...] = self.positive_roots + tuple(
             tuple(-x for x in c) for c in self.positive_roots
         )
         self._signed_index = {c: i for i, c in enumerate(self._signed)}
         self._simple_indices = tuple(self._pos_index[c] for c in self.simple_roots)
         self.identity: Element = tuple(range(2 * p))
-        self.generators: tuple[Element, ...] = tuple(
-            self._simple_reflection(i) for i in range(rank)
-        )
+        self.generators: tuple[Element, ...] = tuple(map(self._reflect, self.simple_roots))
         self._elements: tuple[Element, ...] | None = None
 
     # -- construction ----------------------------------------------------------
 
-    def _cartan_pairing(self, coords: Coords, i: int) -> int:
-        return sum(c * self.cartan[i][j] for j, c in enumerate(coords))
+    def _coroot(self, beta: Coords) -> tuple[int, ...]:
+        """The coroot row of ``beta``: <alpha_j, beta^vee> = 2 (alpha_j, beta) / (beta, beta)
+        for each simple root alpha_j, from the Gram matrix."""
+        ab = [sum(g * b for g, b in zip(gram_j, beta)) for gram_j in self._gram]
+        bb = sum(b * x for b, x in zip(beta, ab))
+        pairing = [2 * x / bb for x in ab]
+        if any(k.denominator != 1 for k in pairing):
+            raise RuntimeError(f"non-integral coroot pairing for {beta}")
+        return tuple(map(int, pairing))
 
     def _close_positive_roots(self) -> tuple[Coords, ...]:
-        rank = self.rank
-        seen = {tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)}
+        seen = set(self.simple_roots)
         frontier = list(seen)
         while frontier:
             nxt = []
             for c in frontier:
-                for i in range(rank):
-                    img = list(c)
-                    img[i] -= self._cartan_pairing(c, i)
-                    img_t = tuple(img)
-                    if all(x >= 0 for x in img_t) and any(img_t) and img_t not in seen:
-                        seen.add(img_t)
-                        nxt.append(img_t)
+                for a, row in zip(self.simple_roots, self.cartan):
+                    img = _reflect_coords(c, a, row)
+                    if min(img) >= 0 and img not in seen:
+                        seen.add(img)
+                        nxt.append(img)
             frontier = nxt
         return tuple(sorted(seen, key=lambda c: (sum(c), tuple(-x for x in c))))
 
-    def _simple_reflection(self, i: int) -> Element:
-        img = []
-        for c in self._signed:
-            new = list(c)
-            new[i] -= self._cartan_pairing(c, i)
-            img.append(self._signed_index[tuple(new)])
-        return tuple(img)
+    def _reflect(self, beta: Coords) -> Element:
+        """The reflection in the root ``beta``, as a signed-root permutation."""
+        row, index = self._coroot(beta), self._signed_index
+        return tuple(index[_reflect_coords(c, beta, row)] for c in self._signed)
 
     # -- element operations ------------------------------------------------------
 
@@ -259,13 +259,6 @@ class RootSystem:
     def roots_of_mask(self, mask: int) -> frozenset[Coords]:
         return frozenset(map(self.positive_roots.__getitem__, _bits(mask)))
 
-    def _euclid(self, coords: Coords) -> tuple[Fraction, ...]:
-        dim = len(self._simple_euclid[0])
-        return tuple(
-            sum(coords[j] * self._simple_euclid[j][k] for j in range(self.rank))
-            for k in range(dim)
-        )
-
     def reflection(self, coords: Coords) -> Element:
         """The reflection in a positive root, as a signed-root permutation."""
         if coords not in self._pos_index:
@@ -278,19 +271,7 @@ class RootSystem:
 
     @cached_property
     def _reflections(self) -> tuple[Element, ...]:
-        euclid = [self._euclid(c) for c in self._signed]
-        out = []
-        for beta, beta_e in zip(self.positive_roots, euclid):
-            bb = sum(x * x for x in beta_e)
-            img = []
-            for c, gamma_e in zip(self._signed, euclid):
-                pairing = 2 * sum(x * y for x, y in zip(gamma_e, beta_e)) / bb
-                if pairing.denominator != 1:
-                    raise RuntimeError("non-integral pairing in reflection")
-                k = int(pairing)
-                img.append(self._signed_index[tuple(x - k * y for x, y in zip(c, beta))])
-            out.append(tuple(img))
-        return tuple(out)
+        return tuple(map(self._reflect, self.positive_roots))
 
     # -- group enumeration ---------------------------------------------------------
 
@@ -478,7 +459,7 @@ class RootSystem:
         if text.startswith("["):
             if not text.endswith("]"):
                 raise ValueError(f"unbalanced brackets in {text!r}")
-            coords = tuple(int(p.strip()) for p in text[1:-1].split(","))
+            coords = tuple(map(int, _fields(text[1:-1].split(","), text)))
             if len(coords) != self.rank:
                 raise ValueError(f"expected {self.rank} coordinates in {text!r}")
         else:
@@ -499,10 +480,10 @@ class RootSystem:
         return coords
 
     def parse_root_list(self, text: str) -> frozenset[Coords]:
-        items = []
-        depth = 0
-        current: list[str] = []
-        for ch in text:
+        """Comma-separated roots (not the commas inside [...]).  A list of no
+        roots, blank or commas only, is empty; an empty item beside a root raises."""
+        items, current, depth = [], [], 0
+        for ch in text + ",":
             if ch == "[":
                 depth += 1
             elif ch == "]":
@@ -512,9 +493,9 @@ class RootSystem:
                 current = []
             else:
                 current.append(ch)
-        if current:
-            items.append("".join(current))
-        return frozenset(self.parse_root(item) for item in items if item.strip())
+        if not "".join(items).strip():
+            return frozenset()
+        return frozenset(map(self.parse_root, _fields(items, text)))
 
     @property
     def simply_laced(self) -> bool:

@@ -55,11 +55,11 @@ from dataclasses import dataclass, field
 
 from .graphs import (
     GkmGraph,
+    edge_set_at,
     interval_summary,
     phi_rule,
     regularity_via_w0,
     to_json_dict,
-    window_edges,
 )
 from .hess import (
     HessFunc,
@@ -267,6 +267,8 @@ def oracle_graph_json(g: GkmGraph) -> str:
 
 class _Deadline:
     def __init__(self, budget_seconds: float | None):
+        if budget_seconds is not None and not budget_seconds >= 0:  # NaN too
+            raise ValueError(f"budget_seconds = {budget_seconds} is not at least the lower limit 0")
         self.start = time.perf_counter()
         self.limit = budget_seconds
 
@@ -355,15 +357,12 @@ def _shortcut(n: int, h: HessFunc):
 
 def _phi_injective(n: int, h: HessFunc):
     for w in enumerate_admissible(h):
-        interval = bruhat_interval(w)
-        edge_sets = {u: window_edges(h, interval, u) for u in interval}
-        for u in interval:
+        summary = interval_summary(h, w)
+        edge_sets = {u: summary.edges_at(u) for u in summary.up}
+        # The up-steps u -> v = u(a,b) are the length-increasing edges at u.
+        for u, steps in summary.up.items():
             e_u = edge_sets[u]
-            lu = length(u)
-            for a, b in e_u:
-                v = apply_transposition(u, a, b)
-                if length(v) <= lu:
-                    continue
+            for v, (a, b) in steps.items():
                 e_v = set(edge_sets[v])
                 images = phi_rule(e_u, a, b)
                 problems = [] if len(images) == len(e_u) else ["map not total"]
@@ -380,12 +379,12 @@ def _phi_injective(n: int, h: HessFunc):
 def _phi_surjective(n: int, h: HessFunc):
     for w in enumerate_admissible(h):
         interval = bruhat_interval(w)
-        e_w = window_edges(h, interval, w)
+        e_w = edge_set_at(h, w, w)
         for a, b in transpositions(n):
             v = apply_transposition(w, a, b)
             if v not in interval or v == w:
                 continue
-            e_v = set(window_edges(h, interval, v))
+            e_v = edge_set_at(h, w, v)
             images = set(phi_rule(e_w, a, b).values())
             problems = []
             if not e_v <= images:
@@ -447,12 +446,12 @@ def sweep(suite_id: str, n_max: int, budget_seconds: float | None = None) -> Swe
         raise ValueError(f"n_max = {n_max} is below the lower limit 1")
     if n_max > 6:
         raise ValueError("sweeps are capped at n_max = 6")
+    deadline = _Deadline(budget_seconds)
     items, cases = _SUITES[suite_id]
     if items is None:  # the fixed example61 case: no budget truncates it
-        budget_seconds, ranked = None, [(6, None)]
+        deadline.limit, ranked = None, [(6, None)]
     else:
         ranked = ((n, x) for n in range(1, n_max + 1) for x in items(n))
-    deadline = _Deadline(budget_seconds)
     result = SweepResult(suite=suite_id, n_max=n_max, cases=0)
     for n, x in ranked:
         if deadline.exceeded():

@@ -123,6 +123,18 @@ def test_edge_set_at_worked_example():
         edge_set_at(H3344, (3, 2, 1, 4), (1, 2, 3, 4))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_summary_edges_at_matches_edge_set_at(n):
+    # Phi-injective's "map not total" check relies on no label repeating.
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            summary = interval_summary(h, w)
+            for u in summary.up:
+                labels = summary.edges_at(u)
+                assert len(set(labels)) == len(labels)
+                assert set(labels) == edge_set_at(h, w, u)
+
+
 def test_degree_frozen_values():
     assert len(edge_set_at((2, 3, 3), (2, 1, 3), (2, 1, 3))) == 1
     assert len(edge_set_at((2, 3, 3), (2, 1, 3), (3, 2, 1))) == 2

@@ -55,6 +55,9 @@ def test_parse_format():
     assert format_hessenberg(H3344) == "3,3,4,4"
     with pytest.raises(ValueError):
         parse_hessenberg("3;3")
+    for text, field in [("2,,2", 2), ("3,3,4,4,", 5), (",3,3", 1), ("3, ,3", 2)]:
+        with pytest.raises(ValueError, match=f"empty field {field} in "):
+            parse_hessenberg(text)
 
 
 def test_complexity_dimension():

@@ -218,5 +218,7 @@ def test_text_forms():
         parse_permutation("4->1")
     with pytest.raises(ValueError):
         parse_permutation("")
+    with pytest.raises(ValueError, match="empty field 2 in '21,'"):
+        parse_permutation("21,")
     with pytest.raises(ValueError):
         parse_permutation("1123")

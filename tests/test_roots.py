@@ -111,6 +111,11 @@ def test_c2_conventions():
     assert rs.parse_root("2a1+a2") == (2, 1)
     assert rs.parse_root("[1,1]") == (1, 1)
     assert rs.parse_root_list("a1,[0,1],a1+a2") == frozenset({(1, 0), (0, 1), (1, 1)})
+    for blank in ("", "  ", ",", " , "):
+        assert rs.parse_root_list(blank) == frozenset()
+    for text, field in [("a1,,a2", 2), ("a1,", 2), (",a1", 1), ("[1,1], ,a2", 2), ("[1,,1]", 2)]:
+        with pytest.raises(ValueError, match=f"empty field {field} in "):
+            rs.parse_root_list(text)
     with pytest.raises(ValueError):
         rs.parse_root("a3")
     with pytest.raises(ValueError):
@@ -492,6 +497,23 @@ def test_arbitrary_graph_shapes():
     a2 = build_root_system("A", 2)
     hexagon = arbitrary_gkm_graph(validate_hessenberg_space(a2, {(1, 0), (0, 1)}))
     assert len(hexagon.degrees) == 6 and sum(map(len, hexagon.up.values())) == 6
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("G", 2), ("F", 4)])
+def test_reflection_is_conjugate_of_simple_reflection(type_label, rank):
+    # For beta = x(alpha_i) positive, s_beta = x s_i x^-1: a partner for the
+    # coroot-row construction, which builds each reflection from beta alone.
+    rs = build_root_system(type_label, rank)
+    positive = set(rs.positive_roots)
+    found = set()
+    for x in rs.elements():
+        x_inv = tuple(sorted(range(len(x)), key=x.__getitem__))
+        for a, s in zip(rs.simple_roots, rs.generators):
+            beta = rs.act(x, a)
+            if beta in positive:
+                assert rs.reflection(beta) == rs.mul(rs.mul(x, s), x_inv)
+                found.add(beta)
+    assert found == positive
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])

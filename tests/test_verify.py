@@ -84,6 +84,11 @@ def test_unknown_suite_rejected():
         sweep("bruhat", 7)
     with pytest.raises(ValueError, match="n_max"):
         sweep("bruhat", 0)
+    for budget in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="the lower limit 0"):
+            sweep("example61", 5, budget)
+        with pytest.raises(ValueError, match="the lower limit 0"):
+            sweep_all(3, budget)
 
 
 @pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "example61"])
