@@ -109,7 +109,10 @@ _POSITIVE_COUNT = {
 
 
 def _unit_diff(dim: int, i: int, j: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction((k == i) - (k == j)) for k in range(dim))
+    v = [Fraction(0)] * dim
+    v[i] = Fraction(1)
+    v[j] = Fraction(-1)
+    return tuple(v)
 
 
 def _simple_roots_euclidean(type_label: str, rank: int) -> list[tuple[Fraction, ...]]:
@@ -130,7 +133,8 @@ def _simple_roots_euclidean(type_label: str, rank: int) -> list[tuple[Fraction, 
             raise ValueError("type D needs rank >= 3")
         out = [_unit_diff(rank, i, i + 1) for i in range(rank - 1)]
         last = [Fraction(0)] * rank
-        last[rank - 2] = last[rank - 1] = Fraction(1)
+        last[rank - 2] = Fraction(1)
+        last[rank - 1] = Fraction(1)
         return out + [tuple(last)]
     if t == "G":
         if rank != 2:
@@ -178,10 +182,14 @@ class RootSystem:
         self.cartan = [list(self._coroot(a)) for a in self.simple_roots]
         self.positive_roots = self._close_positive_roots()
         expected = _POSITIVE_COUNT[type_label](rank)
-        self._num_positive = p = len(self.positive_roots)
-        if p != expected:
-            raise RuntimeError(f"positive root closure produced {p} roots, expected {expected}")
+        if len(self.positive_roots) != expected:
+            raise RuntimeError(
+                f"positive root closure produced {len(self.positive_roots)} roots, "
+                f"expected {expected}"
+            )
         self._pos_index = {c: i for i, c in enumerate(self.positive_roots)}
+        p = len(self.positive_roots)
+        self._num_positive = p
         self._signed: tuple[Coords, ...] = self.positive_roots + tuple(
             tuple(-x for x in c) for c in self.positive_roots
         )
@@ -481,18 +489,26 @@ class RootSystem:
 
     def parse_root_list(self, text: str) -> frozenset[Coords]:
         """Comma-separated roots (not the commas inside [...]).  A list of no
-        roots, blank or commas only, is empty; an empty item beside a root raises."""
-        items, current, depth = [], [], 0
-        for ch in text + ",":
+        roots, blank or commas only, is empty; an empty item beside a root, or
+        brackets that do not balance, raise."""
+        items = []
+        depth = 0
+        current: list[str] = []
+        for ch in text:
             if ch == "[":
                 depth += 1
             elif ch == "]":
                 depth -= 1
+            if depth < 0:
+                break
             if ch == "," and depth == 0:
                 items.append("".join(current))
                 current = []
             else:
                 current.append(ch)
+        if depth:
+            raise ValueError(f"unbalanced brackets in {text!r}")
+        items.append("".join(current))
         if not "".join(items).strip():
             return frozenset()
         return frozenset(map(self.parse_root, _fields(items, text)))

@@ -201,10 +201,16 @@ def test_usage_errors_exit_2(capsys):
         (["classify", "--h", "3,3,4,4,", "--w", "1234"], "empty field 5 in '3,3,4,4,'"),
         (["classify", "--h", "2,2", "--w", "21,"], "empty field 2 in '21,'"),
         (["roots", "--type", "A", "--rank", "2", "--m", "a1,,a2"], "empty field 2 in 'a1,,a2'"),
+        (["roots", "--type", "A", "--rank", "2", "--m", "[1,1"], "unbalanced brackets in '[1,1'"),
+        (["roots", "--type", "A", "--rank", "2", "--m", "a1,[1,1"], "unbalanced brackets in 'a1,[1,1'"),
+        (["roots", "--type", "A", "--rank", "2", "--m", "a1],a2"], "unbalanced brackets in 'a1],a2'"),
         (["verify", "--suite", "all", "--budget-seconds", "-1"], "budget_seconds = -1.0 is not at least the lower limit 0"),
         (["verify", "--suite", "bruhat", "--budget-seconds", "nan"], "budget_seconds = nan is not at least"),
     ],
-    ids=["betti", "classify-h", "classify-w", "roots", "verify-all", "verify-nan"],
+    ids=[
+        "betti", "classify-h", "classify-w", "roots", "roots-open", "roots-open-last",
+        "roots-stray-close", "verify-all", "verify-nan",
+    ],
 )
 def test_empty_fields_and_negative_budget_exit_2(argv, message, capsys):
     code = main(argv)

@@ -116,6 +116,9 @@ def test_c2_conventions():
     for text, field in [("a1,,a2", 2), ("a1,", 2), (",a1", 1), ("[1,1], ,a2", 2), ("[1,,1]", 2)]:
         with pytest.raises(ValueError, match=f"empty field {field} in "):
             rs.parse_root_list(text)
+    for text in ("[1,1", "a1,[1,1", "a1],a2", "]a1[", "[1,1]]"):
+        with pytest.raises(ValueError, match="unbalanced brackets in "):
+            rs.parse_root_list(text)
     with pytest.raises(ValueError):
         rs.parse_root("a3")
     with pytest.raises(ValueError):
