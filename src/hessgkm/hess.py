@@ -6,7 +6,10 @@ positions (i, j) with i < j <= h(i); they control everything downstream:
 
 * the complexity dimension d_h = sum(h(i) - i),
 * the window inversion count l_h(w) = #{(i, j) window : w(i) > w(j)},
-  with d_h - l_h(w) the dimension of the cell attached to w,
+  with d_h - l_h(w) the dimension of the cell attached to w; it is the
+  bit count of w's inversion mask (:func:`hessgkm.perms.inversion_mask`)
+  under :func:`window_mask`, and two permutations agree in relative order
+  on every window pair iff their masks agree under it,
 * h-admissibility: w is admissible iff the position of w(j) + 1 in w is
   at most h(j) for every j with w(j) <= n - 1,
 * the unique admissible representative w~ >= w that agrees with w in
@@ -19,6 +22,9 @@ positions (i, j) with i < j <= h(i); they control everything downstream:
 
 Degenerate h with h(i) = i for some i < n (a disconnected ambient space)
 is fully supported; nothing here special-cases it.
+
+The memo caches (:func:`windows`, :func:`window_mask`,
+:func:`enumerate_admissible`) are keyed by h alone, none by a (w, h) pair.
 """
 
 from __future__ import annotations
@@ -26,7 +32,17 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .perms import Perm, _fields, all_permutations, bruhat_interval, check_size, compose, inverse
+from .perms import (
+    Perm,
+    _fields,
+    all_permutations,
+    bruhat_interval,
+    check_size,
+    compose,
+    inverse,
+    inversion_mask,
+    transpositions,
+)
 
 HessFunc = tuple[int, ...]
 
@@ -80,6 +96,17 @@ def windows(h: HessFunc) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, len(h) + 1) for j in range(i + 1, h[i - 1] + 1))
 
 
+@lru_cache(maxsize=None)
+def window_mask(h: HessFunc) -> int:
+    """The window pairs as a position-pair mask, in the bit layout of
+    :func:`hessgkm.perms.inversion_mask`.
+
+    >>> bin(window_mask((2, 3, 3)))
+    '0b101'
+    """
+    return sum(1 << k for k, (i, j) in enumerate(transpositions(len(h))) if j <= h[i - 1])
+
+
 def _check_rank(w: Perm, h: HessFunc) -> None:
     if len(w) != len(h):
         raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
@@ -92,7 +119,7 @@ def h_length(w: Perm, h: HessFunc) -> int:
     1
     """
     _check_rank(w, h)
-    return sum(1 for i, j in windows(h) if w[i - 1] > w[j - 1])
+    return (inversion_mask(w) & window_mask(h)).bit_count()
 
 
 def cell_dimension(w: Perm, h: HessFunc) -> int:

@@ -18,6 +18,12 @@ filled in one step, since only the second-to-last needs the test and the
 last value is forced.  The cost therefore follows the size of the interval
 rather than n!, and the elements come out in lexicographic order.
 
+Position pairs share one bit layout: bit k stands for the k-th pair of
+:func:`transpositions`, (1, 2), (1, 3), ..., (n-1, n).  :func:`inversion_mask`
+gives the inversions of w in it, and :func:`length` is its bit count; the
+window inversions of :mod:`hessgkm.hess` are the same mask under a window
+mask.  The memo caches here are keyed by w alone.
+
 Every verb guards the factorial growth of S_n, W and the intervals with
 one bound, :data:`SIZE_LIMIT`, on the elements a call would materialize;
 :func:`check_size` raises ``ValueError`` naming it, so the CLI exits 2.
@@ -107,14 +113,31 @@ def inverse(w: Perm) -> Perm:
 
 
 @lru_cache(maxsize=None)
+def inversion_mask(w: Perm) -> int:
+    """The inversions of w as a bitmask: bit k is set iff the k-th pair
+    (i, j) of :func:`transpositions` has w(i) > w(j).
+
+    >>> bin(inversion_mask((3, 1, 2)))
+    '0b11'
+    """
+    mask = 0
+    bit = 1
+    for i, x in enumerate(w):
+        for y in w[i + 1:]:
+            if x > y:
+                mask |= bit
+            bit <<= 1
+    return mask
+
+
+@lru_cache(maxsize=None)
 def length(w: Perm) -> int:
     """Number of inversions, i.e. the Coxeter length.
 
     >>> length((3, 2, 1, 4))
     3
     """
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return inversion_mask(w).bit_count()
 
 
 def apply_transposition(w: Perm, i: int, j: int) -> Perm:
@@ -132,7 +155,8 @@ def apply_transposition(w: Perm, i: int, j: int) -> Perm:
 
 
 def transpositions(n: int) -> list[tuple[int, int]]:
-    """All position pairs (i, j) with 1 <= i < j <= n."""
+    """All position pairs (i, j) with 1 <= i < j <= n, in lexicographic
+    order; the k-th pair is bit k of every position-pair mask."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 

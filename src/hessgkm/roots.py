@@ -162,6 +162,14 @@ def _reflect_coords(gamma: Coords, beta: Coords, row: tuple[int, ...]) -> Coords
     return tuple(x - k * y for x, y in zip(gamma, beta))
 
 
+def _root_int(field: str, text: str) -> int:
+    """A coordinate, coefficient or index of the root ``text`` as an int."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"cannot parse root {text!r}: {field!r} is not an integer") from None
+
+
 class RootSystem:
     """Positive roots, reflections, and the Weyl group of one Cartan type."""
 
@@ -467,7 +475,7 @@ class RootSystem:
         if text.startswith("["):
             if not text.endswith("]"):
                 raise ValueError(f"unbalanced brackets in {text!r}")
-            coords = tuple(map(int, _fields(text[1:-1].split(","), text)))
+            coords = tuple(_root_int(x, text) for x in _fields(text[1:-1].split(","), text))
             if len(coords) != self.rank:
                 raise ValueError(f"expected {self.rank} coordinates in {text!r}")
         else:
@@ -477,8 +485,8 @@ class RootSystem:
                 if "a" not in term:
                     raise ValueError(f"cannot parse root term {term!r}")
                 coeff_s, idx_s = term.split("a", 1)
-                coeff = int(coeff_s) if coeff_s else 1
-                idx = int(idx_s)
+                coeff = _root_int(coeff_s, text) if coeff_s else 1
+                idx = _root_int(idx_s, text)
                 if not (1 <= idx <= self.rank):
                     raise ValueError(f"no simple root a{idx} at rank {self.rank}")
                 acc[idx - 1] += coeff

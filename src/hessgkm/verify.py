@@ -15,7 +15,10 @@ Each shares no decision logic with the library result it checks.
 
 oracle_bruhat(_upset)             chain reachability (BFS over length-
                                   increasing transpositions), for perms
-oracle_admissible_representative  a scan of [w, w0], for the greedy ascent
+oracle_admissible_representative  a scan of [w, w0] for admissible v with
+                                  w's window order (inversion masks equal
+                                  under the window mask), for the greedy
+                                  ascent
 oracle_poincare_polynomial        cell dimensions over S_n, for the DP
 oracle_graph_json                 ``json.dumps``, for the direct JSON writer
 oracle_weyl_bruhat_leq            the right-descent recursion, for the
@@ -35,7 +38,9 @@ representative  defining properties of w~, and w~ vs. the interval-scan oracle
 fixed-points    fixed set of the cell closure vs. interval, admissibility
 connectivity    interval graph connected when admissible or ambient connected
 shortcut        top-degree test vs. full regularity scan (admissible w)
-phi-injective   edge comparison map total, well-defined, injective
+phi-injective   edge comparison map total, well-defined, injective; edge
+                sets are position-pair masks, and phi_rule's verdicts are
+                memoized per (edge mask of u, move) within one h
 phi-surjective  edge comparison map onto, for one-reflection moves from w
 patterns        pattern avoidance vs. regularity (admissible w)
 example61       the rank-6 regression case: admissibility, strict window
@@ -52,6 +57,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .graphs import (
     GkmGraph,
@@ -73,7 +80,7 @@ from .hess import (
     hessenberg_connected,
     is_admissible,
     validate_hessenberg,
-    windows,
+    window_mask,
 )
 from .patterns import avoids_all_associated
 from .perms import (
@@ -86,6 +93,7 @@ from .perms import (
     compose,
     format_permutation,
     identity,
+    inversion_mask,
     length,
     transpositions,
 )
@@ -172,13 +180,12 @@ def oracle_bruhat(u: Perm, v: Perm) -> bool:
 
 def oracle_admissible_representative(w: Perm, h: HessFunc) -> list[Perm]:
     """Every admissible v in [w, w0] that agrees with w on window order,
-    sorted; by uniqueness the list is exactly [w~]."""
-    win = windows(h)
+    sorted; by uniqueness the list is exactly [w~].  v and w agree on
+    window order iff their inversion masks agree on the window mask."""
+    win = window_mask(h)
+    order = inversion_mask(w) & win
     return sorted(
-        v
-        for v in bruhat_interval(w)
-        if all((v[i - 1] < v[j - 1]) == (w[i - 1] < w[j - 1]) for i, j in win)
-        and is_admissible(v, h)
+        v for v in bruhat_interval(w) if inversion_mask(v) & win == order and is_admissible(v, h)
     )
 
 
@@ -309,7 +316,7 @@ def _bruhat(n: int, u: Perm):
 def _representative(n: int, item):
     h, perms = item
     e = identity(n)
-    win = windows(h)
+    win = window_mask(h)
     for w in perms:
         wt, u = admissible_representative(w, h)
         problems = []
@@ -321,7 +328,7 @@ def _representative(n: int, item):
             problems.append("representative not admissible")
         if not bruhat_leq(w, wt):
             problems.append("representative not above w")
-        if any((wt[i - 1] < wt[j - 1]) != (w[i - 1] < w[j - 1]) for i, j in win):
+        if inversion_mask(wt) & win != inversion_mask(w) & win:
             problems.append("window order disagrees")
         if compose(u, wt) != w:
             problems.append("translation does not recover w")
@@ -356,22 +363,37 @@ def _shortcut(n: int, h: HessFunc):
 
 
 def _phi_injective(n: int, h: HessFunc):
+    # Edge sets are position-pair masks.  A pair outside the layout (only a
+    # faulty rule yields one) gets a bit that no edge set has.
+    bit = {ij: 1 << k for k, ij in enumerate(transpositions(n))}
+    off_layout = 1 << len(bit)
+    # phi_rule sees only the edge set and the move, so its verdicts are
+    # exact per (edge mask of u, a, b): total, injective, image mask, deg(u).
+    memo = {}
     for w in enumerate_admissible(h):
         summary = interval_summary(h, w)
-        edge_sets = {u: summary.edges_at(u) for u in summary.up}
+        masks = {u: reduce(or_, map(bit.__getitem__, summary.edges_at(u)), 0) for u in summary.up}
         # The up-steps u -> v = u(a,b) are the length-increasing edges at u.
         for u, steps in summary.up.items():
-            e_u = edge_sets[u]
+            mask_u = masks[u]
             for v, (a, b) in steps.items():
-                e_v = set(edge_sets[v])
-                images = phi_rule(e_u, a, b)
-                problems = [] if len(images) == len(e_u) else ["map not total"]
-                vals = list(images.values())
-                if len(set(vals)) != len(vals):
+                entry = memo.get((mask_u, a, b))
+                if entry is None:
+                    e_u = summary.edges_at(u)
+                    images = phi_rule(e_u, a, b)
+                    vals = set(images.values())
+                    image = reduce(or_, (bit.get(x, off_layout) for x in vals), 0)
+                    entry = memo[mask_u, a, b] = (
+                        len(images) == len(e_u), len(vals) == len(images), image, len(e_u)
+                    )
+                total, injective, image, deg = entry
+                mask_v = masks[v]
+                problems = [] if total else ["map not total"]
+                if not injective:
                     problems.append(f"not injective at u={format_permutation(u)} (a,b)=({a},{b})")
-                if not set(vals) <= e_v:
+                if image & ~mask_v:
                     problems.append(f"image leaves the edge set at v={format_permutation(v)}")
-                if len(e_u) > len(e_v):
+                if deg > mask_v.bit_count():
                     problems.append("degree decreases along an h-order edge")
                 yield h, w, problems
 

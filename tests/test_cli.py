@@ -204,12 +204,15 @@ def test_usage_errors_exit_2(capsys):
         (["roots", "--type", "A", "--rank", "2", "--m", "[1,1"], "unbalanced brackets in '[1,1'"),
         (["roots", "--type", "A", "--rank", "2", "--m", "a1,[1,1"], "unbalanced brackets in 'a1,[1,1'"),
         (["roots", "--type", "A", "--rank", "2", "--m", "a1],a2"], "unbalanced brackets in 'a1],a2'"),
+        (["roots", "--type", "A", "--rank", "2", "--m", "[1,x]"], "cannot parse root '[1,x]': 'x' is not an integer"),
+        (["roots", "--type", "A", "--rank", "2", "--m", "xa1"], "cannot parse root 'xa1': 'x' is not an integer"),
+        (["roots", "--type", "A", "--rank", "2", "--m", "a1,a1x"], "cannot parse root 'a1x': '1x' is not an integer"),
         (["verify", "--suite", "all", "--budget-seconds", "-1"], "budget_seconds = -1.0 is not at least the lower limit 0"),
         (["verify", "--suite", "bruhat", "--budget-seconds", "nan"], "budget_seconds = nan is not at least"),
     ],
     ids=[
         "betti", "classify-h", "classify-w", "roots", "roots-open", "roots-open-last",
-        "roots-stray-close", "verify-all", "verify-nan",
+        "roots-stray-close", "roots-coordinate", "roots-coefficient", "roots-index", "verify-all", "verify-nan",
     ],
 )
 def test_empty_fields_and_negative_budget_exit_2(argv, message, capsys):

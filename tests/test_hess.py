@@ -15,6 +15,7 @@ from hessgkm.hess import (
     is_admissible,
     parse_hessenberg,
     validate_hessenberg,
+    window_mask,
     windows,
 )
 from hessgkm.perms import (
@@ -25,6 +26,7 @@ from hessgkm.perms import (
     identity,
     inverse,
     longest_element,
+    transpositions,
 )
 from hessgkm.verify import hessenberg_functions, oracle_admissible_representative
 
@@ -71,6 +73,23 @@ def test_windows():
     assert windows((2, 2, 3)) == ((1, 2),)
     assert windows((2, 3, 3)) == ((1, 2), (2, 3))
     assert windows(H3344) == ((1, 2), (1, 3), (2, 3), (3, 4))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_window_mask_matches_windows(n):
+    pairs = transpositions(n)
+    for h in hessenberg_functions(n):
+        mask = window_mask(h)
+        assert mask >> len(pairs) == 0
+        assert [pairs[k] for k in range(len(pairs)) if mask >> k & 1] == list(windows(h))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_h_length_is_the_window_inversion_count(n):
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            expected = sum(1 for i in range(1, n + 1) for j in range(i + 1, h[i - 1] + 1) if w[i - 1] > w[j - 1])
+            assert h_length(w, h) == expected
 
 
 def test_h_length_frozen_values():
@@ -138,6 +157,24 @@ def test_representative_matches_interval_scan_oracle(n):
     for h in hessenberg_functions(n):
         for w in all_permutations(n):
             assert oracle_admissible_representative(w, h) == [admissible_representative(w, h)[0]]
+
+
+def _window_order_scan(w, h):
+    """The representative oracle as the definition: v in [w, w0],
+    admissible, with v(i) < v(j) iff w(i) < w(j) on every window pair."""
+    return sorted(
+        v
+        for v in bruhat_interval(w)
+        if all((v[i - 1] < v[j - 1]) == (w[i - 1] < w[j - 1]) for i, j in windows(h))
+        and is_admissible(v, h)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mask_oracle_matches_window_order_scan(n):
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            assert oracle_admissible_representative(w, h) == _window_order_scan(w, h)
 
 
 def test_admissible_pair_counts_observed():

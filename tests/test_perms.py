@@ -14,6 +14,7 @@ from hessgkm.perms import (
     format_permutation,
     identity,
     inverse,
+    inversion_mask,
     length,
     longest_element,
     parse_permutation,
@@ -63,6 +64,21 @@ def test_length_frozen_values():
     assert length(identity(7)) == 0
     assert length(longest_element(4)) == 6
     assert length((3, 2, 1, 4)) == 3
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inversion_mask_bit_layout(n):
+    pairs = transpositions(n)
+    for w in all_permutations(n):
+        mask = inversion_mask(w)
+        assert mask >> len(pairs) == 0
+        assert [mask >> k & 1 == 1 for k in range(len(pairs))] == [w[i - 1] > w[j - 1] for i, j in pairs]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_length_is_the_inversion_count(n):
+    for w in all_permutations(n):
+        assert length(w) == sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
 def test_apply_transposition():

@@ -1,6 +1,7 @@
 """Root systems, Weyl groups, Hessenberg spaces, and class partitions."""
 
 import random
+import re
 from functools import cached_property
 
 import pytest
@@ -119,6 +120,9 @@ def test_c2_conventions():
     for text in ("[1,1", "a1,[1,1", "a1],a2", "]a1[", "[1,1]]"):
         with pytest.raises(ValueError, match="unbalanced brackets in "):
             rs.parse_root_list(text)
+    for text, field in [("[1,x]", "x"), ("xa1", "x"), ("a1x", "1x"), ("a1+a", "")]:
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse root {text!r}: {field!r} is not an integer")):
+            rs.parse_root(text)
     with pytest.raises(ValueError):
         rs.parse_root("a3")
     with pytest.raises(ValueError):

@@ -18,7 +18,10 @@ suites report those violations faithfully rather than masking them:
 
 import pytest
 
-from hessgkm.perms import all_permutations, bruhat_leq
+from hessgkm import verify
+from hessgkm.graphs import phi_rule
+from hessgkm.hess import admissible_representative
+from hessgkm.perms import all_permutations, apply_transposition, bruhat_leq, compose, inverse
 from hessgkm.verify import (
     SUITE_NAMES,
     hessenberg_functions,
@@ -75,6 +78,55 @@ def test_clean_suites_have_no_violations_n5(suite):
     assert result.ok, result.violations
     assert result.complete
     assert result.cases == CASES_N5[suite]
+
+
+def _details(result) -> set[str]:
+    return {v["detail"].split(" at ")[0] for v in result.violations}
+
+
+def _merge_edges(edges, a, b):
+    # Total, but every edge goes to the one edge (a, b) at v.
+    return {e: (a, b) for e in edges}
+
+
+def _reverse_pairs(edges, a, b):
+    # Total and injective, but (j, i) is no position pair, so never an edge.
+    return {(i, j): (j, i) for i, j in edges}
+
+
+def _shift_move(edges, a, b):
+    # phi with (a, b) sent to (a, b + 1), which v often lacks or already hits.
+    out = phi_rule(edges, a, b)
+    out[(a, b)] = (a, b + 1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "rule, found",
+    [
+        (_merge_edges, {"not injective"}),
+        (_reverse_pairs, {"image leaves the edge set"}),
+        (_shift_move, {"not injective", "image leaves the edge set"}),
+    ],
+    ids=["merge", "off-layout", "in-layout"],
+)
+def test_phi_injective_catches_a_faulty_rule(rule, found, monkeypatch):
+    monkeypatch.setattr(verify, "phi_rule", rule)
+    assert _details(sweep("phi-injective", 4)) == found
+
+
+def test_representative_suite_catches_an_extra_swap(monkeypatch):
+    # The true w~ with positions 1 and 2 swapped, from rank 2 on.
+    def off_by_one(w, h):
+        wt = admissible_representative(w, h)[0]
+        if len(wt) > 1:
+            wt = apply_transposition(wt, 1, 2)
+        return wt, compose(w, inverse(wt))
+
+    monkeypatch.setattr(verify, "admissible_representative", off_by_one)
+    result = sweep("representative", 4)
+    flagged = [v for v in result.violations if v["detail"].startswith("interval scan finds [")]
+    assert len(flagged) == result.cases - 1  # every case but the one of rank 1
 
 
 def test_unknown_suite_rejected():
