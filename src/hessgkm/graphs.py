@@ -22,6 +22,13 @@ the compatibility check, on the full graph and on these:
 * ``fixed_point_induced_graph``-- induced on the cell-closure fixed points.
 
 :func:`is_regular` and :func:`is_connected` on them are the summary's oracle.
+
+The sweeps have a second source for a whole interval's degrees and
+connectivity: :func:`hessgkm.perms.interval_move_masks`, built once per w,
+gives each vertex's moves inside [w, w0] as a position-pair mask, and h
+only filters it through :func:`hessgkm.hess.window_mask`.
+:func:`masks_regular` and :func:`masks_connected` read it; the tests check
+both, and the masks themselves, against the summary.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .hess import (
     hess_schubert_fixed_points,
     is_admissible,
     validate_hessenberg,
+    window_mask,
     windows,
 )
 from .perms import (
@@ -48,7 +56,9 @@ from .perms import (
     bruhat_interval,
     check_size,
     format_permutation,
+    interval_move_masks,
     length,
+    move_table,
 )
 
 
@@ -203,6 +213,40 @@ def interval_summary(h, w: Perm) -> GraphSummary:
     h = validate_hessenberg(h)
     _check_rank(w, h)
     return summarize(_window_steps(h, bruhat_interval(w)))
+
+
+def masks_regular(h: HessFunc, w: Perm, expected: int) -> bool:
+    """Whether every vertex of ``interval_graph(h, w)`` has the expected
+    degree, read off :func:`hessgkm.perms.interval_move_masks` under the
+    window mask.  For the sweeps: h valid and of w's rank, unchecked."""
+    win = window_mask(h)
+    return all((mask & win).bit_count() == expected for mask in interval_move_masks(w).values())
+
+
+def masks_connected(h: HessFunc, w: Perm) -> bool:
+    """Whether ``interval_graph(h, w)`` is connected, by a depth-first
+    search over ids along the window moves of each vertex's mask; it stops
+    once every vertex is seen.  For the sweeps: h valid and of w's rank,
+    unchecked."""
+    win = window_mask(h)
+    masks = interval_move_masks(w)
+    rows = move_table(len(w)).rows
+    size = len(masks)
+    start = next(iter(masks))
+    seen = {start}
+    stack = [start]
+    while len(seen) < size and stack:
+        x = stack.pop()
+        row = rows[x]
+        moves = masks[x] & win
+        while moves:
+            low = moves & -moves
+            y = row[low.bit_length() - 1]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+            moves ^= low
+    return len(seen) == size
 
 
 def reach(starts, *adjacencies) -> set[Perm]:

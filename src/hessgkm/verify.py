@@ -36,15 +36,24 @@ bruhat          criterion vs. chain oracle on all pairs, and the library
                 upper interval vs. the chain upset for every u
 representative  defining properties of w~, and w~ vs. the interval-scan oracle
 fixed-points    fixed set of the cell closure vs. interval, admissibility
-connectivity    interval graph connected when admissible or ambient connected
-shortcut        top-degree test vs. full regularity scan (admissible w)
+connectivity    interval graph connected when admissible or ambient connected,
+                by a search over the move masks of [w, w0] under h's windows
+shortcut        top-degree test vs. full regularity scan (admissible w); the
+                scan reads the move masks under h's windows
 phi-injective   edge comparison map total, well-defined, injective; edge
-                sets are position-pair masks, and phi_rule's verdicts are
+                sets are u's move mask under h's windows, the up-steps its
+                bits off u's inversions, and phi_rule's verdicts are
                 memoized per (edge mask of u, move) within one h
 phi-surjective  edge comparison map onto, for one-reflection moves from w
-patterns        pattern avoidance vs. regularity (admissible w)
+patterns        pattern avoidance vs. regularity (admissible w), the latter
+                read off the move masks under h's windows
 example61       the rank-6 regression case: admissibility, strict window
                 length minimality over the interval, graph irregularity
+
+The move masks are :func:`hessgkm.perms.interval_move_masks`, built once
+per w and shared by every h; ``test_move_masks_agree_with_summary`` checks
+them against :func:`hessgkm.graphs.interval_summary` on every (h, w) with
+n <= 5.
 
 Two suites have known nonempty violation sets: phi-surjective (onto fails
 already at rank 4) and example61 (the strict minimality has exactly two
@@ -64,6 +73,8 @@ from .graphs import (
     GkmGraph,
     edge_set_at,
     interval_summary,
+    masks_connected,
+    masks_regular,
     phi_rule,
     regularity_via_w0,
     to_json_dict,
@@ -93,8 +104,10 @@ from .perms import (
     compose,
     format_permutation,
     identity,
+    interval_move_masks,
     inversion_mask,
     length,
+    move_table,
     transpositions,
 )
 from .roots import Coords, Element, HessenbergSpace, RootSystem, mask_order_key, submasks
@@ -353,46 +366,55 @@ def _connectivity(n: int, item):
     ambient_connected = hessenberg_connected(h)
     for w in perms:
         if ambient_connected or is_admissible(w, h):
-            yield h, w, [] if interval_summary(h, w).connected else ["interval graph disconnected"]
+            yield h, w, [] if masks_connected(h, w) else ["interval graph disconnected"]
 
 
 def _shortcut(n: int, h: HessFunc):
     for w in enumerate_admissible(h):
-        full = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
+        full = masks_regular(h, w, cell_dimension(w, h))
         yield h, w, [] if regularity_via_w0(h, w) == full else ["top-degree test disagrees with full scan"]
 
 
 def _phi_injective(n: int, h: HessFunc):
     # Edge sets are position-pair masks.  A pair outside the layout (only a
     # faulty rule yields one) gets a bit that no edge set has.
-    bit = {ij: 1 << k for k, ij in enumerate(transpositions(n))}
+    pairs = transpositions(n)
+    bit = {ij: 1 << k for k, ij in enumerate(pairs)}
     off_layout = 1 << len(bit)
+    table = move_table(n)
+    win = window_mask(h)
     # phi_rule sees only the edge set and the move, so its verdicts are
-    # exact per (edge mask of u, a, b): total, injective, image mask, deg(u).
+    # exact per (edge mask of u, move k): total, injective, image mask, deg(u).
     memo = {}
     for w in enumerate_admissible(h):
-        summary = interval_summary(h, w)
-        masks = {u: reduce(or_, map(bit.__getitem__, summary.edges_at(u)), 0) for u in summary.up}
-        # The up-steps u -> v = u(a,b) are the length-increasing edges at u.
-        for u, steps in summary.up.items():
-            mask_u = masks[u]
-            for v, (a, b) in steps.items():
-                entry = memo.get((mask_u, a, b))
+        masks = interval_move_masks(w)
+        for x, mask in masks.items():
+            mask_u = mask & win
+            row = table.rows[x]
+            # The up-steps u -> v = u t_k are the edges at u off u's inversions.
+            steps = mask_u & ~table.inversions[x]
+            while steps:
+                low = steps & -steps
+                steps ^= low
+                k = low.bit_length() - 1
+                a, b = pairs[k]
+                entry = memo.get((mask_u, k))
                 if entry is None:
-                    e_u = summary.edges_at(u)
+                    e_u = [ij for ij, m in bit.items() if mask_u & m]
                     images = phi_rule(e_u, a, b)
                     vals = set(images.values())
-                    image = reduce(or_, (bit.get(x, off_layout) for x in vals), 0)
-                    entry = memo[mask_u, a, b] = (
+                    image = reduce(or_, (bit.get(ij, off_layout) for ij in vals), 0)
+                    entry = memo[mask_u, k] = (
                         len(images) == len(e_u), len(vals) == len(images), image, len(e_u)
                     )
                 total, injective, image, deg = entry
-                mask_v = masks[v]
+                y = row[k]
+                mask_v = masks[y] & win
                 problems = [] if total else ["map not total"]
                 if not injective:
-                    problems.append(f"not injective at u={format_permutation(u)} (a,b)=({a},{b})")
+                    problems.append(f"not injective at u={format_permutation(table.perms[x])} (a,b)=({a},{b})")
                 if image & ~mask_v:
-                    problems.append(f"image leaves the edge set at v={format_permutation(v)}")
+                    problems.append(f"image leaves the edge set at v={format_permutation(table.perms[y])}")
                 if deg > mask_v.bit_count():
                     problems.append("degree decreases along an h-order edge")
                 yield h, w, problems
@@ -418,7 +440,7 @@ def _phi_surjective(n: int, h: HessFunc):
 def _patterns(n: int, h: HessFunc):
     for w in enumerate_admissible(h):
         avoids, witnesses = avoids_all_associated(w, h)
-        regular = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
+        regular = masks_regular(h, w, cell_dimension(w, h))
         problems = []
         if avoids != regular:
             problems.append(f"avoidance={avoids} but regular={regular} (witnesses: {witnesses})")

@@ -14,14 +14,25 @@ from hessgkm.graphs import (
     interval_summary,
     is_connected,
     is_regular,
+    masks_connected,
+    masks_regular,
     phi_map,
     regularity_via_w0,
     to_dot,
     to_json,
     to_json_dict,
 )
-from hessgkm.hess import cell_dimension, enumerate_admissible, h_length, complexity_dimension, windows
-from hessgkm.perms import all_permutations, bruhat_interval, compose, length, longest_element
+from hessgkm.hess import cell_dimension, enumerate_admissible, h_length, complexity_dimension, window_mask, windows
+from hessgkm.perms import (
+    all_permutations,
+    bruhat_interval,
+    compose,
+    interval_move_masks,
+    length,
+    longest_element,
+    move_table,
+    transpositions,
+)
 from hessgkm.verify import hessenberg_functions, oracle_bruhat_upset, oracle_graph_json
 
 H3344 = (3, 3, 4, 4)
@@ -190,6 +201,26 @@ def test_interval_summary_matches_graph(n):
             for d in set(degs.values()) | {cell_dimension(w, h)}:
                 assert s.regularity(d) == is_regular(g, d)
             assert s.connected == is_connected(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_move_masks_agree_with_summary(n):
+    # The sweeps' mask reads and the summary are each other's oracle: under
+    # the window mask each vertex's move mask is the OR of its summary edge
+    # bits, and regularity at the cell dimension and connectivity agree.
+    bit = {ij: 1 << k for k, ij in enumerate(transpositions(n))}
+    table = move_table(n)
+    for h in hessenberg_functions(n):
+        win = window_mask(h)
+        for w in all_permutations(n):
+            s = interval_summary(h, w)
+            masks = interval_move_masks(w)
+            assert {table.perms[x]: mask & win for x, mask in masks.items()} == {
+                u: sum(map(bit.__getitem__, s.edges_at(u))) for u in s.up
+            }
+            expected = cell_dimension(w, h)
+            assert masks_regular(h, w, expected) == s.regularity(expected).ok
+            assert masks_connected(h, w) == s.connected
 
 
 def _pattern(values):

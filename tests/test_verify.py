@@ -20,7 +20,7 @@ import pytest
 
 from hessgkm import verify
 from hessgkm.graphs import phi_rule
-from hessgkm.hess import admissible_representative
+from hessgkm.hess import admissible_representative, enumerate_admissible
 from hessgkm.perms import all_permutations, apply_transposition, bruhat_leq, compose, inverse
 from hessgkm.verify import (
     SUITE_NAMES,
@@ -36,6 +36,13 @@ CLEAN_SUITES = [s for s in SUITE_NAMES if s not in ("phi-surjective", "example61
 def test_hessenberg_function_counts_are_catalan():
     assert [len(hessenberg_functions(n)) for n in range(1, 8)] == [
         1, 2, 5, 14, 42, 132, 429,
+    ]
+
+
+def test_admissible_pair_counts_are_double_factorials():
+    # Observed, not proved: the admissible (h, w) of rank n number (2n - 1)!!.
+    assert [sum(len(enumerate_admissible(h)) for h in hessenberg_functions(n)) for n in range(1, 7)] == [
+        1, 3, 15, 105, 945, 10395,
     ]
 
 
@@ -127,6 +134,26 @@ def test_representative_suite_catches_an_extra_swap(monkeypatch):
     result = sweep("representative", 4)
     flagged = [v for v in result.violations if v["detail"].startswith("interval scan finds [")]
     assert len(flagged) == result.cases - 1  # every case but the one of rank 1
+
+
+@pytest.mark.parametrize(
+    "suite, oracle",
+    [("shortcut", "regularity_via_w0"), ("patterns", "avoids_all_associated")],
+)
+def test_regularity_suites_catch_a_negated_partner(suite, oracle, monkeypatch):
+    # Each suite compares the mask regularity read with a second result;
+    # negating that result must flag every case.
+    true_result = getattr(verify, oracle)
+    if oracle == "regularity_via_w0":
+        negated = lambda h, w: not true_result(h, w)
+    else:
+        def negated(w, h):
+            avoids, witnesses = true_result(w, h)
+            return not avoids, witnesses
+    monkeypatch.setattr(verify, oracle, negated)
+    result = sweep(suite, 4)
+    assert result.cases > 0
+    assert len(result.violations) == result.cases
 
 
 def test_unknown_suite_rejected():
