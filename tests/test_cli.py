@@ -1,5 +1,6 @@
 """Command-line surface: verbs, exit codes, determinism, golden files."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -174,6 +175,18 @@ def test_verify_all_matches_golden(capsys):
     code, out = run_cli(["verify", "--suite", "all", "--n-max", "4", "--json"], capsys)
     assert code == 1
     assert _zero_elapsed(out) == (GOLDEN / "verify_n4.json").read_text(encoding="utf-8")
+
+
+def test_verify_all_n5_output_is_pinned(capsys):
+    # Every case count and violation of every suite at n_max = 5, the 312
+    # phi-surjective and 2 example61 refutations among them, as one hash.
+    code, out = run_cli(["verify", "--suite", "all", "--n-max", "5", "--json"], capsys)
+    assert code == 1
+    results = json.loads(out)
+    for r in results:
+        del r["elapsed_seconds"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == "0d342daa90dabf674b7c656b3680f9c3e00d2decd499bc2ce117e4dfe3b62ede"
 
 
 @pytest.mark.parametrize("n_max", ["0", "-3"])
