@@ -26,16 +26,16 @@ The verdict logic applies only the implications the graph criteria license;
 Each claim carries a citation tag, a stable identifier for the criterion
 that fired; the tags are part of the JSON report format.
 
-The graph facts come from one :func:`hessgkm.graphs.interval_summary` per
-interval (of w, and of w~ when it differs): degrees, the first violator,
-connectivity and the h-Bruhat steps, with no edge objects built.
+The graph facts come from one :func:`hessgkm.graphs.interval_move_graph`
+per interval (of w, and of w~ when it differs): degrees, the first
+violator, connectivity and the h-Bruhat steps, with no edge objects built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import GraphSummary, interval_summary, reach
+from .graphs import MoveGraph, interval_move_graph
 from .hess import (
     HessFunc,
     _check_rank,
@@ -51,7 +51,7 @@ from .hess import (
 from .patterns import Witness, pattern_witnesses
 from .perms import (
     Perm,
-    bruhat_interval,
+    bruhat_interval_lex,
     compose,
     format_permutation,
 )
@@ -139,14 +139,14 @@ class ClassificationReport:
         }
 
 
-def _local_degree_smooth_set(s: GraphSummary, wt: Perm, h: HessFunc) -> set[Perm]:
+def _local_degree_smooth_set(g: MoveGraph, target: int) -> set[Perm]:
     """Vertices of [w~, w0] certified smooth by degree equality along an
     h-Bruhat sandwich w~ <=_h v <=_h u with deg(u) equal to the cell
-    dimension; ``s`` summarizes the interval graph of the representative w~."""
-    target = cell_dimension(wt, h)
-    good = {u for u, d in s.degrees.items() if d == target}
-    # The up-steps are exactly the h-Bruhat steps inside the interval.
-    return reach((wt,), s.up) & reach(good, s.down)
+    dimension ``target``; ``g`` is the interval graph of the representative."""
+    good = [x for x, d in enumerate(g.degrees()) if d == target]
+    # The up-steps are exactly the h-Bruhat steps inside the interval.  w~
+    # is id 0: the lexicographic order extends the Bruhat order.
+    return {g.vertices[x] for x in g.reachable([0], 1) & g.reachable(good, -1)}
 
 
 def classify(w: Perm, h) -> ClassificationReport:
@@ -157,15 +157,15 @@ def classify(w: Perm, h) -> ClassificationReport:
     wt, u = admissible_representative(w, h)
     lh = h_length(w, h)
     dim = complexity_dimension(h) - lh
-    summary = interval_summary(h, w)
-    reg = summary.regularity(dim)
-    conn = summary.connected
-    degs = summary.degrees
+    graph = interval_move_graph(h, w)
+    reg = graph.regularity(dim)
+    conn = graph.connected()
+    degs = graph.degrees()
     stats = GraphStats(
         connected=conn,
         regular=reg.ok,
-        min_degree=min(degs.values()),
-        max_degree=max(degs.values()),
+        min_degree=min(degs),
+        max_degree=max(degs),
         violating_vertex=reg.violator,
     )
     fixed = hess_schubert_fixed_points(w, h)
@@ -191,11 +191,8 @@ def classify(w: Perm, h) -> ClassificationReport:
 
     equals_closure = "yes" if (reg.ok and conn) else "unknown"
 
-    if wt == w:
-        summary_t, reg_t = summary, reg
-    else:
-        summary_t = interval_summary(h, wt)
-        reg_t = summary_t.regularity(cell_dimension(wt, h))
+    graph_t = graph if wt == w else interval_move_graph(h, wt)
+    reg_t = reg if wt == w else graph_t.regularity(cell_dimension(wt, h))
     rep_smooth = "yes" if reg_t.ok else "unknown"
     if reg_t.ok:
         citations.append(CITE_REP_SMOOTH)
@@ -205,9 +202,9 @@ def classify(w: Perm, h) -> ClassificationReport:
 
     # w~ itself always qualifies (its degree is the cell dimension), so the
     # translated set always contains w.
-    local = _local_degree_smooth_set(summary_t, wt, h)
+    local = _local_degree_smooth_set(graph_t, cell_dimension(wt, h))
     citations.append(CITE_DEGREE_SHORTCUT)
-    pts = {compose(u, v) for v in local}
+    pts = local if wt == w else {compose(u, v) for v in local}
 
     seen: set[str] = set()
     ordered = tuple(c for c in citations if not (c in seen or seen.add(c)))
@@ -241,7 +238,7 @@ def component_lower_bound(w: Perm, h) -> frozenset[Perm]:
     vertex's cell-closure fixed set.  Never claimed complete."""
     h = validate_hessenberg(h)
     _check_rank(w, h)
-    interval = sorted(bruhat_interval(w))
+    interval = bruhat_interval_lex(w)
     fixed_sets = {u: hess_schubert_fixed_points(u, h) for u in interval}
     bound = {w}
     for v in interval:

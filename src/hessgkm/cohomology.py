@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .graphs import GkmEdge, GkmGraph, interval_summary
-from .hess import cell_dimension, complexity_dimension, validate_hessenberg, windows
-from .perms import Perm, all_permutations, check_size, format_permutation
+from .graphs import GkmEdge, GkmGraph, interval_move_graph
+from .hess import cell_dimension, complexity_dimension, validate_hessenberg, window_mask
+from .perms import Perm, all_permutations, check_size, format_permutation, transpositions
 
 Poly = dict[tuple[int, ...], int]
 
@@ -141,30 +141,33 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
     h = validate_hessenberg(h)
     n = len(h)
     check_size(math.factorial(n), f"S_{n}")
-    summary = interval_summary(h, w)
-    check = summary.regularity(cell_dimension(w, h))
+    g = interval_move_graph(h, w)
+    check = g.regularity(cell_dimension(w, h))
     if not check.ok:
         raise ValueError(
             f"interval graph of w={format_permutation(w)}, h={h} is not regular "
             f"(violation at {format_permutation(check.violator)})"
         )
-    interval = summary.up
+    pairs = list(enumerate(transpositions(n)))
+    win = window_mask(h)
 
     cls: dict[Perm, Poly] = {}
-    for u in interval:
-        inside = set(summary.edges_at(u))
+    for u, moves in zip(g.vertices, g.moves):
+        leaving = win & ~moves
         prod = const_poly(n, 1)
-        for i, j in windows(h):
-            if (i, j) not in inside:
+        for k, (i, j) in pairs:
+            if leaving >> k & 1:
                 a, b = u[i - 1], u[j - 1]
                 prod = poly_mul(prod, linear_form(n, min(a, b), max(a, b)))
         cls[u] = prod
 
-    for u, steps in interval.items():
-        for v, (i, j) in steps.items():
-            if not congruent(cls[u], cls[v], u[i - 1], u[j - 1]):
-                raise RuntimeError(
-                    f"localized class not congruent on edge {format_permutation(u)} ~ {format_permutation(v)}"
-                )
+    for x, (u, steps) in enumerate(zip(g.vertices, g.up)):
+        for k, (i, j) in pairs:
+            if steps >> k & 1:
+                v = g.vertices[g.targets[x * g.width + k]]
+                if not congruent(cls[u], cls[v], u[i - 1], u[j - 1]):
+                    raise RuntimeError(
+                        f"localized class not congruent on edge {format_permutation(u)} ~ {format_permutation(v)}"
+                    )
 
     return {u: cls.get(u, {}) for u in all_permutations(n)}

@@ -6,35 +6,30 @@ The full graph on a Hessenberg function h has vertex set S_n and one edge
 and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 +-(t_a - t_b), reconstructed from val on demand.
 
-An induced graph is enumerated by one traversal of the in-set window swaps
-u(i,j) with u(i) < u(j) at each vertex u, so each edge appears once, from
-its lower end.  Each edge question has one source.  A whole interval's is
-the summary: :func:`_window_steps` maps the swaps by target, and
-:func:`summarize` reads degrees, regularity, connectivity and the edges at
-each vertex (:meth:`GraphSummary.edges_at`) off them; it is type-neutral,
-and :mod:`hessgkm.roots` runs the graphs of arbitrary Lie type through it.
-:func:`interval_summary` is its type A entry point.  One vertex's is
-:func:`edge_set_at`, which probes u's windows alone.  Export's is
-:func:`_induced`, the only builder of ``GkmEdge`` objects, for DOT/JSON and
-the compatibility check, on the full graph and on these:
+Each edge question has one source.  A whole interval's, in either type,
+is the kernel :class:`MoveGraph`, built by :func:`build_move_graph` from
+each vertex's up-steps and read through a ``within`` mask.  Type A steps
+by the swaps u(i,j) with u(i) < u(j): :func:`interval_move_graph` by h's
+windows alone (``classify``, the localized classes, example61),
+:func:`bruhat_move_graph` by every pair, once per w, for the sweeps to read
+under each h's window mask.  :mod:`hessgkm.roots` steps by its reflection
+table.  One vertex's source is :func:`edge_set_at`, which probes u's
+windows alone.  Export's is :func:`_induced`, the only builder of
+``GkmEdge`` objects, for DOT/JSON and the compatibility check, on the full
+graph and on these:
 
 * ``interval_graph(h, w)``     -- induced on the Bruhat interval [w, w0];
 * ``fixed_point_induced_graph``-- induced on the cell-closure fixed points.
 
-:func:`is_regular` and :func:`is_connected` on them are the summary's oracle.
-
-The sweeps have a second source for a whole interval's degrees and
-connectivity: :func:`hessgkm.perms.interval_move_masks`, built once per w,
-gives each vertex's moves inside [w, w0] as a position-pair mask, and h
-only filters it through :func:`hessgkm.hess.window_mask`.
-:func:`masks_regular` and :func:`masks_connected` read it; the tests check
-both, and the masks themselves, against the summary.
+:func:`is_regular` and :func:`is_connected` on them are the kernel's oracle.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -54,11 +49,11 @@ from .perms import (
     all_permutations,
     apply_transposition,
     bruhat_interval,
+    bruhat_interval_lex,
     check_size,
     format_permutation,
-    interval_move_masks,
     length,
-    move_table,
+    transpositions,
 )
 
 
@@ -98,41 +93,14 @@ class GkmGraph:
         return adj
 
 
-def _window_steps(
-    h: HessFunc, vertex_set: frozenset[Perm]
-) -> dict[Perm, dict[Perm, tuple[int, int]]]:
-    """For each vertex u, the map v -> (i, j) over the window swaps
-    v = u(i,j) in the set with u(i) < u(j): every edge of the induced graph
-    once, from its lower end (v is longer than u, so these are the h-Bruhat
-    steps).  Each v is the set's own vertex object, not a fresh tuple."""
-    wins = windows(h)
-    vertex_of = {u: u for u in vertex_set}
-    steps = {}
-    for u in vertex_set:
-        out = steps[u] = {}
-        for ij in wins:
-            i, j = ij
-            a, b = u[i - 1], u[j - 1]
-            if a < b:
-                v = list(u)
-                v[i - 1], v[j - 1] = b, a
-                v = vertex_of.get(tuple(v))
-                if v is not None:
-                    out[v] = ij
-    return steps
-
-
 def _induced(h: HessFunc, vertex_set: frozenset[Perm], w: Perm | None) -> GkmGraph:
     """The graph induced on ``vertex_set``, its edges in sorted order: the
     vertices ascending, each one's up-steps by target (for a fixed u the
     target determines the window pair and the value pair).  An edge refers
     to the vertex objects and to a shared value pair, so it costs one tuple.
 
-    This walks the window swaps as :func:`_window_steps` does, but in sorted
-    order and straight into edge objects, with no map of maps between.
-    Built from the summary walk, hessbench ``export`` took 8-10% longer on a
-    2-vCPU VM (``wall_s`` 0.363-0.378 -> 0.395-0.413 s, 3 alternating pairs)
-    and the S_8 export's peak RSS stayed 126 MB (DOT) and 239 MB (JSON)."""
+    Unlike the kernel's builder this takes any vertex set (a cell closure's
+    fixed points are not an upset), so each swap is looked up."""
     vertices = sorted(vertex_set)
     vertex_of = dict(zip(vertices, vertices))
     n = len(h)
@@ -170,97 +138,106 @@ def interval_graph(h, w: Perm) -> GkmGraph:
     return _induced(h, bruhat_interval(w), w)
 
 
-class GraphSummary(NamedTuple):
-    """A moment graph as adjacency: ``up[u]`` maps the target of each
-    length-increasing step from u to the step's edge label, ``down[u]``
-    lists the reverses."""
+class MoveGraph(NamedTuple):
+    """An interval's moment graph on local ids 0, 1, ... in the order of
+    ``vertices``, which the caller chooses.  An edge has one bit at both
+    ends: a position pair in type A (the layout of
+    :func:`hessgkm.perms.inversion_mask`), a positive root in general type.
+    ``moves[x]`` has the bits of the edges at x inside the interval,
+    ``up[x]`` those that lengthen x, and bit k at x leads to
+    ``targets[x * width + k]``.  A read sees only the bits of ``within``."""
 
-    up: dict
-    down: dict
-    degrees: dict
+    vertices: tuple
+    moves: array
+    up: array
+    targets: array
+    width: int
 
-    @property
-    def connected(self) -> bool:
-        """Computed on each read; any start vertex gives the same answer."""
-        return len(reach(list(self.up)[:1], self.up, self.down)) == len(self.up)
+    def degrees(self, within: int = -1) -> list[int]:
+        return [(m & within).bit_count() for m in self.moves]
 
-    def regularity(self, expected: int, key=None) -> RegularityCheck:
-        """The violator is the least bad vertex, ordered by ``key`` (by
-        default the vertices' own order, as in :func:`is_regular`)."""
-        bad = [u for u, d in self.degrees.items() if d != expected]
-        return RegularityCheck(not bad, min(bad, key=key) if bad else None)
+    def regularity(self, expected: int, within: int = -1) -> RegularityCheck:
+        """The violator is the vertex of the least bad id."""
+        bad = next((x for x, m in enumerate(self.moves) if (m & within).bit_count() != expected), None)
+        return RegularityCheck(bad is None, None if bad is None else self.vertices[bad])
 
-    def edges_at(self, u) -> list:
-        """The labels of u's up-steps, then those of the steps into u."""
-        return [*self.up[u].values(), *(self.up[x][u] for x in self.down[u])]
+    def connected(self, within: int = -1) -> bool:
+        return len(self.reachable([0], 0, within)) == len(self.moves)
 
-
-def summarize(up: dict) -> GraphSummary:
-    """Degrees and connectivity of the graph whose edges are the steps in
-    ``up`` (a map from each vertex to its up-steps, target -> edge label),
-    each edge given once."""
-    down: dict = {u: [] for u in up}
-    for u, vs in up.items():
-        for v in vs:
-            down[v].append(u)
-    degrees = {u: len(vs) + len(down[u]) for u, vs in up.items()}
-    return GraphSummary(up, down, degrees)
-
-
-def interval_summary(h, w: Perm) -> GraphSummary:
-    """Degrees and connectivity of ``interval_graph(h, w)``, read off the
-    window steps (labelled by window pair) without building edge objects."""
-    h = validate_hessenberg(h)
-    _check_rank(w, h)
-    return summarize(_window_steps(h, bruhat_interval(w)))
-
-
-def masks_regular(h: HessFunc, w: Perm, expected: int) -> bool:
-    """Whether every vertex of ``interval_graph(h, w)`` has the expected
-    degree, read off :func:`hessgkm.perms.interval_move_masks` under the
-    window mask.  For the sweeps: h valid and of w's rank, unchecked."""
-    win = window_mask(h)
-    return all((mask & win).bit_count() == expected for mask in interval_move_masks(w).values())
-
-
-def masks_connected(h: HessFunc, w: Perm) -> bool:
-    """Whether ``interval_graph(h, w)`` is connected, by a depth-first
-    search over ids along the window moves of each vertex's mask; it stops
-    once every vertex is seen.  For the sweeps: h valid and of w's rank,
-    unchecked."""
-    win = window_mask(h)
-    masks = interval_move_masks(w)
-    rows = move_table(len(w)).rows
-    size = len(masks)
-    start = next(iter(masks))
-    seen = {start}
-    stack = [start]
-    while len(seen) < size and stack:
-        x = stack.pop()
-        row = rows[x]
-        moves = masks[x] & win
-        while moves:
-            low = moves & -moves
-            y = row[low.bit_length() - 1]
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-            moves ^= low
-    return len(seen) == size
-
-
-def reach(starts, *adjacencies) -> set[Perm]:
-    """The vertices reachable from ``starts`` along the given adjacency maps."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        x = stack.pop()
-        for adj in adjacencies:
-            for y in adj[x]:
+    def reachable(self, starts, toward: int, within: int = -1) -> set[int]:
+        """The ids reached from the ids ``starts`` along every move, or only
+        along the up-steps (``up``, a part of ``moves``) if ``toward`` is 1,
+        or only along the down-steps (``moves ^ up``) if it is -1.  The
+        depth-first search stops once every id is seen."""
+        _, moves, up, targets, width = self
+        steps = moves if not toward else up if toward > 0 else [m ^ u for m, u in zip(moves, up)]
+        size = len(moves)
+        seen = set(starts)
+        stack = list(seen)
+        while stack and len(seen) < size:
+            x = stack.pop()
+            bits = steps[x] & within
+            base = x * width
+            while bits:
+                low = bits & -bits
+                y = targets[base + low.bit_length() - 1]
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-    return seen
+                bits ^= low
+        return seen
+
+
+def build_move_graph(vertices, up_steps, width: int) -> MoveGraph:
+    """The :class:`MoveGraph` on ``vertices`` whose edges are ``up_steps``:
+    per id x in order, the (bit, target id) of each edge that lengthens x.
+    Each step is mirrored into its target, where its bit shortens."""
+    moves = [0] * len(vertices)
+    up = [0] * len(vertices)
+    targets = array("i", [0]) * (len(vertices) * width)
+    for x, steps in enumerate(up_steps):
+        mask = 0
+        for k, y in steps:
+            bit = 1 << k
+            mask |= bit
+            moves[y] |= bit
+            targets[x * width + k] = y
+            targets[y * width + k] = x
+        up[x] = mask
+        moves[x] |= mask
+    return MoveGraph(tuple(vertices), array("Q", moves), array("Q", up), targets, width)
+
+
+def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
+    """[w, w0] in lexicographic order, its edges the swaps u t_k with k in
+    ``allowed``.  The interval is an upset, so every ascent u t_k of u
+    (u(i) < u(j)) lies in it: the up-steps are found unprobed."""
+    vertices = bruhat_interval_lex(w)
+    index = {u: x for x, u in enumerate(vertices)}
+    pairs = transpositions(len(w))
+    # swap(u) is u t_k, by position.
+    chosen = []
+    for k, (i, j) in enumerate(pairs):
+        if allowed >> k & 1:
+            at = list(range(len(w)))
+            at[i - 1], at[j - 1] = j - 1, i - 1
+            chosen.append((k, i - 1, j - 1, itemgetter(*at)))
+    steps = ([(k, index[swap(u)]) for k, i, j, swap in chosen if u[i] < u[j]] for u in vertices)
+    return build_move_graph(vertices, steps, len(pairs))
+
+
+def interval_move_graph(h, w: Perm) -> MoveGraph:
+    """The kernel of ``interval_graph(h, w)``: h's window swaps only."""
+    h = validate_hessenberg(h)
+    _check_rank(w, h)
+    return _type_a_move_graph(w, window_mask(h))
+
+
+@lru_cache(maxsize=None)
+def bruhat_move_graph(w: Perm) -> MoveGraph:
+    """The Bruhat graph of [w, w0], every swap that stays inside, built once
+    per w; the sweeps read it under each h's window mask.  Read it only."""
+    return _type_a_move_graph(w, -1)
 
 
 def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:

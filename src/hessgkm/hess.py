@@ -18,7 +18,7 @@ positions (i, j) with i < j <= h(i); they control everything downstream:
 * the fixed-point set of the cell closure, u . [w~, w0], which equals
   [w, w0] exactly when w is admissible,
 * the h-Bruhat order: reachability by length-increasing window swaps (its
-  steps are the up-steps of :func:`hessgkm.graphs.interval_summary`).
+  steps are the up-steps of :func:`hessgkm.graphs.interval_move_graph`).
 
 Degenerate h with h(i) = i for some i < n (a disconnected ambient space)
 is fully supported; nothing here special-cases it.
@@ -178,10 +178,11 @@ def admissible_representative(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
 def hess_schubert_fixed_points(w: Perm, h: HessFunc) -> frozenset[Perm]:
     """Fixed points of the cell closure attached to (w, h): u . [w~, w0].
 
-    Equals the full interval [w, w0] iff w is h-admissible.
+    Is the interval [w, w0] itself iff w is h-admissible (then u = e).
     """
     wt, u = admissible_representative(w, h)
-    return frozenset(compose(u, v) for v in bruhat_interval(wt))
+    interval = bruhat_interval(wt)
+    return interval if wt == w else frozenset(compose(u, v) for v in interval)
 
 
 def hessenberg_connected(h: HessFunc) -> bool:

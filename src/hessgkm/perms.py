@@ -22,15 +22,8 @@ Position pairs share one bit layout: bit k stands for the k-th pair of
 :func:`transpositions`, (1, 2), (1, 3), ..., (n-1, n).  :func:`inversion_mask`
 gives the inversions of w in it, and :func:`length` is its bit count; the
 window inversions of :mod:`hessgkm.hess` are the same mask under a window
-mask.
-
-For the sweeps, :func:`move_table` numbers S_n by position in
-:func:`all_permutations` and lists each id's right multiples by every
-transposition, and :func:`interval_move_masks` gives, for each id u in
-[w, w0], the mask of the transpositions t with u t in [w, w0]: the Bruhat
-graph of the interval, which a Hessenberg function only filters through
-its window mask.  The memo caches here are keyed by w alone, except
-:func:`move_table`, keyed by n.
+mask, and :mod:`hessgkm.graphs` names an interval's edges by their bits.
+The memo caches here are keyed by w alone.
 
 Every verb guards the factorial growth of S_n, W and the intervals with
 one bound, :data:`SIZE_LIMIT`, on the elements a call would materialize;
@@ -43,10 +36,9 @@ for larger n (``"10,3,1,2,4,5,6,7,8,9"``).
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import insort
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
 
@@ -169,55 +161,6 @@ def transpositions(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-class MoveTable(NamedTuple):
-    """S_n on ids, the positions in ``all_permutations(n)``: ``perms[x]`` is
-    the permutation with id x, ``index`` inverts it, ``rows[x][k]`` is the
-    id of perms[x] times the k-th pair of :func:`transpositions`, and
-    ``inversions[x]`` is ``inversion_mask(perms[x])``."""
-
-    perms: tuple[Perm, ...]
-    index: dict[Perm, int]
-    rows: tuple[tuple[int, ...], ...]
-    inversions: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def move_table(n: int) -> MoveTable:
-    """The :class:`MoveTable` of S_n, built once per n."""
-    check_size(math.factorial(n), f"S_{n}")
-    perms = tuple(all_permutations(n))
-    index = {u: x for x, u in enumerate(perms)}
-    pairs = transpositions(n)
-    rows = tuple(tuple(index[apply_transposition(u, i, j)] for i, j in pairs) for u in perms)
-    return MoveTable(perms, index, rows, tuple(map(inversion_mask, perms)))
-
-
-@lru_cache(maxsize=None)
-def interval_move_masks(w: Perm) -> dict[int, int]:
-    """The Bruhat graph of [w, w0] on the ids of :func:`move_table`: for each
-    u in the interval, in id order, the mask of the pairs k with u t_k in
-    [w, w0], in the bit layout of :func:`inversion_mask`.  The interval is
-    an upset, so every ascent of u is set unprobed; only the inversions of
-    u are looked up.  The dict is shared by every caller: read it only."""
-    table = move_table(len(w))
-    rows, inversions = table.rows, table.inversions
-    members = sorted(map(table.index.__getitem__, bruhat_interval(w)))
-    inside = set(members)
-    full = (1 << len(rows[0])) - 1
-    masks = {}
-    for x in members:
-        inv = inversions[x]
-        mask = full & ~inv
-        row = rows[x]
-        while inv:
-            low = inv & -inv
-            if row[low.bit_length() - 1] in inside:
-                mask |= low
-            inv ^= low
-        masks[x] = mask
-    return masks
-
-
 def bruhat_leq(u: Perm, v: Perm) -> bool:
     """Sorted-prefix dominance test for u <= v in the strong Bruhat order.
 
@@ -285,6 +228,17 @@ def _extend_upper(
 
 
 @lru_cache(maxsize=None)
+def bruhat_interval_lex(w: Perm) -> tuple[Perm, ...]:
+    """[w, w0] in lexicographic order, the order of its enumeration."""
+    n = len(w)
+    if n == 1:
+        return (w,)
+    out: list[Perm] = []
+    _extend_upper(w, 0, [], (1 << (n + 1)) - 2, [0] * (n + 1), out)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def bruhat_interval(w: Perm) -> frozenset[Perm]:
     """The upper interval [w, w0] = all v with w <= v.
 
@@ -297,12 +251,7 @@ def bruhat_interval(w: Perm) -> frozenset[Perm]:
     >>> len(bruhat_interval((1, 2, 3, 4)))
     24
     """
-    n = len(w)
-    if n == 1:
-        return frozenset([w])
-    out: list[Perm] = []
-    _extend_upper(w, 0, [], (1 << (n + 1)) - 2, [0] * (n + 1), out)
-    return frozenset(out)
+    return frozenset(bruhat_interval_lex(w))
 
 
 def _fields(items: list[str], text: str) -> list[str]:

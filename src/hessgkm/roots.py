@@ -54,9 +54,10 @@ module over the Borel.  The machinery built on M:
 * The moment graph on W with edges {w, w s_a} for a in M, and the
   regularity verdict on Bruhat interval subgraphs; the smoothness
   conclusion is withheld outside the simply-laced types.  Its edges have
-  one source, the per-id moves w -> w s_c of the reflection table; keyed by
-  id, they go through :func:`hessgkm.graphs.summarize`, the core type A
-  uses, for degrees, the first violator (least by rank) and connectivity.
+  one source, the per-id moves w -> w s_c of the reflection table: they
+  are the up-steps of :func:`hessgkm.graphs.build_move_graph`, the kernel
+  type A uses, with the interval's ids ordered by rank, so that the first
+  violator is the least by (length, word).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 from operator import and_, or_
 
-from .graphs import GraphSummary, summarize
+from .graphs import MoveGraph, build_move_graph
 from .perms import Perm, _fields, check_size, compose as perm_compose
 
 Coords = tuple[int, ...]
@@ -376,13 +377,13 @@ class RootSystem:
         )
 
     @cached_property
-    def _reflection_table(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per id, the moves (c, id of w s_c, signed index of w(c)) over the
-        positive roots c in order with w(c) > 0: those make w longer (the
-        chain definition, Bjorner-Brenti, ch. 2)."""
+    def _reflection_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per id, the moves (c, id of w s_c) over the positive roots c in
+        order with w(c) > 0: those make w longer (the chain definition,
+        Bjorner-Brenti, ch. 2)."""
         ids, p, refl = self._ids, self._num_positive, self.reflections()
         return tuple(
-            tuple((c, ids[self.mul(w, refl[c])], w[c]) for c in range(p) if w[c] < p)
+            tuple((c, ids[self.mul(w, refl[c])]) for c in range(p) if w[c] < p)
             for w in self.elements()
         )
 
@@ -434,16 +435,14 @@ class RootSystem:
         """
         return tuple(map(self.elements().__getitem__, sorted(self._interval_ids(self._id(w)))))
 
+    @cached_property
+    def _bruhat_graph(self) -> MoveGraph:
+        """W's Bruhat graph on ids: its up-steps are the reflection table."""
+        return build_move_graph(range(self.order), self._reflection_table, self._num_positive)
+
     def _interval_ids(self, k: int) -> set[int]:
         """The ids of [w, w0] for the element w of id ``k``."""
-        rows = self._reflection_table
-        seen = {k}
-        stack = [k]
-        while stack:
-            for _, y, _ in rows[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+        seen = self._bruhat_graph.reachable([k], 1)
         check_size(len(seen), "upper Bruhat interval")
         return seen
 
@@ -822,26 +821,21 @@ def enumerate_hessenberg_spaces(rs: RootSystem) -> list[frozenset[Coords]]:
 # -- moment graph over W -----------------------------------------------------------
 
 
-def _reflection_steps(hs: HessenbergSpace, vertex_ids) -> dict[int, dict[int, Coords]]:
-    """For each id of w, the map id of w s_c -> w(c) over the roots c of M
-    outside the inversion set of w with w s_c in the set.  As w(c) > 0,
-    w s_c is longer than w, so every edge {w, w s_c} appears once, from its
-    shorter end, labelled by its positive weight."""
+def _move_graph(hs: HessenbergSpace, ids, vertices) -> MoveGraph:
+    """The moment graph on ``ids``, an upset of W, as local ids in their
+    order with the given ``vertices``: bit c at w is the edge {w, w s_c},
+    c in M, an up-step where w(c) > 0."""
+    m_mask, rows = _m_mask(hs), hs.rs._reflection_table
+    local = {k: x for x, k in enumerate(ids)}
+    steps = ([(c, local[y]) for c, y in rows[k] if m_mask >> c & 1] for k in ids)
+    return build_move_graph(vertices, steps, hs.rs._num_positive)
+
+
+def arbitrary_gkm_graph(hs: HessenbergSpace) -> MoveGraph:
+    """Moment graph on all of W, in :meth:`RootSystem.elements` order:
+    edges {w, w s_a} for a in M."""
     rs = hs.rs
-    signed, m_mask, rows = rs._signed, _m_mask(hs), rs._reflection_table
-    return {
-        k: {y: signed[wc] for c, y, wc in rows[k] if m_mask >> c & 1 and y in vertex_ids}
-        for k in vertex_ids
-    }
-
-
-def arbitrary_gkm_graph(hs: HessenbergSpace) -> GraphSummary:
-    """Moment graph on all of W: edges {w, w s_a} for a in M."""
-    elements = hs.rs.elements()
-    steps = _reflection_steps(hs, range(len(elements)))
-    return summarize(
-        {elements[k]: {elements[y]: c for y, c in out.items()} for k, out in steps.items()}
-    )
+    return _move_graph(hs, range(rs.order), rs.elements())
 
 
 @dataclass(frozen=True)
@@ -883,11 +877,10 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
     k = rs._id(w)
     s = rs._inv_masks[k] & _m_mask(hs)
     _, rep = _class_bounds(hs, s)
-    interval = rs._interval_ids(rep)
-    expected = len(hs.roots) - s.bit_count()
     # The first violator in (length, word) order, as the report shows it.
-    steps = _reflection_steps(hs, interval)
-    regular, violator = summarize(steps).regularity(expected, rs._rank.__getitem__)
+    interval = sorted(rs._interval_ids(rep), key=rs._rank.__getitem__)
+    expected = len(hs.roots) - s.bit_count()
+    regular, violator = _move_graph(hs, interval, interval).regularity(expected)
     if not regular:
         smooth, reason = "unknown", "interval graph is not regular"
     elif not rs.simply_laced:

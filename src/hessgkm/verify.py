@@ -37,23 +37,23 @@ bruhat          criterion vs. chain oracle on all pairs, and the library
 representative  defining properties of w~, and w~ vs. the interval-scan oracle
 fixed-points    fixed set of the cell closure vs. interval, admissibility
 connectivity    interval graph connected when admissible or ambient connected,
-                by a search over the move masks of [w, w0] under h's windows
+                by a search of w's Bruhat graph under h's windows
 shortcut        top-degree test vs. full regularity scan (admissible w); the
-                scan reads the move masks under h's windows
+                scan reads w's Bruhat graph under h's windows
 phi-injective   edge comparison map total, well-defined, injective; edge
-                sets are u's move mask under h's windows, the up-steps its
-                bits off u's inversions, and phi_rule's verdicts are
+                sets are u's moves in w's Bruhat graph under h's windows,
+                the up-steps those that lengthen u, and phi_rule's verdicts are
                 memoized per (edge mask of u, move) within one h
 phi-surjective  edge comparison map onto, for one-reflection moves from w
 patterns        pattern avoidance vs. regularity (admissible w), the latter
-                read off the move masks under h's windows
+                read off w's Bruhat graph under h's windows
 example61       the rank-6 regression case: admissibility, strict window
                 length minimality over the interval, graph irregularity
 
-The move masks are :func:`hessgkm.perms.interval_move_masks`, built once
-per w and shared by every h; ``test_move_masks_agree_with_summary`` checks
-them against :func:`hessgkm.graphs.interval_summary` on every (h, w) with
-n <= 5.
+w's Bruhat graph is :func:`hessgkm.graphs.bruhat_move_graph`, built once
+per w and shared by every h; example61 builds its one interval graph with
+:func:`hessgkm.graphs.interval_move_graph`.  ``test_move_graphs_match_graph``
+checks both against the ``GkmGraph`` oracles on every (h, w) with n <= 5.
 
 Two suites have known nonempty violation sets: phi-surjective (onto fails
 already at rank 4) and example61 (the strict minimality has exactly two
@@ -71,10 +71,9 @@ from operator import or_
 
 from .graphs import (
     GkmGraph,
+    bruhat_move_graph,
     edge_set_at,
-    interval_summary,
-    masks_connected,
-    masks_regular,
+    interval_move_graph,
     phi_rule,
     regularity_via_w0,
     to_json_dict,
@@ -104,10 +103,8 @@ from .perms import (
     compose,
     format_permutation,
     identity,
-    interval_move_masks,
     inversion_mask,
     length,
-    move_table,
     transpositions,
 )
 from .roots import Coords, Element, HessenbergSpace, RootSystem, mask_order_key, submasks
@@ -364,14 +361,16 @@ def _fixed_points(n: int, item):
 def _connectivity(n: int, item):
     h, perms = item
     ambient_connected = hessenberg_connected(h)
+    win = window_mask(h)
     for w in perms:
         if ambient_connected or is_admissible(w, h):
-            yield h, w, [] if masks_connected(h, w) else ["interval graph disconnected"]
+            yield h, w, [] if bruhat_move_graph(w).connected(win) else ["interval graph disconnected"]
 
 
 def _shortcut(n: int, h: HessFunc):
+    win = window_mask(h)
     for w in enumerate_admissible(h):
-        full = masks_regular(h, w, cell_dimension(w, h))
+        full = bruhat_move_graph(w).regularity(cell_dimension(w, h), win).ok
         yield h, w, [] if regularity_via_w0(h, w) == full else ["top-degree test disagrees with full scan"]
 
 
@@ -381,18 +380,18 @@ def _phi_injective(n: int, h: HessFunc):
     pairs = transpositions(n)
     bit = {ij: 1 << k for k, ij in enumerate(pairs)}
     off_layout = 1 << len(bit)
-    table = move_table(n)
     win = window_mask(h)
     # phi_rule sees only the edge set and the move, so its verdicts are
     # exact per (edge mask of u, move k): total, injective, image mask, deg(u).
     memo = {}
     for w in enumerate_admissible(h):
-        masks = interval_move_masks(w)
-        for x, mask in masks.items():
+        g = bruhat_move_graph(w)
+        moves, targets, width = g.moves, g.targets, g.width
+        for x, (mask, up) in enumerate(zip(moves, g.up)):
             mask_u = mask & win
-            row = table.rows[x]
-            # The up-steps u -> v = u t_k are the edges at u off u's inversions.
-            steps = mask_u & ~table.inversions[x]
+            base = x * width
+            # The up-steps u -> v = u t_k are the edges at u that lengthen u.
+            steps = mask_u & up
             while steps:
                 low = steps & -steps
                 steps ^= low
@@ -408,13 +407,13 @@ def _phi_injective(n: int, h: HessFunc):
                         len(images) == len(e_u), len(vals) == len(images), image, len(e_u)
                     )
                 total, injective, image, deg = entry
-                y = row[k]
-                mask_v = masks[y] & win
+                y = targets[base + k]
+                mask_v = moves[y] & win
                 problems = [] if total else ["map not total"]
                 if not injective:
-                    problems.append(f"not injective at u={format_permutation(table.perms[x])} (a,b)=({a},{b})")
+                    problems.append(f"not injective at u={format_permutation(g.vertices[x])} (a,b)=({a},{b})")
                 if image & ~mask_v:
-                    problems.append(f"image leaves the edge set at v={format_permutation(table.perms[y])}")
+                    problems.append(f"image leaves the edge set at v={format_permutation(g.vertices[y])}")
                 if deg > mask_v.bit_count():
                     problems.append("degree decreases along an h-order edge")
                 yield h, w, problems
@@ -438,9 +437,10 @@ def _phi_surjective(n: int, h: HessFunc):
 
 
 def _patterns(n: int, h: HessFunc):
+    win = window_mask(h)
     for w in enumerate_admissible(h):
         avoids, witnesses = avoids_all_associated(w, h)
-        regular = masks_regular(h, w, cell_dimension(w, h))
+        regular = bruhat_move_graph(w).regularity(cell_dimension(w, h), win).ok
         problems = []
         if avoids != regular:
             problems.append(f"avoidance={avoids} but regular={regular} (witnesses: {witnesses})")
@@ -459,7 +459,7 @@ def _example61(n: int, _):
         for u in bruhat_interval(w)
         if u != w and h_length(u, h) <= lw
     ]
-    if interval_summary(h, w).regularity(cell_dimension(w, h)).ok:
+    if interval_move_graph(h, w).regularity(cell_dimension(w, h)).ok:
         problems.append("interval graph unexpectedly regular")
     yield h, w, problems
 

@@ -8,7 +8,7 @@ from hessgkm.graphs import (
     edge_set_at,
     fixed_point_induced_graph,
     interval_graph,
-    interval_summary,
+    interval_move_graph,
     phi_map,
     regularity_via_w0,
 )
@@ -93,7 +93,7 @@ RANK_MISMATCH_CALLS = {
     "admissible_representative": admissible_representative,
     "hess_schubert_fixed_points": hess_schubert_fixed_points,
     "interval_graph": lambda w, h: interval_graph(h, w),
-    "interval_summary": lambda w, h: interval_summary(h, w),
+    "interval_move_graph": lambda w, h: interval_move_graph(h, w),
     "fixed_point_induced_graph": lambda w, h: fixed_point_induced_graph(h, w),
     "edge_set_at": lambda w, h: edge_set_at(h, w, w),
     "regularity_via_w0": lambda w, h: regularity_via_w0(h, w),

@@ -8,14 +8,13 @@ import pytest
 from hessgkm.graphs import (
     GkmEdge,
     build_hessenberg_graph,
+    bruhat_move_graph,
     edge_set_at,
     fixed_point_induced_graph,
     interval_graph,
-    interval_summary,
+    interval_move_graph,
     is_connected,
     is_regular,
-    masks_connected,
-    masks_regular,
     phi_map,
     regularity_via_w0,
     to_dot,
@@ -25,12 +24,13 @@ from hessgkm.graphs import (
 from hessgkm.hess import cell_dimension, enumerate_admissible, h_length, complexity_dimension, window_mask, windows
 from hessgkm.perms import (
     all_permutations,
+    apply_transposition,
     bruhat_interval,
     compose,
-    interval_move_masks,
+    identity,
+    inversion_mask,
     length,
     longest_element,
-    move_table,
     transpositions,
 )
 from hessgkm.verify import hessenberg_functions, oracle_bruhat_upset, oracle_graph_json
@@ -134,18 +134,6 @@ def test_edge_set_at_worked_example():
         edge_set_at(H3344, (3, 2, 1, 4), (1, 2, 3, 4))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_summary_edges_at_matches_edge_set_at(n):
-    # Phi-injective's "map not total" check relies on no label repeating.
-    for h in hessenberg_functions(n):
-        for w in all_permutations(n):
-            summary = interval_summary(h, w)
-            for u in summary.up:
-                labels = summary.edges_at(u)
-                assert len(set(labels)) == len(labels)
-                assert set(labels) == edge_set_at(h, w, u)
-
-
 def test_degree_frozen_values():
     assert len(edge_set_at((2, 3, 3), (2, 1, 3), (2, 1, 3))) == 1
     assert len(edge_set_at((2, 3, 3), (2, 1, 3), (3, 2, 1))) == 2
@@ -184,43 +172,63 @@ def test_is_connected():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_interval_summary_matches_graph(n):
-    # The edge-free summary against the GkmGraph it stands in for, on every
-    # (h, w): same degrees, the up-steps are the edges from their lower end
-    # (checked by length too, since both are built by the same traversal),
-    # the same first violator for every degree value, the same connectivity.
-    for h in hessenberg_functions(n):
-        for w in all_permutations(n):
-            g = interval_graph(h, w)
-            s = interval_summary(h, w)
-            degs = g.degrees()
-            assert s.degrees == degs
-            steps = {(u, v, ij) for u, out in s.up.items() for v, ij in out.items()}
-            assert steps == {(e.u, e.v, e.pos) for e in g.edges}
-            assert all(length(v) > length(u) for u, v, _ in steps)
-            for d in set(degs.values()) | {cell_dimension(w, h)}:
-                assert s.regularity(d) == is_regular(g, d)
-            assert s.connected == is_connected(g)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_move_masks_agree_with_summary(n):
-    # The sweeps' mask reads and the summary are each other's oracle: under
-    # the window mask each vertex's move mask is the OR of its summary edge
-    # bits, and regularity at the cell dimension and connectivity agree.
-    bit = {ij: 1 << k for k, ij in enumerate(transpositions(n))}
-    table = move_table(n)
+def test_move_graphs_match_graph(n):
+    # Both kernels of every (h, w) against the GkmGraph oracles and the
+    # one-vertex probe: the windowed build, and the per-w build of every
+    # pair read through h's window mask.  The bits of each vertex's moves
+    # are the edges at it; along its up bits the steps are the graph's
+    # edges from their lower ends, along the others the same edges from
+    # their upper ends.  The degrees, the first violator for every degree
+    # value and the connectivity are the graph's.
+    pairs = list(enumerate(transpositions(n)))
     for h in hessenberg_functions(n):
         win = window_mask(h)
         for w in all_permutations(n):
-            s = interval_summary(h, w)
-            masks = interval_move_masks(w)
-            assert {table.perms[x]: mask & win for x, mask in masks.items()} == {
-                u: sum(map(bit.__getitem__, s.edges_at(u))) for u in s.up
-            }
-            expected = cell_dimension(w, h)
-            assert masks_regular(h, w, expected) == s.regularity(expected).ok
-            assert masks_connected(h, w) == s.connected
+            g = interval_graph(h, w)
+            degs = g.degrees()
+            at = [edge_set_at(h, w, u) for u in g.vertices]
+            edges = {(e.u, e.v, e.pos) for e in g.edges}
+            reverse = {(v, u, ij) for u, v, ij in edges}
+            for kernel, within in ((interval_move_graph(h, w), -1), (bruhat_move_graph(w), win)):
+                assert kernel.vertices == g.vertices
+                steps = {True: set(), False: set()}
+                for x, u in enumerate(kernel.vertices):
+                    moves = kernel.moves[x] & within
+                    assert {ij for k, ij in pairs if moves >> k & 1} == at[x]
+                    for k, ij in pairs:
+                        if moves >> k & 1:
+                            v = kernel.vertices[kernel.targets[x * kernel.width + k]]
+                            steps[kernel.up[x] >> k & 1 == 1].add((u, v, ij))
+                assert steps == {True: edges, False: reverse}
+                assert dict(zip(kernel.vertices, kernel.degrees(within))) == degs
+                for d in set(degs.values()) | {cell_dimension(w, h)}:
+                    assert kernel.regularity(d, within) == is_regular(g, d)
+                assert kernel.connected(within) == is_connected(g)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bruhat_move_graph_matches_definition(n):
+    # Per w, [w, w0] in lexicographic order; at each u the pairs k with
+    # u t_k in the interval, each leading to u t_k, and the up bits are the
+    # pairs off u's inversions.
+    pairs = transpositions(n)
+    full = (1 << len(pairs)) - 1
+    for w in all_permutations(n):
+        interval = bruhat_interval(w)
+        g = bruhat_move_graph(w)
+        assert g.vertices == tuple(sorted(interval)) and g.width == len(pairs)
+        index = {u: x for x, u in enumerate(g.vertices)}
+        for x, u in enumerate(g.vertices):
+            inside = {k: apply_transposition(u, i, j) for k, (i, j) in enumerate(pairs)}
+            inside = {k: v for k, v in inside.items() if v in interval}
+            assert g.moves[x] == sum(1 << k for k in inside)
+            assert all(g.targets[x * g.width + k] == index[v] for k, v in inside.items())
+            assert g.up[x] == full & ~inversion_mask(u)
+
+
+def test_bruhat_move_graph_size_limit():
+    with pytest.raises(ValueError, match="exceed the size limit SIZE_LIMIT"):
+        bruhat_move_graph(identity(9))
 
 
 def _pattern(values):
@@ -240,7 +248,7 @@ def test_full_h_regularity_matches_classical_criteria(n, regular_count):
     w0 = longest_element(n)
     regular = 0
     for w in all_permutations(n):
-        is_reg = interval_summary(h, w).regularity(cell_dimension(w, h)).ok
+        is_reg = interval_move_graph(h, w).regularity(cell_dimension(w, h)).ok
         ranks = [0] * (length(w0) + 1)
         for v in bruhat_interval(w):
             ranks[length(v)] += 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hessgkm.graphs import interval_summary, reach
+from hessgkm.graphs import bruhat_move_graph, interval_move_graph
 from hessgkm.hess import (
     admissible_representative,
     cell_dimension,
@@ -214,31 +214,37 @@ def test_hessenberg_connected():
     assert hessenberg_connected((2, 3, 4, 4))
 
 
-# The h-Bruhat order is reachability along the up-steps of the interval
-# summary (its length-increasing window swaps inside the interval).
+# The h-Bruhat order is reachability along the up-steps of the interval's
+# kernel (its length-increasing window swaps inside the interval).
+
+
+def _reached(g, start, toward, within=-1):
+    return {g.vertices[x] for x in g.reachable([g.vertices.index(start)], toward, within)}
 
 
 def test_h_bruhat_reflexive_and_full_h():
     w = (2, 1, 3)
-    assert w in reach((w,), interval_summary((2, 3, 3), w).up)
+    assert w in _reached(interval_move_graph((2, 3, 3), w), w, 1)
     # with the maximal function the h-order is the Bruhat order
     for n in (1, 2, 3, 4):
         full = tuple([n] * n)
         for u in all_permutations(n):
-            assert reach((u,), interval_summary(full, u).up) == bruhat_interval(u)
+            assert _reached(interval_move_graph(full, u), u, 1) == bruhat_interval(u)
 
 
 def test_h_bruhat_full_h_reachable_sets_n5():
     full = (5, 5, 5, 5, 5)
     for u in all_permutations(5):
-        assert reach((u,), interval_summary(full, u).up) == bruhat_interval(u)
+        assert _reached(interval_move_graph(full, u), u, 1) == bruhat_interval(u)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_h_bruhat_sandwich_for_admissible(n):
+    # The windowed build, and the per-w build of every pair under h's windows.
     w0 = longest_element(n)
     for h in hessenberg_functions(n):
+        win = window_mask(h)
         for w in enumerate_admissible(h):
-            s = interval_summary(h, w)
-            assert reach((w,), s.up) == bruhat_interval(w)
-            assert reach((w0,), s.down) == bruhat_interval(w)
+            for g, within in ((interval_move_graph(h, w), -1), (bruhat_move_graph(w), win)):
+                assert _reached(g, w, 1, within) == bruhat_interval(w)
+                assert _reached(g, w0, -1, within) == bruhat_interval(w)

@@ -43,7 +43,7 @@ def test_caches_hold_at_most_one_entry_per_permutation():
     a cache keyed by a (w, h) pair would hold one entry per sweep case."""
     proc = subprocess.run([sys.executable, "-c", _CACHE_SIZES], capture_output=True, text=True, check=True)
     sizes = json.loads(proc.stdout)
-    assert {"hessgkm.perms.bruhat_interval", "hessgkm.perms.interval_move_masks", "hessgkm.perms.move_table"} <= set(sizes)
+    assert {"hessgkm.perms.bruhat_interval", "hessgkm.graphs.bruhat_move_graph"} <= set(sizes)
     limit = sum(factorial(n) for n in range(1, 6))
     assert limit == 153
     assert {name: size for name, size in sizes.items() if size > limit} == {}

@@ -13,12 +13,10 @@ from hessgkm.perms import (
     compose,
     format_permutation,
     identity,
-    interval_move_masks,
     inverse,
     inversion_mask,
     length,
     longest_element,
-    move_table,
     parse_permutation,
     transpositions,
 )
@@ -217,31 +215,6 @@ def test_covers_increase_length_by_one(n):
             if w[i - 1] < w[j - 1] and not any(w[i - 1] < w[k - 1] < w[j - 1] for k in range(i + 1, j))
         }
         assert covers == {v for v in bruhat_interval(w) if length(v) == length(w) + 1}
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_move_table_and_interval_move_masks_match_definition(n):
-    # Ids in all_permutations order, row entries u t_k, and per w the pairs
-    # k with u t_k in [w, w0], for every u in the interval.
-    pairs = transpositions(n)
-    table = move_table(n)
-    assert table.perms == tuple(all_permutations(n))
-    assert all(table.index[u] == x for x, u in enumerate(table.perms))
-    for x, u in enumerate(table.perms):
-        assert [table.perms[y] for y in table.rows[x]] == [apply_transposition(u, i, j) for i, j in pairs]
-        assert table.inversions[x] == inversion_mask(u)
-    for w in table.perms:
-        interval = bruhat_interval(w)
-        masks = interval_move_masks(w)
-        assert list(masks) == sorted(map(table.index.__getitem__, interval))
-        for x, mask in masks.items():
-            u = table.perms[x]
-            assert mask == sum(1 << k for k, (i, j) in enumerate(pairs) if apply_transposition(u, i, j) in interval)
-
-
-def test_move_table_size_limit():
-    with pytest.raises(ValueError, match="S_9: 362880 items exceed the size limit"):
-        move_table(9)
 
 
 def test_transpositions_count():

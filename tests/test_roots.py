@@ -13,6 +13,7 @@ from hessgkm.perms import all_permutations
 from hessgkm.roots import (
     RootSystem,
     _bits,
+    _move_graph,
     _weyl_masks,
     arbitrary_gkm_graph,
     build_root_system,
@@ -473,37 +474,43 @@ def test_weak_interval_reverse_inclusion_small(type_label, rank):
             assert members == set(cls)
 
 
+def _check_moves(rs, m, g):
+    """Each move bit c at a vertex w of the kernel ``g`` is a root of ``m``
+    and leads to w s_c, which is longer exactly on the up bits; the up bits
+    are the c of ``m`` with w(c) > 0.  Returns the edges {w, w s_c}."""
+    positive = set(rs.positive_roots)
+    m_bits = {rs.positive_roots.index(c) for c in m}
+    elements = rs.elements()
+    element = (lambda v: v) if g.vertices is elements else elements.__getitem__
+    edges = set()
+    for x, vertex in enumerate(g.vertices):
+        w = element(vertex)
+        for c, root in enumerate(rs.positive_roots):
+            up = g.up[x] >> c & 1
+            assert up == (c in m_bits and rs.act(w, root) in positive)
+            if g.moves[x] >> c & 1:
+                assert c in m_bits
+                v = element(g.vertices[g.targets[x * g.width + c]])
+                assert v == rs.mul(w, rs.reflection(root))
+                assert (rs.length(v) > rs.length(w)) == bool(up)
+                edges.add(frozenset((w, v)))
+    return edges
+
+
 def test_arbitrary_graph_shapes():
     c2 = build_root_system("C", 2)
     hs = validate_hessenberg_space(c2, c2.parse_root_list("a1,a2,a1+a2"))
     g = arbitrary_gkm_graph(hs)
-    steps = [(u, v, label) for u, out in g.up.items() for v, label in out.items()]
-    assert len(g.degrees) == 8 and len(steps) == 12
-    assert set(g.degrees.values()) == {3}
-    assert g.connected
-    # every edge is a right reflection move by some root of M, labeled by
-    # the positive representative of its image at either endpoint
-    for u, v, label in steps:
-        assert label in set(c2.positive_roots)
-        moves = {
-            c
-            for c in hs.roots
-            if c2.mul(u, c2.reflection(c)) == v
-        }
-        assert moves, (u, v)
-        images = set()
-        for c in moves:
-            img = c2.act(u, c)
-            if img not in set(c2.positive_roots):
-                img = tuple(-x for x in img)
-            images.add(img)
-        assert label in images
+    assert g.vertices == c2.elements()
+    assert len(_check_moves(c2, hs.roots, g)) == 12
+    assert set(g.degrees()) == {3}
+    assert g.connected()
     empty = validate_hessenberg_space(c2, frozenset())
     g0 = arbitrary_gkm_graph(empty)
-    assert not any(g0.up.values()) and not g0.connected
+    assert not any(g0.moves) and not g0.connected()
     a2 = build_root_system("A", 2)
     hexagon = arbitrary_gkm_graph(validate_hessenberg_space(a2, {(1, 0), (0, 1)}))
-    assert len(hexagon.degrees) == 6 and sum(map(len, hexagon.up.values())) == 6
+    assert len(hexagon.vertices) == 6 and sum(m.bit_count() for m in hexagon.up) == 6
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("G", 2), ("F", 4)])
@@ -525,25 +532,16 @@ def test_reflection_is_conjugate_of_simple_reflection(type_label, rank):
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
 def test_reflection_steps_match_definition(type_label, rank):
-    # The summary of every space against the definition of its moment
-    # graph: edges {w, w s_c} for c in M, labelled by the positive weight.
+    # The kernel of every space against the definition of its moment
+    # graph: edges {w, w s_c} for c in M, each up from its shorter end.
     rs = build_root_system(type_label, rank)
     elements = rs.elements()
-    positive = set(rs.positive_roots)
     for m in enumerate_hessenberg_spaces(rs):
         hs = validate_hessenberg_space(rs, m)
         g = arbitrary_gkm_graph(hs)
         assert g.regularity(len(m)).ok
-        pairs = set()
-        for w, out in g.up.items():
-            for x, label in out.items():
-                moves = [c for c in m if x == rs.mul(w, rs.reflection(c))]
-                assert len(moves) == 1
-                assert rs.length(x) > rs.length(w)
-                assert label == rs.act(w, moves[0]) and label in positive
-                pairs.add(frozenset((w, x)))
         edges = {frozenset((w, rs.mul(w, rs.reflection(c)))) for w in elements for c in m}
-        assert pairs == edges
+        assert _check_moves(rs, m, g) == edges
         # Connectivity against a search over the definitional edges.
         adj = {w: set() for w in elements}
         for e in edges:
@@ -556,7 +554,29 @@ def test_reflection_steps_match_definition(type_label, rank):
                 seen.add(y)
                 stack.append(y)
         connected = len(seen) == len(elements)
-        assert g.connected == connected
+        assert g.connected() == connected
+
+
+@pytest.mark.parametrize("type_label,rank", SYSTEMS)
+def test_interval_move_graph_matches_bruhat_leq(type_label, rank):
+    # The kernel of [w, w0] for a few seeded w and spaces, built as
+    # classify_arbitrary builds it: its vertices are the v >= w of the
+    # right-descent recursion, in (length, word) order, and its moves are
+    # the space's reflection moves inside the interval.
+    rs = build_root_system(type_label, rank)
+    elements = rs.elements()
+    spaces = enumerate_hessenberg_spaces(rs)
+    rng = random.Random(f"{type_label}{rank}")
+    for w in [rs.longest(), *rng.sample(elements, min(3, len(elements)))]:
+        m = rng.choice(spaces)
+        ids = sorted(rs._interval_ids(rs._id(w)), key=rs._rank.__getitem__)
+        g = _move_graph(validate_hessenberg_space(rs, m), ids, ids)
+        interval = [v for v in elements if oracle_weyl_bruhat_leq(rs, w, v)]
+        word = rs.canonical_word
+        assert [elements[k] for k in g.vertices] == sorted(interval, key=lambda v: (len(word(v)), word(v)))
+        members = set(interval)
+        inside = {frozenset((u, rs.mul(u, rs.reflection(c)))) for u in interval for c in m}
+        assert _check_moves(rs, m, g) == {e for e in inside if e <= members}
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("A", 4), ("B", 3), ("C", 3), ("G", 2)])
@@ -641,7 +661,11 @@ def test_type_a_dictionary(n):
             assert len(rs.inversion_set(w) & hs.roots) == h_length(p, h)
         # graphs agree through the dictionary
         g = arbitrary_gkm_graph(hs)
-        edges = {frozenset({ol[u], ol[v]}) for u, out in g.up.items() for v in out}
+        edges = {
+            frozenset({ol[g.vertices[x]], ol[g.vertices[g.targets[x * g.width + c]]]})
+            for x, up in enumerate(g.up)
+            for c in _bits(up)
+        }
         from hessgkm.graphs import build_hessenberg_graph
 
         assert edges == {frozenset((e.u, e.v)) for e in build_hessenberg_graph(h).edges}
