@@ -6,17 +6,15 @@ The full graph on a Hessenberg function h has vertex set S_n and one edge
 and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 +-(t_a - t_b), reconstructed from val on demand.
 
-Each edge question has one source.  A whole interval's, in either type,
-is the kernel :class:`MoveGraph`, built by :func:`build_move_graph` from
-each vertex's up-steps and read through a ``within`` mask.  Type A steps
-by the swaps u(i,j) with u(i) < u(j): :func:`interval_move_graph` by h's
-windows alone (``classify``, the localized classes, example61),
-:func:`bruhat_move_graph` by every pair, once per w, for the sweeps to read
-under each h's window mask.  :mod:`hessgkm.roots` steps by its reflection
-table.  One vertex's source is :func:`edge_set_at`, which probes u's
-windows alone.  Export's is :func:`_induced`, the only builder of
-``GkmEdge`` objects, for DOT/JSON and the compatibility check, on the full
-graph and on these:
+Each edge question has one source.  A whole interval's, in either type, is
+the kernel :class:`MoveGraph`, built by :func:`build_move_graph` from each
+vertex's up-steps.  Type A steps by the swaps u(i,j) with u(i) < u(j):
+:func:`interval_move_graph` by h's windows (``classify``, the localized
+classes, example61), :func:`bruhat_move_graph` by every pair, once per w,
+for the sweeps to read under each h's window mask; :mod:`hessgkm.roots`
+steps by its reflection table.  One vertex's source is :func:`edge_set_at`.
+Export's is :func:`_induced`, the only builder of ``GkmEdge`` objects, for
+DOT/JSON and the compatibility check, on the full graph and on these:
 
 * ``interval_graph(h, w)``     -- induced on the Bruhat interval [w, w0];
 * ``fixed_point_induced_graph``-- induced on the cell-closure fixed points.
@@ -141,11 +139,10 @@ def interval_graph(h, w: Perm) -> GkmGraph:
 class MoveGraph(NamedTuple):
     """An interval's moment graph on local ids 0, 1, ... in the order of
     ``vertices``, which the caller chooses.  An edge has one bit at both
-    ends: a position pair in type A (the layout of
-    :func:`hessgkm.perms.inversion_mask`), a positive root in general type.
-    ``moves[x]`` has the bits of the edges at x inside the interval,
-    ``up[x]`` those that lengthen x, and bit k at x leads to
-    ``targets[x * width + k]``.  A read sees only the bits of ``within``."""
+    ends: a position pair in type A (as in :func:`hessgkm.perms.inversion_mask`),
+    a positive root in general type.  ``moves[x]`` has the bits of the edges
+    at x inside the interval, ``up[x]`` those that lengthen x, and bit k at x
+    leads to ``targets[x * width + k]``.  A read sees only the bits of ``within``."""
 
     vertices: tuple
     moves: array
@@ -165,10 +162,9 @@ class MoveGraph(NamedTuple):
         return len(self.reachable([0], 0, within)) == len(self.moves)
 
     def reachable(self, starts, toward: int, within: int = -1) -> set[int]:
-        """The ids reached from the ids ``starts`` along every move, or only
-        along the up-steps (``up``, a part of ``moves``) if ``toward`` is 1,
-        or only along the down-steps (``moves ^ up``) if it is -1.  The
-        depth-first search stops once every id is seen."""
+        """The ids reached from the ids ``starts`` along every move, the
+        up-steps (``up``, a part of ``moves``) if ``toward`` is 1, or the
+        down-steps (``moves ^ up``) if it is -1; it stops once all are seen."""
         _, moves, up, targets, width = self
         steps = moves if not toward else up if toward > 0 else [m ^ u for m, u in zip(moves, up)]
         size = len(moves)
@@ -214,16 +210,21 @@ def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
     (u(i) < u(j)) lies in it: the up-steps are found unprobed."""
     vertices = bruhat_interval_lex(w)
     index = {u: x for x, u in enumerate(vertices)}
-    pairs = transpositions(len(w))
-    # swap(u) is u t_k, by position.
-    chosen = []
-    for k, (i, j) in enumerate(pairs):
-        if allowed >> k & 1:
-            at = list(range(len(w)))
-            at[i - 1], at[j - 1] = j - 1, i - 1
-            chosen.append((k, i - 1, j - 1, itemgetter(*at)))
+    chosen = _swaps(len(w), allowed)
     steps = ([(k, index[swap(u)]) for k, i, j, swap in chosen if u[i] < u[j]] for u in vertices)
-    return build_move_graph(vertices, steps, len(pairs))
+    return build_move_graph(vertices, steps, len(w) * (len(w) - 1) // 2)
+
+
+@lru_cache(maxsize=None)
+def _swaps(n: int, allowed: int) -> tuple:
+    """(k, i - 1, j - 1, swap) per pair k = (i, j) in ``allowed``; swap(u) is u t_k."""
+    out = []
+    for k, (i, j) in enumerate(transpositions(n)):
+        if allowed >> k & 1:
+            at = list(range(n))
+            at[i - 1], at[j - 1] = j - 1, i - 1
+            out.append((k, i - 1, j - 1, itemgetter(*at)))
+    return tuple(out)
 
 
 def interval_move_graph(h, w: Perm) -> MoveGraph:
@@ -235,8 +236,8 @@ def interval_move_graph(h, w: Perm) -> MoveGraph:
 
 @lru_cache(maxsize=None)
 def bruhat_move_graph(w: Perm) -> MoveGraph:
-    """The Bruhat graph of [w, w0], every swap that stays inside, built once
-    per w; the sweeps read it under each h's window mask.  Read it only."""
+    """The Bruhat graph of [w, w0], once per w, for the sweeps to read under
+    each h's window mask.  Shared by every caller: read it only."""
     return _type_a_move_graph(w, -1)
 
 

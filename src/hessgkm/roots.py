@@ -822,9 +822,8 @@ def enumerate_hessenberg_spaces(rs: RootSystem) -> list[frozenset[Coords]]:
 
 
 def _move_graph(hs: HessenbergSpace, ids, vertices) -> MoveGraph:
-    """The moment graph on ``ids``, an upset of W, as local ids in their
-    order with the given ``vertices``: bit c at w is the edge {w, w s_c},
-    c in M, an up-step where w(c) > 0."""
+    """The moment graph of M on ``ids``, an upset of W, in their order: bit c
+    at w is the edge {w, w s_c}, c in M, an up-step where w(c) > 0."""
     m_mask, rows = _m_mask(hs), hs.rs._reflection_table
     local = {k: x for x, k in enumerate(ids)}
     steps = ([(c, local[y]) for c, y in rows[k] if m_mask >> c & 1] for k in ids)
