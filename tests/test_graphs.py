@@ -171,39 +171,79 @@ def test_is_connected():
     assert is_connected(interval_graph(H3344, longest_element(4)))
 
 
+def _check_move_graph(kernel, within, g, pairs):
+    # A kernel read through ``within`` against its GkmGraph: along each
+    # vertex's up bits the steps are the graph's edges from their lower
+    # ends, along its other moves the same edges from their upper ends; the
+    # degrees, the first violator for every degree value and the
+    # connectivity are the graph's.
+    assert kernel.vertices == g.vertices
+    edges = {(e.u, e.v, e.pos) for e in g.edges}
+    steps = {True: set(), False: set()}
+    for x, u in enumerate(kernel.vertices):
+        moves = kernel.moves[x] & within
+        for k, ij in pairs:
+            if moves >> k & 1:
+                v = kernel.vertices[kernel.targets[x * kernel.width + k]]
+                steps[kernel.up[x] >> k & 1 == 1].add((u, v, ij))
+    assert steps == {True: edges, False: {(v, u, ij) for u, v, ij in edges}}
+    assert all(length(v) > length(u) for u, v, _ in steps[True])
+    degs = g.degrees()
+    assert dict(zip(kernel.vertices, kernel.degrees(within))) == degs
+    for d in set(degs.values()) | {cell_dimension(g.w, g.h)}:
+        assert kernel.regularity(d, within) == is_regular(g, d)
+    assert kernel.connected(within) == is_connected(g)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_move_graphs_match_graph(n):
-    # Both kernels of every (h, w) against the GkmGraph oracles and the
-    # one-vertex probe: the windowed build, and the per-w build of every
-    # pair read through h's window mask.  The bits of each vertex's moves
-    # are the edges at it; along its up bits the steps are the graph's
-    # edges from their lower ends, along the others the same edges from
-    # their upper ends.  The degrees, the first violator for every degree
-    # value and the connectivity are the graph's.
+def test_interval_summary_matches_graph(n):
+    # The windowed kernel of every (h, w) against the GkmGraph it stands in
+    # for.
+    pairs = list(enumerate(transpositions(n)))
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            _check_move_graph(interval_move_graph(h, w), -1, interval_graph(h, w), pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_move_masks_agree_with_summary(n):
+    # The sweeps' per-w kernel of every pair, read through h's window mask,
+    # against the windowed kernel, which the test above holds to the
+    # GkmGraph: the same moves, up bits and targets at each vertex, and the
+    # same degrees, violators, connectivity and up- and down-reach.
     pairs = list(enumerate(transpositions(n)))
     for h in hessenberg_functions(n):
         win = window_mask(h)
         for w in all_permutations(n):
-            g = interval_graph(h, w)
-            degs = g.degrees()
-            at = [edge_set_at(h, w, u) for u in g.vertices]
-            edges = {(e.u, e.v, e.pos) for e in g.edges}
-            reverse = {(v, u, ij) for u, v, ij in edges}
+            shared, own = bruhat_move_graph(w), interval_move_graph(h, w)
+            assert shared.vertices == own.vertices
+            for x in range(len(own.vertices)):
+                moves = shared.moves[x] & win
+                assert moves == own.moves[x] and shared.up[x] & moves == own.up[x]
+                for k, _ in pairs:
+                    if moves >> k & 1:
+                        assert shared.targets[x * shared.width + k] == own.targets[x * own.width + k]
+            degs = own.degrees()
+            assert shared.degrees(win) == degs
+            for d in set(degs) | {cell_dimension(w, h)}:
+                assert shared.regularity(d, win) == own.regularity(d)
+            assert shared.connected(win) == own.connected()
+            for toward in (1, -1, 0):
+                assert shared.reachable([0], toward, win) == own.reachable([0], toward)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_summary_edges_at_matches_edge_set_at(n):
+    # Each vertex's move bits in both kernels are the edges that the
+    # one-vertex probe finds at it.
+    pairs = list(enumerate(transpositions(n)))
+    for h in hessenberg_functions(n):
+        win = window_mask(h)
+        for w in all_permutations(n):
             for kernel, within in ((interval_move_graph(h, w), -1), (bruhat_move_graph(w), win)):
-                assert kernel.vertices == g.vertices
-                steps = {True: set(), False: set()}
                 for x, u in enumerate(kernel.vertices):
                     moves = kernel.moves[x] & within
-                    assert {ij for k, ij in pairs if moves >> k & 1} == at[x]
-                    for k, ij in pairs:
-                        if moves >> k & 1:
-                            v = kernel.vertices[kernel.targets[x * kernel.width + k]]
-                            steps[kernel.up[x] >> k & 1 == 1].add((u, v, ij))
-                assert steps == {True: edges, False: reverse}
-                assert dict(zip(kernel.vertices, kernel.degrees(within))) == degs
-                for d in set(degs.values()) | {cell_dimension(w, h)}:
-                    assert kernel.regularity(d, within) == is_regular(g, d)
-                assert kernel.connected(within) == is_connected(g)
+                    assert {ij for k, ij in pairs if moves >> k & 1} == edge_set_at(h, w, u)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
