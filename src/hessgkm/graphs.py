@@ -145,8 +145,8 @@ class MoveGraph(NamedTuple):
     leads to ``targets[x * width + k]``.  A read sees only the bits of ``within``."""
 
     vertices: tuple
-    moves: array
-    up: array
+    moves: array | tuple
+    up: array | tuple
     targets: array
     width: int
 
@@ -201,7 +201,14 @@ def build_move_graph(vertices, up_steps, width: int) -> MoveGraph:
             targets[y * width + k] = x
         up[x] = mask
         moves[x] |= mask
-    return MoveGraph(tuple(vertices), array("Q", moves), array("Q", up), targets, width)
+    return MoveGraph(tuple(vertices), _masks(moves, width), _masks(up, width), targets, width)
+
+
+def _masks(values: list[int], width: int) -> array | tuple:
+    """``values`` as a flat ``array('Q')`` while ``width`` fits in 64 bits
+    (8 bytes a mask against about 36 in a tuple of ints, which the sweeps'
+    cached kernels would feel); past that, from n = 12 in type A, a tuple."""
+    return array("Q", values) if width <= 64 else tuple(values)
 
 
 def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:

@@ -435,14 +435,16 @@ class RootSystem:
         """
         return tuple(map(self.elements().__getitem__, sorted(self._interval_ids(self._id(w)))))
 
-    @cached_property
-    def _bruhat_graph(self) -> MoveGraph:
-        """W's Bruhat graph on ids: its up-steps are the reflection table."""
-        return build_move_graph(range(self.order), self._reflection_table, self._num_positive)
-
     def _interval_ids(self, k: int) -> set[int]:
         """The ids of [w, w0] for the element w of id ``k``."""
-        seen = self._bruhat_graph.reachable([k], 1)
+        rows = self._reflection_table
+        seen = {k}
+        stack = [k]
+        while stack:
+            for _, y in rows[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
         check_size(len(seen), "upper Bruhat interval")
         return seen
 

@@ -83,6 +83,24 @@ def test_report_top_element():
     assert r.fixed_points == (w0,)
 
 
+def test_rank12_edge_past_bit_63():
+    """Type A has no rank cap.  At n = 12 the pair (11, 12) is bit 65 of
+    the position-pair masks, and it is the one edge of [w, w0] here."""
+    h = (12,) * 12
+    w = (12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 1, 2)
+    w0 = longest_element(12)
+    g = interval_move_graph(h, w)
+    bit = 1 << 65
+    assert g.width == 66 and g.vertices == (w, w0)
+    assert g.moves == (bit, bit) and g.up == (bit, 0)
+    assert g.targets[65] == 1 and g.targets[66 + 65] == 0
+    r = classify(w, h)
+    assert r.interval_size == 2 and r.fixed_points == (w, w0)
+    assert r.graph_stats.connected and r.graph_stats.regular
+    assert r.graph_stats.min_degree == r.graph_stats.max_degree == 1
+    assert r.intersection_smooth == "yes" and r.smooth_fixed_points == (w, w0)
+
+
 # Every entry point taking a (w, h) pair, called with |w| = 3 and |h| = 4.
 RANK_MISMATCH_CALLS = {
     "classify": classify,
