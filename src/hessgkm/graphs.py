@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -201,14 +201,9 @@ def build_move_graph(vertices, up_steps, width: int) -> MoveGraph:
             targets[y * width + k] = x
         up[x] = mask
         moves[x] |= mask
-    return MoveGraph(tuple(vertices), _masks(moves, width), _masks(up, width), targets, width)
-
-
-def _masks(values: list[int], width: int) -> array | tuple:
-    """``values`` as a flat ``array('Q')`` while ``width`` fits in 64 bits
-    (8 bytes a mask against about 36 in a tuple of ints, which the sweeps'
-    cached kernels would feel); past that, from n = 12 in type A, a tuple."""
-    return array("Q", values) if width <= 64 else tuple(values)
+    # array('Q') keeps 8 bytes a mask; wider masks (type A from n = 12) stay ints.
+    pack = partial(array, "Q") if width <= 64 else tuple
+    return MoveGraph(tuple(vertices), pack(moves), pack(up), targets, width)
 
 
 def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:

@@ -437,14 +437,10 @@ class RootSystem:
 
     def _interval_ids(self, k: int) -> set[int]:
         """The ids of [w, w0] for the element w of id ``k``."""
-        rows = self._reflection_table
-        seen = {k}
-        stack = [k]
-        while stack:
-            for _, y in rows[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+        rows, seen, layer = self._reflection_table, {k}, {k}
+        while layer:
+            layer = {y for x in layer for _, y in rows[x]} - seen
+            seen |= layer
         check_size(len(seen), "upper Bruhat interval")
         return seen
 

@@ -52,10 +52,9 @@ example61       the rank-6 regression case: admissibility, strict window
 
 w's Bruhat graph is :func:`hessgkm.graphs.bruhat_move_graph`, built once
 per w and shared by every h; example61 builds its one interval graph with
-:func:`hessgkm.graphs.interval_move_graph`.  On every (h, w) with n <= 5,
-``test_interval_summary_matches_graph`` checks the latter against the
-``GkmGraph`` oracles and ``test_move_masks_agree_with_summary`` the former
-against the latter.
+:func:`hessgkm.graphs.interval_move_graph`.  On every (h, w) with n <= 5
+the agreement tests of ``tests/test_graphs.py`` check the latter against
+the ``GkmGraph`` oracles and the former against the latter.
 
 Two suites have known nonempty violation sets: phi-surjective (onto fails
 already at rank 4) and example61 (the strict minimality has exactly two
