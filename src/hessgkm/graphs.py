@@ -159,6 +159,11 @@ class MoveGraph(NamedTuple):
         return RegularityCheck(bad is None, None if bad is None else self.vertices[bad])
 
     def connected(self, within: int = -1) -> bool:
+        """Decided from the sinks (ids with no up-step) first: an up-step
+        lengthens, so every up-path ends at a sink, and with one sink every
+        id is joined to it.  With more, a search from id 0 decides."""
+        if [u & within for u in self.up].count(0) == 1:
+            return True
         return len(self.reachable([0], 0, within)) == len(self.moves)
 
     def reachable(self, starts, toward: int, within: int = -1) -> set[int]:

@@ -155,8 +155,10 @@ def admissible_representative(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
     :func:`is_admissible` -- swap the values k and k + 1.  Each swap is left
     multiplication by s_k, raises the length by one and keeps the window
     order ((p, q) is not a window pair), so at most C(n, 2) swaps end at an
-    admissible element above w.  The scan of [w, w0] it replaces is
-    :func:`hessgkm.verify.oracle_admissible_representative`.
+    admissible element above w.  Its oracle,
+    :func:`hessgkm.verify.oracle_admissible_representative`, looks w's
+    window order up among all of h's admissible elements and keeps those
+    in [w, w0].
     """
     _check_rank(w, h)
     n = len(w)

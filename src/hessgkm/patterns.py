@@ -18,6 +18,10 @@ id     value order          windows
 2413   w(k)<w(i)<w(l)<w(j)  j <= h(i) < k <= h(j) < l <= h(k)
 ====== ==================== ===========================================
 
+One lexicographic pass over the quadruples finds the first witness of
+every pattern: each quadruple's order pattern names at most one id, whose
+windows are then checked.
+
 The regularity equivalence only holds for h-admissible w; containment
 itself is computed for any input, but no regularity conclusion is drawn
 for non-admissible w.
@@ -53,9 +57,23 @@ def _window_ok(pattern_id: str, h: HessFunc, i: int, j: int, k: int, l: int) -> 
     raise ValueError(f"unknown pattern id {pattern_id!r}")
 
 
-def _order_matches(pattern_id: str, values: tuple[int, int, int, int]) -> bool:
-    ranks = tuple(sorted(values).index(v) + 1 for v in values)
-    return ranks == tuple(int(c) for c in pattern_id)
+# Each pattern id by its order pattern: the positions 0..3 sorted by value.
+_BY_ORDER = {tuple(sorted(range(4), key=pid.__getitem__)): pid for pid in PATTERN_IDS}
+
+
+def _first_witnesses(w: Perm, h: HessFunc) -> dict[str, Witness]:
+    """One lexicographic pass over the quadruples: the first witness of
+    each pattern, keyed by id."""
+    check_size(math.comb(len(w), 4), "position quadruples")
+    found: dict[str, Witness] = {}
+    for quad in combinations(range(1, len(w) + 1), 4):
+        values = [w[p - 1] for p in quad]
+        pid = _BY_ORDER.get(tuple(sorted(range(4), key=values.__getitem__)))
+        if pid is not None and pid not in found and _window_ok(pid, h, *quad):
+            found[pid] = quad
+            if len(found) == len(PATTERN_IDS):
+                break
+    return found
 
 
 def contains_hpattern(w: Perm, h, pattern_id: str) -> Witness | None:
@@ -68,24 +86,15 @@ def contains_hpattern(w: Perm, h, pattern_id: str) -> Witness | None:
     _check_rank(w, h)
     if pattern_id not in PATTERN_IDS:
         raise ValueError(f"unknown pattern id {pattern_id!r}")
-    check_size(math.comb(len(w), 4), "position quadruples")
-    for i, j, k, l in combinations(range(1, len(w) + 1), 4):
-        if not _window_ok(pattern_id, h, i, j, k, l):
-            continue
-        values = (w[i - 1], w[j - 1], w[k - 1], w[l - 1])
-        if _order_matches(pattern_id, values):
-            return (i, j, k, l)
-    return None
+    return _first_witnesses(w, h).get(pattern_id)
 
 
 def pattern_witnesses(w: Perm, h) -> list[tuple[str, Witness]]:
     """First witness for each contained pattern, in the fixed pattern order."""
-    out = []
-    for pid in PATTERN_IDS:
-        witness = contains_hpattern(w, h, pid)
-        if witness is not None:
-            out.append((pid, witness))
-    return out
+    h = validate_hessenberg(h)
+    _check_rank(w, h)
+    found = _first_witnesses(w, h)
+    return [(pid, found[pid]) for pid in PATTERN_IDS if pid in found]
 
 
 def avoids_all_associated(w: Perm, h) -> tuple[bool, list[tuple[str, Witness]]]:

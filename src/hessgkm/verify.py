@@ -15,10 +15,11 @@ Each shares no decision logic with the library result it checks.
 
 oracle_bruhat(_upset)             chain reachability (BFS over length-
                                   increasing transpositions), for perms
-oracle_admissible_representative  a scan of [w, w0] for admissible v with
-                                  w's window order (inversion masks equal
-                                  under the window mask), for the greedy
-                                  ascent
+oracle_admissible_representative  the admissible v with w's window order
+                                  (inversion masks equal under the window
+                                  mask) that lie in [w, w0], from a table
+                                  of h's admissible elements by window
+                                  order, for the greedy ascent
 oracle_poincare_polynomial        cell dimensions over S_n, for the DP
 oracle_graph_json                 ``json.dumps``, for the direct JSON writer
 oracle_weyl_bruhat_leq            the right-descent recursion, for the
@@ -34,10 +35,11 @@ Suites
 ------
 bruhat          criterion vs. chain oracle on all pairs, and the library
                 upper interval vs. the chain upset for every u
-representative  defining properties of w~, and w~ vs. the interval-scan oracle
+representative  defining properties of w~, and w~ vs. the window-order oracle
 fixed-points    fixed set of the cell closure vs. interval, admissibility
 connectivity    interval graph connected when admissible or ambient connected,
-                by a search of w's Bruhat graph under h's windows
+                read off w's Bruhat graph under h's windows: one sink (no
+                up-step) decides it, otherwise a search
 shortcut        top-degree test vs. full regularity scan (admissible w); the
                 scan reads w's Bruhat graph under h's windows
 phi-injective   edge comparison map total, well-defined, injective; edge
@@ -67,7 +69,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 from .graphs import (
@@ -81,6 +83,7 @@ from .graphs import (
 )
 from .hess import (
     HessFunc,
+    _check_rank,
     admissible_representative,
     cell_dimension,
     complexity_dimension,
@@ -189,15 +192,27 @@ def oracle_bruhat(u: Perm, v: Perm) -> bool:
     return v in oracle_bruhat_upset(u)
 
 
+@lru_cache(maxsize=None)
+def _admissible_by_window_order(h: HessFunc) -> dict[int, list[Perm]]:
+    """The admissible permutations of h grouped by window order (inversion
+    mask under the window mask), each class a list so that a second
+    member would show."""
+    win = window_mask(h)
+    table: dict[int, list[Perm]] = {}
+    for v in enumerate_admissible(h):
+        table.setdefault(inversion_mask(v) & win, []).append(v)
+    return table
+
+
 def oracle_admissible_representative(w: Perm, h: HessFunc) -> list[Perm]:
     """Every admissible v in [w, w0] that agrees with w on window order,
     sorted; by uniqueness the list is exactly [w~].  v and w agree on
-    window order iff their inversion masks agree on the window mask."""
-    win = window_mask(h)
-    order = inversion_mask(w) & win
-    return sorted(
-        v for v in bruhat_interval(w) if inversion_mask(v) & win == order and is_admissible(v, h)
-    )
+    window order iff their inversion masks agree on the window mask, so
+    the candidates are w's class of admissible elements, kept if above w."""
+    _check_rank(w, h)
+    order = inversion_mask(w) & window_mask(h)
+    interval = bruhat_interval(w)
+    return sorted(v for v in _admissible_by_window_order(h).get(order, ()) if v in interval)
 
 
 def is_closed_in(rs: RootSystem, subset, ambient) -> bool:

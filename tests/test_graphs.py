@@ -8,6 +8,7 @@ import pytest
 from hessgkm.graphs import (
     GkmEdge,
     build_hessenberg_graph,
+    build_move_graph,
     bruhat_move_graph,
     edge_set_at,
     fixed_point_induced_graph,
@@ -169,6 +170,38 @@ def test_is_connected():
     assert is_connected(interval_graph((2, 3, 3), (2, 1, 3)))
     assert not is_connected(build_hessenberg_graph((2, 2, 3)))
     assert is_connected(interval_graph(H3344, longest_element(4)))
+
+
+def test_connected_by_sinks_and_by_search():
+    # One sink decides at once; several leave it to the search.
+    one_sink = build_move_graph("ab", [[(0, 1)], []], 1)
+    assert one_sink.connected()
+    # A lower vertex with up-steps to two sinks is joined through it...
+    forked = build_move_graph("abc", [[(0, 1), (1, 2)], [], []], 2)
+    assert forked.connected()
+    # ...unless the read drops one of its edges.
+    assert not forked.connected(0b01)
+    apart = build_move_graph("ab", [[], []], 1)
+    assert not apart.connected()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_sink_iff_connected(n):
+    # One sink joins every vertex to it (an up-step lengthens).  Conversely,
+    # windows never cross a block of h (positions a..b with h(i) > i for
+    # a <= i < b, maximal), and a sink has no window ascent, so it decreases
+    # on every block.  Two sinks thus differ in some block's value set,
+    # which no edge changes.  At n = 5, 2,025 pairs have one sink and 3,015
+    # several.
+    counts = {True: 0, False: 0}
+    for h in hessenberg_functions(n):
+        win = window_mask(h)
+        for w in all_permutations(n):
+            one_sink = [u & win for u in bruhat_move_graph(w).up].count(0) == 1
+            assert one_sink == is_connected(interval_graph(h, w)), (h, w)
+            counts[one_sink] += 1
+    if n == 5:
+        assert counts == {True: 2025, False: 3015}
 
 
 def _check_move_graph(kernel, within, g, pairs):

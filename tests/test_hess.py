@@ -25,6 +25,7 @@ from hessgkm.perms import (
     compose,
     identity,
     inverse,
+    inversion_mask,
     longest_element,
     transpositions,
 )
@@ -152,8 +153,8 @@ def test_representative_properties_exhaustive(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_representative_matches_interval_scan_oracle(n):
-    # The greedy ascent against a scan of [w, w0] for every admissible
-    # element with w's window order: the scan finds w~ and nothing else.
+    # The greedy ascent against the admissible elements with w's window
+    # order that lie in [w, w0]: the oracle finds w~ and nothing else.
     for h in hessenberg_functions(n):
         for w in all_permutations(n):
             assert oracle_admissible_representative(w, h) == [admissible_representative(w, h)[0]]
@@ -175,6 +176,21 @@ def test_mask_oracle_matches_window_order_scan(n):
     for h in hessenberg_functions(n):
         for w in all_permutations(n):
             assert oracle_admissible_representative(w, h) == _window_order_scan(w, h)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_admissible_window_orders_are_distinct_and_cover(n):
+    # Prop2.4's uniqueness, pinned directly: no two admissible elements share
+    # a window order, and every window order over S_n has one.  Summed over
+    # h the classes number (2n - 1)!!, as the admissible elements do.
+    classes = 0
+    for h in hessenberg_functions(n):
+        win = window_mask(h)
+        orders = [inversion_mask(v) & win for v in enumerate_admissible(h)]
+        assert len(set(orders)) == len(orders)
+        assert len(orders) == len({inversion_mask(w) & win for w in all_permutations(n)})
+        classes += len(orders)
+    assert classes == [1, 3, 15, 105, 945][n - 1]
 
 
 def test_admissible_pair_counts_observed():
@@ -238,7 +254,7 @@ def test_h_bruhat_full_h_reachable_sets_n5():
         assert _reached(interval_move_graph(full, u), u, 1) == bruhat_interval(u)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_h_bruhat_sandwich_for_admissible(n):
     # The windowed build, and the per-w build of every pair under h's windows.
     w0 = longest_element(n)

@@ -1,11 +1,15 @@
 """Decorated pattern containment and the regularity equivalence."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from hessgkm.graphs import interval_graph, is_regular
 from hessgkm.hess import cell_dimension, enumerate_admissible
 from hessgkm.patterns import (
     PATTERN_IDS,
+    _window_ok,
     avoids_all_associated,
     contains_hpattern,
     pattern_witnesses,
@@ -69,3 +73,37 @@ def test_every_pattern_has_a_witness_somewhere():
         if seen == set(PATTERN_IDS):
             break
     assert seen == set(PATTERN_IDS), f"missing: {set(PATTERN_IDS) - seen}"
+
+
+def _per_pattern_scan(w, h):
+    """The witnesses as the definition: for each pattern in the fixed
+    order, a lexicographic scan of the quadruples for the first one whose
+    windows hold and whose values are order-isomorphic to the pattern."""
+    out = []
+    for pid in PATTERN_IDS:
+        for quad in combinations(range(1, len(w) + 1), 4):
+            values = [w[p - 1] for p in quad]
+            ranks = tuple(sorted(values).index(v) + 1 for v in values)
+            if _window_ok(pid, h, *quad) and ranks == tuple(int(c) for c in pid):
+                out.append((pid, quad))
+                break
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_pass_matches_per_pattern_scan(n):
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            expected = _per_pattern_scan(w, h)
+            assert pattern_witnesses(w, h) == expected, (h, w)
+            found = dict(expected)
+            assert all(contains_hpattern(w, h, pid) == found.get(pid) for pid in PATTERN_IDS)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_one_pass_matches_per_pattern_scan_sampled(n):
+    rng = random.Random(n)
+    hs = hessenberg_functions(n)
+    for _ in range(500):
+        h, w = rng.choice(hs), tuple(rng.sample(range(1, n + 1), n))
+        assert pattern_witnesses(w, h) == _per_pattern_scan(w, h), (h, w)
