@@ -33,7 +33,7 @@ violator, connectivity and the h-Bruhat steps, with no edge objects built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import MoveGraph, interval_move_graph
 from .hess import (
@@ -68,8 +68,7 @@ CITE_PATTERNS = "Thm4.5"
 CITE_REP_SMOOTH = "Thm1.3(1)"
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     connected: bool
     regular: bool
     min_degree: int
@@ -77,8 +76,7 @@ class GraphStats:
     violating_vertex: Perm | None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     n: int
     h: HessFunc
     w: Perm

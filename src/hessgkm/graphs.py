@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby
 from operator import itemgetter
@@ -67,8 +66,7 @@ class RegularityCheck(NamedTuple):
     violator: Perm | None
 
 
-@dataclass(frozen=True)
-class GkmGraph:
+class GkmGraph(NamedTuple):
     """Immutable labeled graph; vertices and edges are canonically sorted."""
 
     vertices: tuple[Perm, ...]

@@ -89,19 +89,25 @@ def contains_hpattern(w: Perm, h, pattern_id: str) -> Witness | None:
     return _first_witnesses(w, h).get(pattern_id)
 
 
+def _ordered_witnesses(w: Perm, h: HessFunc) -> list[tuple[str, Witness]]:
+    """:func:`_first_witnesses` in the fixed pattern order, for a valid h."""
+    found = _first_witnesses(w, h)
+    return [(pid, found[pid]) for pid in PATTERN_IDS if pid in found]
+
+
 def pattern_witnesses(w: Perm, h) -> list[tuple[str, Witness]]:
     """First witness for each contained pattern, in the fixed pattern order."""
     h = validate_hessenberg(h)
     _check_rank(w, h)
-    found = _first_witnesses(w, h)
-    return [(pid, found[pid]) for pid in PATTERN_IDS if pid in found]
+    return _ordered_witnesses(w, h)
 
 
 def avoids_all_associated(w: Perm, h) -> tuple[bool, list[tuple[str, Witness]]]:
     """Whether the admissible permutation w avoids all seven patterns.
 
     Raises for non-admissible w: the regularity equivalence this test feeds
-    is only stated in that case.
+    is only stated in that case.  h is validated once; the admissibility
+    test checks the rank.
     """
     h = validate_hessenberg(h)
     if not is_admissible(w, h):
@@ -109,5 +115,5 @@ def avoids_all_associated(w: Perm, h) -> tuple[bool, list[tuple[str, Witness]]]:
             f"{format_permutation(w)} is not admissible for h={h}; "
             "the pattern criterion does not apply"
         )
-    witnesses = pattern_witnesses(w, h)
+    witnesses = _ordered_witnesses(w, h)
     return (not witnesses, witnesses)

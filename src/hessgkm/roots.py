@@ -4,11 +4,14 @@ Roots are stored as integer coordinate vectors over the simple roots, so
 "a1+a2" is (1, 1).  Supported types: A, B, C, D (while |W| is within
 :data:`hessgkm.perms.SIZE_LIMIT`), G2, and F4.  Conventions follow the
 standard Euclidean realizations; in particular for type C the last simple
-root is long, so C2 has positive roots a1, a2, a1+a2, 2a1+a2.  Only their
-Gram matrix is used, through one pairing: the integer coroot row
-<alpha_j, beta^vee> = 2 (alpha_j, beta) / (beta, beta) of a root beta.  The
-simple rows are ``cartan`` and close the positive roots, and every
-reflection s_beta(gamma) = gamma - <gamma, beta^vee> beta, the generators
+root is long, so C2 has positive roots a1, a2, a1+a2, 2a1+a2.  Every
+realization is integral: F4's usual one, with its half-integer root, is
+doubled.  Only the Gram matrix is used, through one pairing: the integer
+coroot row <alpha_j, beta^vee> = 2 (alpha_j, beta) / (beta, beta) of a root
+beta, found by exact integer division.  It is a ratio of inner products, so
+scaling a realization does not change it.  The simple rows are ``cartan``
+and close the positive roots, and every reflection
+s_beta(gamma) = gamma - <gamma, beta^vee> beta, the generators
 and :meth:`RootSystem.reflections` alike, is built from beta's row.
 
 Weyl group elements are stored as permutations of the signed root list
@@ -63,12 +66,12 @@ module over the Borel.  The machinery built on M:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property, reduce
 from operator import and_, or_
+from typing import NamedTuple
 
 from .graphs import MoveGraph, build_move_graph
+from .hess import validate_hessenberg
 from .perms import Perm, _fields, check_size, compose as perm_compose
 
 Coords = tuple[int, ...]
@@ -109,14 +112,14 @@ _POSITIVE_COUNT = {
 }
 
 
-def _unit_diff(dim: int, i: int, j: int) -> tuple[Fraction, ...]:
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(1)
-    v[j] = Fraction(-1)
+def _unit_diff(dim: int, i: int, j: int) -> tuple[int, ...]:
+    v = [0] * dim
+    v[i] = 1
+    v[j] = -1
     return tuple(v)
 
 
-def _simple_roots_euclidean(type_label: str, rank: int) -> list[tuple[Fraction, ...]]:
+def _simple_roots_euclidean(type_label: str, rank: int) -> list[tuple[int, ...]]:
     t = type_label
     if t == "A":
         if rank < 1:
@@ -126,34 +129,26 @@ def _simple_roots_euclidean(type_label: str, rank: int) -> list[tuple[Fraction, 
         if rank < 2:
             raise ValueError(f"type {t} needs rank >= 2")
         out = [_unit_diff(rank, i, i + 1) for i in range(rank - 1)]
-        last = [Fraction(0)] * rank
-        last[rank - 1] = Fraction(1 if t == "B" else 2)
+        last = [0] * rank
+        last[rank - 1] = 1 if t == "B" else 2
         return out + [tuple(last)]
     if t == "D":
         if rank < 3:
             raise ValueError("type D needs rank >= 3")
         out = [_unit_diff(rank, i, i + 1) for i in range(rank - 1)]
-        last = [Fraction(0)] * rank
-        last[rank - 2] = Fraction(1)
-        last[rank - 1] = Fraction(1)
+        last = [0] * rank
+        last[rank - 2] = 1
+        last[rank - 1] = 1
         return out + [tuple(last)]
     if t == "G":
         if rank != 2:
             raise ValueError("type G has rank 2")
-        return [
-            (Fraction(1), Fraction(-1), Fraction(0)),
-            (Fraction(-2), Fraction(1), Fraction(1)),
-        ]
+        return [(1, -1, 0), (-2, 1, 1)]
     if t == "F":
         if rank != 4:
             raise ValueError("type F has rank 4")
-        half = Fraction(1, 2)
-        return [
-            (Fraction(0), Fraction(1), Fraction(-1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(1), Fraction(-1)),
-            (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-            (half, -half, -half, -half),
-        ]
+        # The usual realization doubled, so that it is integral.
+        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
     raise ValueError(f"unsupported type {type_label!r} (supported: A, B, C, D, G2, F4)")
 
 
@@ -182,7 +177,7 @@ class RootSystem:
         self.order = _ORDER_FORMULA[type_label](rank)
         # Covers A<=7, B/C<=6, D<=6, G2, F4; E types are not built here.
         check_size(self.order, f"W({type_label}{rank})")
-        # gram[i][j] = (alpha_i, alpha_j), exact
+        # gram[i][j] = (alpha_i, alpha_j), an integer
         self._gram = [[sum(a * b for a, b in zip(x, y)) for y in simples] for x in simples]
         self.simple_roots: tuple[Coords, ...] = tuple(
             tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)
@@ -215,10 +210,10 @@ class RootSystem:
         for each simple root alpha_j, from the Gram matrix."""
         ab = [sum(g * b for g, b in zip(gram_j, beta)) for gram_j in self._gram]
         bb = sum(b * x for b, x in zip(beta, ab))
-        pairing = [2 * x / bb for x in ab]
-        if any(k.denominator != 1 for k in pairing):
+        pairing = [divmod(2 * x, bb) for x in ab]
+        if any(r for _, r in pairing):
             raise RuntimeError(f"non-integral coroot pairing for {beta}")
-        return tuple(map(int, pairing))
+        return tuple(k for k, _ in pairing)
 
     def _close_positive_roots(self) -> tuple[Coords, ...]:
         seen = set(self.simple_roots)
@@ -563,8 +558,6 @@ def root_from_positions(rs: RootSystem, i: int, j: int) -> Coords:
 
 def hessenberg_space_from_function(rs: RootSystem, h) -> "HessenbergSpace":
     """Type A dictionary: e_i - e_j lies in M iff j <= h(i)."""
-    from .hess import validate_hessenberg
-
     h = validate_hessenberg(h)
     if rs.type_label != "A" or len(h) != rs.rank + 1:
         raise ValueError("expected a type A system of rank n-1")
@@ -579,16 +572,19 @@ def hessenberg_space_from_function(rs: RootSystem, h) -> "HessenbergSpace":
 # -- Hessenberg spaces ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class HessenbergSpace:
-    rs: RootSystem
-    roots: frozenset[Coords]
+    """A closed subset M of the positive roots of ``rs``, with a memo of the
+    tables built from it.  Equality is identity."""
+
+    __slots__ = ("rs", "roots", "_memo")
+
+    def __init__(self, rs: RootSystem, roots: frozenset[Coords]):
+        self.rs, self.roots, self._memo = rs, roots, {}
 
     def _cache(self, key: str, compute):
-        store = self.__dict__.setdefault("_memo", {})
-        if key not in store:
-            store[key] = compute()
-        return store[key]
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 def validate_hessenberg_space(rs: RootSystem, roots) -> HessenbergSpace:
@@ -612,7 +608,7 @@ def validate_hessenberg_space(rs: RootSystem, roots) -> HessenbergSpace:
                     )
         raise RuntimeError("down-closure and pairwise closure disagree")
     hs = HessenbergSpace(rs, m)
-    hs._cache("m_mask", lambda: m_mask)
+    hs._memo["m_mask"] = m_mask
     return hs
 
 
@@ -835,8 +831,7 @@ def arbitrary_gkm_graph(hs: HessenbergSpace) -> MoveGraph:
     return _move_graph(hs, range(rs.order), rs.elements())
 
 
-@dataclass(frozen=True)
-class WeylClassification:
+class WeylClassification(NamedTuple):
     type_label: str
     rank: int
     element: str

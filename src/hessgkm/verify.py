@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -116,15 +115,16 @@ from .roots import Coords, Element, HessenbergSpace, RootSystem, mask_order_key,
 _CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 
 
-@dataclass
 class SweepResult:
-    suite: str
-    n_max: int
-    cases: int
-    violations: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
-    complete: bool = True
-    note: str = ""
+    """One suite's outcome; each result has its own ``violations`` list."""
+
+    def __init__(
+        self, suite: str, n_max: int, cases: int, violations: list[dict] | None = None,
+        elapsed: float = 0.0, complete: bool = True, note: str = "",
+    ):
+        self.suite, self.n_max, self.cases = suite, n_max, cases
+        self.violations = [] if violations is None else violations
+        self.elapsed, self.complete, self.note = elapsed, complete, note
 
     @property
     def ok(self) -> bool:

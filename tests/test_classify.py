@@ -5,6 +5,7 @@ import pytest
 from hessgkm.classify import classify, component_lower_bound
 from hessgkm.cohomology import localized_class_candidate
 from hessgkm.graphs import (
+    build_hessenberg_graph,
     edge_set_at,
     fixed_point_induced_graph,
     interval_graph,
@@ -235,3 +236,12 @@ def test_component_lower_bound_structure(n):
             r = classify(w, h)
             if r.intersection_irreducible == "yes":
                 assert b == frozenset({w})
+
+
+def test_report_and_graph_reject_attribute_assignment():
+    report = classify((3, 2, 1, 4), H3344)
+    graph = build_hessenberg_graph((2, 3, 3))
+    for obj, name in [(report, "w"), (report.graph_stats, "regular"), (graph, "edges"), (graph, "w")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert graph.w is None

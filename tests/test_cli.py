@@ -189,6 +189,21 @@ def test_verify_all_n5_output_is_pinned(capsys):
     assert digest == "0d342daa90dabf674b7c656b3680f9c3e00d2decd499bc2ce117e4dfe3b62ede"
 
 
+@pytest.mark.parametrize(
+    "flag,digest",
+    [
+        ("--tables", "3bb14394271b4178587ff1dc6d8385448f0f585e4506966ca9fa987ca8a9916f"),
+        ("--json", "36a9488f3fd7617983be31ea2febcd9e8efd3e1a0780ec034884a4c9af583206"),
+    ],
+)
+def test_roots_f4_output_is_pinned(flag, digest, capsys):
+    # Every F4 Hessenberg space's classes and tops, from the integral
+    # (doubled) realization of F4.
+    code, out = run_cli(["roots", "--type", "F", "--rank", "4", flag], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n_max", ["0", "-3"])
 def test_verify_rejects_n_max_below_1(n_max, capsys):
     code = main(["verify", "--suite", "bruhat", "--n-max", n_max])

@@ -1,9 +1,11 @@
-"""Package-wide properties: the public namespace and the size of the memo caches."""
+"""Package-wide properties: the public namespace, the modules an import loads and
+the size of the memo caches."""
 
 import json
 import subprocess
 import sys
 from math import factorial
+from pathlib import Path
 from types import ModuleType
 
 import hessgkm
@@ -19,6 +21,18 @@ def test_submodules_are_not_shadowed_and_stay_out_of_all():
     assert {"ClassificationReport", "component_lower_bound", "localized_class_candidate", "sweep"} <= set(
         hessgkm.__all__
     )
+
+
+def test_import_loads_no_heavy_stdlib():
+    """Importing the package and its CLI pulls in none of these stdlib modules:
+    they cost more start-up time than the library's own modules."""
+    src = str(Path(hessgkm.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hessgkm, hessgkm.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # Every lru_cache of the library, found by type, with its entry count, after

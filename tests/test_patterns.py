@@ -5,8 +5,9 @@ from itertools import combinations
 
 import pytest
 
+from hessgkm import patterns
 from hessgkm.graphs import interval_graph, is_regular
-from hessgkm.hess import cell_dimension, enumerate_admissible
+from hessgkm.hess import cell_dimension, enumerate_admissible, validate_hessenberg
 from hessgkm.patterns import (
     PATTERN_IDS,
     _window_ok,
@@ -107,3 +108,17 @@ def test_one_pass_matches_per_pattern_scan_sampled(n):
     for _ in range(500):
         h, w = rng.choice(hs), tuple(rng.sample(range(1, n + 1), n))
         assert pattern_witnesses(w, h) == _per_pattern_scan(w, h), (h, w)
+
+
+def test_avoids_all_associated_validates_h_once(monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(values)
+        return validate_hessenberg(values)
+
+    monkeypatch.setattr(patterns, "validate_hessenberg", counting)
+    for w in enumerate_admissible(H3344):
+        calls.clear()
+        avoids_all_associated(w, [3, 3, 4, 4])
+        assert calls == [[3, 3, 4, 4]]

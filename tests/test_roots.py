@@ -54,6 +54,29 @@ EXPECTED = {
 }
 
 
+# The Cartan matrices of the integral realizations; F4's is doubled from the
+# usual one, which the pairings do not see.
+CARTAN = {
+    ("A", 1): [[2]],
+    ("A", 2): [[2, -1], [-1, 2]],
+    ("A", 3): [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    ("B", 2): [[2, -1], [-2, 2]],
+    ("C", 2): [[2, -2], [-1, 2]],
+    ("B", 3): [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    ("C", 3): [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    ("D", 4): [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    ("G", 2): [[2, -3], [-1, 2]],
+    ("F", 4): [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]],
+}
+
+
+@pytest.mark.parametrize("type_label,rank", SYSTEMS)
+def test_cartan_from_integral_realization(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    assert rs.cartan == CARTAN[(type_label, rank)]
+    assert all(type(x) is int for row in rs._gram for x in row)
+
+
 def chain_oracle_leq(rs: RootSystem, u, v) -> bool:
     """Independent Bruhat decision: BFS over length-increasing reflection
     right-multiplications."""
@@ -222,6 +245,17 @@ def test_validate_hessenberg_space():
         validate_hessenberg_space(a2, {(1, 1)})  # (a1+a2) - a1 = a2 missing
     with pytest.raises(ValueError):
         validate_hessenberg_space(a2, {(2, 0)})  # not a root
+
+
+def test_hessenberg_spaces_compare_by_identity_with_own_memo():
+    c2 = build_root_system("C", 2)
+    m = c2.parse_root_list("a1,a2,a1+a2")
+    hs, other = validate_hessenberg_space(c2, m), validate_hessenberg_space(c2, m)
+    assert hs.roots == other.roots
+    assert hs != other and hs == hs
+    weyl_type_subsets(hs)
+    assert "weyl_masks" in hs._memo and "weyl_masks" not in other._memo
+    assert hs._memo is not other._memo
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 2), ("C", 2), ("G", 2)])

@@ -24,6 +24,7 @@ from hessgkm.hess import admissible_representative, enumerate_admissible
 from hessgkm.perms import all_permutations, apply_transposition, bruhat_leq, compose, inverse
 from hessgkm.verify import (
     SUITE_NAMES,
+    SweepResult,
     hessenberg_functions,
     oracle_bruhat,
     sweep,
@@ -226,3 +227,11 @@ def test_json_dict_shape():
     assert d["suite"] == "bruhat"
     assert d["violations"] == []
     assert d["complete"] is True
+
+
+def test_sweep_results_never_share_a_violations_list():
+    a, b = SweepResult("bruhat", 3, 0), SweepResult("bruhat", 3, 0)
+    a.violations.append({"detail": "x"})
+    assert b.violations == [] and b.ok and not a.ok
+    assert sweep("bruhat", 3).violations is not sweep("bruhat", 3).violations
+    assert (b.elapsed, b.complete, b.note) == (0.0, True, "")
