@@ -27,8 +27,11 @@ Each claim carries a citation tag, a stable identifier for the criterion
 that fired; the tags are part of the JSON report format.
 
 The graph facts come from one :func:`hessgkm.graphs.interval_move_graph`
-per interval (of w, and of w~ when it differs): degrees, the first
-violator, connectivity and the h-Bruhat steps, with no edge objects built.
+per interval (of w, and of w~ when it differs), with no edge objects
+built.  w's kernel is read only through its masks: degrees, the first
+violator, and connectivity, which is the sink count (connected iff
+exactly one vertex has no up-step under h's windows).  Only w~'s kernel
+is walked, down from its vertices of full degree, for the smooth set.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ from .patterns import Witness, pattern_witnesses
 from .perms import (
     Perm,
     bruhat_interval_lex,
-    compose,
     format_permutation,
+    left_multiply,
 )
 
 # Citation tags carried by report verdicts.
@@ -142,9 +145,10 @@ def _local_degree_smooth_set(g: MoveGraph, target: int) -> set[Perm]:
     h-Bruhat sandwich w~ <=_h v <=_h u with deg(u) equal to the cell
     dimension ``target``; ``g`` is the interval graph of the representative."""
     good = [x for x, d in enumerate(g.degrees()) if d == target]
-    # The up-steps are exactly the h-Bruhat steps inside the interval.  w~
-    # is id 0: the lexicographic order extends the Bruhat order.
-    return {g.vertices[x] for x in g.reachable([0], 1) & g.reachable(good, -1)}
+    # The up-steps are exactly the h-Bruhat steps inside the interval, and
+    # from an admissible w~ they reach all of it, so every vertex lies
+    # above w~ in the h-order; only the upper end of the sandwich is searched.
+    return {g.vertices[x] for x in g.reachable(good, -1)}
 
 
 def classify(w: Perm, h) -> ClassificationReport:
@@ -157,7 +161,10 @@ def classify(w: Perm, h) -> ClassificationReport:
     dim = complexity_dimension(h) - lh
     graph = interval_move_graph(h, w)
     reg = graph.regularity(dim)
-    conn = graph.connected()
+    # h's windows never cross a block of h, and a sink decreases on every
+    # block, so two sinks differ in some block's value set, which no edge
+    # changes: the graph is connected iff it has one sink.
+    conn = graph.sinks() == 1
     degs = graph.degrees()
     stats = GraphStats(
         connected=conn,
@@ -202,7 +209,7 @@ def classify(w: Perm, h) -> ClassificationReport:
     # translated set always contains w.
     local = _local_degree_smooth_set(graph_t, cell_dimension(wt, h))
     citations.append(CITE_DEGREE_SHORTCUT)
-    pts = local if wt == w else {compose(u, v) for v in local}
+    pts = local if wt == w else set(left_multiply(u, local))
 
     seen: set[str] = set()
     ordered = tuple(c for c in citations if not (c in seen or seen.add(c)))

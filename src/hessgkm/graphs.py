@@ -7,12 +7,14 @@ and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 +-(t_a - t_b), reconstructed from val on demand.
 
 Each edge question has one source.  A whole interval's, in either type, is
-the kernel :class:`MoveGraph`, built by :func:`build_move_graph` from each
-vertex's up-steps.  Type A steps by the swaps u(i,j) with u(i) < u(j):
+the kernel :class:`MoveGraph`.  Type A moves by the swaps u(i,j):
 :func:`interval_move_graph` by h's windows (``classify``, the localized
 classes, example61), :func:`bruhat_move_graph` by every pair, once per w,
-for the sweeps to read under each h's window mask; :mod:`hessgkm.roots`
-steps by its reflection table.  One vertex's source is :func:`edge_set_at`.
+for the sweeps to read under each h's window mask; its masks come by
+membership and its targets on the first read that walks edges.
+:mod:`hessgkm.roots` builds it with :func:`build_move_graph` from each
+vertex's up-steps in its reflection table.  One vertex's source is
+:func:`edge_set_at`.
 Export's is :func:`_induced`, the only builder of ``GkmEdge`` objects, for
 DOT/JSON and the compatibility check, on the full graph and on these:
 
@@ -134,19 +136,32 @@ def interval_graph(h, w: Perm) -> GkmGraph:
     return _induced(h, bruhat_interval(w), w)
 
 
-class MoveGraph(NamedTuple):
+class MoveGraph:
     """An interval's moment graph on local ids 0, 1, ... in the order of
     ``vertices``, which the caller chooses.  An edge has one bit at both
     ends: a position pair in type A (as in :func:`hessgkm.perms.inversion_mask`),
     a positive root in general type.  ``moves[x]`` has the bits of the edges
     at x inside the interval, ``up[x]`` those that lengthen x, and bit k at x
-    leads to ``targets[x * width + k]``.  A read sees only the bits of ``within``."""
+    leads to ``targets[x * width + k]``.  A read sees only the bits of ``within``.
 
-    vertices: tuple
-    moves: array | tuple
-    up: array | tuple
-    targets: array
-    width: int
+    The masks answer degrees, regularity and sinks.  ``targets`` may be
+    given as a function of the graph, and is then built on its first read,
+    once: only reads that walk edges need it."""
+
+    __slots__ = ("vertices", "moves", "up", "_targets", "width")
+
+    def __init__(self, vertices, moves, up, targets, width: int) -> None:
+        self.vertices = vertices
+        self.moves = moves
+        self.up = up
+        self.width = width
+        self._targets = targets
+
+    @property
+    def targets(self) -> array:
+        if not isinstance(self._targets, array):
+            self._targets = self._targets(self)
+        return self._targets
 
     def degrees(self, within: int = -1) -> list[int]:
         return [(m & within).bit_count() for m in self.moves]
@@ -156,11 +171,15 @@ class MoveGraph(NamedTuple):
         bad = next((x for x, m in enumerate(self.moves) if (m & within).bit_count() != expected), None)
         return RegularityCheck(bad is None, None if bad is None else self.vertices[bad])
 
+    def sinks(self, within: int = -1) -> int:
+        """The number of ids with no up-step."""
+        return [u & within for u in self.up].count(0)
+
     def connected(self, within: int = -1) -> bool:
-        """Decided from the sinks (ids with no up-step) first: an up-step
-        lengthens, so every up-path ends at a sink, and with one sink every
-        id is joined to it.  With more, a search from id 0 decides."""
-        if [u & within for u in self.up].count(0) == 1:
+        """Decided from the sinks first: an up-step lengthens, so every
+        up-path ends at a sink, and with one sink every id is joined to it.
+        With more, a search from id 0 decides."""
+        if self.sinks(within) == 1:
             return True
         return len(self.reachable([0], 0, within)) == len(self.moves)
 
@@ -168,7 +187,7 @@ class MoveGraph(NamedTuple):
         """The ids reached from the ids ``starts`` along every move, the
         up-steps (``up``, a part of ``moves``) if ``toward`` is 1, or the
         down-steps (``moves ^ up``) if it is -1; it stops once all are seen."""
-        _, moves, up, targets, width = self
+        moves, up, targets, width = self.moves, self.up, self.targets, self.width
         steps = moves if not toward else up if toward > 0 else [m ^ u for m, u in zip(moves, up)]
         size = len(moves)
         seen = set(starts)
@@ -185,6 +204,11 @@ class MoveGraph(NamedTuple):
                     stack.append(y)
                 bits ^= low
         return seen
+
+
+def _pack(masks: list[int], width: int):
+    # array('Q') keeps 8 bytes a mask; wider masks (type A from n = 12) stay ints.
+    return array("Q", masks) if width <= 64 else tuple(masks)
 
 
 def build_move_graph(vertices, up_steps, width: int) -> MoveGraph:
@@ -204,31 +228,57 @@ def build_move_graph(vertices, up_steps, width: int) -> MoveGraph:
             targets[y * width + k] = x
         up[x] = mask
         moves[x] |= mask
-    # array('Q') keeps 8 bytes a mask; wider masks (type A from n = 12) stay ints.
-    pack = partial(array, "Q") if width <= 64 else tuple
-    return MoveGraph(tuple(vertices), pack(moves), pack(up), targets, width)
+    return MoveGraph(tuple(vertices), _pack(moves, width), _pack(up, width), targets, width)
 
 
 def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
     """[w, w0] in lexicographic order, its edges the swaps u t_k with k in
     ``allowed``.  The interval is an upset, so every ascent u t_k of u
-    (u(i) < u(j)) lies in it: the up-steps are found unprobed."""
+    (u(i) < u(j)) lies in it, and a descent lies in it iff u t_k is one of
+    its vertices: the masks need one membership test per descent.  The
+    targets wait for their first read."""
     vertices = bruhat_interval_lex(w)
-    index = {u: x for x, u in enumerate(vertices)}
+    inside = set(vertices)
     chosen = _swaps(len(w), allowed)
-    steps = ([(k, index[swap(u)]) for k, i, j, swap in chosen if u[i] < u[j]] for u in vertices)
-    return build_move_graph(vertices, steps, len(w) * (len(w) - 1) // 2)
+    moves = []
+    up = []
+    for u in vertices:
+        ascents = descents = 0
+        for bit, i, j, swap in chosen:
+            if u[i] < u[j]:
+                ascents |= bit
+            elif swap(u) in inside:
+                descents |= bit
+        moves.append(ascents | descents)
+        up.append(ascents)
+    width = len(w) * (len(w) - 1) // 2
+    return MoveGraph(vertices, _pack(moves, width), _pack(up, width), partial(_type_a_targets, chosen), width)
+
+
+def _type_a_targets(chosen: tuple, g: MoveGraph) -> array:
+    """The targets of a type-A kernel: each up-step's, mirrored into it."""
+    vertices, width = g.vertices, g.width
+    index = {u: x for x, u in enumerate(vertices)}
+    targets = array("i", [0]) * (len(vertices) * width)
+    for x, (u, steps) in enumerate(zip(vertices, g.up)):
+        for bit, i, j, swap in chosen:
+            if steps & bit:
+                k = bit.bit_length() - 1
+                y = index[swap(u)]
+                targets[x * width + k] = y
+                targets[y * width + k] = x
+    return targets
 
 
 @lru_cache(maxsize=None)
 def _swaps(n: int, allowed: int) -> tuple:
-    """(k, i - 1, j - 1, swap) per pair k = (i, j) in ``allowed``; swap(u) is u t_k."""
+    """(1 << k, i - 1, j - 1, swap) per pair k = (i, j) in ``allowed``; swap(u) is u t_k."""
     out = []
     for k, (i, j) in enumerate(transpositions(n)):
         if allowed >> k & 1:
             at = list(range(n))
             at[i - 1], at[j - 1] = j - 1, i - 1
-            out.append((k, i - 1, j - 1, itemgetter(*at)))
+            out.append((1 << k, i - 1, j - 1, itemgetter(*at)))
     return tuple(out)
 
 

@@ -41,6 +41,7 @@ from .perms import (
     compose,
     inverse,
     inversion_mask,
+    left_multiply,
     transpositions,
 )
 
@@ -184,7 +185,7 @@ def hess_schubert_fixed_points(w: Perm, h: HessFunc) -> frozenset[Perm]:
     """
     wt, u = admissible_representative(w, h)
     interval = bruhat_interval(wt)
-    return interval if wt == w else frozenset(compose(u, v) for v in interval)
+    return interval if wt == w else frozenset(left_multiply(u, interval))
 
 
 def hessenberg_connected(h: HessFunc) -> bool:

@@ -10,13 +10,16 @@ u <= v iff for every k the increasingly sorted prefixes satisfy
 sorted(u[:k]) <= sorted(v[:k]) entrywise.  An independent chain oracle for
 the same order lives in :mod:`hessgkm.verify`.
 
-Upper intervals [w, w0] are built by one depth-first enumerator for every
-n.  Because the k-th condition involves only v[:k], it grows v one
-position at a time and drops a prefix as soon as its condition fails; no
-extension of a failing prefix lies above w.  The last two positions are
-filled in one step, since only the second-to-last needs the test and the
-last value is forced.  The cost therefore follows the size of the interval
-rather than n!, and the elements come out in lexicographic order.
+Upper intervals [w, w0] are built by one enumerator for every n.  The
+k-th condition involves only the set of v[:k], so a prefix is dropped as
+soon as its set fails (no extension of it lies above w), and two prefixes
+holding the same set have the same tails.  The tails after each prefix set
+are therefore listed once, memoized by the set's bitmask: those after S
+are x followed by each tail after S + {x}, for x ascending, which keeps the
+lexicographic order.  The conditions are kept as one slack count per
+threshold, packed into fixed-width fields of one int, so the test for the
+next value is O(1).  The cost follows the size of the interval rather
+than n!.
 
 Position pairs share one bit layout: bit k stands for the k-th pair of
 :func:`transpositions`, (1, 2), (1, 3), ..., (n-1, n).  :func:`inversion_mask`
@@ -101,6 +104,17 @@ def compose(u: Perm, v: Perm) -> Perm:
     return tuple(u[x - 1] for x in v)
 
 
+def left_multiply(u: Perm, vs: Iterable[Perm]) -> Iterator[Perm]:
+    """``compose(u, v)`` for each v of ``vs``, all of u's rank, through one
+    lookup tuple.
+
+    >>> list(left_multiply((1, 4, 2, 3), [(4, 3, 1, 2), (1, 2, 3, 4)]))
+    [(3, 2, 1, 4), (1, 4, 2, 3)]
+    """
+    at = (0, *u).__getitem__
+    return (tuple(map(at, v)) for v in vs)
+
+
 def inverse(w: Perm) -> Perm:
     """Position lookup.
 
@@ -183,58 +197,59 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     return True
 
 
-def _extend_upper(
-    w: Perm, k: int, prefix: list[int], free: int, slack: list[int], out: list[Perm]
-) -> None:
-    """Append to ``out``, in lexicographic order, every v >= w with
-    v[:k] == prefix, for k <= n - 2.
+def _completions(free: int, slack: int, memo: dict, spec: tuple) -> list[tuple[int, ...]]:
+    """Every tail t, in lexicographic order, that completes a prefix of v
+    holding the values missing from ``free`` (bit x set for each value x
+    left) to some v >= w; the prefix must itself meet its conditions.
 
-    ``free`` has bit x set for each value x not in the prefix.  ``slack[t]``
-    is the number of prefix entries of v that are >= t minus the same count
-    for w[:k]; the prefix satisfies the criterion iff no slack is negative.
-    Stops once ``out`` passes the size limit.
+    ``slack`` packs, in field t of ``width`` bits, the number of prefix
+    values >= t minus the same count for w[:k].  The tails depend on the
+    prefix set alone, so ``memo`` keeps them by ``free``.  A module-level
+    function holding no reference to itself, so the memo is no garbage
+    cycle.
     """
-    n = len(w)
-    y = w[k]
+    tails = memo.get(free)
+    if tails is not None:
+        return tails
+    w, width, below, zero_guards, ones, what = spec
+    if not free & (free - 1):
+        tails = memo[free] = [(free.bit_length() - 1,)]
+        return tails
+    y = w[len(w) - free.bit_count()]
     # v[k] = x < y lowers the slack on (x, y] by one, so x must be at least
     # the highest threshold z <= y whose slack is already 0 (slack[1] is
-    # always 0).  Any x >= y only raises slack.
-    z = y
-    while slack[z]:
-        z -= 1
-    if k == n - 2:
-        # Two free values a < b remain; the last one is forced, and the
-        # full prefix never decides.
-        b = free.bit_length() - 1
-        a = (free ^ (1 << b)).bit_length() - 1
-        for x, last in ((a, b), (b, a)):
-            if x >= z:
-                out.append((*prefix, x, last))
-                if len(out) > SIZE_LIMIT:
-                    what = f"interval [{format_permutation(w)}, w0] (enumeration stopped)"
-                    check_size(len(out), what)
-        return
-    for x in range(z, n + 1):
-        if not free >> x & 1:
-            continue
-        lo, hi, d = (x, y, -1) if x < y else (y, x, 1)
-        for t in range(lo + 1, hi + 1):
-            slack[t] += d
-        prefix.append(x)
-        _extend_upper(w, k + 1, prefix, free & ~(1 << x), slack, out)
-        prefix.pop()
-        for t in range(lo + 1, hi + 1):
-            slack[t] -= d
+    # always 0).  Any x >= y only raises slack.  The guard bit of a field is
+    # borrowed off iff the field is 0.
+    zeros = zero_guards & ~((slack | zero_guards) - ones) & ((1 << (y + 1) * width) - 1)
+    z = zeros.bit_length() // width - 1
+    rest = free >> z << z
+    tails = []
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        x = bit.bit_length() - 1
+        sub = _completions(free ^ bit, slack + below[x] - below[y], memo, spec)
+        if len(tails) + len(sub) > SIZE_LIMIT:
+            check_size(SIZE_LIMIT + 1, what)
+        tails += map((x,).__add__, sub)
+    memo[free] = tails
+    return tails
 
 
 @lru_cache(maxsize=None)
 def bruhat_interval_lex(w: Perm) -> tuple[Perm, ...]:
     """[w, w0] in lexicographic order, the order of its enumeration."""
     n = len(w)
-    if n == 1:
-        return (w,)
-    out: list[Perm] = []
-    _extend_upper(w, 0, [], (1 << (n + 1)) - 2, [0] * (n + 1), out)
+    width = n.bit_length() + 1
+    below = [0] * (n + 1)  # below[t]: a one in each field 1..t
+    for t in range(1, n + 1):
+        below[t] = below[t - 1] | 1 << t * width
+    ones = below[n]
+    what = f"interval [{format_permutation(w)}, w0] (enumeration stopped)"
+    memo: dict = {}
+    spec = (w, width, below, ones << (width - 1), ones, what)
+    out = _completions((1 << (n + 1)) - 2, 0, memo, spec)
+    memo.clear()
     return tuple(out)
 
 
@@ -242,9 +257,9 @@ def bruhat_interval_lex(w: Perm) -> tuple[Perm, ...]:
 def bruhat_interval(w: Perm) -> frozenset[Perm]:
     """The upper interval [w, w0] = all v with w <= v.
 
-    Enumerated by prefix-pruned depth-first search under the sorted-prefix
-    criterion, in lexicographic order, at a cost that grows with the size
-    of the interval.
+    Enumerated once per prefix set under the sorted-prefix criterion, in
+    lexicographic order, at a cost that grows with the size of the
+    interval.
 
     >>> sorted(bruhat_interval((1, 3, 2)))
     [(1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]

@@ -58,9 +58,9 @@ module over the Borel.  The machinery built on M:
   regularity verdict on Bruhat interval subgraphs; the smoothness
   conclusion is withheld outside the simply-laced types.  Its edges have
   one source, the per-id moves w -> w s_c of the reflection table: they
-  are the up-steps of :func:`hessgkm.graphs.build_move_graph`, the kernel
-  type A uses, with the interval's ids ordered by rank, so that the first
-  violator is the least by (length, word).
+  are the up-steps :func:`hessgkm.graphs.build_move_graph` builds the
+  kernel type A uses from, with the interval's ids ordered by rank, so
+  that the first violator is the least by (length, word).
 """
 
 from __future__ import annotations

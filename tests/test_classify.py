@@ -10,6 +10,7 @@ from hessgkm.graphs import (
     fixed_point_induced_graph,
     interval_graph,
     interval_move_graph,
+    is_connected,
     phi_map,
     regularity_via_w0,
 )
@@ -27,6 +28,7 @@ from hessgkm.perms import (
     apply_transposition,
     bruhat_interval,
     bruhat_leq,
+    compose,
     identity,
     length,
     longest_element,
@@ -215,6 +217,44 @@ def test_full_h_smooth_points_match_carrell_peterson_locus(n):
         bad = [y for y in interval if degrees[y] != dim]
         locus = [x for x in interval if not any(bruhat_leq(y, x) for y in bad)]
         assert list(classify(w, full).smooth_fixed_points) == locus
+
+
+def _reach(g, starts, longer):
+    # The vertices of a GkmGraph reached from ``starts`` along its edges
+    # toward longer (or shorter) permutations.
+    steps = {u: [] for u in g.vertices}
+    for e in g.edges:
+        lo, hi = (e.u, e.v) if length(e.u) < length(e.v) else (e.v, e.u)
+        if longer:
+            steps[lo].append(hi)
+        else:
+            steps[hi].append(lo)
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for v in steps[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_connectivity_and_smooth_points_match_graph_search(n):
+    # classify counts sinks for connectivity and searches only down from
+    # the vertices of full degree; here both come from searches on the
+    # GkmGraph, the smooth set as the whole sandwich above w~ and below
+    # a vertex whose degree is the cell dimension, translated along u.
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            r = classify(w, h)
+            assert r.graph_stats.connected == is_connected(interval_graph(h, w))
+            wt, u = admissible_representative(w, h)
+            g = interval_graph(h, wt)
+            degs = g.degrees()
+            good = [v for v in g.vertices if degs[v] == cell_dimension(wt, h)]
+            sandwich = _reach(g, [wt], True) & _reach(g, good, False)
+            assert set(r.smooth_fixed_points) == {compose(u, v) for v in sandwich}
 
 
 def test_component_lower_bound_frozen():

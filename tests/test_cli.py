@@ -190,6 +190,20 @@ def test_verify_all_n5_output_is_pinned(capsys):
 
 
 @pytest.mark.parametrize(
+    "w,digest",
+    [
+        ("12345678", "ec0c348728502f35a9d3c68a209d9ace23737421968d63271c6c9386e076715a"),
+        ("23845671", "f18366f1fe5ab0df56e7e9d1769d543e676970b3dfe66bed71a2a426bd748092"),
+    ],
+)
+def test_classify_rank8_output_is_pinned(w, digest, capsys):
+    # Two rank-8 reports, on all of S_8 and on a 2,160-vertex interval, as hashes.
+    code, out = run_cli(["classify", "--h", "3,4,5,6,7,8,8,8", "--w", w, "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "flag,digest",
     [
         ("--tables", "3bb14394271b4178587ff1dc6d8385448f0f585e4506966ca9fa987ca8a9916f"),

@@ -1,6 +1,7 @@
 """Moment graph construction, degrees, regularity, connectivity, exports."""
 
 import math
+from array import array
 from itertools import combinations
 
 import pytest
@@ -204,13 +205,31 @@ def test_one_sink_iff_connected(n):
         assert counts == {True: 2025, False: 3015}
 
 
+def _unread(kernel):
+    # A type-A kernel builds its targets on the first read that walks edges.
+    return not isinstance(kernel._targets, array)
+
+
 def _check_move_graph(kernel, within, g, pairs):
-    # A kernel read through ``within`` against its GkmGraph: along each
-    # vertex's up bits the steps are the graph's edges from their lower
-    # ends, along its other moves the same edges from their upper ends; the
-    # degrees, the first violator for every degree value and the
-    # connectivity are the graph's.
+    # A kernel read through ``within`` against its GkmGraph.  First the
+    # masks, found by membership before any target is built: the moves at
+    # each vertex are the pairs of its edges, the up bits those of the
+    # edges it is the lower end of.  Then along each vertex's up bits the
+    # steps are the graph's edges from their lower ends, along its other
+    # moves the same edges from their upper ends; the degrees, the first
+    # violator for every degree value and the connectivity are the graph's.
     assert kernel.vertices == g.vertices
+    assert _unread(kernel)
+    bit = {ij: 1 << k for k, ij in pairs}
+    expect_moves = dict.fromkeys(g.vertices, 0)
+    expect_up = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        expect_moves[e.u] |= bit[e.pos]
+        expect_moves[e.v] |= bit[e.pos]
+        expect_up[e.u] |= bit[e.pos]
+    assert [m & within for m in kernel.moves] == list(expect_moves.values())
+    assert [u & m & within for u, m in zip(kernel.up, kernel.moves)] == list(expect_up.values())
+    assert _unread(kernel)
     edges = {(e.u, e.v, e.pos) for e in g.edges}
     steps = {True: set(), False: set()}
     for x, u in enumerate(kernel.vertices):
@@ -244,6 +263,8 @@ def test_move_masks_agree_with_summary(n):
     # against the windowed kernel, which the test above holds to the
     # GkmGraph: the same moves, up bits and targets at each vertex, and the
     # same degrees, violators, connectivity and up- and down-reach.
+    # The windowed kernel's masks are compared before its targets are built
+    # (the shared kernel's are tested unread below).
     pairs = list(enumerate(transpositions(n)))
     for h in hessenberg_functions(n):
         win = window_mask(h)
@@ -253,6 +274,9 @@ def test_move_masks_agree_with_summary(n):
             for x in range(len(own.vertices)):
                 moves = shared.moves[x] & win
                 assert moves == own.moves[x] and shared.up[x] & moves == own.up[x]
+            assert _unread(own)
+            for x in range(len(own.vertices)):
+                moves = own.moves[x]
                 for k, _ in pairs:
                     if moves >> k & 1:
                         assert shared.targets[x * shared.width + k] == own.targets[x * own.width + k]
@@ -288,15 +312,18 @@ def test_bruhat_move_graph_matches_definition(n):
     full = (1 << len(pairs)) - 1
     for w in all_permutations(n):
         interval = bruhat_interval(w)
-        g = bruhat_move_graph(w)
+        g = bruhat_move_graph.__wrapped__(w)
         assert g.vertices == tuple(sorted(interval)) and g.width == len(pairs)
         index = {u: x for x, u in enumerate(g.vertices)}
+        steps = []
         for x, u in enumerate(g.vertices):
             inside = {k: apply_transposition(u, i, j) for k, (i, j) in enumerate(pairs)}
             inside = {k: v for k, v in inside.items() if v in interval}
             assert g.moves[x] == sum(1 << k for k in inside)
-            assert all(g.targets[x * g.width + k] == index[v] for k, v in inside.items())
             assert g.up[x] == full & ~inversion_mask(u)
+            steps += [(x * g.width + k, index[v]) for k, v in inside.items()]
+        assert _unread(g)
+        assert all(g.targets[at] == y for at, y in steps)
 
 
 def test_bruhat_move_graph_size_limit():

@@ -1,5 +1,8 @@
 """Symmetric group arithmetic and the Bruhat order criterion."""
 
+import gc
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from hessgkm.perms import (
     apply_transposition,
     as_permutation,
     bruhat_interval,
+    bruhat_interval_lex,
     bruhat_leq,
     compose,
     format_permutation,
@@ -176,12 +180,20 @@ def test_interval_size_limit_boundary():
 
 
 def test_interval_matches_chain_oracle():
+    # The enumeration order is lexicographic: the tuple is the bruhat_leq
+    # filter of S_n, in its order, for every w with n <= 6 and for seeded
+    # samples of S_7 and S_8.
     for n in range(1, 6):
         for w in all_permutations(n):
             assert bruhat_interval(w) == oracle_bruhat_upset(w)
-    perms6 = list(all_permutations(6))
-    for w in perms6:
-        assert bruhat_interval(w) == {v for v in perms6 if bruhat_leq(w, v)}
+    for n in range(1, 7):
+        perms = list(all_permutations(n))
+        for w in perms:
+            assert bruhat_interval_lex(w) == tuple(v for v in perms if bruhat_leq(w, v))
+    for n, count in ((7, 12), (8, 3)):
+        perms = list(all_permutations(n))
+        for w in random.Random(n).sample(perms, count):
+            assert bruhat_interval_lex(w) == tuple(v for v in perms if bruhat_leq(w, v))
     # Near the top of S_10, where the chain oracle stays small.
     n = 10
     w0 = longest_element(n)
@@ -193,6 +205,19 @@ def test_interval_matches_chain_oracle():
     for w in near_top:
         assert length(w) >= length(w0) - 2
         assert bruhat_interval(w) == oracle_bruhat_upset(w)
+
+
+def test_interval_enumeration_leaves_no_cyclic_garbage():
+    # The per-prefix-set memo is freed by reference counting when the
+    # enumeration returns; a memo held by a self-recursive closure would be
+    # a cycle, kept until the collector runs.
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(bruhat_interval_lex.__wrapped__(identity(7))) == 5040
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
