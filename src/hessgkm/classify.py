@@ -54,6 +54,7 @@ from .hess import (
 from .patterns import Witness, pattern_witnesses
 from .perms import (
     Perm,
+    as_permutation,
     bruhat_interval_lex,
     format_permutation,
     left_multiply,
@@ -152,6 +153,7 @@ def _local_degree_smooth_set(g: MoveGraph, target: int) -> set[Perm]:
 
 
 def classify(w: Perm, h) -> ClassificationReport:
+    w = as_permutation(w)
     h = validate_hessenberg(h)
     _check_rank(w, h)
     n = len(w)

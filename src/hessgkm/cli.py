@@ -133,9 +133,7 @@ def _cmd_roots(args) -> int:
 
     class_rows = []
     non_weyl = None
-    elements = ()
     if want_tables:
-        elements = [rs.elements()[k] for k in rs._sorted_ids]
         classes = roots.partition_classes(hs)
         subsets = roots.weyl_type_subsets(hs)
         for s in subsets:
@@ -159,7 +157,7 @@ def _cmd_roots(args) -> int:
                     "inversions": rs.format_roots(rs.inversion_set(w)),
                     "inversions_in_m": rs.format_roots(rs.inversion_set(w) & m),
                 }
-                for w in elements
+                for w in rs.elements()
             ],
             "classes": [
                 {
@@ -184,7 +182,7 @@ def _cmd_roots(args) -> int:
         print("N(w) table")
         rows = [
             (label(w), rs.format_root_set(rs.inversion_set(w)), rs.format_root_set(rs.inversion_set(w) & m))
-            for w in elements
+            for w in rs.elements()
         ]
         _print_table(("w", "N(w)", "N(w) & M"), rows)
         print()

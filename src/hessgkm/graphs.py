@@ -7,14 +7,14 @@ and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 +-(t_a - t_b), reconstructed from val on demand.
 
 Each edge question has one source.  A whole interval's, in either type, is
-the kernel :class:`MoveGraph`.  Type A moves by the swaps u(i,j):
+the kernel :class:`MoveGraph`: per vertex a mask of its moves and one of its
+up-steps, and per bit a step map, from which the targets are filled on the
+first read that walks edges.  Each type has its own mask pass.  Type A
+moves by the swaps u(i,j), its masks found by membership:
 :func:`interval_move_graph` by h's windows (``classify``, the localized
 classes, example61), :func:`bruhat_move_graph` by every pair, once per w,
-for the sweeps to read under each h's window mask; its masks come by
-membership and its targets on the first read that walks edges.
-:mod:`hessgkm.roots` builds it with :func:`build_move_graph` from each
-vertex's up-steps in its reflection table.  One vertex's source is
-:func:`edge_set_at`.
+for the sweeps to read under each h's window mask.  :mod:`hessgkm.roots`
+reads its masks off inversion sets.  One vertex's source is :func:`edge_set_at`.
 Export's is :func:`_induced`, the only builder of ``GkmEdge`` objects, for
 DOT/JSON and the compatibility check, on the full graph and on these:
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -141,26 +141,38 @@ class MoveGraph:
     ``vertices``, which the caller chooses.  An edge has one bit at both
     ends: a position pair in type A (as in :func:`hessgkm.perms.inversion_mask`),
     a positive root in general type.  ``moves[x]`` has the bits of the edges
-    at x inside the interval, ``up[x]`` those that lengthen x, and bit k at x
-    leads to ``targets[x * width + k]``.  A read sees only the bits of ``within``.
+    at x inside the interval, ``up[x]`` those that lengthen x, and
+    ``steps[k]`` is right multiplication by bit k's reflection.  A read
+    sees only the bits of ``within``.  The masks answer degrees, regularity
+    and sinks; bit k at x leads to ``targets[x * width + k]``, built from
+    the steps on the first read that walks edges."""
 
-    The masks answer degrees, regularity and sinks.  ``targets`` may be
-    given as a function of the graph, and is then built on its first read,
-    once: only reads that walk edges need it."""
+    __slots__ = ("vertices", "moves", "up", "steps", "width", "_targets")
 
-    __slots__ = ("vertices", "moves", "up", "_targets", "width")
-
-    def __init__(self, vertices, moves, up, targets, width: int) -> None:
+    def __init__(self, vertices, moves, up, steps) -> None:
         self.vertices = vertices
-        self.moves = moves
-        self.up = up
-        self.width = width
-        self._targets = targets
+        self.steps = steps
+        self.width = width = len(steps)
+        self.moves = _pack(moves, width)
+        self.up = _pack(up, width)
+        self._targets = None
 
     @property
     def targets(self) -> array:
-        if not isinstance(self._targets, array):
-            self._targets = self._targets(self)
+        """Each up-step's target id, mirrored into it: the down-step back."""
+        if self._targets is None:
+            vertices, steps, width = self.vertices, self.steps, self.width
+            index = {u: x for x, u in enumerate(vertices)}
+            targets = array("i", [0]) * (len(vertices) * width)
+            for x, (u, bits) in enumerate(zip(vertices, self.up)):
+                while bits:
+                    low = bits & -bits
+                    k = low.bit_length() - 1
+                    y = index[steps[k](u)]
+                    targets[x * width + k] = y
+                    targets[y * width + k] = x
+                    bits ^= low
+            self._targets = targets
         return self._targets
 
     def degrees(self, within: int = -1) -> list[int]:
@@ -211,37 +223,16 @@ def _pack(masks: list[int], width: int):
     return array("Q", masks) if width <= 64 else tuple(masks)
 
 
-def build_move_graph(vertices, up_steps, width: int) -> MoveGraph:
-    """The :class:`MoveGraph` on ``vertices`` whose edges are ``up_steps``:
-    per id x in order, the (bit, target id) of each edge that lengthens x.
-    Each step is mirrored into its target, where its bit shortens."""
-    moves = [0] * len(vertices)
-    up = [0] * len(vertices)
-    targets = array("i", [0]) * (len(vertices) * width)
-    for x, steps in enumerate(up_steps):
-        mask = 0
-        for k, y in steps:
-            bit = 1 << k
-            mask |= bit
-            moves[y] |= bit
-            targets[x * width + k] = y
-            targets[y * width + k] = x
-        up[x] = mask
-        moves[x] |= mask
-    return MoveGraph(tuple(vertices), _pack(moves, width), _pack(up, width), targets, width)
-
-
 def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
     """[w, w0] in lexicographic order, its edges the swaps u t_k with k in
     ``allowed``.  The interval is an upset, so every ascent u t_k of u
     (u(i) < u(j)) lies in it, and a descent lies in it iff u t_k is one of
-    its vertices: the masks need one membership test per descent.  The
-    targets wait for their first read."""
+    its vertices: the masks need one membership test per descent."""
     vertices = bruhat_interval_lex(w)
     inside = set(vertices)
-    chosen = _swaps(len(w), allowed)
-    moves = []
-    up = []
+    n = len(w)
+    chosen = _swaps(n, allowed)
+    moves, up = [], []
     for u in vertices:
         ascents = descents = 0
         for bit, i, j, swap in chosen:
@@ -251,23 +242,7 @@ def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
                 descents |= bit
         moves.append(ascents | descents)
         up.append(ascents)
-    width = len(w) * (len(w) - 1) // 2
-    return MoveGraph(vertices, _pack(moves, width), _pack(up, width), partial(_type_a_targets, chosen), width)
-
-
-def _type_a_targets(chosen: tuple, g: MoveGraph) -> array:
-    """The targets of a type-A kernel: each up-step's, mirrored into it."""
-    vertices, width = g.vertices, g.width
-    index = {u: x for x, u in enumerate(vertices)}
-    targets = array("i", [0]) * (len(vertices) * width)
-    for x, (u, steps) in enumerate(zip(vertices, g.up)):
-        for bit, i, j, swap in chosen:
-            if steps & bit:
-                k = bit.bit_length() - 1
-                y = index[swap(u)]
-                targets[x * width + k] = y
-                targets[y * width + k] = x
-    return targets
+    return MoveGraph(vertices, moves, up, [swap for *_, swap in _swaps(n, -1)])
 
 
 @lru_cache(maxsize=None)

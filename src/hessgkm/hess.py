@@ -35,6 +35,7 @@ from functools import lru_cache
 from .perms import (
     Perm,
     _fields,
+    _integers,
     all_permutations,
     bruhat_interval,
     check_size,
@@ -54,7 +55,7 @@ def validate_hessenberg(values) -> HessFunc:
     >>> validate_hessenberg([2, 3, 3])
     (2, 3, 3)
     """
-    h = tuple(int(x) for x in values)
+    h = _integers(values, "h({})")
     n = len(h)
     if n < 1:
         raise ValueError("empty Hessenberg function")

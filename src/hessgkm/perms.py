@@ -55,13 +55,24 @@ def check_size(count: int, what: str) -> None:
         raise ValueError(f"{what}: {count} items exceed the size limit SIZE_LIMIT = {SIZE_LIMIT}")
 
 
+def _integers(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints.  A ``ValueError`` names the first one
+    that is not integral by ``name``, whose ``{}`` takes its 1-based index."""
+    values = tuple(values)
+    out = tuple(map(int, values))
+    if out != values:
+        i = next(i for i, (k, x) in enumerate(zip(out, values)) if k != x)
+        raise ValueError(f"{name.format(i + 1)} = {values[i]!r} is not an integer")
+    return out
+
+
 def as_permutation(entries: Iterable[int]) -> Perm:
     """Validate one-line entries and return them as a tuple.
 
     >>> as_permutation([4, 3, 1, 2])
     (4, 3, 1, 2)
     """
-    w = tuple(int(x) for x in entries)
+    w = _integers(entries, "w({})")
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
     return w
@@ -239,6 +250,7 @@ def _completions(free: int, slack: int, memo: dict, spec: tuple) -> list[tuple[i
 @lru_cache(maxsize=None)
 def bruhat_interval_lex(w: Perm) -> tuple[Perm, ...]:
     """[w, w0] in lexicographic order, the order of its enumeration."""
+    as_permutation(w)
     n = len(w)
     width = n.bit_length() + 1
     below = [0] * (n + 1)  # below[t]: a one in each field 1..t

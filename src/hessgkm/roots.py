@@ -21,13 +21,12 @@ function composition, matching :func:`hessgkm.perms.compose`.
 
 Sets of positive roots are also integer masks (bit i is
 ``positive_roots[i]``), and an element's id is its position in
-:meth:`RootSystem.elements`.  Each table of a system is built once, on
-first use and never by :meth:`RootSystem.elements`; all but the root
-tables are lists by id: canonical words in one pass, each id's rank in
-(length, word) order, the moves to each longer w s_c, inversion masks (and
-the id of each mask), the mask of roots each element sends to a negative
-simple root, the (a, b, a+b) index triples, each root's down-closure and
-each root's label.
+:meth:`RootSystem.elements`, which lists W in (length, word) order with
+the canonical words, so ids sort as the reports do.  Each other table is
+built once, on first use; all but the root tables are lists by id: the
+moves to each longer w s_c, inversion masks (and the id of each mask), the
+mask of roots each element sends to a negative simple root, the (a, b, a+b)
+index triples, each root's down-closure and each root's label.
 Left weak order is inversion-mask containment (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Prop. 3.1.3).  The slow definitions behind
 these tables (the right-descent Bruhat recursion, weak order by lengths, the
@@ -56,23 +55,22 @@ module over the Borel.  The machinery built on M:
 * The admissible elements: the class tops w_S.
 * The moment graph on W with edges {w, w s_a} for a in M, and the
   regularity verdict on Bruhat interval subgraphs; the smoothness
-  conclusion is withheld outside the simply-laced types.  Its edges have
-  one source, the per-id moves w -> w s_c of the reflection table: they
-  are the up-steps :func:`hessgkm.graphs.build_move_graph` builds the
-  kernel type A uses from, with the interval's ids ordered by rank, so
-  that the first violator is the least by (length, word).
+  conclusion is withheld outside the simply-laced types.  It is the
+  kernel :class:`hessgkm.graphs.MoveGraph` on the interval's elements in
+  id order, so the first violator is the least by (length, word): the up
+  bits at w are M - N(w), each mirrored into its target w s_c.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, cached_property, reduce
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
-from .graphs import MoveGraph, build_move_graph
+from .graphs import MoveGraph
 from .hess import validate_hessenberg
-from .perms import Perm, _fields, check_size, compose as perm_compose
+from .perms import Perm, _fields, _integers, check_size, compose as perm_compose
 
 Coords = tuple[int, ...]
 Element = tuple[int, ...]  # permutation of the signed root index list
@@ -202,6 +200,7 @@ class RootSystem:
         self.identity: Element = tuple(range(2 * p))
         self.generators: tuple[Element, ...] = tuple(map(self._reflect, self.simple_roots))
         self._elements: tuple[Element, ...] | None = None
+        self._words: tuple[tuple[int, ...], ...] | None = None
 
     # -- construction ----------------------------------------------------------
 
@@ -288,31 +287,32 @@ class RootSystem:
     # -- group enumeration ---------------------------------------------------------
 
     def elements(self) -> tuple[Element, ...]:
-        """The whole group, in BFS-by-length order (deterministic)."""
+        """The whole group in (length, word) order, by left multiplication:
+        s_1, s_2, ... in turn times each element of a layer, in order, first
+        reach x from s_i x for i its least left descent, so x's canonical
+        word is (i,) + word(s_i x) and the next layer is in word order too."""
         if self._elements is None:
-            seen = {self.identity}
-            ordered = [self.identity]
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for s in self.generators:
-                        x = self.mul(w, s)
+            elements, words = [self.identity], [()]
+            seen, layer = {self.identity}, range(1)
+            while layer:
+                start = len(elements)
+                # times(s) is s x for the element x of id k
+                left = [itemgetter(*elements[k]) for k in layer]
+                for i, s in enumerate(self.generators):
+                    for k, times in zip(layer, left):
+                        x = times(s)
                         if x not in seen:
                             seen.add(x)
-                            nxt.append(x)
-                nxt.sort()
-                ordered.extend(nxt)
-                frontier = nxt
-            if len(ordered) != self.order:
-                raise RuntimeError(
-                    f"enumerated {len(ordered)} elements, expected {self.order}"
-                )
-            self._elements = tuple(ordered)
+                            elements.append(x)
+                            words.append((i, *words[k]))
+                layer = range(start, len(elements))
+            if len(elements) != self.order:
+                raise RuntimeError(f"enumerated {len(elements)} elements, expected {self.order}")
+            self._elements, self._words = tuple(elements), tuple(words)
         return self._elements
 
     def longest(self) -> Element:
-        return self.elements()[self._id_of_mask[(1 << self._num_positive) - 1]]
+        return self.elements()[-1]
 
     # -- tables by element id, built on first use by the Hessenberg-space functions --
     #
@@ -372,44 +372,25 @@ class RootSystem:
         )
 
     @cached_property
+    def _steps(self) -> tuple[itemgetter, ...]:
+        """Per positive root c, right multiplication by s_c: w -> w s_c."""
+        return tuple(itemgetter(*s) for s in self.reflections())
+
+    @cached_property
     def _reflection_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per id, the moves (c, id of w s_c) over the positive roots c in
         order with w(c) > 0: those make w longer (the chain definition,
         Bjorner-Brenti, ch. 2)."""
-        ids, p, refl = self._ids, self._num_positive, self.reflections()
+        ids, p, steps = self._ids, self._num_positive, self._steps
         return tuple(
-            tuple((c, ids[self.mul(w, refl[c])]) for c in range(p) if w[c] < p)
+            tuple((c, ids[steps[c](w)]) for c in range(p) if w[c] < p)
             for w in self.elements()
         )
 
-    @cached_property
-    def _words(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical words by id, filled in :meth:`elements` order (by
-        length): the least i with w^-1(alpha_i) < 0, then the word of the
-        shorter s_i w."""
-        p, ids, words = self._num_positive, self._ids, []
-        for w in self.elements():
-            i = next((i for i, j in enumerate(self._simple_indices) if w.index(j) >= p), None)
-            words.append(() if i is None else (i,) + words[ids[self.mul(self.generators[i], w)]])
-        return tuple(words)
-
-    @cached_property
-    def _sorted_ids(self) -> tuple[int, ...]:
-        """The ids in (length, word) order."""
-        words = self._words
-        return tuple(sorted(range(self.order), key=lambda k: (len(words[k]), words[k])))
-
-    @cached_property
-    def _rank(self) -> tuple[int, ...]:
-        """Per id, its position in :attr:`_sorted_ids`."""
-        rank = [0] * self.order
-        for r, k in enumerate(self._sorted_ids):
-            rank[k] = r
-        return tuple(rank)
-
     def canonical_word(self, w: Element) -> tuple[int, ...]:
         """Reduced word, greedy smallest left descent first (0-indexed letters)."""
-        return self._words[self._id(w)]
+        k = self._id(w)  # enumerates W, which lists the words
+        return self._words[k]
 
     def format_element(self, w: Element) -> str:
         return self._format_id(self._id(w))
@@ -421,7 +402,7 @@ class RootSystem:
     # -- orders ----------------------------------------------------------------------
 
     def bruhat_interval_up(self, w: Element) -> tuple[Element, ...]:
-        """[w, w0] in :meth:`elements` order, searched along the moves
+        """[w, w0] in (length, word) order, searched along the moves
         x -> x s_c with x(c) > 0.
 
         >>> g2 = build_root_system("G", 2)
@@ -520,7 +501,8 @@ class RootSystem:
     # -- type A dictionary -----------------------------------------------------------------
 
     def one_line_map(self) -> dict[Element, Perm]:
-        """For type A: element -> one-line permutation of S_{rank+1}."""
+        """For type A: element -> one-line permutation of S_{rank+1}, along
+        the canonical words: the word (i,) + word(s_i x) of x gives s_i o x."""
         if self.type_label != "A":
             raise ValueError("one-line notation only applies to type A")
         n = self.rank + 1
@@ -529,18 +511,11 @@ class RootSystem:
             p = list(range(1, n + 1))
             p[i], p[i + 1] = p[i + 1], p[i]
             adjacent.append(tuple(p))
-        out: dict[Element, Perm] = {self.identity: tuple(range(1, n + 1))}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i, s in enumerate(self.generators):
-                    x = self.mul(s, w)
-                    if x not in out:
-                        out[x] = perm_compose(adjacent[i], out[w])
-                        nxt.append(x)
-            frontier = nxt
-        return out
+        elements = self.elements()
+        perm = {(): tuple(range(1, n + 1))}
+        for word in self._words[1:]:
+            perm[word] = perm_compose(adjacent[word[0]], perm[word[1:]])
+        return {x: perm[word] for x, word in zip(elements, self._words)}
 
 
 def build_root_system(type_label: str, rank: int) -> RootSystem:
@@ -589,7 +564,7 @@ class HessenbergSpace:
 
 def validate_hessenberg_space(rs: RootSystem, roots) -> HessenbergSpace:
     """Check closure under subtracting positive roots and wrap the subset."""
-    m = frozenset(tuple(int(x) for x in c) for c in roots)
+    m = frozenset(_integers(c, f"coordinate {{}} of root {tuple(c)}") for c in roots)
     pos = set(rs.positive_roots)
     for c in m:
         if c not in pos:
@@ -725,7 +700,7 @@ def _class_table(hs: HessenbergSpace) -> dict[int, tuple[tuple[int, ...], int, i
         buckets: dict[int, list[int]] = {s: [] for s in weyl}
         z_hits: dict[int, list[int]] = {s: [] for s in weyl}
         try:
-            for k in rs._sorted_ids:
+            for k in range(rs.order):
                 s = inv[k] & m_mask
                 buckets[s].append(k)
                 if not neg[k] & outside:
@@ -791,7 +766,7 @@ def h_admissible_elements(hs: HessenbergSpace) -> list[Element]:
     """The class tops w_S over all Weyl-type S, sorted by (length, word)."""
     rs = hs.rs
     tops = {_class_bounds(hs, s)[1] for s in _weyl_masks(hs)}
-    return list(map(rs.elements().__getitem__, sorted(tops, key=rs._rank.__getitem__)))
+    return list(map(rs.elements().__getitem__, sorted(tops)))
 
 
 def enumerate_hessenberg_spaces(rs: RootSystem) -> list[frozenset[Coords]]:
@@ -815,20 +790,27 @@ def enumerate_hessenberg_spaces(rs: RootSystem) -> list[frozenset[Coords]]:
 # -- moment graph over W -----------------------------------------------------------
 
 
-def _move_graph(hs: HessenbergSpace, ids, vertices) -> MoveGraph:
-    """The moment graph of M on ``ids``, an upset of W, in their order: bit c
-    at w is the edge {w, w s_c}, c in M, an up-step where w(c) > 0."""
-    m_mask, rows = _m_mask(hs), hs.rs._reflection_table
+def _move_graph(hs: HessenbergSpace, ids) -> MoveGraph:
+    """The moment graph of M on the elements of ``ids``, an upset of W, in
+    their order: bit c at w is the edge {w, w s_c}, c in M, an up-step where
+    w(c) > 0.  The up bits are M - N(w); each is mirrored into its target
+    along the up rows of the reflection table."""
+    rs = hs.rs
+    m_mask, inv, rows = _m_mask(hs), rs._inv_masks, rs._reflection_table
     local = {k: x for x, k in enumerate(ids)}
-    steps = ([(c, local[y]) for c, y in rows[k] if m_mask >> c & 1] for k in ids)
-    return build_move_graph(vertices, steps, hs.rs._num_positive)
+    up = [m_mask & ~inv[k] for k in ids]
+    moves = up[:]
+    for k in ids:
+        for c, y in rows[k]:
+            if m_mask >> c & 1:
+                moves[local[y]] |= 1 << c
+    return MoveGraph(tuple(map(rs.elements().__getitem__, ids)), moves, up, rs._steps)
 
 
 def arbitrary_gkm_graph(hs: HessenbergSpace) -> MoveGraph:
     """Moment graph on all of W, in :meth:`RootSystem.elements` order:
     edges {w, w s_a} for a in M."""
-    rs = hs.rs
-    return _move_graph(hs, range(rs.order), rs.elements())
+    return _move_graph(hs, range(hs.rs.order))
 
 
 class WeylClassification(NamedTuple):
@@ -870,9 +852,9 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
     s = rs._inv_masks[k] & _m_mask(hs)
     _, rep = _class_bounds(hs, s)
     # The first violator in (length, word) order, as the report shows it.
-    interval = sorted(rs._interval_ids(rep), key=rs._rank.__getitem__)
+    interval = sorted(rs._interval_ids(rep))
     expected = len(hs.roots) - s.bit_count()
-    regular, violator = _move_graph(hs, interval, interval).regularity(expected)
+    regular, violator = _move_graph(hs, interval).regularity(expected)
     if not regular:
         smooth, reason = "unknown", "interval graph is not regular"
     elif not rs.simply_laced:
@@ -888,7 +870,7 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
         cell_dimension=expected,
         interval_size=len(interval),
         regular=regular,
-        violating_vertex=None if violator is None else rs._format_id(violator),
+        violating_vertex=None if violator is None else rs.format_element(violator),
         simply_laced=rs.simply_laced,
         hess_schubert_smooth=smooth,
         reason=reason,

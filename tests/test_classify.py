@@ -132,6 +132,21 @@ def test_rank_mismatch(entry):
         RANK_MISMATCH_CALLS[entry]((1, 2, 3), H3344)
 
 
+@pytest.mark.parametrize("w", [(1, 1, 3), (0, 1, 2), (1.5, 2, 3)])
+def test_non_permutation_w_raises(w):
+    # w is checked where classify takes it and where any interval of it is
+    # listed, before a report or a graph is built on it.
+    calls = [
+        lambda: classify(w, (2, 3, 3)),
+        lambda: interval_move_graph((2, 3, 3), w),
+        lambda: interval_graph((2, 3, 3), w),
+        lambda: component_lower_bound(w, (2, 3, 3)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not a permutation|not an integer"):
+            call()
+
+
 def test_json_round_trip_shape():
     d = classify((3, 2, 1, 4), H3344).to_json_dict()
     assert d["w"] == "3214"

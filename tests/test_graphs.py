@@ -1,15 +1,15 @@
 """Moment graph construction, degrees, regularity, connectivity, exports."""
 
 import math
-from array import array
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
 from hessgkm.graphs import (
     GkmEdge,
+    MoveGraph,
     build_hessenberg_graph,
-    build_move_graph,
     bruhat_move_graph,
     edge_set_at,
     fixed_point_induced_graph,
@@ -174,15 +174,17 @@ def test_is_connected():
 
 
 def test_connected_by_sinks_and_by_search():
-    # One sink decides at once; several leave it to the search.
-    one_sink = build_move_graph("ab", [[(0, 1)], []], 1)
+    # One sink decides at once; several leave it to the search.  The steps
+    # are position swaps, as in type A.
+    t12, t23 = itemgetter(1, 0, 2), itemgetter(0, 2, 1)
+    one_sink = MoveGraph(((1, 2, 3), (2, 1, 3)), [0b1, 0b1], [0b1, 0], [t12])
     assert one_sink.connected()
     # A lower vertex with up-steps to two sinks is joined through it...
-    forked = build_move_graph("abc", [[(0, 1), (1, 2)], [], []], 2)
+    forked = MoveGraph(((1, 2, 3), (2, 1, 3), (1, 3, 2)), [0b11, 0b01, 0b10], [0b11, 0, 0], [t12, t23])
     assert forked.connected()
     # ...unless the read drops one of its edges.
     assert not forked.connected(0b01)
-    apart = build_move_graph("ab", [[], []], 1)
+    apart = MoveGraph(((1, 2, 3), (2, 1, 3)), [0, 0], [0, 0], [t12])
     assert not apart.connected()
 
 
@@ -206,8 +208,8 @@ def test_one_sink_iff_connected(n):
 
 
 def _unread(kernel):
-    # A type-A kernel builds its targets on the first read that walks edges.
-    return not isinstance(kernel._targets, array)
+    # A kernel builds its targets on the first read that walks edges.
+    return kernel._targets is None
 
 
 def _check_move_graph(kernel, within, g, pairs):

@@ -51,6 +51,12 @@ def test_validate():
         validate_hessenberg([2, 3, 4])
     with pytest.raises(ValueError):
         validate_hessenberg([])
+    # Non-integral values raise, naming the entry, rather than truncate.
+    with pytest.raises(ValueError, match=r"h\(1\) = 2\.7 is not an integer"):
+        validate_hessenberg([2.7, 3, 3])
+    with pytest.raises(ValueError, match=r"h\(3\) = 3\.5 is not an integer"):
+        validate_hessenberg([2, 3, 3.5])
+    assert validate_hessenberg([2.0, 3, 3]) == (2, 3, 3)
 
 
 def test_parse_format():

@@ -38,6 +38,23 @@ def test_as_permutation_rejects_non_bijections():
         as_permutation([2, 3, 4])
 
 
+def test_as_permutation_rejects_non_integral_entries():
+    # An entry is not truncated: 1.5 is no value of a permutation.
+    with pytest.raises(ValueError, match=r"w\(1\) = 1\.5 is not an integer"):
+        as_permutation([1.5, 2.9])
+    with pytest.raises(ValueError, match=r"w\(2\) = 1\.25 is not an integer"):
+        as_permutation([2, 1.25])
+    assert as_permutation([2.0, 1]) == (2, 1)
+
+
+@pytest.mark.parametrize("w", [(1, 1, 3), (0, 1, 2), (2, 3, 4)])
+def test_intervals_reject_non_permutations(w):
+    # Every interval is listed by the one cached enumerator, which checks w.
+    for interval in (bruhat_interval_lex, bruhat_interval):
+        with pytest.raises(ValueError, match="not a permutation of 1..3"):
+            interval(w)
+
+
 def test_identity_and_longest():
     assert identity(4) == (1, 2, 3, 4)
     assert longest_element(1) == (1,)

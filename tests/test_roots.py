@@ -218,6 +218,19 @@ def test_canonical_words_match_greedy_oracle(type_label, rank):
         assert rs.canonical_word(w) == oracle_canonical_word(rs, w)
 
 
+@pytest.mark.parametrize("type_label,rank", SYSTEMS)
+def test_elements_in_length_word_order(type_label, rank):
+    # The group is listed by (length, word), each canonical word as long as
+    # its element; the words and labels are read first on a fresh system.
+    rs = build_root_system(type_label, rank)
+    assert rs.canonical_word(rs.identity) == ()
+    assert rs.format_element(rs.identity) == "e"
+    words = [rs.canonical_word(w) for w in rs.elements()]
+    assert all(len(word) == rs.length(w) for word, w in zip(words, rs.elements()))
+    assert words == sorted(words, key=lambda word: (len(word), word))
+    assert rs.canonical_word(rs.longest()) == words[-1] and len(words[-1]) == len(rs.positive_roots)
+
+
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
 def test_bruhat_interval_up_matches_bruhat_leq(type_label, rank):
     rs = build_root_system(type_label, rank)
@@ -245,6 +258,10 @@ def test_validate_hessenberg_space():
         validate_hessenberg_space(a2, {(1, 1)})  # (a1+a2) - a1 = a2 missing
     with pytest.raises(ValueError):
         validate_hessenberg_space(a2, {(2, 0)})  # not a root
+    # A coordinate is not truncated: (1.5, 0) is no root, not a1.
+    with pytest.raises(ValueError, match=r"coordinate 1 of root \(1\.5, 0\) = 1\.5 is not an integer"):
+        validate_hessenberg_space(a2, {(1.5, 0)})
+    assert validate_hessenberg_space(a2, {(1.0, 0)}).roots == {(1, 0)}
 
 
 def test_hessenberg_spaces_compare_by_identity_with_own_memo():
@@ -304,7 +321,7 @@ def test_mask_order_key_matches_index_lists():
 def test_elements_builds_no_tables():
     # Enumerating the group builds no table; each is built on first use.
     tables = {name for name, v in vars(RootSystem).items() if isinstance(v, cached_property)}
-    assert {"_ids", "_inv_masks", "_rank", "_reflection_table", "_reflections"} <= tables
+    assert {"_ids", "_inv_masks", "_reflection_table", "_reflections", "_steps"} <= tables
     rs = build_root_system("F", 4)
     rs.elements()
     assert not tables & set(vars(rs))
@@ -511,20 +528,21 @@ def test_weak_interval_reverse_inclusion_small(type_label, rank):
 def _check_moves(rs, m, g):
     """Each move bit c at a vertex w of the kernel ``g`` is a root of ``m``
     and leads to w s_c, which is longer exactly on the up bits; the up bits
-    are the c of ``m`` with w(c) > 0.  Returns the edges {w, w s_c}."""
+    are the c of ``m`` with w(c) > 0.  Returns the edges {w, w s_c}.  The
+    masks are checked before the targets are built."""
     positive = set(rs.positive_roots)
     m_bits = {rs.positive_roots.index(c) for c in m}
-    elements = rs.elements()
-    element = (lambda v: v) if g.vertices is elements else elements.__getitem__
+    for x, w in enumerate(g.vertices):
+        for c, root in enumerate(rs.positive_roots):
+            assert (g.up[x] >> c & 1) == (c in m_bits and rs.act(w, root) in positive)
+            assert not g.moves[x] >> c & 1 or c in m_bits
+    assert g._targets is None
     edges = set()
-    for x, vertex in enumerate(g.vertices):
-        w = element(vertex)
+    for x, w in enumerate(g.vertices):
         for c, root in enumerate(rs.positive_roots):
             up = g.up[x] >> c & 1
-            assert up == (c in m_bits and rs.act(w, root) in positive)
             if g.moves[x] >> c & 1:
-                assert c in m_bits
-                v = element(g.vertices[g.targets[x * g.width + c]])
+                v = g.vertices[g.targets[x * g.width + c]]
                 assert v == rs.mul(w, rs.reflection(root))
                 assert (rs.length(v) > rs.length(w)) == bool(up)
                 edges.add(frozenset((w, v)))
@@ -603,11 +621,10 @@ def test_interval_move_graph_matches_bruhat_leq(type_label, rank):
     rng = random.Random(f"{type_label}{rank}")
     for w in [rs.longest(), *rng.sample(elements, min(3, len(elements)))]:
         m = rng.choice(spaces)
-        ids = sorted(rs._interval_ids(rs._id(w)), key=rs._rank.__getitem__)
-        g = _move_graph(validate_hessenberg_space(rs, m), ids, ids)
+        g = _move_graph(validate_hessenberg_space(rs, m), sorted(rs._interval_ids(rs._id(w))))
         interval = [v for v in elements if oracle_weyl_bruhat_leq(rs, w, v)]
         word = rs.canonical_word
-        assert [elements[k] for k in g.vertices] == sorted(interval, key=lambda v: (len(word(v)), word(v)))
+        assert list(g.vertices) == sorted(interval, key=lambda v: (len(word(v)), word(v)))
         members = set(interval)
         inside = {frozenset((u, rs.mul(u, rs.reflection(c)))) for u in interval for c in m}
         assert _check_moves(rs, m, g) == {e for e in inside if e <= members}
