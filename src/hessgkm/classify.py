@@ -28,10 +28,11 @@ that fired; the tags are part of the JSON report format.
 
 The graph facts come from one :func:`hessgkm.graphs.interval_move_graph`
 per interval (of w, and of w~ when it differs), with no edge objects
-built.  w's kernel is read only through its masks: degrees, the first
-violator, and connectivity, which is the sink count (connected iff
-exactly one vertex has no up-step under h's windows).  Only w~'s kernel
-is walked, down from its vertices of full degree, for the smooth set.
+built; the fixed points u . [w~, w0] are w~'s kernel vertices, translated.
+w's kernel is read only through its masks: degrees, the first violator,
+and connectivity, which is one sink (:meth:`hessgkm.graphs.MoveGraph.sinks`).
+Only w~'s kernel is walked, down from its vertices of full degree, for
+the smooth set.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from .hess import (
     HessFunc,
     _check_rank,
     admissible_representative,
-    cell_dimension,
     complexity_dimension,
+    format_hessenberg,
     h_length,
     hess_schubert_fixed_points,
     hessenberg_connected,
-    is_admissible,
     validate_hessenberg,
 )
 from .patterns import Witness, pattern_witnesses
@@ -156,17 +156,16 @@ def classify(w: Perm, h) -> ClassificationReport:
     w = as_permutation(w)
     h = validate_hessenberg(h)
     _check_rank(w, h)
-    n = len(w)
-    adm = is_admissible(w, h)
     wt, u = admissible_representative(w, h)
+    # The ascent swaps only where is_admissible fails.
+    adm = wt == w
     lh = h_length(w, h)
+    # w~ keeps w's window order, so both have this cell dimension.
     dim = complexity_dimension(h) - lh
     graph = interval_move_graph(h, w)
     reg = graph.regularity(dim)
-    # h's windows never cross a block of h, and a sink decreases on every
-    # block, so two sinks differ in some block's value set, which no edge
-    # changes: the graph is connected iff it has one sink.
     conn = graph.sinks() == 1
+    ambient = hessenberg_connected(h)
     degs = graph.degrees()
     stats = GraphStats(
         connected=conn,
@@ -175,11 +174,8 @@ def classify(w: Perm, h) -> ClassificationReport:
         max_degree=max(degs),
         violating_vertex=reg.violator,
     )
-    fixed = hess_schubert_fixed_points(w, h)
 
     citations = [CITE_REGULAR_EQUIV]
-    if wt != w:
-        citations.append(CITE_REPRESENTATIVE)
     smooth = "yes" if reg.ok else "no"
 
     if adm:
@@ -189,35 +185,34 @@ def classify(w: Perm, h) -> ClassificationReport:
             citations.append(CITE_IRREDUCIBLE)
     else:
         irreducible = "no"
-        citations.append(CITE_FIXED_POINTS)
+        citations += [CITE_REPRESENTATIVE, CITE_FIXED_POINTS]
         reason = "fixed points of the cell closure form a proper subset of the interval"
-        if hessenberg_connected(h):
+        if ambient:
             citations.append(CITE_REDUCIBLE_REMARK)
-    if conn and (adm or hessenberg_connected(h)):
+    if conn and (adm or ambient):
         citations.append(CITE_CONNECTED)
 
     equals_closure = "yes" if (reg.ok and conn) else "unknown"
 
-    graph_t = graph if wt == w else interval_move_graph(h, wt)
-    reg_t = reg if wt == w else graph_t.regularity(cell_dimension(wt, h))
+    graph_t = graph if adm else interval_move_graph(h, wt)
+    reg_t = reg if adm else graph_t.regularity(dim)
     rep_smooth = "yes" if reg_t.ok else "unknown"
     if reg_t.ok:
         citations.append(CITE_REP_SMOOTH)
 
     witnesses = tuple(pattern_witnesses(wt, h))
-    citations.append(CITE_PATTERNS)
+    citations += [CITE_PATTERNS, CITE_DEGREE_SHORTCUT]
 
     # w~ itself always qualifies (its degree is the cell dimension), so the
     # translated set always contains w.
-    local = _local_degree_smooth_set(graph_t, cell_dimension(wt, h))
-    citations.append(CITE_DEGREE_SHORTCUT)
-    pts = local if wt == w else set(left_multiply(u, local))
-
-    seen: set[str] = set()
-    ordered = tuple(c for c in citations if not (c in seen or seen.add(c)))
+    local = _local_degree_smooth_set(graph_t, dim)
+    if adm:
+        fixed, pts = graph.vertices, local
+    else:
+        fixed, pts = tuple(sorted(left_multiply(u, graph_t.vertices))), set(left_multiply(u, local))
 
     return ClassificationReport(
-        n=n,
+        n=len(w),
         h=h,
         w=w,
         admissible=adm,
@@ -226,7 +221,7 @@ def classify(w: Perm, h) -> ClassificationReport:
         h_length=lh,
         cell_dimension=dim,
         interval_size=len(degs),
-        fixed_points=tuple(sorted(fixed)),
+        fixed_points=fixed,
         graph_stats=stats,
         intersection_smooth=smooth,
         intersection_irreducible=irreducible,
@@ -235,7 +230,7 @@ def classify(w: Perm, h) -> ClassificationReport:
         smooth_fixed_points=tuple(sorted(pts)),
         reducible_reason=reason,
         pattern_witnesses=witnesses,
-        citations=ordered,
+        citations=tuple(citations),
     )
 
 
@@ -255,40 +250,41 @@ def component_lower_bound(w: Perm, h) -> frozenset[Perm]:
 
 
 def format_report(report: ClassificationReport) -> str:
-    """Human-readable multi-line rendering with deterministic ordering."""
-    fmt = format_permutation
-    stats = report.graph_stats
+    """Human-readable multi-line rendering of :meth:`ClassificationReport.to_json_dict`."""
+    d = report.to_json_dict()
+    stats, verdicts = d["graph_stats"], d["verdicts"]
+    yes_no = {True: "yes", False: "no"}
     lines = [
-        f"n: {report.n}",
-        "h: " + ",".join(str(x) for x in report.h),
-        f"w: {fmt(report.w)}",
-        f"admissible: {'yes' if report.admissible else 'no'}",
-        f"representative: {fmt(report.representative)}",
-        f"translation: {fmt(report.translation)}",
-        f"h-length: {report.h_length}",
-        f"cell dimension: {report.cell_dimension}",
-        f"interval size: {report.interval_size}",
-        "fixed points: " + " ".join(fmt(x) for x in report.fixed_points),
+        f"n: {d['n']}",
+        f"h: {format_hessenberg(d['h'])}",
+        f"w: {d['w']}",
+        f"admissible: {yes_no[d['admissible']]}",
+        f"representative: {d['representative']}",
+        f"translation: {d['translation']}",
+        f"h-length: {d['h_length']}",
+        f"cell dimension: {d['cell_dimension']}",
+        f"interval size: {d['interval_size']}",
+        "fixed points: " + " ".join(d["fixed_points"]),
         "graph: connected={} regular={} min-degree={} max-degree={}{}".format(
-            "yes" if stats.connected else "no",
-            "yes" if stats.regular else "no",
-            stats.min_degree,
-            stats.max_degree,
-            "" if stats.violating_vertex is None else f" first-violation={fmt(stats.violating_vertex)}",
+            yes_no[stats["connected"]],
+            yes_no[stats["regular"]],
+            stats["min_degree"],
+            stats["max_degree"],
+            "" if stats["violating_vertex"] is None else f" first-violation={stats['violating_vertex']}",
         ),
-        f"intersection smooth: {report.intersection_smooth}",
+        f"intersection smooth: {verdicts['intersection_smooth']}",
         "intersection irreducible: {}{}".format(
-            report.intersection_irreducible,
-            "" if report.reducible_reason is None else f" ({report.reducible_reason})",
+            verdicts["intersection_irreducible"],
+            "" if verdicts["reducible_reason"] is None else f" ({verdicts['reducible_reason']})",
         ),
-        f"intersection equals cell closure: {report.intersection_equals_closure}",
-        f"hessenberg schubert smooth: {report.hess_schubert_smooth}",
-        "smooth fixed points: " + " ".join(fmt(x) for x in report.smooth_fixed_points),
+        f"intersection equals cell closure: {verdicts['intersection_equals_closure']}",
+        f"hessenberg schubert smooth: {verdicts['hess_schubert_smooth']}",
+        "smooth fixed points: " + " ".join(verdicts["smooth_fixed_points"]),
         "pattern witnesses ({}): {}".format(
-            fmt(report.representative),
-            " ".join(f"h-{pid}@{','.join(str(i) for i in wit)}" for pid, wit in report.pattern_witnesses)
+            d["representative"],
+            " ".join(f"{x['pattern']}@{','.join(map(str, x['indices']))}" for x in d["pattern_witnesses"])
             or "none",
         ),
-        "citations: " + " ".join(report.citations),
+        "citations: " + " ".join(d["citations"]),
     ]
     return "\n".join(lines) + "\n"

@@ -89,40 +89,35 @@ def _cmd_patterns(args) -> int:
     w = parse_permutation(args.w)
     admissible = is_admissible(w, h)
     witnesses = patterns.pattern_witnesses(w, h)
+    payload = {
+        "h": list(h),
+        "w": format_permutation(w),
+        "admissible": admissible,
+        "witnesses": [{"pattern": f"h-{pid}", "indices": list(wit)} for pid, wit in witnesses],
+        "avoids_all": not witnesses if admissible else None,
+    }
     if args.json:
-        _emit_json(
-            {
-                "h": list(h),
-                "w": format_permutation(w),
-                "admissible": admissible,
-                "witnesses": [
-                    {"pattern": f"h-{pid}", "indices": list(wit)} for pid, wit in witnesses
-                ],
-                "avoids_all": not witnesses if admissible else None,
-            }
-        )
+        _emit_json(payload)
         return 0
-    print(f"h: {format_hessenberg(h)}")
-    print(f"w: {format_permutation(w)}")
-    print(f"admissible: {'yes' if admissible else 'no'}")
-    found = dict(witnesses)
-    for pid in patterns.PATTERN_IDS:
-        if pid in found:
-            print(f"h-{pid}: witness " + ",".join(str(i) for i in found[pid]))
-        else:
-            print(f"h-{pid}: avoided")
-    if admissible:
-        print(f"avoids all: {'yes' if not witnesses else 'no'}")
-    else:
-        print("avoids all: n/a (regularity criterion requires an admissible w)")
+    yes_no = {True: "yes", False: "no", None: "n/a (regularity criterion requires an admissible w)"}
+    print(f"h: {format_hessenberg(payload['h'])}")
+    print(f"w: {payload['w']}")
+    print(f"admissible: {yes_no[admissible]}")
+    found = {x["pattern"]: x["indices"] for x in payload["witnesses"]}
+    for key in (f"h-{pid}" for pid in patterns.PATTERN_IDS):
+        print(f"{key}: witness {','.join(map(str, found[key]))}" if key in found else f"{key}: avoided")
+    print(f"avoids all: {yes_no[payload['avoids_all']]}")
     return 0
+
+
+def _root_set(labels: list[str]) -> str:
+    return "{" + ", ".join(labels) + "}"
 
 
 def _cmd_roots(args) -> int:
     rs = roots.build_root_system(args.type, args.rank)
     m = rs.parse_root_list(args.m) if args.m is not None else frozenset(rs.positive_roots)
     hs = roots.validate_hessenberg_space(rs, m)
-    want_tables = args.tables or args.json
     one_line = rs.one_line_map() if rs.type_label == "A" and rs.rank + 1 <= 9 else None
 
     def label(w) -> str:
@@ -131,81 +126,60 @@ def _cmd_roots(args) -> int:
             return f"{format_permutation(one_line[w])} = {word}"
         return word
 
-    class_rows = []
-    non_weyl = None
-    if want_tables:
+    payload = {
+        "type": rs.type_label,
+        "rank": rs.rank,
+        "weyl_order": rs.order,
+        "positive_roots": rs.format_roots(rs.positive_roots),
+        "m": rs.format_roots(m),
+    }
+    if args.tables or args.json:
         classes = roots.partition_classes(hs)
         subsets = roots.weyl_type_subsets(hs)
+        payload["n_table"] = [
+            {
+                "element": label(w),
+                "inversions": rs.format_roots(rs.inversion_set(w)),
+                "inversions_in_m": rs.format_roots(rs.inversion_set(w) & m),
+            }
+            for w in rs.elements()
+        ]
+        payload["classes"] = []
         for s in subsets:
             z, w_top = roots.z_and_w(hs, s)
-            class_rows.append((s, classes[s], z, w_top))
+            elements = [label(x) for x in classes[s]]
+            payload["classes"].append(
+                {"subset": rs.format_roots(s), "elements": elements, "z": label(z), "w": label(w_top)}
+            )
+        payload["non_weyl_subsets"] = None
         if 1 << len(m) <= SIZE_LIMIT:
             weyl = {rs.mask_of(s) for s in subsets}
-            masks = [x for x in roots.submasks(rs.mask_of(m)) if x not in weyl]
-            non_weyl = [rs.roots_of_mask(x) for x in sorted(masks, key=roots.mask_order_key)]
+            masks = sorted((x for x in roots.submasks(rs.mask_of(m)) if x not in weyl), key=roots.mask_order_key)
+            payload["non_weyl_subsets"] = [rs.format_roots(rs.roots_of_mask(x)) for x in masks]
 
     if args.json:
-        payload = {
-            "type": rs.type_label,
-            "rank": rs.rank,
-            "weyl_order": rs.order,
-            "positive_roots": rs.format_roots(rs.positive_roots),
-            "m": rs.format_roots(m),
-            "n_table": [
-                {
-                    "element": label(w),
-                    "inversions": rs.format_roots(rs.inversion_set(w)),
-                    "inversions_in_m": rs.format_roots(rs.inversion_set(w) & m),
-                }
-                for w in rs.elements()
-            ],
-            "classes": [
-                {
-                    "subset": rs.format_roots(s),
-                    "elements": [label(x) for x in cls],
-                    "z": label(z),
-                    "w": label(w_top),
-                }
-                for s, cls, z, w_top in class_rows
-            ],
-            "non_weyl_subsets": None if non_weyl is None else [rs.format_roots(s) for s in non_weyl],
-        }
         _emit_json(payload)
         return 0
 
-    print(f"type: {rs.type_label}{rs.rank}")
-    print(f"|W|: {rs.order}")
-    print("positive roots: " + ", ".join(rs.format_roots(rs.positive_roots)))
-    print("M: " + rs.format_root_set(m))
-    if args.tables:
-        print()
-        print("N(w) table")
-        rows = [
-            (label(w), rs.format_root_set(rs.inversion_set(w)), rs.format_root_set(rs.inversion_set(w) & m))
-            for w in rs.elements()
-        ]
-        _print_table(("w", "N(w)", "N(w) & M"), rows)
-        print()
-        print("Weyl-type classes")
-        rows = [
-            (
-                rs.format_root_set(s),
-                ", ".join(label(x) for x in cls),
-                label(z),
-                label(w_top),
-            )
-            for s, cls, z, w_top in class_rows
-        ]
-        _print_table(("S", "class", "z_S", "w_S"), rows)
-        if non_weyl is not None:
-            print()
-            if non_weyl:
-                print(
-                    "subsets of M not of Weyl type: "
-                    + ", ".join(rs.format_root_set(s) for s in non_weyl)
-                )
-            else:
-                print("every subset of M is of Weyl type")
+    print(f"type: {payload['type']}{payload['rank']}")
+    print(f"|W|: {payload['weyl_order']}")
+    print("positive roots: " + ", ".join(payload["positive_roots"]))
+    print("M: " + _root_set(payload["m"]))
+    if not args.tables:
+        return 0
+    print("\nN(w) table")
+    rows = [
+        (r["element"], _root_set(r["inversions"]), _root_set(r["inversions_in_m"])) for r in payload["n_table"]
+    ]
+    _print_table(("w", "N(w)", "N(w) & M"), rows)
+    print("\nWeyl-type classes")
+    rows = [(_root_set(c["subset"]), ", ".join(c["elements"]), c["z"], c["w"]) for c in payload["classes"]]
+    _print_table(("S", "class", "z_S", "w_S"), rows)
+    non_weyl = payload["non_weyl_subsets"]
+    if non_weyl:
+        print("\nsubsets of M not of Weyl type: " + ", ".join(map(_root_set, non_weyl)))
+    elif non_weyl is not None:
+        print("\nevery subset of M is of Weyl type")
     return 0
 
 

@@ -14,8 +14,9 @@ moves by the swaps u(i,j), its masks found by membership:
 :func:`interval_move_graph` by h's windows (``classify``, the localized
 classes, example61), :func:`bruhat_move_graph` by every pair, once per w,
 for the sweeps to read under each h's window mask.  :mod:`hessgkm.roots`
-reads its masks off inversion sets.  One vertex's source is :func:`edge_set_at`.
-Export's is :func:`_induced`, the only builder of ``GkmEdge`` objects, for
+reads its masks off inversion sets.  :func:`edge_set_at` probes one vertex,
+for :func:`regularity_via_w0` and :func:`phi_map` alone.  Export's source
+is :func:`_induced`, the only builder of ``GkmEdge`` objects, for
 DOT/JSON and the compatibility check, on the full graph and on these:
 
 * ``interval_graph(h, w)``     -- induced on the Bruhat interval [w, w0];
@@ -47,6 +48,7 @@ from .perms import (
     Perm,
     all_permutations,
     apply_transposition,
+    as_permutation,
     bruhat_interval,
     bruhat_interval_lex,
     check_size,
@@ -91,15 +93,14 @@ class GkmGraph(NamedTuple):
         return adj
 
 
-def _induced(h: HessFunc, vertex_set: frozenset[Perm], w: Perm | None) -> GkmGraph:
-    """The graph induced on ``vertex_set``, its edges in sorted order: the
-    vertices ascending, each one's up-steps by target (for a fixed u the
-    target determines the window pair and the value pair).  An edge refers
-    to the vertex objects and to a shared value pair, so it costs one tuple.
+def _induced(h: HessFunc, vertices: tuple[Perm, ...], w: Perm | None) -> GkmGraph:
+    """The graph induced on the ascending ``vertices``, its edges in sorted
+    order: the vertices ascending, each one's up-steps by target (for a fixed
+    u the target determines the window pair and the value pair).  An edge
+    refers to the vertex objects and to a shared value pair: one tuple.
 
     Unlike the kernel's builder this takes any vertex set (a cell closure's
     fixed points are not an upset), so each swap is looked up."""
-    vertices = sorted(vertex_set)
     vertex_of = dict(zip(vertices, vertices))
     n = len(h)
     pair = [[(a, b) for b in range(n + 1)] for a in range(n + 1)]
@@ -118,7 +119,7 @@ def _induced(h: HessFunc, vertex_set: frozenset[Perm], w: Perm | None) -> GkmGra
                     out.append(GkmEdge(u, v, ij, pair[a][b]))
         out.sort()
         edges += out
-    return GkmGraph(tuple(vertices), tuple(edges), h, w)
+    return GkmGraph(vertices, tuple(edges), h, w)
 
 
 def build_hessenberg_graph(h) -> GkmGraph:
@@ -126,14 +127,15 @@ def build_hessenberg_graph(h) -> GkmGraph:
     h = validate_hessenberg(h)
     n = len(h)
     check_size(math.factorial(n), f"S_{n}")
-    return _induced(h, frozenset(all_permutations(n)), None)
+    return _induced(h, tuple(all_permutations(n)), None)
 
 
 def interval_graph(h, w: Perm) -> GkmGraph:
     """Subgraph induced on the Bruhat interval [w, w0]."""
     h = validate_hessenberg(h)
+    w = as_permutation(w)
     _check_rank(w, h)
-    return _induced(h, bruhat_interval(w), w)
+    return _induced(h, bruhat_interval_lex(w), w)
 
 
 class MoveGraph:
@@ -184,23 +186,22 @@ class MoveGraph:
         return RegularityCheck(bad is None, None if bad is None else self.vertices[bad])
 
     def sinks(self, within: int = -1) -> int:
-        """The number of ids with no up-step."""
+        """The number of ids with no up-step.  On a kernel of an upset read
+        under a Hessenberg mask (h's windows, M, or every pair) it is the
+        number of components.  Every root of the mask is supported on the
+        mask's simple roots I (in type A, h's blocks), so each edge keeps its
+        coset x W_I, and each component is the upset's part of one coset.
+        The part holds the coset's top, and from any other vertex x some s in
+        I has x s > x, an up-step inside the part: the top is its only sink
+        (Bjorner and Brenti, *Combinatorics of Coxeter Groups*, 2.4)."""
         return [u & within for u in self.up].count(0)
 
-    def connected(self, within: int = -1) -> bool:
-        """Decided from the sinks first: an up-step lengthens, so every
-        up-path ends at a sink, and with one sink every id is joined to it.
-        With more, a search from id 0 decides."""
-        if self.sinks(within) == 1:
-            return True
-        return len(self.reachable([0], 0, within)) == len(self.moves)
-
     def reachable(self, starts, toward: int, within: int = -1) -> set[int]:
-        """The ids reached from the ids ``starts`` along every move, the
-        up-steps (``up``, a part of ``moves``) if ``toward`` is 1, or the
-        down-steps (``moves ^ up``) if it is -1; it stops once all are seen."""
+        """The ids reached from the ids ``starts`` along the up-steps
+        (``up``, a part of ``moves``) if ``toward`` is 1, or the down-steps
+        (``moves ^ up``) if it is -1; it stops once all are seen."""
         moves, up, targets, width = self.moves, self.up, self.targets, self.width
-        steps = moves if not toward else up if toward > 0 else [m ^ u for m, u in zip(moves, up)]
+        steps = up if toward > 0 else [m ^ u for m, u in zip(moves, up)]
         size = len(moves)
         seen = set(starts)
         stack = list(seen)
@@ -260,6 +261,7 @@ def _swaps(n: int, allowed: int) -> tuple:
 def interval_move_graph(h, w: Perm) -> MoveGraph:
     """The kernel of ``interval_graph(h, w)``: h's window swaps only."""
     h = validate_hessenberg(h)
+    w = as_permutation(w)
     _check_rank(w, h)
     return _type_a_move_graph(w, window_mask(h))
 
@@ -275,6 +277,7 @@ def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
     """Window transpositions (i, j) with u(i,j) >= w: the edges at u in the
     interval graph of (w, h), probed at u alone."""
     h = validate_hessenberg(h)
+    w = as_permutation(w)
     _check_rank(w, h)
     interval = bruhat_interval(w)
     if u not in interval:
@@ -357,7 +360,7 @@ def phi_map(h, w: Perm, u: Perm, a: int, b: int) -> dict[tuple[int, int], tuple[
 def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
     """Subgraph induced on the fixed points of the cell closure of (w, h)."""
     h = validate_hessenberg(h)
-    return _induced(h, hess_schubert_fixed_points(w, h), w)
+    return _induced(h, tuple(sorted(hess_schubert_fixed_points(w, h))), w)
 
 
 def to_dot(g: GkmGraph) -> str:

@@ -33,7 +33,7 @@ import math
 from itertools import combinations
 
 from .hess import HessFunc, _check_rank, is_admissible, validate_hessenberg
-from .perms import Perm, check_size, format_permutation
+from .perms import Perm, as_permutation, check_size, format_permutation
 
 PATTERN_IDS = ("2143", "1324", "1243", "2134", "1423", "2314", "2413")
 
@@ -82,11 +82,9 @@ def contains_hpattern(w: Perm, h, pattern_id: str) -> Witness | None:
     >>> contains_hpattern((2, 1, 3, 4), (3, 3, 4, 4), "2134")
     (1, 2, 3, 4)
     """
-    h = validate_hessenberg(h)
-    _check_rank(w, h)
     if pattern_id not in PATTERN_IDS:
         raise ValueError(f"unknown pattern id {pattern_id!r}")
-    return _first_witnesses(w, h).get(pattern_id)
+    return dict(pattern_witnesses(w, h)).get(pattern_id)
 
 
 def _ordered_witnesses(w: Perm, h: HessFunc) -> list[tuple[str, Witness]]:
@@ -98,6 +96,7 @@ def _ordered_witnesses(w: Perm, h: HessFunc) -> list[tuple[str, Witness]]:
 def pattern_witnesses(w: Perm, h) -> list[tuple[str, Witness]]:
     """First witness for each contained pattern, in the fixed pattern order."""
     h = validate_hessenberg(h)
+    w = as_permutation(w)
     _check_rank(w, h)
     return _ordered_witnesses(w, h)
 
@@ -106,10 +105,11 @@ def avoids_all_associated(w: Perm, h) -> tuple[bool, list[tuple[str, Witness]]]:
     """Whether the admissible permutation w avoids all seven patterns.
 
     Raises for non-admissible w: the regularity equivalence this test feeds
-    is only stated in that case.  h is validated once; the admissibility
-    test checks the rank.
+    is only stated in that case.  h and w are validated once; the
+    admissibility test checks the rank.
     """
     h = validate_hessenberg(h)
+    w = as_permutation(w)
     if not is_admissible(w, h):
         raise ValueError(
             f"{format_permutation(w)} is not admissible for h={h}; "

@@ -37,16 +37,16 @@ bruhat          criterion vs. chain oracle on all pairs, and the library
                 upper interval vs. the chain upset for every u
 representative  defining properties of w~, and w~ vs. the window-order oracle
 fixed-points    fixed set of the cell closure vs. interval, admissibility
-connectivity    interval graph connected when admissible or ambient connected,
-                read off w's Bruhat graph under h's windows: one sink (no
-                up-step) decides it, otherwise a search
+connectivity    interval graph connected when admissible or ambient connected:
+                one sink (no up-step) in w's Bruhat graph under h's windows
 shortcut        top-degree test vs. full regularity scan (admissible w); the
                 scan reads w's Bruhat graph under h's windows
 phi-injective   edge comparison map total, well-defined, injective; edge
                 sets are u's moves in w's Bruhat graph under h's windows,
                 the up-steps those that lengthen u, and phi_rule's verdicts are
                 memoized per (edge mask of u, move) within one h
-phi-surjective  edge comparison map onto, for one-reflection moves from w
+phi-surjective  edge comparison map onto, for one-reflection moves from w;
+                edge sets are moves in w's Bruhat graph under h's windows
 patterns        pattern avoidance vs. regularity (admissible w), the latter
                 read off w's Bruhat graph under h's windows
 example61       the rank-6 regression case: admissibility, strict window
@@ -74,7 +74,6 @@ from operator import or_
 from .graphs import (
     GkmGraph,
     bruhat_move_graph,
-    edge_set_at,
     interval_move_graph,
     phi_rule,
     regularity_via_w0,
@@ -110,7 +109,7 @@ from .perms import (
     length,
     transpositions,
 )
-from .roots import Coords, Element, HessenbergSpace, RootSystem, mask_order_key, submasks
+from .roots import Coords, Element, HessenbergSpace, RootSystem, _bits, mask_order_key, submasks
 
 _CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 
@@ -380,7 +379,7 @@ def _connectivity(n: int, item):
     win = window_mask(h)
     for w in perms:
         if ambient_connected or is_admissible(w, h):
-            yield h, w, [] if bruhat_move_graph(w).connected(win) else ["interval graph disconnected"]
+            yield h, w, [] if bruhat_move_graph(w).sinks(win) == 1 else ["interval graph disconnected"]
 
 
 def _shortcut(n: int, h: HessFunc):
@@ -388,6 +387,11 @@ def _shortcut(n: int, h: HessFunc):
     for w in enumerate_admissible(h):
         full = bruhat_move_graph(w).regularity(cell_dimension(w, h), win).ok
         yield h, w, [] if regularity_via_w0(h, w) == full else ["top-degree test disagrees with full scan"]
+
+
+def _pairs_of(mask: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The position pairs of the bits of ``mask``, in bit order."""
+    return [pairs[k] for k in _bits(mask)]
 
 
 def _phi_injective(n: int, h: HessFunc):
@@ -415,7 +419,7 @@ def _phi_injective(n: int, h: HessFunc):
                 a, b = pairs[k]
                 entry = memo.get((mask_u, k))
                 if entry is None:
-                    e_u = [ij for ij, m in bit.items() if mask_u & m]
+                    e_u = _pairs_of(mask_u, pairs)
                     images = phi_rule(e_u, a, b)
                     vals = set(images.values())
                     image = reduce(or_, (bit.get(ij, off_layout) for ij in vals), 0)
@@ -436,18 +440,19 @@ def _phi_injective(n: int, h: HessFunc):
 
 
 def _phi_surjective(n: int, h: HessFunc):
+    pairs = transpositions(n)
+    win = window_mask(h)
     for w in enumerate_admissible(h):
-        interval = bruhat_interval(w)
-        e_w = edge_set_at(h, w, w)
-        for a, b in transpositions(n):
-            v = apply_transposition(w, a, b)
-            if v not in interval or v == w:
-                continue
-            e_v = edge_set_at(h, w, v)
-            images = set(phi_rule(e_w, a, b).values())
+        # w is id 0 of its Bruhat graph; its moves are the k with w t_k in [w, w0].
+        g = bruhat_move_graph(w)
+        e_w = _pairs_of(g.moves[0] & win, pairs)
+        for k in _bits(g.moves[0]):
+            y = g.targets[k]
+            e_v = set(_pairs_of(g.moves[y] & win, pairs))
+            images = set(phi_rule(e_w, *pairs[k]).values())
             problems = []
             if not e_v <= images:
-                v_text = format_permutation(v)
+                v_text = format_permutation(g.vertices[y])
                 problems.append((f"misses edges at v={v_text}: {sorted(e_v - images)}", {"v": v_text}))
             yield h, w, problems
 

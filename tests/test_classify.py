@@ -141,10 +141,44 @@ def test_non_permutation_w_raises(w):
         lambda: interval_move_graph((2, 3, 3), w),
         lambda: interval_graph((2, 3, 3), w),
         lambda: component_lower_bound(w, (2, 3, 3)),
+        lambda: edge_set_at((2, 3, 3), w, (1, 2, 3)),
+        lambda: contains_hpattern(w, (2, 3, 3), "2143"),
+        lambda: pattern_witnesses(w, (2, 3, 3)),
+        lambda: avoids_all_associated(w, (3, 3, 3)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="not a permutation|not an integer"):
             call()
+
+
+def test_pattern_scan_rejects_non_permutations():
+    # Neither reads as an answer: (1, 1, 1, 1) passes the admissibility
+    # test, and no quadruple of (2, 1, 2, 1) has distinct values.
+    with pytest.raises(ValueError, match="not a permutation"):
+        avoids_all_associated((1, 1, 1, 1), (4, 4, 4, 4))
+    with pytest.raises(ValueError, match="not a permutation"):
+        pattern_witnesses((2, 1, 2, 1), (4, 4, 4, 4))
+    with pytest.raises(ValueError, match="not a permutation"):
+        contains_hpattern((2, 1, 2, 1), (4, 4, 4, 4), "2143")
+
+
+def test_list_w_is_taken_as_a_permutation():
+    # classify takes a list w; so does every entry it reaches.
+    h, w = (2, 3, 3), (2, 1, 3)
+    assert interval_graph(h, list(w)) == interval_graph(h, w)
+    assert interval_move_graph(h, list(w)).vertices == interval_move_graph(h, w).vertices
+    assert edge_set_at(h, list(w), w) == edge_set_at(h, w, w)
+    assert pattern_witnesses(list(w), h) == pattern_witnesses(w, h)
+    assert classify(list(w), h) == classify(w, h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fixed_points_are_the_cell_closure_fixed_points(n):
+    # classify reads the fixed points off the kernels' vertices, not from
+    # hess_schubert_fixed_points.
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            assert classify(w, h).fixed_points == tuple(sorted(hess_schubert_fixed_points(w, h))), (h, w)
 
 
 def test_json_round_trip_shape():

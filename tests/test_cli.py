@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from hessgkm.cli import build_parser, main
+from hessgkm.hess import format_hessenberg
+from hessgkm.perms import all_permutations, format_permutation
+from hessgkm.verify import hessenberg_functions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,6 +38,9 @@ GOLDEN_CASES = [
         "roots_c2_tables.txt",
     ),
     (["roots", "--type", "A", "--rank", "2", "--m", "a1,a2", "--tables"], "roots_a2_tables.txt"),
+    (["classify", "--h", "3,3,4,4", "--w", "3214"], "classify_3344_3214.txt"),
+    (["patterns", "--h", "3,3,4,4", "--w", "2134"], "patterns_3344_2134.txt"),
+    (["patterns", "--h", "3,3,4,4", "--w", "2134", "--json"], "patterns_3344_2134.json"),
 ]
 
 
@@ -187,6 +193,21 @@ def test_verify_all_n5_output_is_pinned(capsys):
         del r["elapsed_seconds"]
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert digest == "0d342daa90dabf674b7c656b3680f9c3e00d2decd499bc2ce117e4dfe3b62ede"
+
+
+def test_classify_and_patterns_outputs_are_pinned(capsys):
+    # Both verbs, in text and in --json, on every (h, w) with n <= 4, as one hash.
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for h in hessenberg_functions(n):
+            for w in all_permutations(n):
+                for verb in ("classify", "patterns"):
+                    for extra in ([], ["--json"]):
+                        argv = [verb, "--h", format_hessenberg(h), "--w", format_permutation(w), *extra]
+                        code, out = run_cli(argv, capsys)
+                        assert code == 0
+                        digest.update(out.encode())
+    assert digest.hexdigest() == "22d750d89a145dde55d2939a63f68788c6591fc889a723b0f070b1fa95b1db2e"
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,11 @@
 
 import math
 from itertools import combinations
-from operator import itemgetter
 
 import pytest
 
 from hessgkm.graphs import (
     GkmEdge,
-    MoveGraph,
     build_hessenberg_graph,
     bruhat_move_graph,
     edge_set_at,
@@ -173,36 +171,37 @@ def test_is_connected():
     assert is_connected(interval_graph(H3344, longest_element(4)))
 
 
-def test_connected_by_sinks_and_by_search():
-    # One sink decides at once; several leave it to the search.  The steps
-    # are position swaps, as in type A.
-    t12, t23 = itemgetter(1, 0, 2), itemgetter(0, 2, 1)
-    one_sink = MoveGraph(((1, 2, 3), (2, 1, 3)), [0b1, 0b1], [0b1, 0], [t12])
-    assert one_sink.connected()
-    # A lower vertex with up-steps to two sinks is joined through it...
-    forked = MoveGraph(((1, 2, 3), (2, 1, 3), (1, 3, 2)), [0b11, 0b01, 0b10], [0b11, 0, 0], [t12, t23])
-    assert forked.connected()
-    # ...unless the read drops one of its edges.
-    assert not forked.connected(0b01)
-    apart = MoveGraph(((1, 2, 3), (2, 1, 3)), [0, 0], [0, 0], [t12])
-    assert not apart.connected()
+def _components(g):
+    # The components of a GkmGraph, counted by search.
+    adj, seen, count = g.adjacency(), set(), 0
+    for u in g.vertices:
+        if u not in seen:
+            count += 1
+            seen.add(u)
+            stack = [u]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+    return count
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_one_sink_iff_connected(n):
-    # One sink joins every vertex to it (an up-step lengthens).  Conversely,
-    # windows never cross a block of h (positions a..b with h(i) > i for
-    # a <= i < b, maximal), and a sink has no window ascent, so it decreases
-    # on every block.  Two sinks thus differ in some block's value set,
-    # which no edge changes.  At n = 5, 2,025 pairs have one sink and 3,015
-    # several.
+    # Both type A kernels have as many sinks as the GkmGraph has components
+    # (the rule of MoveGraph.sinks: one sink in each coset of the Young
+    # subgroup of h's blocks), so one sink is connectivity.  At n = 5, 2,025
+    # pairs have one sink and 3,015 several.
     counts = {True: 0, False: 0}
     for h in hessenberg_functions(n):
         win = window_mask(h)
         for w in all_permutations(n):
-            one_sink = [u & win for u in bruhat_move_graph(w).up].count(0) == 1
-            assert one_sink == is_connected(interval_graph(h, w)), (h, w)
-            counts[one_sink] += 1
+            g = interval_graph(h, w)
+            sinks = bruhat_move_graph(w).sinks(win)
+            assert sinks == interval_move_graph(h, w).sinks() == _components(g), (h, w)
+            assert (sinks == 1) == is_connected(g)
+            counts[sinks == 1] += 1
     if n == 5:
         assert counts == {True: 2025, False: 3015}
 
@@ -246,7 +245,7 @@ def _check_move_graph(kernel, within, g, pairs):
     assert dict(zip(kernel.vertices, kernel.degrees(within))) == degs
     for d in set(degs.values()) | {cell_dimension(g.w, g.h)}:
         assert kernel.regularity(d, within) == is_regular(g, d)
-    assert kernel.connected(within) == is_connected(g)
+    assert (kernel.sinks(within) == 1) == is_connected(g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -286,8 +285,8 @@ def test_move_masks_agree_with_summary(n):
             assert shared.degrees(win) == degs
             for d in set(degs) | {cell_dimension(w, h)}:
                 assert shared.regularity(d, win) == own.regularity(d)
-            assert shared.connected(win) == own.connected()
-            for toward in (1, -1, 0):
+            assert shared.sinks(win) == own.sinks()
+            for toward in (1, -1):
                 assert shared.reachable([0], toward, win) == own.reachable([0], toward)
 
 

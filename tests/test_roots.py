@@ -556,10 +556,10 @@ def test_arbitrary_graph_shapes():
     assert g.vertices == c2.elements()
     assert len(_check_moves(c2, hs.roots, g)) == 12
     assert set(g.degrees()) == {3}
-    assert g.connected()
+    assert g.sinks() == 1
     empty = validate_hessenberg_space(c2, frozenset())
     g0 = arbitrary_gkm_graph(empty)
-    assert not any(g0.moves) and not g0.connected()
+    assert not any(g0.moves) and g0.sinks() == len(g0.vertices) == 8
     a2 = build_root_system("A", 2)
     hexagon = arbitrary_gkm_graph(validate_hessenberg_space(a2, {(1, 0), (0, 1)}))
     assert len(hexagon.vertices) == 6 and sum(m.bit_count() for m in hexagon.up) == 6
@@ -606,7 +606,37 @@ def test_reflection_steps_match_definition(type_label, rank):
                 seen.add(y)
                 stack.append(y)
         connected = len(seen) == len(elements)
-        assert g.connected() == connected
+        assert (g.sinks() == 1) == connected
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2)]
+)
+def test_sinks_count_components(type_label, rank):
+    # On [x, w0] for every space and a seeded sample of x, the kernel's
+    # sinks against the components of a search over W along the moves
+    # v -> v s_c, c in M, that stay inside the interval.
+    rs = build_root_system(type_label, rank)
+    elements = rs.elements()
+    rng = random.Random(f"sinks {type_label}{rank}")
+    for m in enumerate_hessenberg_spaces(rs):
+        refl = [rs.reflection(c) for c in m]
+        for x in [rs.identity, *rng.sample(elements, 3)]:
+            ids = sorted(rs._interval_ids(rs._id(x)))
+            g = _move_graph(validate_hessenberg_space(rs, m), ids)
+            members, seen, components = set(g.vertices), set(), 0
+            for v in g.vertices:
+                if v not in seen:
+                    components += 1
+                    seen.add(v)
+                    stack = [v]
+                    while stack:
+                        u = stack.pop()
+                        for y in (rs.mul(u, s) for s in refl):
+                            if y in members and y not in seen:
+                                seen.add(y)
+                                stack.append(y)
+            assert g.sinks() == components, (m, x)
 
 
 @pytest.mark.parametrize("type_label,rank", SYSTEMS)
