@@ -79,8 +79,9 @@ def congruent(p: Poly, q: Poly, a: int, b: int) -> bool:
     """Whether p == q mod (t_a - t_b); sign-free: (a, b) and (b, a) agree.
 
     Substitution is linear and drops zero coefficients, so this is
-    t_a - t_b dividing p - q without building the difference."""
-    return substitute_equal(p, a, b) == substitute_equal(q, a, b)
+    t_a - t_b dividing p - q without building the difference.  Equal
+    classes, most of a graph's edges, need no substitution."""
+    return p == q or substitute_equal(p, a, b) == substitute_equal(q, a, b)
 
 
 def check_compatibility(g: GkmGraph, cls: dict[Perm, Poly]) -> tuple[bool, list[GkmEdge]]:

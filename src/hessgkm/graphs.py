@@ -8,16 +8,20 @@ and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 
 Each edge question has one source.  A whole interval's, in either type, is
 the kernel :class:`MoveGraph`: per vertex a mask of its moves and one of its
-up-steps, and per bit a step map, from which the targets are filled on the
-first read that walks edges.  Each type has its own mask pass.  Type A
-moves by the swaps u(i,j), its masks found by membership:
+up-steps, and the type's walk of its up-steps, from which the targets are
+filled on the first read that walks edges.  Each type has its own mask pass
+and its own walk.  Type A moves by the swaps u(i,j).  [w, w0] is an upset,
+so every descent inside it mirrors an ascent of its lower end, and one pass
+over the ascents sets each edge's bit at both ends, the target found by
+arithmetic on integer codes of the vertices.  Its kernels are
 :func:`interval_move_graph` by h's windows (``classify``, the localized
-classes, example61), :func:`bruhat_move_graph` by every pair, once per w,
-for the sweeps to read under each h's window mask.  :mod:`hessgkm.roots`
-reads its masks off inversion sets.  :func:`edge_set_at` probes one vertex,
-for :func:`regularity_via_w0` and :func:`phi_map` alone.  Export's source
-is :func:`_induced`, the only builder of ``GkmEdge`` objects, for
-DOT/JSON and the compatibility check, on the full graph and on these:
+classes, example61) and :func:`bruhat_move_graph` by every pair, once per
+w, for the sweeps to read under each h's window mask.  :mod:`hessgkm.roots`
+reads its masks off inversion sets and walks its reflection table.
+:func:`edge_set_at` probes one vertex, for :func:`regularity_via_w0` and
+:func:`phi_map` alone.  Export's source is :func:`_induced`, the only
+builder of ``GkmEdge`` objects, for DOT/JSON and the compatibility check,
+on the full graph and on these:
 
 * ``interval_graph(h, w)``     -- induced on the Bruhat interval [w, w0];
 * ``fixed_point_induced_graph``-- induced on the cell-closure fixed points.
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from itertools import groupby
+from itertools import count, groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -142,38 +146,33 @@ class MoveGraph:
     """An interval's moment graph on local ids 0, 1, ... in the order of
     ``vertices``, which the caller chooses.  An edge has one bit at both
     ends: a position pair in type A (as in :func:`hessgkm.perms.inversion_mask`),
-    a positive root in general type.  ``moves[x]`` has the bits of the edges
-    at x inside the interval, ``up[x]`` those that lengthen x, and
-    ``steps[k]`` is right multiplication by bit k's reflection.  A read
-    sees only the bits of ``within``.  The masks answer degrees, regularity
-    and sinks; bit k at x leads to ``targets[x * width + k]``, built from
-    the steps on the first read that walks edges."""
+    a positive root in general type; ``width`` is the number of bits.
+    ``moves[x]`` has the bits of the edges at x inside the interval and
+    ``up[x]`` those that lengthen x.  A read sees only the bits of
+    ``within``.  The masks answer degrees, regularity and sinks; bit k at x
+    leads to ``targets[x * width + k]``, filled on the first read that walks
+    edges from ``up_steps(self)``, the type's own walk of (x, k, y) over the
+    up bits, each mirrored into its target."""
 
-    __slots__ = ("vertices", "moves", "up", "steps", "width", "_targets")
+    __slots__ = ("vertices", "moves", "up", "width", "_up_steps", "_targets")
 
-    def __init__(self, vertices, moves, up, steps) -> None:
+    def __init__(self, vertices, moves, up, width, up_steps) -> None:
         self.vertices = vertices
-        self.steps = steps
-        self.width = width = len(steps)
+        self.width = width
         self.moves = _pack(moves, width)
         self.up = _pack(up, width)
+        self._up_steps = up_steps
         self._targets = None
 
     @property
     def targets(self) -> array:
         """Each up-step's target id, mirrored into it: the down-step back."""
         if self._targets is None:
-            vertices, steps, width = self.vertices, self.steps, self.width
-            index = {u: x for x, u in enumerate(vertices)}
-            targets = array("i", [0]) * (len(vertices) * width)
-            for x, (u, bits) in enumerate(zip(vertices, self.up)):
-                while bits:
-                    low = bits & -bits
-                    k = low.bit_length() - 1
-                    y = index[steps[k](u)]
-                    targets[x * width + k] = y
-                    targets[y * width + k] = x
-                    bits ^= low
+            width = self.width
+            targets = array("i", [0]) * (len(self.vertices) * width)
+            for x, k, y in self._up_steps(self):
+                targets[x * width + k] = y
+                targets[y * width + k] = x
             self._targets = targets
         return self._targets
 
@@ -227,35 +226,68 @@ def _pack(masks: list[int], width: int):
 def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
     """[w, w0] in lexicographic order, its edges the swaps u t_k with k in
     ``allowed``.  The interval is an upset, so every ascent u t_k of u
-    (u(i) < u(j)) lies in it, and a descent lies in it iff u t_k is one of
-    its vertices: the masks need one membership test per descent."""
+    (u(i) < u(j)) lies in it, and every descent of a vertex inside it is
+    the mirror of an ascent of its lower end: one pass over the ascents
+    sets the bits at both ends, each target found by its integer code."""
     vertices = bruhat_interval_lex(w)
-    inside = set(vertices)
-    n = len(w)
-    chosen = _swaps(n, allowed)
-    moves, up = [], []
-    for u in vertices:
-        ascents = descents = 0
-        for bit, i, j, swap in chosen:
-            if u[i] < u[j]:
+    index = _code_index(vertices)
+    chosen = _code_pairs(len(w), allowed)
+    moves = [0] * len(vertices)
+    up = []
+    for x, (u, code) in enumerate(zip(vertices, index)):
+        ascents = 0
+        for bit, i, j, d in chosen:
+            a, b = u[i], u[j]
+            if a < b:
                 ascents |= bit
-            elif swap(u) in inside:
-                descents |= bit
-        moves.append(ascents | descents)
+                moves[index[code + (b - a) * d]] |= bit
+        moves[x] |= ascents
         up.append(ascents)
-    return MoveGraph(vertices, moves, up, [swap for *_, swap in _swaps(n, -1)])
+    return MoveGraph(vertices, moves, up, len(w) * (len(w) - 1) // 2, _type_a_up_steps)
+
+
+def _type_a_up_steps(g: MoveGraph):
+    """(x, k, y) per up bit k at x, y the id of u t_k, by the mask pass's
+    arithmetic on codes made afresh: a kernel keeps no code table."""
+    vertices = g.vertices
+    index = _code_index(vertices)
+    pairs = _code_pairs(len(vertices[0]), -1)
+    for x, (u, code, bits) in enumerate(zip(vertices, index, g.up)):
+        while bits:
+            low = bits & -bits
+            k = low.bit_length() - 1
+            _, i, j, d = pairs[k]
+            yield x, k, index[code + (u[j] - u[i]) * d]
+            bits ^= low
+
+
+def _code_bytes(n: int) -> int:
+    """Bytes per entry in the codes of S_n: one up to n = 255."""
+    return (n.bit_length() + 7) // 8
+
+
+def _code_index(vertices) -> dict[int, int]:
+    """Code to id, in id order.  A permutation's code is the big-endian
+    integer of its entries, each in :func:`_code_bytes` bytes."""
+    size = _code_bytes(len(vertices[0]))
+    if size == 1:
+        raw = map(bytes, vertices)
+    else:
+        raw = (b"".join(x.to_bytes(size, "big") for x in u) for u in vertices)
+    return dict(zip(map(int.from_bytes, raw, repeat("big")), count()))
 
 
 @lru_cache(maxsize=None)
-def _swaps(n: int, allowed: int) -> tuple:
-    """(1 << k, i - 1, j - 1, swap) per pair k = (i, j) in ``allowed``; swap(u) is u t_k."""
-    out = []
-    for k, (i, j) in enumerate(transpositions(n)):
-        if allowed >> k & 1:
-            at = list(range(n))
-            at[i - 1], at[j - 1] = j - 1, i - 1
-            out.append((1 << k, i - 1, j - 1, itemgetter(*at)))
-    return tuple(out)
+def _code_pairs(n: int, allowed: int) -> tuple:
+    """(1 << k, i - 1, j - 1, d_k) per pair k = (i, j) in ``allowed``.  With
+    B = 256 ** _code_bytes(n), the code of u t_k is u's plus
+    (u(j) - u(i)) * d_k, where d_k = B^(n - i) - B^(n - j)."""
+    power = [(256 ** _code_bytes(n)) ** e for e in range(n)]
+    return tuple(
+        (1 << k, i - 1, j - 1, power[n - i] - power[n - j])
+        for k, (i, j) in enumerate(transpositions(n))
+        if allowed >> k & 1
+    )
 
 
 def interval_move_graph(h, w: Perm) -> MoveGraph:
@@ -277,8 +309,9 @@ def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
     """Window transpositions (i, j) with u(i,j) >= w: the edges at u in the
     interval graph of (w, h), probed at u alone."""
     h = validate_hessenberg(h)
-    w = as_permutation(w)
+    w, u = as_permutation(w), as_permutation(u)
     _check_rank(w, h)
+    _check_rank(u, h, "u")
     interval = bruhat_interval(w)
     if u not in interval:
         raise ValueError(f"{format_permutation(u)} is not in the interval of {format_permutation(w)}")
@@ -346,6 +379,7 @@ def phi_map(h, w: Perm, u: Perm, a: int, b: int) -> dict[tuple[int, int], tuple[
     swap, the map is injective into the edges at v.
     """
     h = validate_hessenberg(h)
+    w, u = as_permutation(w), as_permutation(u)
     if not is_admissible(w, h):
         raise ValueError("phi is only defined for admissible w")
     e_u = edge_set_at(h, w, u)
@@ -360,6 +394,8 @@ def phi_map(h, w: Perm, u: Perm, a: int, b: int) -> dict[tuple[int, int], tuple[
 def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
     """Subgraph induced on the fixed points of the cell closure of (w, h)."""
     h = validate_hessenberg(h)
+    w = as_permutation(w)
+    _check_rank(w, h)
     return _induced(h, tuple(sorted(hess_schubert_fixed_points(w, h))), w)
 
 

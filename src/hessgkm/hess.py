@@ -109,9 +109,9 @@ def window_mask(h: HessFunc) -> int:
     return sum(1 << k for k, (i, j) in enumerate(transpositions(len(h))) if j <= h[i - 1])
 
 
-def _check_rank(w: Perm, h: HessFunc) -> None:
+def _check_rank(w: Perm, h: HessFunc, name: str = "w") -> None:
     if len(w) != len(h):
-        raise ValueError(f"rank mismatch: |w| = {len(w)}, |h| = {len(h)}")
+        raise ValueError(f"rank mismatch: |{name}| = {len(w)}, |h| = {len(h)}")
 
 
 def h_length(w: Perm, h: HessFunc) -> int:

@@ -58,7 +58,9 @@ module over the Borel.  The machinery built on M:
   conclusion is withheld outside the simply-laced types.  It is the
   kernel :class:`hessgkm.graphs.MoveGraph` on the interval's elements in
   id order, so the first violator is the least by (length, word): the up
-  bits at w are M - N(w), each mirrored into its target w s_c.
+  bits at w are M - N(w), each mirrored into its target w s_c, whose id
+  the reflection table's row of w names; the same walk of the rows builds
+  the kernel's targets.
 """
 
 from __future__ import annotations
@@ -794,7 +796,8 @@ def _move_graph(hs: HessenbergSpace, ids) -> MoveGraph:
     """The moment graph of M on the elements of ``ids``, an upset of W, in
     their order: bit c at w is the edge {w, w s_c}, c in M, an up-step where
     w(c) > 0.  The up bits are M - N(w); each is mirrored into its target
-    along the up rows of the reflection table."""
+    along the up rows of the reflection table, which name the target's id.
+    The target builder is the same walk of the rows."""
     rs = hs.rs
     m_mask, inv, rows = _m_mask(hs), rs._inv_masks, rs._reflection_table
     local = {k: x for x, k in enumerate(ids)}
@@ -804,7 +807,14 @@ def _move_graph(hs: HessenbergSpace, ids) -> MoveGraph:
         for c, y in rows[k]:
             if m_mask >> c & 1:
                 moves[local[y]] |= 1 << c
-    return MoveGraph(tuple(map(rs.elements().__getitem__, ids)), moves, up, rs._steps)
+
+    def up_steps(g):
+        for x, k in enumerate(ids):
+            for c, y in rows[k]:
+                if m_mask >> c & 1:
+                    yield x, c, local[y]
+
+    return MoveGraph(tuple(map(rs.elements().__getitem__, ids)), moves, up, rs._num_positive, up_steps)
 
 
 def arbitrary_gkm_graph(hs: HessenbergSpace) -> MoveGraph:

@@ -140,6 +140,7 @@ def test_non_permutation_w_raises(w):
         lambda: classify(w, (2, 3, 3)),
         lambda: interval_move_graph((2, 3, 3), w),
         lambda: interval_graph((2, 3, 3), w),
+        lambda: fixed_point_induced_graph((2, 3, 3), w),
         lambda: component_lower_bound(w, (2, 3, 3)),
         lambda: edge_set_at((2, 3, 3), w, (1, 2, 3)),
         lambda: contains_hpattern(w, (2, 3, 3), "2143"),

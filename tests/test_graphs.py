@@ -7,6 +7,7 @@ import pytest
 
 from hessgkm.graphs import (
     GkmEdge,
+    _code_pairs,
     build_hessenberg_graph,
     bruhat_move_graph,
     edge_set_at,
@@ -33,6 +34,7 @@ from hessgkm.perms import (
     longest_element,
     transpositions,
 )
+from hessgkm.roots import arbitrary_gkm_graph, build_root_system, validate_hessenberg_space
 from hessgkm.verify import hessenberg_functions, oracle_bruhat_upset, oracle_graph_json
 
 H3344 = (3, 3, 4, 4)
@@ -213,9 +215,9 @@ def _unread(kernel):
 
 def _check_move_graph(kernel, within, g, pairs):
     # A kernel read through ``within`` against its GkmGraph.  First the
-    # masks, found by membership before any target is built: the moves at
-    # each vertex are the pairs of its edges, the up bits those of the
-    # edges it is the lower end of.  Then along each vertex's up bits the
+    # masks, compared before any target is built: the moves at each vertex
+    # are the pairs of its edges, the up bits those of the edges it is the
+    # lower end of.  Then along each vertex's up bits the
     # steps are the graph's edges from their lower ends, along its other
     # moves the same edges from their upper ends; the degrees, the first
     # violator for every degree value and the connectivity are the graph's.
@@ -327,6 +329,53 @@ def test_bruhat_move_graph_matches_definition(n):
         assert all(g.targets[at] == y for at, y in steps)
 
 
+def test_kernel_codes_past_rank_255():
+    # From n = 256 an entry takes two bytes of a vertex's code, so the codes
+    # do not cap the rank.  Near w0 of S_300, [w, w0] is a square: w, its
+    # up-steps by the pairs (1, 2) and (299, 300), and w0.
+    n = 300
+    w0 = longest_element(n)
+    w = apply_transposition(apply_transposition(w0, 1, 2), n - 1, n)
+    pairs = transpositions(n)
+    first, last = 1 << pairs.index((1, 2)), 1 << pairs.index((n - 1, n))
+    try:
+        for g in (interval_move_graph((n,) * n, w), bruhat_move_graph.__wrapped__(w)):
+            assert g.vertices == tuple(sorted(bruhat_interval(w))) and len(g.vertices) == 4
+            assert g.width == len(pairs)
+            assert list(g.moves) == [first | last] * 4
+            assert list(g.up) == [first | last, first, last, 0]
+            assert _unread(g)
+            for x, u in enumerate(g.vertices):
+                for bit in (first, last):
+                    k = bit.bit_length() - 1
+                    assert g.vertices[g.targets[x * g.width + k]] == apply_transposition(u, *pairs[k])
+            assert g.degrees() == [2] * 4 and g.sinks() == 1
+    finally:
+        # The pair table of S_300 holds about 150 MB; free it for the
+        # tests that follow.
+        _code_pairs.cache_clear()
+
+
+def test_kernels_fill_targets_on_first_edge_read():
+    # In both types a kernel is built with its masks alone: degrees,
+    # regularity and sinks leave the targets unbuilt, and the first walk
+    # of the edges fills them.
+    c2 = build_root_system("C", 2)
+    kernels = [
+        interval_move_graph(H3344, (2, 1, 3, 4)),
+        bruhat_move_graph.__wrapped__((2, 1, 3, 4)),
+        arbitrary_gkm_graph(validate_hessenberg_space(c2, c2.parse_root_list("a1,a2,a1+a2"))),
+    ]
+    for g in kernels:
+        assert _unread(g)
+        g.degrees()
+        g.regularity(0)
+        g.sinks()
+        assert _unread(g)
+        assert g.reachable([0], 1) == set(range(len(g.vertices)))
+        assert not _unread(g)
+
+
 def test_bruhat_move_graph_size_limit():
     with pytest.raises(ValueError, match="exceed the size limit SIZE_LIMIT"):
         bruhat_move_graph(identity(9))
@@ -382,6 +431,28 @@ def test_phi_map_preconditions():
         phi_map(H3344, (2, 1, 3, 4), (3, 1, 4, 2), 1, 2)  # (1,2) not an edge there
     with pytest.raises(ValueError):
         phi_map(H3344, (2, 1, 3, 4), (3, 4, 1, 2), 2, 3)  # length decreases
+
+
+def test_edge_set_at_and_phi_map_check_u():
+    # u is taken as a permutation, as w is: a list is one, and a u of the
+    # wrong rank is named so rather than reported outside the interval.
+    h, w = (2, 3, 3), (2, 1, 3)
+    assert edge_set_at(h, w, [2, 1, 3]) == edge_set_at(h, w, (2, 1, 3))
+    assert phi_map(H3344, (1, 2, 3, 4), [1, 2, 3, 4], 1, 2) == phi_map(H3344, (1, 2, 3, 4), (1, 2, 3, 4), 1, 2)
+    with pytest.raises(ValueError, match=r"rank mismatch: \|u\| = 4, \|h\| = 3"):
+        edge_set_at(h, w, (2, 1, 3, 4))
+    with pytest.raises(ValueError, match=r"rank mismatch: \|u\| = 3, \|h\| = 4"):
+        phi_map(H3344, (1, 2, 3, 4), (1, 2, 3), 1, 2)
+    for u in [(2, 2, 3), (0, 1, 2)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            edge_set_at(h, w, u)
+        with pytest.raises(ValueError, match="not a permutation"):
+            phi_map(h, w, u, 1, 2)
+
+
+def test_fixed_point_induced_graph_keeps_w_as_a_tuple():
+    g = fixed_point_induced_graph((2, 3, 3), [2, 1, 3])
+    assert type(g.w) is tuple and g == fixed_point_induced_graph((2, 3, 3), (2, 1, 3))
 
 
 def test_fixed_point_induced_graph():
