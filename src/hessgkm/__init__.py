@@ -5,17 +5,7 @@ from types import ModuleType as _ModuleType
 
 from .classify import ClassificationReport, component_lower_bound
 from .cohomology import check_compatibility, localized_class_candidate, poincare_polynomial
-from .graphs import (
-    GkmGraph,
-    build_hessenberg_graph,
-    edge_set_at,
-    fixed_point_induced_graph,
-    interval_graph,
-    is_connected,
-    is_regular,
-    phi_map,
-    regularity_via_w0,
-)
+from .graphs import GkmGraph, build_hessenberg_graph, interval_graph, is_connected, is_regular
 from .hess import (
     admissible_representative,
     complexity_dimension,
@@ -26,7 +16,7 @@ from .hess import (
     parse_hessenberg,
     validate_hessenberg,
 )
-from .patterns import avoids_all_associated, contains_hpattern
+from .patterns import avoids_all_associated
 from .perms import (
     Perm,
     apply_transposition,
@@ -51,6 +41,15 @@ from .roots import (
     weyl_type_subsets,
     z_and_w,
 )
-from .verify import SweepResult, hessenberg_functions, sweep, sweep_all
+from .verify import (
+    SweepResult,
+    edge_set_at,
+    fixed_point_induced_graph,
+    hessenberg_functions,
+    phi_map,
+    regularity_via_w0,
+    sweep,
+    sweep_all,
+)
 
 __all__ = [name for name in dir() if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]

@@ -159,6 +159,9 @@ def classify(w: Perm, h) -> ClassificationReport:
     wt, u = admissible_representative(w, h)
     # The ascent swaps only where is_admissible fails.
     adm = wt == w
+    # Scanned first: its quadruple check stops n > 36 before any interval,
+    # kernel or pair table is built.
+    witnesses = tuple(pattern_witnesses(wt, h))
     lh = h_length(w, h)
     # w~ keeps w's window order, so both have this cell dimension.
     dim = complexity_dimension(h) - lh
@@ -200,7 +203,6 @@ def classify(w: Perm, h) -> ClassificationReport:
     if reg_t.ok:
         citations.append(CITE_REP_SMOOTH)
 
-    witnesses = tuple(pattern_witnesses(wt, h))
     citations += [CITE_PATTERNS, CITE_DEGREE_SHORTCUT]
 
     # w~ itself always qualifies (its degree is the cell dimension), so the
@@ -239,6 +241,7 @@ def component_lower_bound(w: Perm, h) -> frozenset[Perm]:
     intersection: w, plus every interval vertex that lies in no other
     vertex's cell-closure fixed set.  Never claimed complete."""
     h = validate_hessenberg(h)
+    w = as_permutation(w)
     _check_rank(w, h)
     interval = bruhat_interval_lex(w)
     fixed_sets = {u: hess_schubert_fixed_points(u, h) for u in interval}

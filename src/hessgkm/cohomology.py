@@ -34,7 +34,7 @@ from collections import Counter
 
 from .graphs import GkmEdge, GkmGraph, interval_move_graph
 from .hess import cell_dimension, complexity_dimension, validate_hessenberg, window_mask
-from .perms import Perm, all_permutations, check_size, format_permutation, transpositions
+from .perms import Perm, all_permutations, as_permutation, check_size, format_permutation, transpositions
 
 Poly = dict[tuple[int, ...], int]
 
@@ -140,6 +140,7 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
     congruent raises rather than being patched silently.
     """
     h = validate_hessenberg(h)
+    w = as_permutation(w)
     n = len(h)
     check_size(math.factorial(n), f"S_{n}")
     g = interval_move_graph(h, w)

@@ -18,15 +18,13 @@ arithmetic on integer codes of the vertices.  Its kernels are
 classes, example61) and :func:`bruhat_move_graph` by every pair, once per
 w, for the sweeps to read under each h's window mask.  :mod:`hessgkm.roots`
 reads its masks off inversion sets and walks its reflection table.
-:func:`edge_set_at` probes one vertex, for :func:`regularity_via_w0` and
-:func:`phi_map` alone.  Export's source is :func:`_induced`, the only
-builder of ``GkmEdge`` objects, for DOT/JSON and the compatibility check,
-on the full graph and on these:
-
-* ``interval_graph(h, w)``     -- induced on the Bruhat interval [w, w0];
-* ``fixed_point_induced_graph``-- induced on the cell-closure fixed points.
-
+Export's source is :func:`_induced`, the only builder of ``GkmEdge``
+objects, for DOT/JSON and the compatibility check, on the full graph and
+on ``interval_graph(h, w)``, induced on the Bruhat interval [w, w0].
 :func:`is_regular` and :func:`is_connected` on them are the kernel's oracle.
+The claims that only the sweeps and the tests check (the one-vertex probe
+``edge_set_at``, the top-degree shortcut, the phi maps and the graph on
+the cell-closure fixed points) live in :mod:`hessgkm.verify`.
 """
 
 from __future__ import annotations
@@ -38,26 +36,14 @@ from itertools import count, groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .hess import (
-    HessFunc,
-    _check_rank,
-    cell_dimension,
-    hess_schubert_fixed_points,
-    is_admissible,
-    validate_hessenberg,
-    window_mask,
-    windows,
-)
+from .hess import HessFunc, _check_rank, validate_hessenberg, window_mask, windows
 from .perms import (
     Perm,
     all_permutations,
-    apply_transposition,
     as_permutation,
-    bruhat_interval,
     bruhat_interval_lex,
     check_size,
     format_permutation,
-    length,
     transpositions,
 )
 
@@ -231,7 +217,7 @@ def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
     sets the bits at both ends, each target found by its integer code."""
     vertices = bruhat_interval_lex(w)
     index = _code_index(vertices)
-    chosen = _code_pairs(len(w), allowed)
+    chosen = [row for row in _code_pairs(len(w)) if row[0] & allowed]
     moves = [0] * len(vertices)
     up = []
     for x, (u, code) in enumerate(zip(vertices, index)):
@@ -251,7 +237,7 @@ def _type_a_up_steps(g: MoveGraph):
     arithmetic on codes made afresh: a kernel keeps no code table."""
     vertices = g.vertices
     index = _code_index(vertices)
-    pairs = _code_pairs(len(vertices[0]), -1)
+    pairs = _code_pairs(len(vertices[0]))
     for x, (u, code, bits) in enumerate(zip(vertices, index, g.up)):
         while bits:
             low = bits & -bits
@@ -278,15 +264,15 @@ def _code_index(vertices) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _code_pairs(n: int, allowed: int) -> tuple:
-    """(1 << k, i - 1, j - 1, d_k) per pair k = (i, j) in ``allowed``.  With
-    B = 256 ** _code_bytes(n), the code of u t_k is u's plus
-    (u(j) - u(i)) * d_k, where d_k = B^(n - i) - B^(n - j)."""
+def _code_pairs(n: int) -> tuple:
+    """(1 << k, i - 1, j - 1, d_k) per pair k = (i, j) of S_n, one table per
+    rank; a kernel keeps the rows of its mask.  With B = 256 ** _code_bytes(n),
+    the code of u t_k is u's plus (u(j) - u(i)) * d_k, where
+    d_k = B^(n - i) - B^(n - j)."""
     power = [(256 ** _code_bytes(n)) ** e for e in range(n)]
     return tuple(
         (1 << k, i - 1, j - 1, power[n - i] - power[n - j])
         for k, (i, j) in enumerate(transpositions(n))
-        if allowed >> k & 1
     )
 
 
@@ -305,19 +291,6 @@ def bruhat_move_graph(w: Perm) -> MoveGraph:
     return _type_a_move_graph(w, -1)
 
 
-def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
-    """Window transpositions (i, j) with u(i,j) >= w: the edges at u in the
-    interval graph of (w, h), probed at u alone."""
-    h = validate_hessenberg(h)
-    w, u = as_permutation(w), as_permutation(u)
-    _check_rank(w, h)
-    _check_rank(u, h, "u")
-    interval = bruhat_interval(w)
-    if u not in interval:
-        raise ValueError(f"{format_permutation(u)} is not in the interval of {format_permutation(w)}")
-    return frozenset((i, j) for i, j in windows(h) if apply_transposition(u, i, j) in interval)
-
-
 def is_regular(g: GkmGraph, expected: int) -> RegularityCheck:
     """Whether every vertex has the expected degree; reports the first
     violating vertex in sorted vertex order."""
@@ -326,16 +299,6 @@ def is_regular(g: GkmGraph, expected: int) -> RegularityCheck:
         if degs[u] != expected:
             return RegularityCheck(False, u)
     return RegularityCheck(True, None)
-
-
-def regularity_via_w0(h, w: Perm) -> bool:
-    """Degree shortcut at the top vertex, valid for admissible w only:
-    the interval graph is regular iff deg(w0) equals the cell dimension."""
-    h = validate_hessenberg(h)
-    if not is_admissible(w, h):
-        raise ValueError(f"{format_permutation(w)} is not admissible for h={h}; the shortcut does not apply")
-    w0 = tuple(range(len(w), 0, -1))
-    return len(edge_set_at(h, w, w0)) == cell_dimension(w, h)
 
 
 def is_connected(g: GkmGraph) -> bool:
@@ -351,52 +314,6 @@ def is_connected(g: GkmGraph) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == len(g.vertices)
-
-
-def phi_rule(
-    edge_set, a: int, b: int
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """The raw edge comparison rule for the move (a, b): (i, j) goes to
-    (b, j) when i = a, j > b and (b, j) is not in the edge set; to (i, a)
-    when i < a, j = b and (i, a) is not in the edge set; else stays put."""
-    e_set = frozenset(edge_set)
-    out = {}
-    for i, j in sorted(e_set):
-        if i == a and j > b and (b, j) not in e_set:
-            out[(i, j)] = (b, j)
-        elif i < a and j == b and (i, a) not in e_set:
-            out[(i, j)] = (i, a)
-        else:
-            out[(i, j)] = (i, j)
-    return out
-
-
-def phi_map(h, w: Perm, u: Perm, a: int, b: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """The edge comparison map from the edges at u to the edges at v = u(a,b).
-
-    Applies :func:`phi_rule` to the edge set of the interval graph of
-    (w, h) at u.  With (a, b) itself an edge at u and a length-increasing
-    swap, the map is injective into the edges at v.
-    """
-    h = validate_hessenberg(h)
-    w, u = as_permutation(w), as_permutation(u)
-    if not is_admissible(w, h):
-        raise ValueError("phi is only defined for admissible w")
-    e_u = edge_set_at(h, w, u)
-    v = apply_transposition(u, a, b)
-    if length(v) <= length(u):
-        raise ValueError(f"({a},{b}) does not increase length at {format_permutation(u)}")
-    if (a, b) not in e_u:
-        raise ValueError(f"({a},{b}) is not an edge of the interval graph at {format_permutation(u)}")
-    return phi_rule(e_u, a, b)
-
-
-def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
-    """Subgraph induced on the fixed points of the cell closure of (w, h)."""
-    h = validate_hessenberg(h)
-    w = as_permutation(w)
-    _check_rank(w, h)
-    return _induced(h, tuple(sorted(hess_schubert_fixed_points(w, h))), w)
 
 
 def to_dot(g: GkmGraph) -> str:

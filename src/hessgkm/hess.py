@@ -176,7 +176,7 @@ def admissible_representative(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
                 pos[k], pos[k + 1] = q, p
                 ascending = True
     wt = tuple(v)
-    return wt, compose(w, inverse(wt))
+    return wt, compose(w, pos[1:])  # pos[1:] is inverse(wt)
 
 
 def hess_schubert_fixed_points(w: Perm, h: HessFunc) -> frozenset[Perm]:

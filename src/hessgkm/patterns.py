@@ -76,17 +76,6 @@ def _first_witnesses(w: Perm, h: HessFunc) -> dict[str, Witness]:
     return found
 
 
-def contains_hpattern(w: Perm, h, pattern_id: str) -> Witness | None:
-    """First witness quadruple (lexicographic scan) or None.
-
-    >>> contains_hpattern((2, 1, 3, 4), (3, 3, 4, 4), "2134")
-    (1, 2, 3, 4)
-    """
-    if pattern_id not in PATTERN_IDS:
-        raise ValueError(f"unknown pattern id {pattern_id!r}")
-    return dict(pattern_witnesses(w, h)).get(pattern_id)
-
-
 def _ordered_witnesses(w: Perm, h: HessFunc) -> list[tuple[str, Witness]]:
     """:func:`_first_witnesses` in the fixed pattern order, for a valid h."""
     found = _first_witnesses(w, h)

@@ -127,14 +127,20 @@ def left_multiply(u: Perm, vs: Iterable[Perm]) -> Iterator[Perm]:
 
 
 def inverse(w: Perm) -> Perm:
-    """Position lookup.
+    """Position lookup.  An entry outside 1..n fills no slot and a repeated
+    one fills a slot twice, so a slot left empty raises ``ValueError``: the
+    cheap check of the hot paths that take w without :func:`as_permutation`.
 
     >>> inverse((4, 3, 1, 2))
     (3, 4, 2, 1)
     """
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        out[x - 1] = i + 1
+    n = len(w)
+    out = [0] * n
+    for i, x in enumerate(w, 1):
+        if 0 < x <= n:
+            out[x - 1] = i
+    if 0 in out:
+        raise ValueError(f"not a permutation of 1..{n}: {w!r}")
     return tuple(out)
 
 

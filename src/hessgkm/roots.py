@@ -71,7 +71,6 @@ from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from .graphs import MoveGraph
-from .hess import validate_hessenberg
 from .perms import Perm, _fields, _integers, check_size, compose as perm_compose
 
 Coords = tuple[int, ...]
@@ -522,28 +521,6 @@ class RootSystem:
 
 def build_root_system(type_label: str, rank: int) -> RootSystem:
     return RootSystem(type_label, rank)
-
-
-def root_from_positions(rs: RootSystem, i: int, j: int) -> Coords:
-    """Type A root e_i - e_j (i < j) in simple-root coordinates."""
-    if rs.type_label != "A":
-        raise ValueError("position roots only apply to type A")
-    if not (1 <= i < j <= rs.rank + 1):
-        raise ValueError(f"need 1 <= i < j <= {rs.rank + 1}")
-    return tuple(1 if i <= k < j else 0 for k in range(1, rs.rank + 1))
-
-
-def hessenberg_space_from_function(rs: RootSystem, h) -> "HessenbergSpace":
-    """Type A dictionary: e_i - e_j lies in M iff j <= h(i)."""
-    h = validate_hessenberg(h)
-    if rs.type_label != "A" or len(h) != rs.rank + 1:
-        raise ValueError("expected a type A system of rank n-1")
-    roots = frozenset(
-        root_from_positions(rs, i, j)
-        for i in range(1, len(h) + 1)
-        for j in range(i + 1, h[i - 1] + 1)
-    )
-    return validate_hessenberg_space(rs, roots)
 
 
 # -- Hessenberg spaces ------------------------------------------------------------

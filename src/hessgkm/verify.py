@@ -31,6 +31,22 @@ oracle_weyl_type_subsets          2^|M| subsets tested with is_weyl_type
                                   (two is_closed_in tests), for the
                                   Weyl-type backtracker
 
+Claims under test
+-----------------
+Paper claims that no verb applies live here, with the suites and tests that
+check them.
+
+edge_set_at                     the edges at one vertex u of [w, w0], each
+                                window swap probed for membership: the
+                                check on the kernels' moves
+regularity_via_w0               Cor 4.3's top-degree test (shortcut)
+phi_rule, phi_map               the edge comparison maps of Thm 1.2's proof
+                                (phi-injective, phi-surjective)
+root_from_positions,            the type A dictionary h -> M, for the tests
+hessenberg_space_from_function  that match the general-type engine to S_n
+fixed_point_induced_graph       the ``GkmGraph`` on the cell-closure fixed
+                                points (Prop 2.5), for the tests
+
 Suites
 ------
 bruhat          criterion vs. chain oracle on all pairs, and the library
@@ -71,14 +87,7 @@ import time
 from functools import lru_cache, reduce
 from operator import or_
 
-from .graphs import (
-    GkmGraph,
-    bruhat_move_graph,
-    interval_move_graph,
-    phi_rule,
-    regularity_via_w0,
-    to_json_dict,
-)
+from .graphs import GkmGraph, _induced, bruhat_move_graph, interval_move_graph, to_json_dict
 from .hess import (
     HessFunc,
     _check_rank,
@@ -93,6 +102,7 @@ from .hess import (
     is_admissible,
     validate_hessenberg,
     window_mask,
+    windows,
 )
 from .patterns import avoids_all_associated
 from .perms import (
@@ -100,6 +110,7 @@ from .perms import (
     _check_same_rank,
     all_permutations,
     apply_transposition,
+    as_permutation,
     bruhat_interval,
     bruhat_leq,
     compose,
@@ -107,9 +118,19 @@ from .perms import (
     identity,
     inversion_mask,
     length,
+    longest_element,
     transpositions,
 )
-from .roots import Coords, Element, HessenbergSpace, RootSystem, _bits, mask_order_key, submasks
+from .roots import (
+    Coords,
+    Element,
+    HessenbergSpace,
+    RootSystem,
+    _bits,
+    mask_order_key,
+    submasks,
+    validate_hessenberg_space,
+)
 
 _CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 
@@ -248,6 +269,24 @@ def oracle_weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
     return [rs.roots_of_mask(x) for x in sorted(found, key=mask_order_key)]
 
 
+def root_from_positions(rs: RootSystem, i: int, j: int) -> Coords:
+    """Type A root e_i - e_j (i < j) in simple-root coordinates."""
+    if rs.type_label != "A":
+        raise ValueError("position roots only apply to type A")
+    if not (1 <= i < j <= rs.rank + 1):
+        raise ValueError(f"need 1 <= i < j <= {rs.rank + 1}")
+    return tuple(1 if i <= k < j else 0 for k in range(1, rs.rank + 1))
+
+
+def hessenberg_space_from_function(rs: RootSystem, h) -> HessenbergSpace:
+    """Type A dictionary: e_i - e_j lies in M iff j <= h(i)."""
+    h = validate_hessenberg(h)
+    if rs.type_label != "A" or len(h) != rs.rank + 1:
+        raise ValueError("expected a type A system of rank n-1")
+    roots = frozenset(root_from_positions(rs, i, j) for i, j in windows(h))
+    return validate_hessenberg_space(rs, roots)
+
+
 def oracle_weyl_bruhat_leq(rs: RootSystem, u: Element, v: Element) -> bool:
     """Strong Bruhat order by the right-descent recursion: for a right
     descent s of v, u <= v iff min(u, us) <= vs."""
@@ -295,6 +334,14 @@ def oracle_poincare_polynomial(h) -> tuple[int, ...]:
 def oracle_graph_json(g: GkmGraph) -> str:
     """The JSON export of g by ``json.dumps`` on :func:`hessgkm.graphs.to_json_dict`."""
     return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
+
+
+def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
+    """Subgraph induced on the fixed points of the cell closure of (w, h)."""
+    h = validate_hessenberg(h)
+    w = as_permutation(w)
+    _check_rank(w, h)
+    return _induced(h, tuple(sorted(hess_schubert_fixed_points(w, h))), w)
 
 
 class _Deadline:
@@ -382,11 +429,70 @@ def _connectivity(n: int, item):
             yield h, w, [] if bruhat_move_graph(w).sinks(win) == 1 else ["interval graph disconnected"]
 
 
+def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
+    """Window transpositions (i, j) with u(i,j) >= w: the edges at u in the
+    interval graph of (w, h), probed at u alone."""
+    h = validate_hessenberg(h)
+    w, u = as_permutation(w), as_permutation(u)
+    _check_rank(w, h)
+    _check_rank(u, h, "u")
+    interval = bruhat_interval(w)
+    if u not in interval:
+        raise ValueError(f"{format_permutation(u)} is not in the interval of {format_permutation(w)}")
+    return frozenset((i, j) for i, j in windows(h) if apply_transposition(u, i, j) in interval)
+
+
+def regularity_via_w0(h, w: Perm) -> bool:
+    """Degree shortcut at the top vertex, valid for admissible w only:
+    the interval graph is regular iff deg(w0) equals the cell dimension."""
+    h = validate_hessenberg(h)
+    w = as_permutation(w)
+    if not is_admissible(w, h):
+        raise ValueError(f"{format_permutation(w)} is not admissible for h={h}; the shortcut does not apply")
+    return len(edge_set_at(h, w, longest_element(len(w)))) == cell_dimension(w, h)
+
+
 def _shortcut(n: int, h: HessFunc):
     win = window_mask(h)
     for w in enumerate_admissible(h):
         full = bruhat_move_graph(w).regularity(cell_dimension(w, h), win).ok
         yield h, w, [] if regularity_via_w0(h, w) == full else ["top-degree test disagrees with full scan"]
+
+
+def phi_rule(edge_set, a: int, b: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The raw edge comparison rule for the move (a, b): (i, j) goes to
+    (b, j) when i = a, j > b and (b, j) is not in the edge set; to (i, a)
+    when i < a, j = b and (i, a) is not in the edge set; else stays put."""
+    e_set = frozenset(edge_set)
+    out = {}
+    for i, j in sorted(e_set):
+        if i == a and j > b and (b, j) not in e_set:
+            out[(i, j)] = (b, j)
+        elif i < a and j == b and (i, a) not in e_set:
+            out[(i, j)] = (i, a)
+        else:
+            out[(i, j)] = (i, j)
+    return out
+
+
+def phi_map(h, w: Perm, u: Perm, a: int, b: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The edge comparison map from the edges at u to the edges at v = u(a,b).
+
+    Applies :func:`phi_rule` to the edge set of the interval graph of
+    (w, h) at u.  With (a, b) itself an edge at u and a length-increasing
+    swap, the map is injective into the edges at v.
+    """
+    h = validate_hessenberg(h)
+    w, u = as_permutation(w), as_permutation(u)
+    if not is_admissible(w, h):
+        raise ValueError("phi is only defined for admissible w")
+    e_u = edge_set_at(h, w, u)
+    v = apply_transposition(u, a, b)
+    if length(v) <= length(u):
+        raise ValueError(f"({a},{b}) does not increase length at {format_permutation(u)}")
+    if (a, b) not in e_u:
+        raise ValueError(f"({a},{b}) is not an edge of the interval graph at {format_permutation(u)}")
+    return phi_rule(e_u, a, b)
 
 
 def _pairs_of(mask: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -4,16 +4,7 @@ import pytest
 
 from hessgkm.classify import classify, component_lower_bound
 from hessgkm.cohomology import localized_class_candidate
-from hessgkm.graphs import (
-    build_hessenberg_graph,
-    edge_set_at,
-    fixed_point_induced_graph,
-    interval_graph,
-    interval_move_graph,
-    is_connected,
-    phi_map,
-    regularity_via_w0,
-)
+from hessgkm.graphs import _code_pairs, build_hessenberg_graph, interval_graph, interval_move_graph, is_connected
 from hessgkm.hess import (
     admissible_representative,
     cell_dimension,
@@ -22,7 +13,7 @@ from hessgkm.hess import (
     hess_schubert_fixed_points,
     is_admissible,
 )
-from hessgkm.patterns import avoids_all_associated, contains_hpattern, pattern_witnesses
+from hessgkm.patterns import avoids_all_associated, pattern_witnesses
 from hessgkm.perms import (
     all_permutations,
     apply_transposition,
@@ -33,7 +24,13 @@ from hessgkm.perms import (
     length,
     longest_element,
 )
-from hessgkm.verify import hessenberg_functions
+from hessgkm.verify import (
+    edge_set_at,
+    fixed_point_induced_graph,
+    hessenberg_functions,
+    phi_map,
+    regularity_via_w0,
+)
 
 H3344 = (3, 3, 4, 4)
 
@@ -120,7 +117,6 @@ RANK_MISMATCH_CALLS = {
     "regularity_via_w0": lambda w, h: regularity_via_w0(h, w),
     "phi_map": lambda w, h: phi_map(h, w, w, 1, 2),
     "localized_class_candidate": lambda w, h: localized_class_candidate(h, w),
-    "contains_hpattern": lambda w, h: contains_hpattern(w, h, "2134"),
     "pattern_witnesses": pattern_witnesses,
     "avoids_all_associated": avoids_all_associated,
 }
@@ -143,7 +139,6 @@ def test_non_permutation_w_raises(w):
         lambda: fixed_point_induced_graph((2, 3, 3), w),
         lambda: component_lower_bound(w, (2, 3, 3)),
         lambda: edge_set_at((2, 3, 3), w, (1, 2, 3)),
-        lambda: contains_hpattern(w, (2, 3, 3), "2143"),
         lambda: pattern_witnesses(w, (2, 3, 3)),
         lambda: avoids_all_associated(w, (3, 3, 3)),
     ]
@@ -159,8 +154,6 @@ def test_pattern_scan_rejects_non_permutations():
         avoids_all_associated((1, 1, 1, 1), (4, 4, 4, 4))
     with pytest.raises(ValueError, match="not a permutation"):
         pattern_witnesses((2, 1, 2, 1), (4, 4, 4, 4))
-    with pytest.raises(ValueError, match="not a permutation"):
-        contains_hpattern((2, 1, 2, 1), (4, 4, 4, 4), "2143")
 
 
 def test_list_w_is_taken_as_a_permutation():
@@ -171,6 +164,46 @@ def test_list_w_is_taken_as_a_permutation():
     assert edge_set_at(h, list(w), w) == edge_set_at(h, w, w)
     assert pattern_witnesses(list(w), h) == pattern_witnesses(w, h)
     assert classify(list(w), h) == classify(w, h)
+
+
+# The other public (w, h) entries, each called with h = (3, 3, 4, 4) and a w
+# for which it is defined.
+PAIR_CALLS = {
+    "component_lower_bound": component_lower_bound,
+    "localized_class_candidate": lambda w, h: localized_class_candidate(h, w),
+    "regularity_via_w0": lambda w, h: regularity_via_w0(h, w),
+    "is_admissible": is_admissible,
+    "admissible_representative": admissible_representative,
+}
+
+
+@pytest.mark.parametrize("entry", PAIR_CALLS)
+def test_pair_entries_take_w_as_classify_does(entry):
+    # A list w gives the tuple's result; a w that is not a permutation raises.
+    call = PAIR_CALLS[entry]
+    w = (4, 3, 1, 2)
+    assert call(list(w), H3344) == call(w, H3344)
+    for bad in [(1, 1, 1, 1), (1, 1, 2, 2), (0, 1, 2, 3), (1, 2, 3, 5)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            call(bad, H3344)
+
+
+def test_classify_checks_the_quadruple_limit_before_any_graph():
+    # C(200, 4) quadruples exceed the size limit.  w0's interval is one
+    # vertex, but S_200's pair table alone would hold about 33 MB.
+    n = 200
+    before = _code_pairs.cache_info().currsize
+    with pytest.raises(ValueError, match="position quadruples"):
+        classify(longest_element(n), (n,) * n)
+    assert _code_pairs.cache_info().currsize == before
+
+
+def test_classify_keeps_one_pair_table_per_rank():
+    _code_pairs.cache_clear()
+    w = (2, 1, 3, 4, 5, 6)
+    for h in [(2, 3, 4, 5, 6, 6), (3, 3, 4, 6, 6, 6), (6,) * 6]:
+        classify(w, h)
+    assert _code_pairs.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -10,14 +10,10 @@ from hessgkm.graphs import (
     _code_pairs,
     build_hessenberg_graph,
     bruhat_move_graph,
-    edge_set_at,
-    fixed_point_induced_graph,
     interval_graph,
     interval_move_graph,
     is_connected,
     is_regular,
-    phi_map,
-    regularity_via_w0,
     to_dot,
     to_json,
     to_json_dict,
@@ -35,7 +31,15 @@ from hessgkm.perms import (
     transpositions,
 )
 from hessgkm.roots import arbitrary_gkm_graph, build_root_system, validate_hessenberg_space
-from hessgkm.verify import hessenberg_functions, oracle_bruhat_upset, oracle_graph_json
+from hessgkm.verify import (
+    edge_set_at,
+    fixed_point_induced_graph,
+    hessenberg_functions,
+    oracle_bruhat_upset,
+    oracle_graph_json,
+    phi_map,
+    regularity_via_w0,
+)
 
 H3344 = (3, 3, 4, 4)
 

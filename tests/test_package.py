@@ -23,6 +23,26 @@ def test_submodules_are_not_shadowed_and_stay_out_of_all():
     )
 
 
+def test_claims_under_test_live_in_verify():
+    """The claims that only the sweeps and the tests use left graphs and
+    roots for verify; the exported ones still resolve at the top level."""
+    from hessgkm import graphs, patterns, roots, verify
+
+    moved = {
+        graphs: ("edge_set_at", "regularity_via_w0", "phi_rule", "phi_map", "fixed_point_induced_graph"),
+        roots: ("root_from_positions", "hessenberg_space_from_function"),
+    }
+    for module, names in moved.items():
+        for name in names:
+            assert getattr(verify, name).__module__ == "hessgkm.verify"
+            assert not hasattr(module, name), name
+    for name in ("edge_set_at", "regularity_via_w0", "phi_map", "fixed_point_induced_graph"):
+        assert getattr(hessgkm, name) is getattr(verify, name)
+    assert "contains_hpattern" not in hessgkm.__all__
+    assert not hasattr(patterns, "contains_hpattern")
+    assert all(hasattr(hessgkm, name) for name in hessgkm.__all__)
+
+
 def test_import_loads_no_heavy_stdlib():
     """Importing the package and its CLI pulls in none of these stdlib modules:
     they cost more start-up time than the library's own modules."""

@@ -20,10 +20,8 @@ from hessgkm.roots import (
     classify_arbitrary,
     enumerate_hessenberg_spaces,
     h_admissible_elements,
-    hessenberg_space_from_function,
     mask_order_key,
     partition_classes,
-    root_from_positions,
     submasks,
     validate_hessenberg_space,
     weyl_type_subsets,
@@ -31,11 +29,13 @@ from hessgkm.roots import (
 )
 from hessgkm.verify import (
     hessenberg_functions,
+    hessenberg_space_from_function,
     is_weyl_type,
     oracle_canonical_word,
     oracle_weak_leq,
     oracle_weyl_bruhat_leq,
     oracle_weyl_type_subsets,
+    root_from_positions,
 )
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]

@@ -19,7 +19,6 @@ suites report those violations faithfully rather than masking them:
 import pytest
 
 from hessgkm import verify
-from hessgkm.graphs import phi_rule
 from hessgkm.hess import admissible_representative, enumerate_admissible
 from hessgkm.perms import all_permutations, apply_transposition, bruhat_leq, compose, inverse
 from hessgkm.verify import (
@@ -27,6 +26,7 @@ from hessgkm.verify import (
     SweepResult,
     hessenberg_functions,
     oracle_bruhat,
+    phi_rule,
     sweep,
     sweep_all,
 )
