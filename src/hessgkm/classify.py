@@ -16,12 +16,16 @@ The verdict logic applies only the implications the graph criteria license;
   equality: on the representative side, every vertex sandwiched in the
   h-order between w~ and a vertex whose degree equals the cell dimension
   is a smooth point of the intersection, hence of the cell closure, and
-  these translate back along u.  The one-reflection neighborhood of w
-  (all fixed points w t, t a transposition) is NOT certified here: it
-  over-certifies, e.g. at full h and w = 1324 the neighbor 4321 = w(1,4)
-  is singular (pinned in the test suite, with the interval graphs whose
-  degree jumps one cover above the minimum, where the point provably lies
-  on two components), so the verdict keeps to the degree argument.
+  these translate back along u.  From an admissible w~ the up-steps reach
+  all of [w~, w0], degrees never drop along them (the edge maps of Thm
+  1.2's proof are injective) and deg(w~) is the cell dimension, so the
+  sandwich is the set of full-degree vertices.  The one-reflection
+  neighborhood of w (all fixed points w t, t a transposition) is NOT
+  certified here: it over-certifies, e.g. at full h and w = 1324 the
+  neighbor 4321 = w(1,4) is singular (pinned in the test suite, with the
+  interval graphs whose degree jumps one cover above the minimum, where
+  the point provably lies on two components), so the verdict keeps to
+  the degree argument.
 
 Each claim carries a citation tag, a stable identifier for the criterion
 that fired; the tags are part of the JSON report format.
@@ -29,17 +33,17 @@ that fired; the tags are part of the JSON report format.
 The graph facts come from one :func:`hessgkm.graphs.interval_move_graph`
 per interval (of w, and of w~ when it differs), with no edge objects
 built; the fixed points u . [w~, w0] are w~'s kernel vertices, translated.
-w's kernel is read only through its masks: degrees, the first violator,
-and connectivity, which is one sink (:meth:`hessgkm.graphs.MoveGraph.sinks`).
-Only w~'s kernel is walked, down from its vertices of full degree, for
-the smooth set.
+Both kernels are read only through their masks: degrees, the first
+violator, connectivity as one sink (:meth:`hessgkm.graphs.MoveGraph.sinks`)
+and w~'s full-degree vertices, the smooth set, whose walked oracle is
+:func:`hessgkm.verify.oracle_smooth_fixed_points`.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import MoveGraph, interval_move_graph
+from .graphs import interval_move_graph
 from .hess import (
     HessFunc,
     _check_rank,
@@ -141,17 +145,6 @@ class ClassificationReport(NamedTuple):
         }
 
 
-def _local_degree_smooth_set(g: MoveGraph, target: int) -> set[Perm]:
-    """Vertices of [w~, w0] certified smooth by degree equality along an
-    h-Bruhat sandwich w~ <=_h v <=_h u with deg(u) equal to the cell
-    dimension ``target``; ``g`` is the interval graph of the representative."""
-    good = [x for x, d in enumerate(g.degrees()) if d == target]
-    # The up-steps are exactly the h-Bruhat steps inside the interval, and
-    # from an admissible w~ they reach all of it, so every vertex lies
-    # above w~ in the h-order; only the upper end of the sandwich is searched.
-    return {g.vertices[x] for x in g.reachable(good, -1)}
-
-
 def classify(w: Perm, h) -> ClassificationReport:
     w = as_permutation(w)
     h = validate_hessenberg(h)
@@ -198,20 +191,19 @@ def classify(w: Perm, h) -> ClassificationReport:
     equals_closure = "yes" if (reg.ok and conn) else "unknown"
 
     graph_t = graph if adm else interval_move_graph(h, wt)
-    reg_t = reg if adm else graph_t.regularity(dim)
-    rep_smooth = "yes" if reg_t.ok else "unknown"
-    if reg_t.ok:
+    degs_t = degs if adm else graph_t.degrees()
+    # w~'s full-degree vertices, w~ among them (see the module docstring).
+    local = [v for v, d in zip(graph_t.vertices, degs_t) if d == dim]
+    rep_smooth = "yes" if len(local) == len(degs_t) else "unknown"
+    if rep_smooth == "yes":
         citations.append(CITE_REP_SMOOTH)
 
     citations += [CITE_PATTERNS, CITE_DEGREE_SHORTCUT]
 
-    # w~ itself always qualifies (its degree is the cell dimension), so the
-    # translated set always contains w.
-    local = _local_degree_smooth_set(graph_t, dim)
     if adm:
         fixed, pts = graph.vertices, local
     else:
-        fixed, pts = tuple(sorted(left_multiply(u, graph_t.vertices))), set(left_multiply(u, local))
+        fixed, pts = sorted(left_multiply(u, graph_t.vertices)), sorted(left_multiply(u, local))
 
     return ClassificationReport(
         n=len(w),
@@ -223,13 +215,13 @@ def classify(w: Perm, h) -> ClassificationReport:
         h_length=lh,
         cell_dimension=dim,
         interval_size=len(degs),
-        fixed_points=fixed,
+        fixed_points=tuple(fixed),
         graph_stats=stats,
         intersection_smooth=smooth,
         intersection_irreducible=irreducible,
         intersection_equals_closure=equals_closure,
         hess_schubert_smooth=rep_smooth,
-        smooth_fixed_points=tuple(sorted(pts)),
+        smooth_fixed_points=tuple(pts),
         reducible_reason=reason,
         pattern_witnesses=witnesses,
         citations=tuple(citations),

@@ -24,7 +24,8 @@ leaving edge goes down in Bruhat order: its value pair (u(i), u(j)) has
 u(i) > u(j) at every such edge.  All weights therefore have one orientation,
 and writing each as t_a - t_b with a < b changes the class only by the global
 sign (-1)^{l_h(w)} (l_h(w) edges leave at every vertex).  The unsigned
-products are the class; each interval edge is still checked.
+products are the class; each interval edge is still checked, its far end
+the swap u(i,j) itself, so no edge targets are built.
 """
 
 from __future__ import annotations
@@ -34,7 +35,15 @@ from collections import Counter
 
 from .graphs import GkmEdge, GkmGraph, interval_move_graph
 from .hess import cell_dimension, complexity_dimension, validate_hessenberg, window_mask
-from .perms import Perm, all_permutations, as_permutation, check_size, format_permutation, transpositions
+from .perms import (
+    Perm,
+    all_permutations,
+    apply_transposition,
+    as_permutation,
+    check_size,
+    format_permutation,
+    transpositions,
+)
 
 Poly = dict[tuple[int, ...], int]
 
@@ -163,10 +172,10 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
                 prod = poly_mul(prod, linear_form(n, min(a, b), max(a, b)))
         cls[u] = prod
 
-    for x, (u, steps) in enumerate(zip(g.vertices, g.up)):
+    for u, steps in zip(g.vertices, g.up):
         for k, (i, j) in pairs:
             if steps >> k & 1:
-                v = g.vertices[g.targets[x * g.width + k]]
+                v = apply_transposition(u, i, j)
                 if not congruent(cls[u], cls[v], u[i - 1], u[j - 1]):
                     raise RuntimeError(
                         f"localized class not congruent on edge {format_permutation(u)} ~ {format_permutation(v)}"

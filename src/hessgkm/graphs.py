@@ -8,12 +8,13 @@ and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 
 Each edge question has one source.  A whole interval's, in either type, is
 the kernel :class:`MoveGraph`: per vertex a mask of its moves and one of its
-up-steps, and the type's walk of its up-steps, from which the targets are
-filled on the first read that walks edges.  Each type has its own mask pass
-and its own walk.  Type A moves by the swaps u(i,j).  [w, w0] is an upset,
-so every descent inside it mirrors an ascent of its lower end, and one pass
-over the ascents sets each edge's bit at both ends, the target found by
-arithmetic on integer codes of the vertices.  Its kernels are
+up-steps, which answer degrees, regularity and connectivity.  The targets
+are filled from the type's walk of its up-steps on the first read, which
+only the sweeps' phi suites and the oracles of :mod:`hessgkm.verify` make.
+Type A moves by the swaps u(i,j).  [w, w0] is an upset, so every descent
+inside it mirrors an ascent of its lower end, and one pass over the
+ascents sets each edge's bit at both ends, the target found by arithmetic
+on integer codes of the vertices.  Its kernels are
 :func:`interval_move_graph` by h's windows (``classify``, the localized
 classes, example61) and :func:`bruhat_move_graph` by every pair, once per
 w, for the sweeps to read under each h's window mask.  :mod:`hessgkm.roots`
@@ -23,8 +24,8 @@ objects, for DOT/JSON and the compatibility check, on the full graph and
 on ``interval_graph(h, w)``, induced on the Bruhat interval [w, w0].
 :func:`is_regular` and :func:`is_connected` on them are the kernel's oracle.
 The claims that only the sweeps and the tests check (the one-vertex probe
-``edge_set_at``, the top-degree shortcut, the phi maps and the graph on
-the cell-closure fixed points) live in :mod:`hessgkm.verify`.
+``edge_set_at``, the top-degree shortcut, the phi maps, the h-Bruhat walk
+and the graph on the cell-closure fixed points) live in :mod:`hessgkm.verify`.
 """
 
 from __future__ import annotations
@@ -180,28 +181,6 @@ class MoveGraph:
         I has x s > x, an up-step inside the part: the top is its only sink
         (Bjorner and Brenti, *Combinatorics of Coxeter Groups*, 2.4)."""
         return [u & within for u in self.up].count(0)
-
-    def reachable(self, starts, toward: int, within: int = -1) -> set[int]:
-        """The ids reached from the ids ``starts`` along the up-steps
-        (``up``, a part of ``moves``) if ``toward`` is 1, or the down-steps
-        (``moves ^ up``) if it is -1; it stops once all are seen."""
-        moves, up, targets, width = self.moves, self.up, self.targets, self.width
-        steps = up if toward > 0 else [m ^ u for m, u in zip(moves, up)]
-        size = len(moves)
-        seen = set(starts)
-        stack = list(seen)
-        while stack and len(seen) < size:
-            x = stack.pop()
-            bits = steps[x] & within
-            base = x * width
-            while bits:
-                low = bits & -bits
-                y = targets[base + low.bit_length() - 1]
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-                bits ^= low
-        return seen
 
 
 def _pack(masks: list[int], width: int):

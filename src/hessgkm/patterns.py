@@ -52,9 +52,7 @@ def _window_ok(pattern_id: str, h: HessFunc, i: int, j: int, k: int, l: int) -> 
         return l <= hk and k <= hi < l
     if pattern_id in ("1423", "2314"):
         return l <= hj and k <= hi < l
-    if pattern_id == "2413":
-        return j <= hi < k <= hj < l <= hk
-    raise ValueError(f"unknown pattern id {pattern_id!r}")
+    return j <= hi < k <= hj < l <= hk  # 2413
 
 
 # Each pattern id by its order pattern: the positions 0..3 sorted by value.

@@ -39,6 +39,7 @@ for larger n (``"10,3,1,2,4,5,6,7,8,9"``).
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import insort
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -127,18 +128,21 @@ def left_multiply(u: Perm, vs: Iterable[Perm]) -> Iterator[Perm]:
 
 
 def inverse(w: Perm) -> Perm:
-    """Position lookup.  An entry outside 1..n fills no slot and a repeated
-    one fills a slot twice, so a slot left empty raises ``ValueError``: the
-    cheap check of the hot paths that take w without :func:`as_permutation`.
+    """Position lookup.  An entry outside 1..n or not integral fills no slot
+    and a repeated one fills a slot twice, so a slot left empty raises
+    ``ValueError``: the cheap check of hot paths that skip :func:`as_permutation`.
 
     >>> inverse((4, 3, 1, 2))
     (3, 4, 2, 1)
     """
     n = len(w)
     out = [0] * n
-    for i, x in enumerate(w, 1):
-        if 0 < x <= n:
-            out[x - 1] = i
+    try:
+        for i, x in enumerate(w, 1):
+            if 0 < x <= n:
+                out[x - 1] = i
+    except TypeError:  # a non-integral entry fills no slot, so one stays empty
+        pass
     if 0 in out:
         raise ValueError(f"not a permutation of 1..{n}: {w!r}")
     return tuple(out)
@@ -255,9 +259,12 @@ def _completions(free: int, slack: int, memo: dict, spec: tuple) -> list[tuple[i
 
 @lru_cache(maxsize=None)
 def bruhat_interval_lex(w: Perm) -> tuple[Perm, ...]:
-    """[w, w0] in lexicographic order, the order of its enumeration."""
+    """[w, w0] in lexicographic order, the order of its enumeration.  The
+    position pairs (a kernel bit each) are checked first, which also keeps
+    the recursion, a level a position, to n <= 362, within Python's depth."""
     as_permutation(w)
     n = len(w)
+    check_size(math.comb(n, 2), "position pairs")
     width = n.bit_length() + 1
     below = [0] * (n + 1)  # below[t]: a one in each field 1..t
     for t in range(1, n + 1):

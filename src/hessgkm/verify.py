@@ -30,6 +30,8 @@ oracle_canonical_word             greedy left descents, for the word table
 oracle_weyl_type_subsets          2^|M| subsets tested with is_weyl_type
                                   (two is_closed_in tests), for the
                                   Weyl-type backtracker
+oracle_smooth_fixed_points        the h-Bruhat sandwich walked from both
+                                  ends, for classify's full-degree set
 
 Claims under test
 -----------------
@@ -46,6 +48,10 @@ root_from_positions,            the type A dictionary h -> M, for the tests
 hessenberg_space_from_function  that match the general-type engine to S_n
 fixed_point_induced_graph       the ``GkmGraph`` on the cell-closure fixed
                                 points (Prop 2.5), for the tests
+h_bruhat_walk                   the h-Bruhat order as reach along a
+                                kernel's up- or down-steps: the sandwich
+                                w~ <=_h v <=_h x, deg(x) = dim, that
+                                certifies v smooth (oracle_smooth_fixed_points)
 
 Suites
 ------
@@ -87,7 +93,7 @@ import time
 from functools import lru_cache, reduce
 from operator import or_
 
-from .graphs import GkmGraph, _induced, bruhat_move_graph, interval_move_graph, to_json_dict
+from .graphs import GkmGraph, MoveGraph, _induced, bruhat_move_graph, interval_move_graph, to_json_dict
 from .hess import (
     HessFunc,
     _check_rank,
@@ -342,6 +348,48 @@ def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
     w = as_permutation(w)
     _check_rank(w, h)
     return _induced(h, tuple(sorted(hess_schubert_fixed_points(w, h))), w)
+
+
+def h_bruhat_walk(g: MoveGraph, starts, toward: int, within: int = -1) -> set[int]:
+    """The h-Bruhat order on a kernel: the ids reached from the ids
+    ``starts`` along the up-steps (``up``, a part of ``moves``) if
+    ``toward`` is 1, or the down-steps (``moves ^ up``) if it is -1, each
+    read under ``within``; it stops once all are seen."""
+    moves, up, targets, width = g.moves, g.up, g.targets, g.width
+    steps = up if toward > 0 else [m ^ u for m, u in zip(moves, up)]
+    size = len(moves)
+    seen = set(starts)
+    stack = list(seen)
+    while stack and len(seen) < size:
+        x = stack.pop()
+        bits = steps[x] & within
+        base = x * width
+        while bits:
+            low = bits & -bits
+            y = targets[base + low.bit_length() - 1]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+            bits ^= low
+    return seen
+
+
+def oracle_smooth_fixed_points(w: Perm, h) -> tuple[Perm, ...]:
+    """The fixed points of the cell closure of (w, h) certified by the
+    h-Bruhat sandwich w~ <=_h v <=_h x, deg(x) the cell dimension, on w~'s
+    interval graph, translated back along u and sorted.  Both ends are
+    walked, up from w~ and down from the vertices of full degree, so it
+    assumes neither fact that ``classify``'s full-degree set rests on:
+    that w~'s up-steps reach all of [w~, w0], and that degrees never drop
+    along them."""
+    h = validate_hessenberg(h)
+    w = as_permutation(w)
+    wt, u = admissible_representative(w, h)
+    g = interval_move_graph(h, wt)
+    dim = cell_dimension(w, h)
+    full = [x for x, d in enumerate(g.degrees()) if d == dim]
+    sandwich = h_bruhat_walk(g, [g.vertices.index(wt)], 1) & h_bruhat_walk(g, full, -1)
+    return tuple(sorted(compose(u, g.vertices[x]) for x in sandwich))
 
 
 class _Deadline:

@@ -4,7 +4,14 @@ import pytest
 
 from hessgkm.classify import classify, component_lower_bound
 from hessgkm.cohomology import localized_class_candidate
-from hessgkm.graphs import _code_pairs, build_hessenberg_graph, interval_graph, interval_move_graph, is_connected
+from hessgkm.graphs import (
+    MoveGraph,
+    _code_pairs,
+    build_hessenberg_graph,
+    interval_graph,
+    interval_move_graph,
+    is_connected,
+)
 from hessgkm.hess import (
     admissible_representative,
     cell_dimension,
@@ -28,6 +35,7 @@ from hessgkm.verify import (
     edge_set_at,
     fixed_point_induced_graph,
     hessenberg_functions,
+    oracle_smooth_fixed_points,
     phi_map,
     regularity_via_w0,
 )
@@ -131,9 +139,12 @@ def test_rank_mismatch(entry):
 @pytest.mark.parametrize("w", [(1, 1, 3), (0, 1, 2), (1.5, 2, 3)])
 def test_non_permutation_w_raises(w):
     # w is checked where classify takes it and where any interval of it is
-    # listed, before a report or a graph is built on it.
+    # listed, before a report or a graph is built on it.  The admissibility
+    # test and the ascent take w unvalidated: inverse finds a slot unfilled.
     calls = [
         lambda: classify(w, (2, 3, 3)),
+        lambda: is_admissible(w, (3, 3, 3)),
+        lambda: admissible_representative(w, (3, 3, 3)),
         lambda: interval_move_graph((2, 3, 3), w),
         lambda: interval_graph((2, 3, 3), w),
         lambda: fixed_point_induced_graph((2, 3, 3), w),
@@ -324,10 +335,10 @@ def _reach(g, starts, longer):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_connectivity_and_smooth_points_match_graph_search(n):
-    # classify counts sinks for connectivity and searches only down from
-    # the vertices of full degree; here both come from searches on the
-    # GkmGraph, the smooth set as the whole sandwich above w~ and below
-    # a vertex whose degree is the cell dimension, translated along u.
+    # classify counts sinks for connectivity and reads the smooth set off
+    # the degrees; here both come from searches on the GkmGraph, the smooth
+    # set as the whole sandwich above w~ and below a vertex whose degree is
+    # the cell dimension, translated along u.
     for h in hessenberg_functions(n):
         for w in all_permutations(n):
             r = classify(w, h)
@@ -338,6 +349,29 @@ def test_connectivity_and_smooth_points_match_graph_search(n):
             good = [v for v in g.vertices if degs[v] == cell_dimension(wt, h)]
             sandwich = _reach(g, [wt], True) & _reach(g, good, False)
             assert set(r.smooth_fixed_points) == {compose(u, v) for v in sandwich}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_smooth_points_match_the_walked_sandwich(n):
+    # The full-degree set against the sandwich walked from both ends on
+    # w~'s kernel.
+    for h in hessenberg_functions(n):
+        for w in all_permutations(n):
+            assert classify(w, h).smooth_fixed_points == oracle_smooth_fixed_points(w, h), (h, w)
+
+
+def test_verdict_and_class_paths_read_no_targets(monkeypatch):
+    # Both read only masks: degrees, sinks, and each interval edge's far
+    # end by the swap itself.
+    def unread(g):
+        raise AssertionError("MoveGraph.targets was read")
+
+    monkeypatch.setattr(MoveGraph, "targets", property(unread))
+    with pytest.raises(AssertionError):
+        interval_move_graph(H3344, (2, 1, 3, 4)).targets
+    for w, adm in [((2, 1, 3, 4), True), ((3, 2, 1, 4), False)]:
+        assert classify(w, H3344).admissible is adm
+    assert localized_class_candidate(H3344, (1, 4, 2, 3))
 
 
 def test_component_lower_bound_frozen():

@@ -323,6 +323,17 @@ def test_oversized_requests_exit_2(argv, capsys):
     assert "size limit SIZE_LIMIT = 65536" in captured.err
 
 
+def test_interval_listing_names_the_position_pair_limit(capsys):
+    # w0's interval is one vertex, but listing it recurses once a position,
+    # past Python's depth at n = 1000; the pair count stops it first.
+    n = 1000
+    argv = ["graph", "--h", ",".join([str(n)] * n), "--w", ",".join(map(str, range(n, 0, -1))), "--format", "json"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "position pairs" in captured.err and "size limit SIZE_LIMIT = 65536" in captured.err
+
+
 def test_roots_lists_non_weyl_subsets_up_to_16_roots(capsys):
     # M = all 16 positive roots of B4: 2^16 subsets is at the size limit.
     code, out = run_cli(["roots", "--type", "B", "--rank", "4", "--json"], capsys)

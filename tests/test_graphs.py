@@ -34,6 +34,7 @@ from hessgkm.roots import arbitrary_gkm_graph, build_root_system, validate_hesse
 from hessgkm.verify import (
     edge_set_at,
     fixed_point_induced_graph,
+    h_bruhat_walk,
     hessenberg_functions,
     oracle_bruhat_upset,
     oracle_graph_json,
@@ -293,7 +294,7 @@ def test_move_masks_agree_with_summary(n):
                 assert shared.regularity(d, win) == own.regularity(d)
             assert shared.sinks(win) == own.sinks()
             for toward in (1, -1):
-                assert shared.reachable([0], toward, win) == own.reachable([0], toward)
+                assert h_bruhat_walk(shared, [0], toward, win) == h_bruhat_walk(own, [0], toward)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -376,8 +377,18 @@ def test_kernels_fill_targets_on_first_edge_read():
         g.regularity(0)
         g.sinks()
         assert _unread(g)
-        assert g.reachable([0], 1) == set(range(len(g.vertices)))
+        assert h_bruhat_walk(g, [0], 1) == set(range(len(g.vertices)))
         assert not _unread(g)
+
+
+def test_interval_kernel_checks_the_pair_limit_first():
+    # C(363, 2) position pairs exceed the size limit (C(362, 2) do not), so
+    # w0's one-vertex interval is refused before a pair table is cached.
+    n = 363
+    before = _code_pairs.cache_info().currsize
+    with pytest.raises(ValueError, match="position pairs"):
+        interval_move_graph((n,) * n, longest_element(n))
+    assert _code_pairs.cache_info().currsize == before
 
 
 def test_bruhat_move_graph_size_limit():
