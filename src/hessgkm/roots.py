@@ -41,17 +41,18 @@ positive root, then a - b is in M) -- the root-level shadow of being a
 module over the Borel.  The machinery built on M:
 
 * Weyl-type subsets: S with both S and M - S closed under addition inside
-  M; these are exactly the traces N(w) & M of inversion sets.  They are
-  enumerated by backtracking over M in height order.
+  M; these are exactly the traces N(w) & M of inversion sets, and the
+  library reads them off the class table.  The closure test over all 2^|M|
+  subsets and a backtracker over M are oracles in :mod:`hessgkm.verify`.
 * The partition of W into classes {w : N(w) & M = S}, one per Weyl-type S;
   each class is a left weak order interval [z_S, w_S], where z_S is the
   unique class member sending no positive root outside M to a negative
   simple root, and w_S = w0 * z_{M-S}, found by N(w0 z) = Phi+ - N(z).
-  One pass over W per space buckets the classes under the Weyl-type masks,
-  checks that the traces are exactly those masks, and finds every z_S, so
-  each is found once and reused for the complement class; every member is
-  checked to lie between the bounds by one AND/OR reduction of the class's
-  inversion masks.
+  One pass over W per space buckets the ids by trace and finds every z_S,
+  so each is found once and reused for the complement class; every member
+  is checked to lie between the bounds by one AND/OR reduction of the
+  class's inversion masks.  The space keeps the table, keyed by the trace
+  masks in :func:`mask_order_key` order, with each trace's roots.
 * The admissible elements: the class tops w_S.
 * The moment graph on W with edges {w, w s_a} for a in M, and the
   regularity verdict on Bruhat interval subgraphs; the smoothness
@@ -66,6 +67,7 @@ module over the Borel.  The machinery built on M:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import cache, cached_property, reduce
 from operator import and_, itemgetter, or_
 from typing import NamedTuple
@@ -259,13 +261,17 @@ class RootSystem:
                 mask |= 1 << i
         return mask
 
+    def _index(self, coords: Coords) -> int:
+        """The index of a positive root; a ``ValueError`` names anything else."""
+        i = self._pos_index.get(coords)
+        if i is None:
+            raise ValueError(f"{coords} is not a positive root of {self.type_label}{self.rank}")
+        return i
+
     def mask_of(self, roots) -> int:
-        pos, mask = self._pos_index, 0
+        mask = 0
         for c in roots:
-            i = pos.get(c)
-            if i is None:
-                raise ValueError(f"{c} is not a positive root of {self.type_label}{self.rank}")
-            mask |= 1 << i
+            mask |= 1 << self._index(c)
         return mask
 
     def roots_of_mask(self, mask: int) -> frozenset[Coords]:
@@ -273,9 +279,7 @@ class RootSystem:
 
     def reflection(self, coords: Coords) -> Element:
         """The reflection in a positive root, as a signed-root permutation."""
-        if coords not in self._pos_index:
-            raise ValueError(f"{coords} is not a positive root")
-        return self.reflections()[self._pos_index[coords]]
+        return self.reflections()[self._index(coords)]
 
     def reflections(self) -> tuple[Element, ...]:
         """The reflections in the positive roots, in root order."""
@@ -527,28 +531,19 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 
 
 class HessenbergSpace:
-    """A closed subset M of the positive roots of ``rs``, with a memo of the
-    tables built from it.  Equality is identity."""
+    """A closed subset M of the positive roots of ``rs``, with its mask and,
+    once built, its class table.  Equality is identity."""
 
-    __slots__ = ("rs", "roots", "_memo")
+    __slots__ = ("rs", "roots", "mask", "_classes")
 
-    def __init__(self, rs: RootSystem, roots: frozenset[Coords]):
-        self.rs, self.roots, self._memo = rs, roots, {}
-
-    def _cache(self, key: str, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+    def __init__(self, rs: RootSystem, roots: frozenset[Coords], mask: int):
+        self.rs, self.roots, self.mask, self._classes = rs, roots, mask, None
 
 
 def validate_hessenberg_space(rs: RootSystem, roots) -> HessenbergSpace:
     """Check closure under subtracting positive roots and wrap the subset."""
     m = frozenset(_integers(c, f"coordinate {{}} of root {tuple(c)}") for c in roots)
-    pos = set(rs.positive_roots)
-    for c in m:
-        if c not in pos:
-            raise ValueError(f"{rs.format_root(c)} is not a positive root")
-    m_mask, down = rs.mask_of(m), rs._down_masks
+    m_mask, down, pos = rs.mask_of(m), rs._down_masks, rs._pos_index
     # M is closed iff it holds the down-closure of each of its roots; the
     # pairwise scan runs only to name the first missing difference.
     if any(down[c] & ~m_mask for c in _bits(m_mask)):
@@ -561,9 +556,7 @@ def validate_hessenberg_space(rs: RootSystem, roots) -> HessenbergSpace:
                         f"{rs.format_root(beta)} = {rs.format_root(diff)} is missing"
                     )
         raise RuntimeError("down-closure and pairwise closure disagree")
-    hs = HessenbergSpace(rs, m)
-    hs._memo["m_mask"] = m_mask
-    return hs
+    return HessenbergSpace(rs, m, m_mask)
 
 
 _SWAP_01 = str.maketrans("01", "10")
@@ -590,134 +583,64 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _m_mask(hs: HessenbergSpace) -> int:
-    return hs._cache("m_mask", lambda: hs.rs.mask_of(hs.roots))
+def _class_table(hs: HessenbergSpace) -> dict[int, tuple[frozenset[Coords], tuple[int, ...], int, int]]:
+    """Per trace mask S, sorted by :func:`mask_order_key`: the roots of S,
+    the class {w : N(w) & M = S} as ids in (length, word) order, and the
+    ids of z_S and w_S.  Built once per space.
 
-
-def _weyl_masks(hs: HessenbergSpace) -> list[int]:
-    """The masks of the Weyl-type subsets of M, sorted by :func:`mask_order_key`;
-    this is the key order of :func:`_class_table`.
-
-    Backtracks over the roots of M in height order.  When root c is
-    decided, both parts of every a + b = c in M have been, so one loop over
-    those pairs forces c into S if some pair lies in S, out of S if some
-    pair lies outside, and kills the branch if both.  The leaves are
-    exactly the Weyl-type subsets; that they come in complementary pairs is
-    checked.
+    The traces are exactly the Weyl-type subsets, so one pass over W finds
+    them: it buckets the ids by trace and finds each class's z candidates,
+    the members sending no positive root outside M to a negative simple
+    root; each class must have exactly one.  Then w_S = w0 * z_{M-S}
+    reuses the z of the complement class, which must exist, and the whole
+    class is checked to lie between z_S and w_S in left weak order.
     """
-
-    def compute():
-        rs = hs.rs
-        m_mask = _m_mask(hs)
-        order = _bits(m_mask)
-        pairs: dict[int, list[int]] = {c: [] for c in order}
-        for a, b, c in rs._sum_triples:
-            if c in pairs and m_mask >> a & 1 and m_mask >> b & 1:
-                pairs[c].append(1 << a | 1 << b)
-        steps = [(1 << c, pairs[c]) for c in order]
-        last = len(steps)
-        found: list[int] = []
-        stack = [(0, 0, 0)]  # (roots of M decided, mask in S, mask outside S)
-        while stack:
-            k, inside, outside = stack.pop()
-            if k == last:
-                found.append(inside)
-                continue
-            bit, pms = steps[k]
-            can_in = can_out = True
-            # A pair cannot lie both in S and outside it, so one test each.
-            for pm in pms:
-                if inside & pm == pm:
-                    can_out = False
-                elif outside & pm == pm:
-                    can_in = False
-            if can_in:
-                stack.append((k + 1, inside | bit, outside))
-            if can_out:
-                stack.append((k + 1, inside, outside | bit))
-        masks = set(found)
-        for s in found:
-            if m_mask & ~s not in masks:
-                raise RuntimeError(
-                    f"Weyl-type subset {rs.format_root_set(rs.roots_of_mask(s))} "
-                    "has no Weyl-type complement in M"
-                )
-        return sorted(found, key=mask_order_key)
-
-    return hs._cache("weyl_masks", compute)
-
-
-def _root_sets(hs: HessenbergSpace) -> dict[int, frozenset[Coords]]:
-    """Per Weyl-type mask, in :func:`_weyl_masks` order, its set of roots."""
-    return hs._cache("root_sets", lambda: {s: hs.rs.roots_of_mask(s) for s in _weyl_masks(hs)})
+    if hs._classes is not None:
+        return hs._classes
+    rs, m_mask = hs.rs, hs.mask
+    inv, neg, outside = rs._inv_masks, rs._neg_simple_masks, ~m_mask
+    buckets: dict[int, list[int]] = defaultdict(list)
+    z_hits: dict[int, list[int]] = defaultdict(list)
+    for k in range(rs.order):
+        s = inv[k] & m_mask
+        buckets[s].append(k)
+        if not neg[k] & outside:
+            z_hits[s].append(k)
+    for s in buckets:
+        if len(z_hits[s]) != 1:
+            raise RuntimeError(f"expected exactly one class minimum, found {len(z_hits[s])}")
+    every = (1 << rs._num_positive) - 1
+    table = {}
+    for s in sorted(buckets, key=mask_order_key):
+        if m_mask & ~s not in buckets:
+            raise RuntimeError("complement of a Weyl-type subset has no class")
+        members, z = buckets[s], z_hits[s][0]
+        # N(w0 z') is the complement of N(z') in Phi+, here for z' = z_{M-S}.
+        w = rs._id_of_mask[every & ~inv[z_hits[m_mask & ~s][0]]]
+        if inv[w] & m_mask != s:
+            raise RuntimeError("computed class maximum lies outside the class")
+        # Every member x has N(z) <= N(x) <= N(w) iff N(z) lies in the
+        # meet of the members' masks and their join lies in N(w).
+        masks = [inv[k] for k in members]
+        if inv[z] & ~reduce(and_, masks) or reduce(or_, masks) & ~inv[w]:
+            raise RuntimeError("class is not sandwiched between z_S and w_S")
+        table[s] = rs.roots_of_mask(s), tuple(members), z, w
+    hs._classes = table
+    return table
 
 
 def weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
-    """All Weyl-type subsets of M, sorted by (size, root order); see
-    :func:`_weyl_masks`.  Each call returns a new list."""
-    return list(_root_sets(hs).values())
-
-
-def _class_table(hs: HessenbergSpace) -> dict[int, tuple[tuple[int, ...], int, int]]:
-    """Per trace mask S, in :func:`_weyl_masks` order: the class
-    {w : N(w) & M = S} as ids in (length, word) order, and the ids of z_S
-    and w_S.
-
-    One pass over W buckets the ids by trace and finds each class's z
-    candidates, the members sending no positive root outside M to a
-    negative simple root; the traces must be exactly the Weyl-type masks,
-    and each class must have exactly one candidate.  Then w_S = w0 * z_{M-S}
-    reuses the z of the complement class, and the whole class is checked to
-    lie between z_S and w_S in left weak order.
-    """
-
-    def compute():
-        rs = hs.rs
-        m_mask = _m_mask(hs)
-        weyl = _weyl_masks(hs)
-        inv, neg, outside = rs._inv_masks, rs._neg_simple_masks, ~m_mask
-        buckets: dict[int, list[int]] = {s: [] for s in weyl}
-        z_hits: dict[int, list[int]] = {s: [] for s in weyl}
-        try:
-            for k in range(rs.order):
-                s = inv[k] & m_mask
-                buckets[s].append(k)
-                if not neg[k] & outside:
-                    z_hits[s].append(k)
-        except KeyError:
-            raise RuntimeError("a class trace is not a Weyl-type subset") from None
-        if not all(buckets.values()):
-            raise RuntimeError("a Weyl-type subset is not a class trace")
-        for hits in z_hits.values():
-            if len(hits) != 1:
-                raise RuntimeError(f"expected exactly one class minimum, found {len(hits)}")
-        every = (1 << rs._num_positive) - 1
-        table = {}
-        for s, members in buckets.items():
-            if m_mask & ~s not in buckets:
-                raise RuntimeError("complement of a Weyl-type subset has no class")
-            z = z_hits[s][0]
-            # N(w0 z') is the complement of N(z') in Phi+, here for z' = z_{M-S}.
-            w = rs._id_of_mask[every & ~inv[z_hits[m_mask & ~s][0]]]
-            if inv[w] & m_mask != s:
-                raise RuntimeError("computed class maximum lies outside the class")
-            # Every member x has N(z) <= N(x) <= N(w) iff N(z) lies in the
-            # meet of the members' masks and their join lies in N(w).
-            masks = [inv[k] for k in members]
-            if inv[z] & ~reduce(and_, masks) or reduce(or_, masks) & ~inv[w]:
-                raise RuntimeError("class is not sandwiched between z_S and w_S")
-            table[s] = tuple(members), z, w
-        return table
-
-    return hs._cache("classes", compute)
+    """All Weyl-type subsets of M, the class traces, sorted by (size, root
+    order).  Each call returns a new list."""
+    return [row[0] for row in _class_table(hs).values()]
 
 
 def partition_classes(hs: HessenbergSpace) -> dict[frozenset[Coords], tuple[Element, ...]]:
     """Group W by the trace of the inversion set on M.  Keys come in the
-    order of :func:`weyl_type_subsets`, which the class traces are checked
-    to equal; each class is sorted by (length, word)."""
-    at, sets = hs.rs.elements().__getitem__, _root_sets(hs)
-    return {sets[s]: tuple(map(at, row[0])) for s, row in _class_table(hs).items()}
+    order of :func:`weyl_type_subsets`; each class is sorted by (length,
+    word)."""
+    at = hs.rs.elements().__getitem__
+    return {sub: tuple(map(at, members)) for sub, members, _, _ in _class_table(hs).values()}
 
 
 def z_and_w(hs: HessenbergSpace, subset) -> tuple[Element, Element]:
@@ -738,14 +661,13 @@ def _class_bounds(hs: HessenbergSpace, s: int) -> tuple[int, int]:
     if row is None:
         rs = hs.rs
         raise ValueError(f"{rs.format_root_set(rs.roots_of_mask(s))} is not a Weyl-type subset of M")
-    return row[1], row[2]
+    return row[2], row[3]
 
 
 def h_admissible_elements(hs: HessenbergSpace) -> list[Element]:
     """The class tops w_S over all Weyl-type S, sorted by (length, word)."""
-    rs = hs.rs
-    tops = {_class_bounds(hs, s)[1] for s in _weyl_masks(hs)}
-    return list(map(rs.elements().__getitem__, sorted(tops)))
+    tops = {row[3] for row in _class_table(hs).values()}
+    return list(map(hs.rs.elements().__getitem__, sorted(tops)))
 
 
 def enumerate_hessenberg_spaces(rs: RootSystem) -> list[frozenset[Coords]]:
@@ -776,7 +698,7 @@ def _move_graph(hs: HessenbergSpace, ids) -> MoveGraph:
     along the up rows of the reflection table, which name the target's id.
     The target builder is the same walk of the rows."""
     rs = hs.rs
-    m_mask, inv, rows = _m_mask(hs), rs._inv_masks, rs._reflection_table
+    m_mask, inv, rows = hs.mask, rs._inv_masks, rs._reflection_table
     local = {k: x for x, k in enumerate(ids)}
     up = [m_mask & ~inv[k] for k in ids]
     moves = up[:]
@@ -836,7 +758,7 @@ def classify_arbitrary(hs: HessenbergSpace, w: Element) -> WeylClassification:
     w, with the smoothness verdict gated on the simply-laced hypothesis."""
     rs = hs.rs
     k = rs._id(w)
-    s = rs._inv_masks[k] & _m_mask(hs)
+    s = rs._inv_masks[k] & hs.mask
     _, rep = _class_bounds(hs, s)
     # The first violator in (length, word) order, as the report shows it.
     interval = sorted(rs._interval_ids(rep))

@@ -29,7 +29,10 @@ oracle_weak_leq                   l(v) = l(u) + l(v u^-1), for weak order
 oracle_canonical_word             greedy left descents, for the word table
 oracle_weyl_type_subsets          2^|M| subsets tested with is_weyl_type
                                   (two is_closed_in tests), for the
-                                  Weyl-type backtracker
+                                  class traces
+oracle_weyl_type_masks            a backtracker over M in height order
+                                  that never looks at W, for the class
+                                  traces, also where 2^|M| is too many
 oracle_smooth_fixed_points        the h-Bruhat sandwich walked from both
                                   ends, for classify's full-degree set
 
@@ -273,6 +276,45 @@ def oracle_weyl_type_subsets(hs: HessenbergSpace) -> list[frozenset[Coords]]:
         x for x in submasks(rs.mask_of(hs.roots)) if is_weyl_type(hs, rs.roots_of_mask(x))
     ]
     return [rs.roots_of_mask(x) for x in sorted(found, key=mask_order_key)]
+
+
+def oracle_weyl_type_masks(hs: HessenbergSpace) -> list[int]:
+    """The masks of the Weyl-type subsets of M by backtracking over the
+    roots of M in height order, sorted by :func:`hessgkm.roots.mask_order_key`;
+    it never looks at W.
+
+    When root c is decided, both parts of every a + b = c in M have been,
+    so one loop over those pairs forces c into S if some pair lies in S,
+    out of S if some pair lies outside, and kills the branch if both.  The
+    leaves are exactly the Weyl-type subsets.
+    """
+    rs, m_mask = hs.rs, hs.mask
+    order = _bits(m_mask)
+    pairs: dict[int, list[int]] = {c: [] for c in order}
+    for a, b, c in rs._sum_triples:
+        if c in pairs and m_mask >> a & 1 and m_mask >> b & 1:
+            pairs[c].append(1 << a | 1 << b)
+    steps = [(1 << c, pairs[c]) for c in order]
+    found: list[int] = []
+    stack = [(0, 0, 0)]  # (roots of M decided, mask in S, mask outside S)
+    while stack:
+        k, inside, outside = stack.pop()
+        if k == len(steps):
+            found.append(inside)
+            continue
+        bit, pms = steps[k]
+        can_in = can_out = True
+        # A pair cannot lie both in S and outside it, so one test each.
+        for pm in pms:
+            if inside & pm == pm:
+                can_out = False
+            elif outside & pm == pm:
+                can_in = False
+        if can_in:
+            stack.append((k + 1, inside | bit, outside))
+        if can_out:
+            stack.append((k + 1, inside, outside | bit))
+    return sorted(found, key=mask_order_key)
 
 
 def root_from_positions(rs: RootSystem, i: int, j: int) -> Coords:

@@ -232,8 +232,9 @@ def test_classify_rank8_output_is_pinned(w, digest, capsys):
     ],
 )
 def test_roots_f4_output_is_pinned(flag, digest, capsys):
-    # Every F4 Hessenberg space's classes and tops, from the integral
-    # (doubled) realization of F4.
+    # With no --m the command runs the one space M = Phi+ of F4: its N(w)
+    # table and its 1,152 one-element classes with their z and w, from the
+    # integral (doubled) realization of F4.
     code, out = run_cli(["roots", "--type", "F", "--rank", "4", flag], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Root systems, Weyl groups, Hessenberg spaces, and class partitions."""
 
+import hashlib
 import random
 import re
 from functools import cached_property
@@ -14,7 +15,6 @@ from hessgkm.roots import (
     RootSystem,
     _bits,
     _move_graph,
-    _weyl_masks,
     arbitrary_gkm_graph,
     build_root_system,
     classify_arbitrary,
@@ -34,6 +34,7 @@ from hessgkm.verify import (
     oracle_canonical_word,
     oracle_weak_leq,
     oracle_weyl_bruhat_leq,
+    oracle_weyl_type_masks,
     oracle_weyl_type_subsets,
     root_from_positions,
 )
@@ -264,15 +265,27 @@ def test_validate_hessenberg_space():
     assert validate_hessenberg_space(a2, {(1.0, 0)}).roots == {(1, 0)}
 
 
+@pytest.mark.parametrize("root", [(1, 0, 0), (1,), (-1, 0)])
+def test_tuples_that_are_not_roots_are_named(root):
+    # The tuple itself is named, never a root its leading coordinates spell.
+    b2 = build_root_system("B", 2)
+    message = re.escape(f"{root} is not a positive root of B2")
+    with pytest.raises(ValueError, match=message):
+        validate_hessenberg_space(b2, [root])
+    with pytest.raises(ValueError, match=message):
+        b2.reflection(root)
+
+
 def test_hessenberg_spaces_compare_by_identity_with_own_memo():
     c2 = build_root_system("C", 2)
     m = c2.parse_root_list("a1,a2,a1+a2")
     hs, other = validate_hessenberg_space(c2, m), validate_hessenberg_space(c2, m)
     assert hs.roots == other.roots
     assert hs != other and hs == hs
+    assert hs.mask == other.mask == c2.mask_of(m)
+    assert hs._classes is None
     weyl_type_subsets(hs)
-    assert "weyl_masks" in hs._memo and "weyl_masks" not in other._memo
-    assert hs._memo is not other._memo
+    assert hs._classes is not None and other._classes is None
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 2), ("C", 2), ("G", 2)])
@@ -340,12 +353,48 @@ def test_weyl_type_subsets_c2():
     "type_label,rank", [system for system in SYSTEMS if system != ("F", 4)]
 )
 def test_weyl_type_subsets_match_definitional_scan(type_label, rank):
-    # F4 is cross-checked against the inversion traces instead, in
-    # test_partition_and_weak_interval_all_spaces.
+    # F4's 2^24 subsets are too many; it is held to the backtracker alone,
+    # in test_weyl_type_subsets_match_backtracker.
     rs = build_root_system(type_label, rank)
     for m in enumerate_hessenberg_spaces(rs):
         hs = validate_hessenberg_space(rs, m)
         assert weyl_type_subsets(hs) == oracle_weyl_type_subsets(hs)
+        assert oracle_weyl_type_masks(hs) == list(map(rs.mask_of, oracle_weyl_type_subsets(hs)))
+
+
+@pytest.mark.parametrize("type_label,rank", SYSTEMS)
+def test_weyl_type_subsets_match_backtracker(type_label, rank):
+    # The class traces, in order, against the backtracker over M, which
+    # never looks at W.
+    rs = build_root_system(type_label, rank)
+    for m in enumerate_hessenberg_spaces(rs):
+        hs = validate_hessenberg_space(rs, m)
+        assert list(map(rs.mask_of, weyl_type_subsets(hs))) == oracle_weyl_type_masks(hs)
+
+
+def _class_layer_digest(systems) -> str:
+    """sha256 over every space of each system: the classes, keys in order
+    with their members, the Weyl-type subsets, each subset's z and w, and
+    the admissible elements, all as labels."""
+    out = hashlib.sha256()
+    for type_label, rank in systems:
+        rs = build_root_system(type_label, rank)
+        fmt, fmt_set = rs.format_element, rs.format_root_set
+        for m in enumerate_hessenberg_spaces(rs):
+            hs = validate_hessenberg_space(rs, m)
+            subsets = weyl_type_subsets(hs)
+            lines = [f"{type_label}{rank} M = {fmt_set(m)}"]
+            lines += [f"{fmt_set(s)}: {' '.join(map(fmt, xs))}" for s, xs in partition_classes(hs).items()]
+            lines.append(" ".join(map(fmt_set, subsets)))
+            lines += [" ".join(map(fmt, z_and_w(hs, s))) for s in subsets]
+            lines.append(" ".join(map(fmt, h_admissible_elements(hs))))
+            out.update("\n".join(lines).encode() + b"\n")
+    return out.hexdigest()
+
+
+def test_class_layer_is_pinned():
+    digest = _class_layer_digest(SYSTEMS + [("A", 4), ("A", 5)])
+    assert digest == "34b386fcc3efef6ff9292050f78be8eda39da98f360c5bca7b717f9d8f94dc14"
 
 
 def test_weyl_type_subsets_a2_all():
@@ -409,6 +458,11 @@ def test_z_and_w_rejects_non_weyl_type():
     hs = validate_hessenberg_space(c2, c2.parse_root_list("a1,a2,a1+a2"))
     with pytest.raises(ValueError):
         z_and_w(hs, {(1, 1)})
+    # {a1, a2} is no trace at M = Phi+ in B3: a1 + a2 lies in M.
+    b3 = build_root_system("B", 3)
+    hs = validate_hessenberg_space(b3, b3.positive_roots)
+    with pytest.raises(ValueError, match=r"\{a1, a2\} is not a Weyl-type subset of M"):
+        z_and_w(hs, {(1, 0, 0), (0, 1, 0)})
 
 
 def test_weyl_type_subsets_returns_a_new_list():
@@ -450,27 +504,6 @@ def test_class_totals_over_all_spaces(type_label, rank):
     assert total == CLASS_TOTALS[type_label, rank]
     if type_label == "A" and rank <= 4:
         assert total == sum(len(enumerate_admissible(h)) for h in hessenberg_functions(rank + 1))
-
-
-def test_class_table_checks_traces_against_weyl_masks():
-    b3 = build_root_system("B", 3)
-    m = b3.positive_roots
-    masks = _weyl_masks(validate_hessenberg_space(b3, m))
-    # A Weyl-type subset missing from the backtracker's list is a trace
-    # that is not one of its masks.
-    hs = validate_hessenberg_space(b3, m)
-    hs._cache("weyl_masks", lambda: masks[:3] + masks[4:])
-    with pytest.raises(RuntimeError, match="class trace"):
-        partition_classes(hs)
-    # A mask with no class, seen after the table is built, is refused as
-    # not of Weyl type.
-    hs = validate_hessenberg_space(b3, m)
-    partition_classes(hs)
-    bogus = b3.mask_of([(1, 0, 0), (0, 1, 0)])
-    assert bogus not in masks
-    hs._cache("weyl_masks", list).append(bogus)
-    with pytest.raises(ValueError, match="is not a Weyl-type subset"):
-        h_admissible_elements(hs)
 
 
 def test_tuples_outside_the_system_raise_value_error():
