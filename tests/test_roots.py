@@ -458,9 +458,20 @@ def test_z_and_w_rejects_non_weyl_type():
     hs = validate_hessenberg_space(c2, c2.parse_root_list("a1,a2,a1+a2"))
     with pytest.raises(ValueError):
         z_and_w(hs, {(1, 1)})
-    # {a1, a2} is no trace at M = Phi+ in B3: a1 + a2 lies in M.
+
+
+def test_class_table_checks_traces_against_weyl_masks():
     b3 = build_root_system("B", 3)
     hs = validate_hessenberg_space(b3, b3.positive_roots)
+    masks = oracle_weyl_type_masks(hs)
+    # The class traces, read off W, are the backtracker's masks in order,
+    # and each keys one class.
+    assert list(map(b3.mask_of, weyl_type_subsets(hs))) == masks
+    assert list(map(b3.mask_of, partition_classes(hs))) == masks
+    # {a1, a2} is no trace at M = Phi+ in B3: a1 + a2 lies in M.  A mask
+    # with no class is refused as not of Weyl type.
+    bogus = b3.mask_of([(1, 0, 0), (0, 1, 0)])
+    assert bogus not in masks
     with pytest.raises(ValueError, match=r"\{a1, a2\} is not a Weyl-type subset of M"):
         z_and_w(hs, {(1, 0, 0), (0, 1, 0)})
 
