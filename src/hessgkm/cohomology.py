@@ -25,7 +25,9 @@ u(i) > u(j) at every such edge.  All weights therefore have one orientation,
 and writing each as t_a - t_b with a < b changes the class only by the global
 sign (-1)^{l_h(w)} (l_h(w) edges leave at every vertex).  The unsigned
 products are the class; each interval edge is still checked, its far end
-the swap u(i,j) itself, so no edge targets are built.
+the swap u(i,j) itself, so no edge targets are built.  The compatibility
+check streams the rows of :func:`hessgkm.graphs._edge_rows` and builds a
+``GkmEdge`` only for an edge that violates it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .graphs import GkmEdge, GkmGraph, interval_move_graph
+from .graphs import GkmEdge, GkmGraph, _edge_rows, interval_move_graph
 from .hess import cell_dimension, complexity_dimension, validate_hessenberg, window_mask
 from .perms import (
     Perm,
@@ -96,10 +98,17 @@ def congruent(p: Poly, q: Poly, a: int, b: int) -> bool:
 def check_compatibility(g: GkmGraph, cls: dict[Perm, Poly]) -> tuple[bool, list[GkmEdge]]:
     """Test p(u) == p(v) mod (t_a - t_b) on every edge of g.
 
-    Returns (ok, offending edges)."""
+    Returns (ok, offending edges), the edges in sorted order."""
     if set(cls) != set(g.vertices):
         raise ValueError("class domain does not match the graph vertex set")
-    violations = [e for e in g.edges if not congruent(cls[e.u], cls[e.v], *e.val)]
+    vertices = g.vertices
+    violations = []
+    for u, rows in zip(vertices, _edge_rows(g)):
+        p = cls[u]
+        for y, i, j, a, b in rows:
+            v = vertices[y]
+            if not congruent(p, cls[v], a, b):
+                violations.append(GkmEdge(u, v, (i, j), (a, b)))
     return (not violations, violations)
 
 
@@ -109,7 +118,10 @@ def poincare_polynomial(h) -> tuple[int, ...]:
     One pass over the values (see the module docstring).  A state is a
     bitmask of taken positions; its generating polynomial in l_h is one int
     holding the coefficients in fields of ``bits`` bits, and no coefficient
-    exceeds n!.
+    exceeds n!.  The states are one list indexed by mask, walked in numeric
+    order: a successor sets one more bit, so it is larger, and each state is
+    complete when it is read.  A state read is cleared, so only the states
+    still to be read hold a polynomial.
 
     >>> poincare_polynomial((2, 3, 3))
     (1, 4, 1)
@@ -121,19 +133,17 @@ def poincare_polynomial(h) -> tuple[int, ...]:
     check_size(math.comb(n, n // 2), f"Betti states at the widest step C({n}, {n // 2})")
     d = complexity_dimension(h)
     bits = math.factorial(n).bit_length() + 1
-    # right[p]: the window partners of position p to its right, as a bitmask
-    right = [((1 << hp) - 1) & ~((1 << (p + 1)) - 1) for p, hp in enumerate(h)]
-    states = {0: 1}
-    for _ in range(n):
-        nxt: dict[int, int] = {}
-        for taken, poly in states.items():
-            for p in range(n):
-                if not taken >> p & 1:
-                    key = taken | 1 << p
-                    shift = (taken & right[p]).bit_count() * bits
-                    nxt[key] = nxt.get(key, 0) + (poly << shift)
-        states = nxt
-    (poly,) = states.values()
+    # (1 << p, the window partners of position p to its right as a bitmask)
+    steps = [(1 << p, ((1 << hp) - 1) & ~((1 << (p + 1)) - 1)) for p, hp in enumerate(h)]
+    states = [0] * (1 << n)
+    states[0] = 1
+    for taken in range(len(states) - 1):
+        poly = states[taken]
+        states[taken] = 0
+        for bit, right in steps:
+            if not taken & bit:
+                states[taken | bit] += poly << ((taken & right).bit_count() * bits)
+    poly = states[-1]
     mask = (1 << bits) - 1
     return tuple((poly >> ((d - k) * bits)) & mask for k in range(d + 1))
 

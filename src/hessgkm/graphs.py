@@ -19,10 +19,15 @@ on integer codes of the vertices.  Its kernels are
 classes, example61) and :func:`bruhat_move_graph` by every pair, once per
 w, for the sweeps to read under each h's window mask.  :mod:`hessgkm.roots`
 reads its masks off inversion sets and walks its reflection table.
-Export's source is :func:`_induced`, the only builder of ``GkmEdge``
-objects, for DOT/JSON and the compatibility check, on the full graph and
-on ``interval_graph(h, w)``, induced on the Bruhat interval [w, w0].
-:func:`is_regular` and :func:`is_connected` on them are the kernel's oracle.
+Export reads a ``GkmGraph``, the full graph or ``interval_graph(h, w)``
+on the Bruhat interval [w, w0], which keeps only its vertices, h and w.
+One walk, :func:`_edge_rows`, lists each vertex's window ascents inside
+the vertex set by the same arithmetic on codes.  DOT/JSON and the
+compatibility check stream its rows; ``GkmGraph.edges`` builds ``GkmEdge``
+objects from them on each read, for ``to_json_dict``, :func:`is_regular`,
+:func:`is_connected` and the tests.  ``verify._induced``, which swaps the
+entries and probes the vertex set, is the oracle of those edges, and the
+kernels are checked against it.
 The claims that only the sweeps and the tests check (the one-vertex probe
 ``edge_set_at``, the top-degree shortcut, the phi maps, the h-Bruhat walk
 and the graph on the cell-closure fixed points) live in :mod:`hessgkm.verify`.
@@ -33,11 +38,10 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from itertools import count, groupby, repeat
-from operator import itemgetter
+from itertools import count, repeat
 from typing import NamedTuple
 
-from .hess import HessFunc, _check_rank, validate_hessenberg, window_mask, windows
+from .hess import HessFunc, _check_rank, validate_hessenberg, window_mask
 from .perms import (
     Perm,
     all_permutations,
@@ -62,12 +66,23 @@ class RegularityCheck(NamedTuple):
 
 
 class GkmGraph(NamedTuple):
-    """Immutable labeled graph; vertices and edges are canonically sorted."""
+    """Immutable labeled graph on canonically sorted vertices.  Its edges
+    are not stored: :func:`_edge_rows` walks them from the vertices and h,
+    and ``edges`` builds them, sorted, on each read."""
 
     vertices: tuple[Perm, ...]
-    edges: tuple[GkmEdge, ...]
     h: HessFunc
     w: Perm | None = None
+
+    @property
+    def edges(self) -> tuple[GkmEdge, ...]:
+        """The edges in sorted order, from their lower ends."""
+        vertices = self.vertices
+        return tuple(
+            GkmEdge(u, vertices[y], (i, j), (a, b))
+            for u, rows in zip(vertices, _edge_rows(self))
+            for y, i, j, a, b in rows
+        )
 
     def degrees(self) -> dict[Perm, int]:
         degs = {u: 0 for u in self.vertices}
@@ -84,33 +99,27 @@ class GkmGraph(NamedTuple):
         return adj
 
 
-def _induced(h: HessFunc, vertices: tuple[Perm, ...], w: Perm | None) -> GkmGraph:
-    """The graph induced on the ascending ``vertices``, its edges in sorted
-    order: the vertices ascending, each one's up-steps by target (for a fixed
-    u the target determines the window pair and the value pair).  An edge
-    refers to the vertex objects and to a shared value pair: one tuple.
-
-    Unlike the kernel's builder this takes any vertex set (a cell closure's
-    fixed points are not an upset), so each swap is looked up."""
-    vertex_of = dict(zip(vertices, vertices))
-    n = len(h)
-    pair = [[(a, b) for b in range(n + 1)] for a in range(n + 1)]
-    wins = windows(h)
-    edges = []
-    for u in vertices:
+def _edge_rows(g: GkmGraph):
+    """Per vertex u of g, in order, its window ascents u -> u(i,j) inside the
+    vertex set, as rows (target id, i, j, u(i), u(j)) sorted by target id.
+    Each target is found by the kernel's arithmetic on integer codes and
+    looked up with ``get``: the vertex set need not be an upset (the
+    cell-closure fixed points are not)."""
+    vertices = g.vertices
+    index = _code_index(vertices)
+    get = index.get
+    win = window_mask(g.h)
+    rows = [(i, j, d, i + 1, j + 1) for bit, i, j, d in _code_pairs(len(g.h)) if bit & win]
+    for u, code in zip(vertices, index):
         out = []
-        for ij in wins:
-            i, j = ij
-            a, b = u[i - 1], u[j - 1]
+        for i, j, d, p, q in rows:
+            a, b = u[i], u[j]
             if a < b:
-                v = list(u)
-                v[i - 1], v[j - 1] = b, a
-                v = vertex_of.get(tuple(v))
-                if v is not None:
-                    out.append(GkmEdge(u, v, ij, pair[a][b]))
+                y = get(code + (b - a) * d)
+                if y is not None:
+                    out.append((y, p, q, a, b))
         out.sort()
-        edges += out
-    return GkmGraph(vertices, tuple(edges), h, w)
+        yield out
 
 
 def build_hessenberg_graph(h) -> GkmGraph:
@@ -118,7 +127,7 @@ def build_hessenberg_graph(h) -> GkmGraph:
     h = validate_hessenberg(h)
     n = len(h)
     check_size(math.factorial(n), f"S_{n}")
-    return _induced(h, tuple(all_permutations(n)), None)
+    return GkmGraph(tuple(all_permutations(n)), h)
 
 
 def interval_graph(h, w: Perm) -> GkmGraph:
@@ -126,7 +135,7 @@ def interval_graph(h, w: Perm) -> GkmGraph:
     h = validate_hessenberg(h)
     w = as_permutation(w)
     _check_rank(w, h)
-    return _induced(h, bruhat_interval_lex(w), w)
+    return GkmGraph(bruhat_interval_lex(w), h, w)
 
 
 class MoveGraph:
@@ -297,14 +306,14 @@ def is_connected(g: GkmGraph) -> bool:
 
 def to_dot(g: GkmGraph) -> str:
     """DOT text with deterministic vertex and edge order.  Each vertex is
-    formatted once, and each vertex's edges (consecutive in ``g.edges``)
+    formatted once, and each vertex's edges (one list of :func:`_edge_rows`)
     become one string, so a big graph's text is not held line by line."""
-    label = {u: format_permutation(u) for u in g.vertices}
+    labels = [format_permutation(u) for u in g.vertices]
     parts = ["graph {\n"]
-    parts += [f'  "{x}";\n' for x in label.values()]
-    for u, group in groupby(g.edges, itemgetter(0)):
-        head = f'  "{label[u]}" -- "'
-        parts.append("".join(f'{head}{label[v]}" [weight="t{a}-t{b}"];\n' for _, v, _, (a, b) in group))
+    parts += [f'  "{x}";\n' for x in labels]
+    for x, rows in zip(labels, _edge_rows(g)):
+        head = f'  "{x}" -- "'
+        parts.append("".join(f'{head}{labels[y]}" [weight="t{a}-t{b}"];\n' for y, _, _, a, b in rows))
     parts.append("}\n")
     return "".join(parts)
 
@@ -353,15 +362,16 @@ def to_json(g: GkmGraph) -> str:
     written directly: labels hold only digits and commas, so nothing needs
     escaping.  Vertices and edges are chunked as in :func:`to_dot`;
     ``verify.oracle_graph_json`` is the encoder path."""
-    label = {u: format_permutation(u) for u in g.vertices}
+    labels = [format_permutation(u) for u in g.vertices]
     edges = [
-        ",\n    ".join(_JSON_EDGE % (i, j, label[u], label[v], a, b) for _, v, (i, j), (a, b) in group)
-        for u, group in groupby(g.edges, itemgetter(0))
+        ",\n    ".join(_JSON_EDGE % (i, j, x, labels[y], a, b) for y, i, j, a, b in rows)
+        for x, rows in zip(labels, _edge_rows(g))
+        if rows
     ]
     w = "null" if g.w is None else f'"{format_permutation(g.w)}"'
     return "".join([
         '{\n  "edges": ', *_json_array(edges),
         ',\n  "h": ', *_json_array([str(x) for x in g.h]),
-        f',\n  "n": {len(g.h)},\n  "vertices": ', *_json_array([f'"{x}"' for x in label.values()]),
+        f',\n  "n": {len(g.h)},\n  "vertices": ', *_json_array([f'"{x}"' for x in labels]),
         f',\n  "w": {w}\n}}\n',
     ])

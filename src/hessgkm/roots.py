@@ -239,13 +239,14 @@ class RootSystem:
     # -- element operations ------------------------------------------------------
 
     def act(self, w: Element, coords: Coords) -> Coords:
-        return self._signed[w[self._signed_index[coords]]]
+        return self._signed[w[self._signed_root_index(coords)]]
 
     def mul(self, a: Element, b: Element) -> Element:
         """Function composition: (a*b)(root) = a(b(root))."""
         return tuple([a[x] for x in b])
 
     def length(self, w: Element) -> int:
+        self._id(w)
         p = self._num_positive
         return sum(1 for i in range(p) if w[i] >= p)
 
@@ -266,6 +267,13 @@ class RootSystem:
         i = self._pos_index.get(coords)
         if i is None:
             raise ValueError(f"{coords} is not a positive root of {self.type_label}{self.rank}")
+        return i
+
+    def _signed_root_index(self, coords: Coords) -> int:
+        """The index of a root of either sign; a ``ValueError`` names anything else."""
+        i = self._signed_index.get(coords)
+        if i is None:
+            raise ValueError(f"{coords} is not a root of {self.type_label}{self.rank}")
         return i
 
     def mask_of(self, roots) -> int:
@@ -441,7 +449,7 @@ class RootSystem:
 
     def format_roots(self, roots) -> list[str]:
         """The labels of a set of positive roots, in root order."""
-        return [self._root_labels[i] for i in sorted(map(self._pos_index.__getitem__, roots))]
+        return [self._root_labels[i] for i in sorted(map(self._index, roots))]
 
     def format_root_set(self, roots) -> str:
         return "{" + ", ".join(self.format_roots(roots)) + "}"

@@ -22,6 +22,9 @@ oracle_admissible_representative  the admissible v with w's window order
                                   order, for the greedy ascent
 oracle_poincare_polynomial        cell dimensions over S_n, for the DP
 oracle_graph_json                 ``json.dumps``, for the direct JSON writer
+_induced                          each window swap made on a list and
+                                  probed in the vertex set, for the edge
+                                  walk of ``GkmGraph.edges`` and the kernels
 oracle_weyl_bruhat_leq            the right-descent recursion, for the
                                   general-type upper intervals
 oracle_weak_leq                   l(v) = l(u) + l(v u^-1), for weak order
@@ -81,7 +84,7 @@ w's Bruhat graph is :func:`hessgkm.graphs.bruhat_move_graph`, built once
 per w and shared by every h; example61 builds its one interval graph with
 :func:`hessgkm.graphs.interval_move_graph`.  On every (h, w) with n <= 5
 the agreement tests of ``tests/test_graphs.py`` check the latter against
-the ``GkmGraph`` oracles and the former against the latter.
+the edges of :func:`_induced` and the former against the latter.
 
 Two suites have known nonempty violation sets: phi-surjective (onto fails
 already at rank 4) and example61 (the strict minimality has exactly two
@@ -96,7 +99,7 @@ import time
 from functools import lru_cache, reduce
 from operator import or_
 
-from .graphs import GkmGraph, MoveGraph, _induced, bruhat_move_graph, interval_move_graph, to_json_dict
+from .graphs import GkmEdge, GkmGraph, MoveGraph, bruhat_move_graph, interval_move_graph, to_json_dict
 from .hess import (
     HessFunc,
     _check_rank,
@@ -384,12 +387,40 @@ def oracle_graph_json(g: GkmGraph) -> str:
     return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
 
 
+def _induced(h: HessFunc, vertices: tuple[Perm, ...]) -> tuple[GkmEdge, ...]:
+    """The edges induced on the ascending ``vertices`` by h's window swaps,
+    each swap made on a list and probed for membership, in sorted order:
+    the vertices ascending, each one's up-steps by target (for a fixed u the
+    target determines the window pair and the value pair).  An edge refers
+    to the vertex objects and to a shared value pair.  The oracle of
+    ``GkmGraph.edges``, which finds each target by arithmetic on codes."""
+    vertex_of = dict(zip(vertices, vertices))
+    n = len(h)
+    pair = [[(a, b) for b in range(n + 1)] for a in range(n + 1)]
+    wins = windows(h)
+    edges = []
+    for u in vertices:
+        out = []
+        for ij in wins:
+            i, j = ij
+            a, b = u[i - 1], u[j - 1]
+            if a < b:
+                v = list(u)
+                v[i - 1], v[j - 1] = b, a
+                v = vertex_of.get(tuple(v))
+                if v is not None:
+                    out.append(GkmEdge(u, v, ij, pair[a][b]))
+        out.sort()
+        edges += out
+    return tuple(edges)
+
+
 def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
     """Subgraph induced on the fixed points of the cell closure of (w, h)."""
     h = validate_hessenberg(h)
     w = as_permutation(w)
     _check_rank(w, h)
-    return _induced(h, tuple(sorted(hess_schubert_fixed_points(w, h))), w)
+    return GkmGraph(tuple(sorted(hess_schubert_fixed_points(w, h))), h, w)
 
 
 def h_bruhat_walk(g: MoveGraph, starts, toward: int, within: int = -1) -> set[int]:

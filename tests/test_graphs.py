@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from hessgkm.graphs import (
-    GkmEdge,
     _code_pairs,
     build_hessenberg_graph,
     bruhat_move_graph,
@@ -32,6 +31,7 @@ from hessgkm.perms import (
 )
 from hessgkm.roots import arbitrary_gkm_graph, build_root_system, validate_hessenberg_space
 from hessgkm.verify import (
+    _induced,
     edge_set_at,
     fixed_point_induced_graph,
     h_bruhat_walk,
@@ -178,10 +178,15 @@ def test_is_connected():
     assert is_connected(interval_graph(H3344, longest_element(4)))
 
 
-def _components(g):
-    # The components of a GkmGraph, counted by search.
-    adj, seen, count = g.adjacency(), set(), 0
-    for u in g.vertices:
+def _components(vertices, edges):
+    # The components of a graph on ``vertices`` with ``edges``, counted by
+    # search.
+    adj = {u: [] for u in vertices}
+    for e in edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
+    seen, count = set(), 0
+    for u in vertices:
         if u not in seen:
             count += 1
             seen.add(u)
@@ -196,17 +201,18 @@ def _components(g):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_one_sink_iff_connected(n):
-    # Both type A kernels have as many sinks as the GkmGraph has components
-    # (the rule of MoveGraph.sinks: one sink in each coset of the Young
-    # subgroup of h's blocks), so one sink is connectivity.  At n = 5, 2,025
-    # pairs have one sink and 3,015 several.
+    # Both type A kernels have as many sinks as the induced graph has
+    # components (the rule of MoveGraph.sinks: one sink in each coset of the
+    # Young subgroup of h's blocks), so one sink is connectivity.  At n = 5,
+    # 2,025 pairs have one sink and 3,015 several.
     counts = {True: 0, False: 0}
     for h in hessenberg_functions(n):
         win = window_mask(h)
         for w in all_permutations(n):
             g = interval_graph(h, w)
             sinks = bruhat_move_graph(w).sinks(win)
-            assert sinks == interval_move_graph(h, w).sinks() == _components(g), (h, w)
+            components = _components(g.vertices, _induced(h, g.vertices))
+            assert sinks == interval_move_graph(h, w).sinks() == components, (h, w)
             assert (sinks == 1) == is_connected(g)
             counts[sinks == 1] += 1
     if n == 5:
@@ -218,27 +224,29 @@ def _unread(kernel):
     return kernel._targets is None
 
 
-def _check_move_graph(kernel, within, g, pairs):
-    # A kernel read through ``within`` against its GkmGraph.  First the
-    # masks, compared before any target is built: the moves at each vertex
-    # are the pairs of its edges, the up bits those of the edges it is the
-    # lower end of.  Then along each vertex's up bits the
-    # steps are the graph's edges from their lower ends, along its other
-    # moves the same edges from their upper ends; the degrees, the first
-    # violator for every degree value and the connectivity are the graph's.
-    assert kernel.vertices == g.vertices
+def _check_move_graph(kernel, within, h, w, pairs):
+    # A kernel read through ``within`` against the oracle's edges induced by
+    # h on [w, w0], which share no arithmetic with it.  First the masks,
+    # compared before any target is built: the moves at each vertex are the
+    # pairs of its edges, the up bits those of the edges it is the lower end
+    # of.  Then along each vertex's up bits the steps are the edges from
+    # their lower ends, along its other moves the same edges from their
+    # upper ends; the degrees, the first violator for every degree value and
+    # the components are the induced graph's.
+    assert kernel.vertices == tuple(sorted(bruhat_interval(w)))
     assert _unread(kernel)
+    induced = _induced(h, kernel.vertices)
     bit = {ij: 1 << k for k, ij in pairs}
-    expect_moves = dict.fromkeys(g.vertices, 0)
-    expect_up = dict.fromkeys(g.vertices, 0)
-    for e in g.edges:
+    expect_moves = dict.fromkeys(kernel.vertices, 0)
+    expect_up = dict.fromkeys(kernel.vertices, 0)
+    for e in induced:
         expect_moves[e.u] |= bit[e.pos]
         expect_moves[e.v] |= bit[e.pos]
         expect_up[e.u] |= bit[e.pos]
     assert [m & within for m in kernel.moves] == list(expect_moves.values())
     assert [u & m & within for u, m in zip(kernel.up, kernel.moves)] == list(expect_up.values())
     assert _unread(kernel)
-    edges = {(e.u, e.v, e.pos) for e in g.edges}
+    edges = {(e.u, e.v, e.pos) for e in induced}
     steps = {True: set(), False: set()}
     for x, u in enumerate(kernel.vertices):
         moves = kernel.moves[x] & within
@@ -248,21 +256,25 @@ def _check_move_graph(kernel, within, g, pairs):
                 steps[kernel.up[x] >> k & 1 == 1].add((u, v, ij))
     assert steps == {True: edges, False: {(v, u, ij) for u, v, ij in edges}}
     assert all(length(v) > length(u) for u, v, _ in steps[True])
-    degs = g.degrees()
+    degs = dict.fromkeys(kernel.vertices, 0)
+    for e in induced:
+        degs[e.u] += 1
+        degs[e.v] += 1
     assert dict(zip(kernel.vertices, kernel.degrees(within))) == degs
-    for d in set(degs.values()) | {cell_dimension(g.w, g.h)}:
-        assert kernel.regularity(d, within) == is_regular(g, d)
-    assert (kernel.sinks(within) == 1) == is_connected(g)
+    for d in set(degs.values()) | {cell_dimension(w, h)}:
+        bad = next((u for u, k in degs.items() if k != d), None)
+        assert kernel.regularity(d, within) == (bad is None, bad)
+    assert kernel.sinks(within) == _components(kernel.vertices, induced)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_interval_summary_matches_graph(n):
-    # The windowed kernel of every (h, w) against the GkmGraph it stands in
-    # for.
+    # The windowed kernel of every (h, w) against the induced edges of the
+    # GkmGraph it stands in for.
     pairs = list(enumerate(transpositions(n)))
     for h in hessenberg_functions(n):
         for w in all_permutations(n):
-            _check_move_graph(interval_move_graph(h, w), -1, interval_graph(h, w), pairs)
+            _check_move_graph(interval_move_graph(h, w), -1, h, w, pairs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -569,3 +581,19 @@ def test_graph_order_is_canonical(n):
         assert len(edge_pairs(g)) == len(g.edges)
         for u, _, (i, j), _ in g.edges:
             assert u[i - 1] < u[j - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_edge_rows_match_the_induced_oracle(n):
+    # GkmGraph.edges come from the kernel's arithmetic on integer codes; the
+    # oracle swaps entries of a list and probes the vertex set.  Every full
+    # graph with n <= 6, every interval graph with n <= 5, and every graph on
+    # the cell-closure fixed points, which are not an upset, with n <= 4.
+    for h in hessenberg_functions(n):
+        cases = [build_hessenberg_graph(h)]
+        if n <= 5:
+            cases += [interval_graph(h, w) for w in all_permutations(n)]
+        if n <= 4:
+            cases += [fixed_point_induced_graph(h, w) for w in all_permutations(n)]
+        for g in cases:
+            assert g.edges == _induced(h, g.vertices), (h, g.w)

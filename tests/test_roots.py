@@ -527,6 +527,15 @@ def test_tuples_outside_the_system_raise_value_error():
         classify_arbitrary(hs, (0,) * 8)
     with pytest.raises(ValueError, match="is not an element"):
         b2.bruhat_interval_up((0,) * 8)
+    # So do the root and element methods; act also takes negative roots.
+    with pytest.raises(ValueError, match=r"\(5, 5\) is not a root of B2"):
+        b2.act(b2.identity, (5, 5))
+    assert b2.act(b2.identity, (-1, 0)) == (-1, 0)
+    for call in (b2.format_roots, b2.format_root_set):
+        with pytest.raises(ValueError, match=r"\(5, 5\) is not a positive root of B2"):
+            call([(5, 5)])
+    with pytest.raises(ValueError, match=r"\(9, 9, 9, 9, 9, 9, 9, 9\) is not an element of W\(B2\)"):
+        b2.length((9,) * 8)
 
 
 @pytest.mark.parametrize("type_label,rank", SYSTEMS)
