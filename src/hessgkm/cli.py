@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
-from . import cohomology, graphs, patterns, roots, verify
+from . import cohomology, graphs, jsontext, patterns, roots, verify
 from .classify import classify as run_classify, format_report
 from .hess import (
     enumerate_admissible,
@@ -26,13 +25,23 @@ from .hess import (
 from .perms import SIZE_LIMIT, format_permutation, parse_permutation
 
 
-# Characters per write of a graph export.  The text layer encodes each
-# write into one bytes object, so one write would copy the whole export.
+# Characters per write of a document.  The text layer encodes each write
+# into one bytes object, so one write would copy the whole document.
 _WRITE_SLICE = 1 << 16
 
 
+def _write(text: str, path: str | None = None) -> None:
+    """Write text to the file at path, or to stdout, in slices."""
+    slices = (text[k : k + _WRITE_SLICE] for k in range(0, len(text), _WRITE_SLICE))
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(slices)
+    else:
+        sys.stdout.writelines(slices)
+
+
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    _write(jsontext.document(payload))
 
 
 def _cmd_classify(args) -> int:
@@ -63,13 +72,7 @@ def _cmd_graph(args) -> int:
         g = graphs.build_hessenberg_graph(h)
     else:
         g = graphs.interval_graph(h, parse_permutation(args.w))
-    text = graphs.to_json(g) if args.format == "json" else graphs.to_dot(g)
-    slices = (text[k : k + _WRITE_SLICE] for k in range(0, len(text), _WRITE_SLICE))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(slices)
-    else:
-        sys.stdout.writelines(slices)
+    _write(graphs.to_json(g) if args.format == "json" else graphs.to_dot(g), args.out)
     return 0
 
 

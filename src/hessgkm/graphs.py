@@ -22,12 +22,17 @@ reads its masks off inversion sets and walks its reflection table.
 Export reads a ``GkmGraph``, the full graph or ``interval_graph(h, w)``
 on the Bruhat interval [w, w0], which keeps only its vertices, h and w.
 One walk, :func:`_edge_rows`, lists each vertex's window ascents inside
-the vertex set by the same arithmetic on codes.  DOT/JSON and the
-compatibility check stream its rows; ``GkmGraph.edges`` builds ``GkmEdge``
-objects from them on each read, for ``to_json_dict``, :func:`is_regular`,
-:func:`is_connected` and the tests.  ``verify._induced``, which swaps the
+the vertex set by the same arithmetic on codes.  DOT/JSON, the
+compatibility check and ``GkmGraph.degrees`` and ``adjacency`` (so
+:func:`is_regular` and :func:`is_connected`) stream its rows;
+``GkmGraph.edges`` builds ``GkmEdge`` objects from them on each read, for
+``to_json_dict`` and the tests.  ``verify._induced``, which swaps the
 entries and probes the vertex set, is the oracle of those edges, and the
-kernels are checked against it.
+kernels are checked against it.  The export's text is pieces made once per
+graph: each vertex's label, DOT's weight tail per value pair, and JSON's
+edge object cut from the writer's text of a stand-in edge, a head per
+position pair and a tail per value pair.  So an edge is three
+concatenations, and :mod:`hessgkm.jsontext` writes the JSON around them.
 The claims that only the sweeps and the tests check (the one-vertex probe
 ``edge_set_at``, the top-degree shortcut, the phi maps, the h-Bruhat walk
 and the graph on the cell-closure fixed points) live in :mod:`hessgkm.verify`.
@@ -42,6 +47,7 @@ from itertools import count, repeat
 from typing import NamedTuple
 
 from .hess import HessFunc, _check_rank, validate_hessenberg, window_mask
+from .jsontext import Encoded, document, dumps
 from .perms import (
     Perm,
     all_permutations,
@@ -85,18 +91,23 @@ class GkmGraph(NamedTuple):
         )
 
     def degrees(self) -> dict[Perm, int]:
-        degs = {u: 0 for u in self.vertices}
-        for e in self.edges:
-            degs[e.u] += 1
-            degs[e.v] += 1
-        return degs
+        degs = [0] * len(self.vertices)
+        for x, rows in enumerate(_edge_rows(self)):
+            degs[x] += len(rows)
+            for row in rows:
+                degs[row[0]] += 1
+        return dict(zip(self.vertices, degs))
 
     def adjacency(self) -> dict[Perm, list[Perm]]:
-        adj: dict[Perm, list[Perm]] = {u: [] for u in self.vertices}
-        for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        return adj
+        vertices = self.vertices
+        adj: list[list[Perm]] = [[] for _ in vertices]
+        for x, rows in enumerate(_edge_rows(self)):
+            u = vertices[x]
+            for row in rows:
+                y = row[0]
+                adj[x].append(vertices[y])
+                adj[y].append(u)
+        return dict(zip(vertices, adj))
 
 
 def _edge_rows(g: GkmGraph):
@@ -306,14 +317,17 @@ def is_connected(g: GkmGraph) -> bool:
 
 def to_dot(g: GkmGraph) -> str:
     """DOT text with deterministic vertex and edge order.  Each vertex is
-    formatted once, and each vertex's edges (one list of :func:`_edge_rows`)
-    become one string, so a big graph's text is not held line by line."""
+    formatted once, each value pair's weight tail once per graph, and each
+    vertex's edges (one list of :func:`_edge_rows`) become one string, so a
+    big graph's text is not held line by line."""
+    n = len(g.h)
+    tails = [[f'" [weight="t{a}-t{b}"];\n' for b in range(n + 1)] for a in range(n + 1)]
     labels = [format_permutation(u) for u in g.vertices]
     parts = ["graph {\n"]
     parts += [f'  "{x}";\n' for x in labels]
     for x, rows in zip(labels, _edge_rows(g)):
         head = f'  "{x}" -- "'
-        parts.append("".join(f'{head}{labels[y]}" [weight="t{a}-t{b}"];\n' for y, _, _, a, b in rows))
+        parts.append("".join([head + labels[y] + tails[a][b] for y, _, _, a, b in rows]))
     parts.append("}\n")
     return "".join(parts)
 
@@ -336,42 +350,40 @@ def to_json_dict(g: GkmGraph) -> dict:
     }
 
 
-# An edge object of to_json's "edges" array, in the layout of ``json.dumps``
-# with ``sort_keys=True, indent=2``.
-_JSON_EDGE = (
-    '{\n      "pos": [\n        %d,\n        %d\n      ],\n      "u": "%s",\n      "v": "%s",\n'
-    '      "val": [\n        %d,\n        %d\n      ]\n    }'
-)
-
-
-def _json_array(items: list[str]) -> list[str]:
-    """The pieces of a top-level member array of encoded ``items``, in the
-    ``indent=2`` layout.  Each item may itself be several array items
-    joined by the separator."""
-    if not items:
-        return ["[]"]
-    pieces = ["[\n    "]
-    for x in items:
-        pieces += (x, ",\n    ")
-    pieces[-1] = "\n  ]"
-    return pieces
+def _json_edge_pieces(n: int):
+    """An edge object of to_json's "edges" array in pieces, its text being
+    ``heads[i][j] + u + mid + v + tails[a][b]`` for labels u and v.  The
+    pieces are cut from the writer's text of a stand-in edge at the array's
+    depth, whose only digits are its four zeros and whose only empty
+    strings are its two labels."""
+    to_i, to_j, middle, to_b, end = dumps(
+        {"pos": [0, 0], "u": "", "v": "", "val": [0, 0]}, depth=2
+    ).split("0")
+    to_u, mid, to_a = middle.split('""')
+    heads = [[f'{to_i}{i}{to_j}{j}{to_u}"' for j in range(n + 1)] for i in range(n + 1)]
+    tails = [[f'"{to_a}{a}{to_b}{b}{end}' for b in range(n + 1)] for a in range(n + 1)]
+    return heads, f'"{mid}"', tails
 
 
 def to_json(g: GkmGraph) -> str:
     """``json.dumps(to_json_dict(g), sort_keys=True, indent=2)`` and a newline,
-    written directly: labels hold only digits and commas, so nothing needs
-    escaping.  Vertices and edges are chunked as in :func:`to_dot`;
-    ``verify.oracle_graph_json`` is the encoder path."""
+    by the writer of :mod:`hessgkm.jsontext`.  The edges reach it as text,
+    one list per vertex as in :func:`to_dot`, each edge three concatenations
+    of pieces made once per graph; ``verify.oracle_json`` is the encoder
+    path."""
     labels = [format_permutation(u) for u in g.vertices]
-    edges = [
-        ",\n    ".join(_JSON_EDGE % (i, j, x, labels[y], a, b) for y, i, j, a, b in rows)
-        for x, rows in zip(labels, _edge_rows(g))
-        if rows
-    ]
-    w = "null" if g.w is None else f'"{format_permutation(g.w)}"'
-    return "".join([
-        '{\n  "edges": ', *_json_array(edges),
-        ',\n  "h": ', *_json_array([str(x) for x in g.h]),
-        f',\n  "n": {len(g.h)},\n  "vertices": ', *_json_array([f'"{x}"' for x in labels]),
-        f',\n  "w": {w}\n}}\n',
-    ])
+    heads, mid, tails = _json_edge_pieces(len(g.h))
+
+    def edge_runs():
+        for x, rows in zip(labels, _edge_rows(g)):
+            u_mid = x + mid
+            yield [heads[i][j] + u_mid + labels[y] + tails[a][b] for y, i, j, a, b in rows]
+
+    payload = {
+        "edges": Encoded(edge_runs()),
+        "h": list(g.h),
+        "n": len(g.h),
+        "vertices": labels,
+        "w": None if g.w is None else format_permutation(g.w),
+    }
+    return document(payload)

@@ -318,8 +318,17 @@ def parse_permutation(text: str) -> Perm:
     return as_permutation(entries)
 
 
+# Byte x to the ASCII digit of x for x <= 9, and to a byte that is not ASCII
+# past 9, so that decoding fails.
+_DIGITS = b"0123456789".ljust(256, b"\xff")
+
+
 def format_permutation(w: Perm) -> str:
-    """One-line text form: digits for n <= 9, comma-separated for n >= 10."""
+    """One-line text form: digits for n <= 9, comma-separated for n >= 10.
+    A digit string is one translation of the entries' bytes."""
     if len(w) <= 9:
-        return "".join(str(x) for x in w)
-    return ",".join(str(x) for x in w)
+        try:
+            return bytes(w).translate(_DIGITS).decode("ascii")
+        except (TypeError, ValueError):  # not a permutation: an entry past 9
+            return "".join(map(str, w))
+    return ",".join(map(str, w))

@@ -251,6 +251,7 @@ class RootSystem:
         return sum(1 for i in range(p) if w[i] >= p)
 
     def inversion_set(self, w: Element) -> frozenset[Coords]:
+        self._id(w)
         p = self._num_positive
         return frozenset(self._signed[i] for i in range(p) if w[i] >= p)
 

@@ -21,7 +21,10 @@ oracle_admissible_representative  the admissible v with w's window order
                                   of h's admissible elements by window
                                   order, for the greedy ascent
 oracle_poincare_polynomial        cell dimensions over S_n, for the DP
-oracle_graph_json                 ``json.dumps``, for the direct JSON writer
+oracle_json                       ``json.dumps(payload, sort_keys=True,
+                                  indent=2)``, for the writer of
+                                  :mod:`hessgkm.jsontext` (every --json
+                                  verb and the graph export)
 _induced                          each window swap made on a list and
                                   probed in the vertex set, for the edge
                                   walk of ``GkmGraph.edges`` and the kernels
@@ -99,7 +102,7 @@ import time
 from functools import lru_cache, reduce
 from operator import or_
 
-from .graphs import GkmEdge, GkmGraph, MoveGraph, bruhat_move_graph, interval_move_graph, to_json_dict
+from .graphs import GkmEdge, GkmGraph, MoveGraph, bruhat_move_graph, interval_move_graph
 from .hess import (
     HessFunc,
     _check_rank,
@@ -382,9 +385,11 @@ def oracle_poincare_polynomial(h) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def oracle_graph_json(g: GkmGraph) -> str:
-    """The JSON export of g by ``json.dumps`` on :func:`hessgkm.graphs.to_json_dict`."""
-    return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
+def oracle_json(payload) -> str:
+    """The JSON document of payload by ``json.dumps``, and a newline: what
+    every ``--json`` verb and ``graphs.to_json`` (on
+    :func:`hessgkm.graphs.to_json_dict`) write."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _induced(h: HessFunc, vertices: tuple[Perm, ...]) -> tuple[GkmEdge, ...]:

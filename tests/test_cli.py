@@ -112,6 +112,42 @@ def test_graph_out_file_matches_stdout_past_one_slice(fmt, tmp_path, capsys):
     assert target.read_bytes() == out.encode("utf-8")
 
 
+JSON_VERBS = [
+    pytest.param(["classify", "--h", "3,4,5,6,6,6", "--w", "236451", "--json"], id="classify-236451"),
+    pytest.param(["classify", "--h", "3,3,4,4", "--w", "2134", "--json"], id="classify-2134"),
+    pytest.param(["patterns", "--h", "3,3,4,4", "--w", "2134", "--json"], id="patterns-2134"),
+    pytest.param(["patterns", "--h", "3,3,4,4", "--w", "1234", "--json"], id="patterns-1234"),
+    pytest.param(["betti", "--h", "3,4,5,6,7,7,7", "--json"], id="betti"),
+    pytest.param(["enumerate-admissible", "--h", "3,3,4,4", "--json"], id="enumerate-admissible"),
+    pytest.param(["roots", "--type", "B", "--rank", "3", "--json"], id="roots-B3"),
+    pytest.param(["roots", "--type", "B", "--rank", "3", "--m", "a1,a2,a3,a1+a2", "--json"], id="roots-B3-m"),
+    pytest.param(["verify", "--suite", "example61", "--json"], id="verify-example61"),
+]
+
+
+@pytest.mark.parametrize("argv", JSON_VERBS)
+def test_json_output_is_the_encoder_on_the_payload(argv, capsys, monkeypatch):
+    # Each verb's --json output is the writer's text of the payload it hands
+    # over, and that text is json.dumps(payload, sort_keys=True, indent=2)
+    # and a newline.  The payload is caught in the same run, so verify's
+    # elapsed time is the one printed.
+    from hessgkm import cli
+    from hessgkm.verify import oracle_json
+
+    seen = []
+    document = cli.jsontext.document
+
+    def spy(payload):
+        seen.append((payload, document(payload)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli.jsontext, "document", spy)
+    code, out = run_cli(argv, capsys)
+    assert code in (0, 1) and len(seen) == 1
+    payload, text = seen[0]
+    assert out == text == oracle_json(payload)
+
+
 def test_roots_json(capsys):
     code, out = run_cli(
         ["roots", "--type", "C", "--rank", "2", "--m", "a1,a2,a1+a2", "--json"], capsys

@@ -37,7 +37,7 @@ from hessgkm.verify import (
     h_bruhat_walk,
     hessenberg_functions,
     oracle_bruhat_upset,
-    oracle_graph_json,
+    oracle_json,
     phi_map,
     regularity_via_w0,
 )
@@ -91,6 +91,28 @@ def test_interval_graph_vertices_and_edges():
         frozenset({(3, 1, 2), (3, 2, 1)}),
     }
     assert sorted(g.degrees().values()) == [1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_degrees_and_adjacency_count_the_edges(n):
+    # Both read the rows of the edge walk; here they are counted off the
+    # GkmEdge tuples, in edge order.
+    def graphs():
+        for h in hessenberg_functions(n):
+            yield build_hessenberg_graph(h)
+            for w in all_permutations(n):
+                yield interval_graph(h, w)
+
+    for g in graphs():
+        degs = {u: 0 for u in g.vertices}
+        adj = {u: [] for u in g.vertices}
+        for e in g.edges:
+            degs[e.u] += 1
+            degs[e.v] += 1
+            adj[e.u].append(e.v)
+            adj[e.v].append(e.u)
+        assert g.degrees() == degs
+        assert g.adjacency() == adj
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -560,7 +582,7 @@ def test_json_export_matches_encoder_oracle():
     shapes = {"edge-free": 0, "comma labels": 0}
     for g in _export_cases():
         text = to_json(g)
-        assert text == oracle_graph_json(g)
+        assert text == oracle_json(to_json_dict(g))
         shapes["edge-free"] += '"edges": []' in text
         shapes["comma labels"] += '"10,9,' in text
     assert all(shapes.values())

@@ -264,6 +264,21 @@ def test_transpositions_count():
     assert transpositions(2) == [(1, 2)]
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_labels_are_the_joined_entries(n):
+    # The digit string is one translation of the entries' bytes.
+    for w in all_permutations(n):
+        assert format_permutation(w) == "".join(str(x) for x in w)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_comma_labels_are_the_joined_entries(n):
+    rng = random.Random(n)
+    for _ in range(200):
+        w = tuple(rng.sample(range(1, n + 1), n))
+        assert format_permutation(w) == ",".join(str(x) for x in w)
+
+
 def test_text_forms():
     assert parse_permutation("4312") == (4, 3, 1, 2)
     assert format_permutation((4, 3, 1, 2)) == "4312"

@@ -534,8 +534,9 @@ def test_tuples_outside_the_system_raise_value_error():
     for call in (b2.format_roots, b2.format_root_set):
         with pytest.raises(ValueError, match=r"\(5, 5\) is not a positive root of B2"):
             call([(5, 5)])
-    with pytest.raises(ValueError, match=r"\(9, 9, 9, 9, 9, 9, 9, 9\) is not an element of W\(B2\)"):
-        b2.length((9,) * 8)
+    for call in (b2.length, b2.inversion_set):
+        with pytest.raises(ValueError, match=r"\(9, 9, 9, 9, 9, 9, 9, 9\) is not an element of W\(B2\)"):
+            call((9,) * 8)
 
 
 @pytest.mark.parametrize("type_label,rank", SYSTEMS)
