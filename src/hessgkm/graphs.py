@@ -315,13 +315,21 @@ def is_connected(g: GkmGraph) -> bool:
     return len(seen) == len(g.vertices)
 
 
+def _pair_table(n: int, first, second) -> list[list[str]]:
+    """``first(a) + second(b)`` at [a][b], for 1 <= a < b <= n (an edge's
+    position and value pairs ascend).  One concatenation an entry, so the
+    table costs less than one vertex's pass of :func:`_edge_rows` over the
+    pairs, even when n is large and the graph small."""
+    seconds = [second(b) for b in range(n + 1)]
+    return [[""] * (a + 1) + [x + y for y in seconds[a + 1 :]] for a, x in enumerate(map(first, range(n + 1)))]
+
+
 def to_dot(g: GkmGraph) -> str:
     """DOT text with deterministic vertex and edge order.  Each vertex is
     formatted once, each value pair's weight tail once per graph, and each
     vertex's edges (one list of :func:`_edge_rows`) become one string, so a
     big graph's text is not held line by line."""
-    n = len(g.h)
-    tails = [[f'" [weight="t{a}-t{b}"];\n' for b in range(n + 1)] for a in range(n + 1)]
+    tails = _pair_table(len(g.h), lambda a: f'" [weight="t{a}-t', lambda b: f'{b}"];\n')
     labels = [format_permutation(u) for u in g.vertices]
     parts = ["graph {\n"]
     parts += [f'  "{x}";\n' for x in labels]
@@ -360,8 +368,8 @@ def _json_edge_pieces(n: int):
         {"pos": [0, 0], "u": "", "v": "", "val": [0, 0]}, depth=2
     ).split("0")
     to_u, mid, to_a = middle.split('""')
-    heads = [[f'{to_i}{i}{to_j}{j}{to_u}"' for j in range(n + 1)] for i in range(n + 1)]
-    tails = [[f'"{to_a}{a}{to_b}{b}{end}' for b in range(n + 1)] for a in range(n + 1)]
+    heads = _pair_table(n, lambda i: f"{to_i}{i}{to_j}", lambda j: f'{j}{to_u}"')
+    tails = _pair_table(n, lambda a: f'"{to_a}{a}{to_b}', lambda b: f"{b}{end}")
     return heads, f'"{mid}"', tails
 
 
