@@ -142,10 +142,11 @@ def _cmd_roots(args) -> int:
         payload["n_table"] = [
             {
                 "element": label(w),
-                "inversions": rs.format_roots(rs.inversion_set(w)),
-                "inversions_in_m": rs.format_roots(rs.inversion_set(w) & m),
+                "inversions": rs.format_roots(inv),
+                "inversions_in_m": rs.format_roots(inv & m),
             }
             for w in rs.elements()
+            for inv in [rs.inversion_set(w)]
         ]
         payload["classes"] = []
         for s in subsets:
