@@ -321,7 +321,8 @@ def _pair_table(n: int, first, second) -> list[list[str]]:
     table costs less than one vertex's pass of :func:`_edge_rows` over the
     pairs, even when n is large and the graph small."""
     seconds = [second(b) for b in range(n + 1)]
-    return [[""] * (a + 1) + [x + y for y in seconds[a + 1 :]] for a, x in enumerate(map(first, range(n + 1)))]
+    firsts = [first(a) for a in range(n + 1)]
+    return [[""] * (a + 1) + [x + y for y in seconds[a + 1 :]] for a, x in enumerate(firsts)]
 
 
 def to_dot(g: GkmGraph) -> str:

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from hessgkm.jsontext import Encoded, document, dumps
 from hessgkm.verify import oracle_json
 
-_STRINGS = st.text() | st.sampled_from(['"', "\\", '\\"', "\x00", "\x1f", "\n\t", "\x7f", "é", " ", "\U0001f600", "\ud800"])
+_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", '\\"', "\x00", "\x1f", "\n\t", "\x7f", "é", " ", "\U0001f600", "\ud800"]
+)
 _SCALARS = (
     st.none()
     | st.booleans()
@@ -37,7 +39,9 @@ def test_writer_matches_the_encoder(x):
     assert "[\n  " + dumps(x, depth=1) + "\n]" == json.dumps([x], sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("x", [{}, [], (), "", {"a": {}}, {"a": []}, [[], {}, [[]]], {"b": 1, "a": [True, None]}])
+@pytest.mark.parametrize(
+    "x", [{}, [], (), "", {"a": {}}, {"a": []}, [[], {}, [[]]], {"b": 1, "a": [True, None]}]
+)
 def test_writer_matches_the_encoder_on_empty_containers(x):
     assert dumps(x) == json.dumps(x, sort_keys=True, indent=2)
 
