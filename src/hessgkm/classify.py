@@ -30,8 +30,9 @@ The verdict logic applies only the implications the graph criteria license;
 Each claim carries a citation tag, a stable identifier for the criterion
 that fired; the tags are part of the JSON report format.
 
-The graph facts come from one :func:`hessgkm.graphs.interval_move_graph`
-per interval (of w, and of w~ when it differs), with no edge objects
+One check of the pair, :func:`hessgkm.hess.check_pair`, precedes unchecked
+cores.  The graph facts come from one :func:`hessgkm.graphs.interval_move_graph`
+kernel per interval (of w, and of w~ when it differs), with no edge objects
 built; the fixed points u . [w~, w0] are w~'s kernel vertices, translated.
 Both kernels are read only through their masks: degrees, the first
 violator, connectivity as one sink (:meth:`hessgkm.graphs.MoveGraph.sinks`)
@@ -43,22 +44,21 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import interval_move_graph
+from .graphs import _type_a_move_graph
 from .hess import (
     HessFunc,
-    _check_rank,
-    admissible_representative,
-    complexity_dimension,
+    _ascend,
+    _cell_dimension,
+    _fixed_point_set,
+    _h_length,
+    check_pair,
     format_hessenberg,
-    h_length,
-    hess_schubert_fixed_points,
     hessenberg_connected,
-    validate_hessenberg,
+    window_mask,
 )
-from .patterns import Witness, pattern_witnesses
+from .patterns import Witness, _ordered_witnesses
 from .perms import (
     Perm,
-    as_permutation,
     bruhat_interval_lex,
     format_permutation,
     left_multiply,
@@ -146,19 +146,17 @@ class ClassificationReport(NamedTuple):
 
 
 def classify(w: Perm, h) -> ClassificationReport:
-    w = as_permutation(w)
-    h = validate_hessenberg(h)
-    _check_rank(w, h)
-    wt, u = admissible_representative(w, h)
+    w, h = check_pair(w, h)
+    wt, u = _ascend(w, h)
     # The ascent swaps only where is_admissible fails.
     adm = wt == w
     # Scanned first: its quadruple check stops n > 36 before any interval,
     # kernel or pair table is built.
-    witnesses = tuple(pattern_witnesses(wt, h))
-    lh = h_length(w, h)
+    witnesses = tuple(_ordered_witnesses(wt, h))
+    lh = _h_length(w, h)
     # w~ keeps w's window order, so both have this cell dimension.
-    dim = complexity_dimension(h) - lh
-    graph = interval_move_graph(h, w)
+    dim = _cell_dimension(w, h)
+    graph = _type_a_move_graph(w, window_mask(h))
     reg = graph.regularity(dim)
     conn = graph.sinks() == 1
     ambient = hessenberg_connected(h)
@@ -190,7 +188,7 @@ def classify(w: Perm, h) -> ClassificationReport:
 
     equals_closure = "yes" if (reg.ok and conn) else "unknown"
 
-    graph_t = graph if adm else interval_move_graph(h, wt)
+    graph_t = graph if adm else _type_a_move_graph(wt, window_mask(h))
     degs_t = degs if adm else graph_t.degrees()
     # w~'s full-degree vertices, w~ among them (see the module docstring).
     local = [v for v, d in zip(graph_t.vertices, degs_t) if d == dim]
@@ -232,11 +230,9 @@ def component_lower_bound(w: Perm, h) -> frozenset[Perm]:
     """A certified lower bound on the component generators of the
     intersection: w, plus every interval vertex that lies in no other
     vertex's cell-closure fixed set.  Never claimed complete."""
-    h = validate_hessenberg(h)
-    w = as_permutation(w)
-    _check_rank(w, h)
+    w, h = check_pair(w, h)
     interval = bruhat_interval_lex(w)
-    fixed_sets = {u: hess_schubert_fixed_points(u, h) for u in interval}
+    fixed_sets = {u: _fixed_point_set(u, h) for u in interval}
     bound = {w}
     for v in interval:
         if all(v not in fixed_sets[u] for u in interval if u != v):

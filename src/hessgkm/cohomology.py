@@ -35,13 +35,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .graphs import GkmEdge, GkmGraph, _edge_rows, interval_move_graph
-from .hess import cell_dimension, complexity_dimension, validate_hessenberg, window_mask
+from .graphs import GkmEdge, GkmGraph, _edge_rows, _type_a_move_graph
+from .hess import _cell_dimension, check_pair, complexity_dimension, validate_hessenberg, window_mask
 from .perms import (
     Perm,
     all_permutations,
     apply_transposition,
-    as_permutation,
     check_size,
     format_permutation,
     transpositions,
@@ -158,19 +157,18 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
     Every interval edge is checked, and one whose two products are not
     congruent raises rather than being patched silently.
     """
-    h = validate_hessenberg(h)
-    w = as_permutation(w)
+    w, h = check_pair(w, h)
     n = len(h)
     check_size(math.factorial(n), f"S_{n}")
-    g = interval_move_graph(h, w)
-    check = g.regularity(cell_dimension(w, h))
+    win = window_mask(h)
+    g = _type_a_move_graph(w, win)
+    check = g.regularity(_cell_dimension(w, h))
     if not check.ok:
         raise ValueError(
             f"interval graph of w={format_permutation(w)}, h={h} is not regular "
             f"(violation at {format_permutation(check.violator)})"
         )
     pairs = list(enumerate(transpositions(n)))
-    win = window_mask(h)
 
     cls: dict[Perm, Poly] = {}
     for u, moves in zip(g.vertices, g.moves):

@@ -46,12 +46,11 @@ from functools import lru_cache
 from itertools import count, repeat
 from typing import NamedTuple
 
-from .hess import HessFunc, _check_rank, validate_hessenberg, window_mask
+from .hess import HessFunc, check_pair, validate_hessenberg, window_mask
 from .jsontext import Encoded, document, dumps
 from .perms import (
     Perm,
     all_permutations,
-    as_permutation,
     bruhat_interval_lex,
     check_size,
     format_permutation,
@@ -143,9 +142,7 @@ def build_hessenberg_graph(h) -> GkmGraph:
 
 def interval_graph(h, w: Perm) -> GkmGraph:
     """Subgraph induced on the Bruhat interval [w, w0]."""
-    h = validate_hessenberg(h)
-    w = as_permutation(w)
-    _check_rank(w, h)
+    w, h = check_pair(w, h)
     return GkmGraph(bruhat_interval_lex(w), h, w)
 
 
@@ -277,9 +274,7 @@ def _code_pairs(n: int) -> tuple:
 
 def interval_move_graph(h, w: Perm) -> MoveGraph:
     """The kernel of ``interval_graph(h, w)``: h's window swaps only."""
-    h = validate_hessenberg(h)
-    w = as_permutation(w)
-    _check_rank(w, h)
+    w, h = check_pair(w, h)
     return _type_a_move_graph(w, window_mask(h))
 
 

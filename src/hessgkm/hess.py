@@ -23,7 +23,9 @@ positions (i, j) with i < j <= h(i); they control everything downstream:
 Degenerate h with h(i) = i for some i < n (a disconnected ambient space)
 is fully supported; nothing here special-cases it.
 
-The memo caches (:func:`windows`, :func:`window_mask`,
+A public function checks its h, or its pair by :func:`check_pair`, once; the
+library runs the unchecked cores ``_name`` on checked values.  The memo caches
+(:func:`validate_hessenberg`, :func:`windows`, :func:`window_mask`,
 :func:`enumerate_admissible`) are keyed by h alone, none by a (w, h) pair.
 """
 
@@ -37,6 +39,7 @@ from .perms import (
     _fields,
     _integers,
     all_permutations,
+    as_permutation,
     bruhat_interval,
     check_size,
     compose,
@@ -50,23 +53,26 @@ HessFunc = tuple[int, ...]
 
 
 def validate_hessenberg(values) -> HessFunc:
-    """Validate raw values as a Hessenberg function.
+    """Validate raw values as a Hessenberg function h, its checks memoized by the tuple.
 
     >>> validate_hessenberg([2, 3, 3])
     (2, 3, 3)
     """
-    h = _integers(values, "h({})")
+    return _hessenberg(_integers(values, "h({})"))
+
+
+@lru_cache(maxsize=None)
+def _hessenberg(h: HessFunc) -> HessFunc:
     n = len(h)
     if n < 1:
-        raise ValueError("empty Hessenberg function")
+        raise ValueError("empty Hessenberg function h")
     for i, v in enumerate(h, start=1):
         if v < i:
             raise ValueError(f"h({i}) = {v} < {i}")
         if v > n:
             raise ValueError(f"h({i}) = {v} > n = {n}")
-    for i in range(n - 1):
-        if h[i] > h[i + 1]:
-            raise ValueError(f"not nondecreasing at position {i + 1}: {h[i]} > {h[i + 1]}")
+        if i < n and v > h[i]:
+            raise ValueError(f"h is not nondecreasing at position {i}: {v} > {h[i]}")
     return h
 
 
@@ -87,9 +93,9 @@ def format_hessenberg(h: HessFunc) -> str:
     return ",".join(str(x) for x in h)
 
 
-def complexity_dimension(h: HessFunc) -> int:
+def complexity_dimension(h) -> int:
     """d_h = sum(h(i) - i); the dimension of the ambient Hessenberg space."""
-    return sum(v - i for i, v in enumerate(h, start=1))
+    return sum(v - i for i, v in enumerate(validate_hessenberg(h), start=1))
 
 
 @lru_cache(maxsize=None)
@@ -109,9 +115,12 @@ def window_mask(h: HessFunc) -> int:
     return sum(1 << k for k, (i, j) in enumerate(transpositions(len(h))) if j <= h[i - 1])
 
 
-def _check_rank(w: Perm, h: HessFunc, name: str = "w") -> None:
+def check_pair(w, h, name: str = "w") -> tuple[Perm, HessFunc]:
+    """(w, h) as tuples after the one check of a pair; a ``ValueError`` names w by ``name``, or h."""
+    w, h = as_permutation(w, name), validate_hessenberg(h)
     if len(w) != len(h):
         raise ValueError(f"rank mismatch: |{name}| = {len(w)}, |h| = {len(h)}")
+    return w, h
 
 
 def h_length(w: Perm, h: HessFunc) -> int:
@@ -120,18 +129,28 @@ def h_length(w: Perm, h: HessFunc) -> int:
     >>> h_length((2, 1, 3, 4), (3, 3, 4, 4))
     1
     """
-    _check_rank(w, h)
+    return _h_length(*check_pair(w, h))
+
+
+def _h_length(w: Perm, h: HessFunc) -> int:
     return (inversion_mask(w) & window_mask(h)).bit_count()
 
 
 def cell_dimension(w: Perm, h: HessFunc) -> int:
-    """Dimension d_h - l_h(w) of the cell attached to w."""
-    return complexity_dimension(h) - h_length(w, h)
+    """Dimension d_h - l_h(w) of the cell attached to w: its window pairs that w does not invert."""
+    return _cell_dimension(*check_pair(w, h))
+
+
+def _cell_dimension(w: Perm, h: HessFunc) -> int:
+    return (window_mask(h) & ~inversion_mask(w)).bit_count()
 
 
 def is_admissible(w: Perm, h: HessFunc) -> bool:
     """True iff the position of w(j) + 1 is at most h(j) whenever w(j) <= n - 1."""
-    _check_rank(w, h)
+    return _is_admissible(*check_pair(w, h))
+
+
+def _is_admissible(w: Perm, h: HessFunc) -> bool:
     n = len(w)
     winv = inverse(w)
     for j in range(1, n + 1):
@@ -141,11 +160,15 @@ def is_admissible(w: Perm, h: HessFunc) -> bool:
     return True
 
 
+def enumerate_admissible(h) -> tuple[Perm, ...]:
+    """All h-admissible permutations, in lexicographic order; h is checked before the memo."""
+    return _enumerate_admissible(validate_hessenberg(h))
+
+
 @lru_cache(maxsize=None)
-def enumerate_admissible(h: HessFunc) -> tuple[Perm, ...]:
-    """All h-admissible permutations, in lexicographic order."""
+def _enumerate_admissible(h: HessFunc) -> tuple[Perm, ...]:
     check_size(math.factorial(len(h)), f"S_{len(h)}")
-    return tuple(w for w in all_permutations(len(h)) if is_admissible(w, h))
+    return tuple(w for w in all_permutations(len(h)) if _is_admissible(w, h))
 
 
 def admissible_representative(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
@@ -162,7 +185,10 @@ def admissible_representative(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
     window order up among all of h's admissible elements and keeps those
     in [w, w0].
     """
-    _check_rank(w, h)
+    return _ascend(*check_pair(w, h))
+
+
+def _ascend(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
     n = len(w)
     v = list(w)
     pos = [0, *inverse(w)]  # pos[k] is the position of the value k
@@ -184,7 +210,11 @@ def hess_schubert_fixed_points(w: Perm, h: HessFunc) -> frozenset[Perm]:
 
     Is the interval [w, w0] itself iff w is h-admissible (then u = e).
     """
-    wt, u = admissible_representative(w, h)
+    return _fixed_point_set(*check_pair(w, h))
+
+
+def _fixed_point_set(w: Perm, h: HessFunc) -> frozenset[Perm]:
+    wt, u = _ascend(w, h)
     interval = bruhat_interval(wt)
     return interval if wt == w else frozenset(left_multiply(u, interval))
 

@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .hess import HessFunc, _check_rank, is_admissible, validate_hessenberg
-from .perms import Perm, as_permutation, check_size, format_permutation
+from .hess import HessFunc, _is_admissible, check_pair
+from .perms import Perm, check_size, format_permutation
 
 PATTERN_IDS = ("2143", "1324", "1243", "2134", "1423", "2314", "2413")
 
@@ -75,29 +75,24 @@ def _first_witnesses(w: Perm, h: HessFunc) -> dict[str, Witness]:
 
 
 def _ordered_witnesses(w: Perm, h: HessFunc) -> list[tuple[str, Witness]]:
-    """:func:`_first_witnesses` in the fixed pattern order, for a valid h."""
+    """:func:`_first_witnesses` in the fixed pattern order, for a checked pair."""
     found = _first_witnesses(w, h)
     return [(pid, found[pid]) for pid in PATTERN_IDS if pid in found]
 
 
 def pattern_witnesses(w: Perm, h) -> list[tuple[str, Witness]]:
     """First witness for each contained pattern, in the fixed pattern order."""
-    h = validate_hessenberg(h)
-    w = as_permutation(w)
-    _check_rank(w, h)
-    return _ordered_witnesses(w, h)
+    return _ordered_witnesses(*check_pair(w, h))
 
 
 def avoids_all_associated(w: Perm, h) -> tuple[bool, list[tuple[str, Witness]]]:
     """Whether the admissible permutation w avoids all seven patterns.
 
     Raises for non-admissible w: the regularity equivalence this test feeds
-    is only stated in that case.  h and w are validated once; the
-    admissibility test checks the rank.
+    is only stated in that case.  The pair is checked once.
     """
-    h = validate_hessenberg(h)
-    w = as_permutation(w)
-    if not is_admissible(w, h):
+    w, h = check_pair(w, h)
+    if not _is_admissible(w, h):
         raise ValueError(
             f"{format_permutation(w)} is not admissible for h={h}; "
             "the pattern criterion does not apply"

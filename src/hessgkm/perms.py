@@ -60,22 +60,27 @@ def _integers(values, name: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints.  A ``ValueError`` names the first one
     that is not integral by ``name``, whose ``{}`` takes its 1-based index."""
     values = tuple(values)
-    out = tuple(map(int, values))
-    if out != values:
-        i = next(i for i, (k, x) in enumerate(zip(out, values)) if k != x)
-        raise ValueError(f"{name.format(i + 1)} = {values[i]!r} is not an integer")
-    return out
+    if set(map(type, values)) <= {int}:  # the common case, at C speed
+        return values
+    for i, x in enumerate(values, 1):
+        try:
+            if int(x) == x:
+                continue
+        except (TypeError, ValueError, OverflowError):  # an entry int() refuses
+            pass
+        raise ValueError(f"{name.format(i)} = {x!r} is not an integer")
+    return tuple(map(int, values))
 
 
-def as_permutation(entries: Iterable[int]) -> Perm:
-    """Validate one-line entries and return them as a tuple.
+def as_permutation(entries: Iterable[int], name: str = "w") -> Perm:
+    """Validate one-line entries, named ``name`` in a ``ValueError``, and return them as a tuple.
 
     >>> as_permutation([4, 3, 1, 2])
     (4, 3, 1, 2)
     """
-    w = _integers(entries, "w({})")
+    w = _integers(entries, name + "({})")
     if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
+        raise ValueError(f"{name} = {w!r} is not a permutation of 1..{len(w)}")
     return w
 
 
@@ -144,7 +149,7 @@ def inverse(w: Perm) -> Perm:
     except TypeError:  # a non-integral entry fills no slot, so one stays empty
         pass
     if 0 in out:
-        raise ValueError(f"not a permutation of 1..{n}: {w!r}")
+        raise ValueError(f"w = {w!r} is not a permutation of 1..{n}")
     return tuple(out)
 
 
@@ -168,12 +173,12 @@ def inversion_mask(w: Perm) -> int:
 
 @lru_cache(maxsize=None)
 def length(w: Perm) -> int:
-    """Number of inversions, i.e. the Coxeter length.
+    """Number of inversions, i.e. the Coxeter length; w is checked on a cache miss.
 
     >>> length((3, 2, 1, 4))
     3
     """
-    return inversion_mask(w).bit_count()
+    return inversion_mask(as_permutation(w)).bit_count()
 
 
 def apply_transposition(w: Perm, i: int, j: int) -> Perm:

@@ -242,7 +242,8 @@ class RootSystem:
         return self._signed[w[self._signed_root_index(coords)]]
 
     def mul(self, a: Element, b: Element) -> Element:
-        """Function composition: (a*b)(root) = a(b(root))."""
+        """Function composition: (a*b)(root) = a(b(root)), each factor checked."""
+        self._id(a), self._id(b)
         return tuple([a[x] for x in b])
 
     def length(self, w: Element) -> int:
@@ -362,8 +363,11 @@ class RootSystem:
         return {w: k for k, w in enumerate(self.elements())}
 
     def _id(self, w: Element) -> int:
-        """The id of ``w``; a ``ValueError`` names anything not in W."""
-        k = self._ids.get(w)
+        """The id of ``w``, a tuple or a list; a ``ValueError`` names anything not in W."""
+        try:
+            k = self._ids.get(tuple(w))
+        except TypeError:  # not a sequence, or an unhashable entry
+            k = None
         if k is None:
             raise ValueError(f"{w} is not an element of W({self.type_label}{self.rank})")
         return k

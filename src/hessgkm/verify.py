@@ -105,16 +105,16 @@ from operator import or_
 from .graphs import GkmEdge, GkmGraph, MoveGraph, bruhat_move_graph, interval_move_graph
 from .hess import (
     HessFunc,
-    _check_rank,
-    admissible_representative,
-    cell_dimension,
+    _ascend,
+    _cell_dimension,
+    _fixed_point_set,
+    _h_length,
+    _is_admissible,
+    check_pair,
     complexity_dimension,
     enumerate_admissible,
     format_hessenberg,
-    h_length,
-    hess_schubert_fixed_points,
     hessenberg_connected,
-    is_admissible,
     validate_hessenberg,
     window_mask,
     windows,
@@ -125,7 +125,6 @@ from .perms import (
     _check_same_rank,
     all_permutations,
     apply_transposition,
-    as_permutation,
     bruhat_interval,
     bruhat_leq,
     compose,
@@ -244,7 +243,6 @@ def oracle_admissible_representative(w: Perm, h: HessFunc) -> list[Perm]:
     sorted; by uniqueness the list is exactly [w~].  v and w agree on
     window order iff their inversion masks agree on the window mask, so
     the candidates are w's class of admissible elements, kept if above w."""
-    _check_rank(w, h)
     order = inversion_mask(w) & window_mask(h)
     interval = bruhat_interval(w)
     return sorted(v for v in _admissible_by_window_order(h).get(order, ()) if v in interval)
@@ -381,7 +379,7 @@ def oracle_poincare_polynomial(h) -> tuple[int, ...]:
     d = complexity_dimension(h)
     counts = [0] * (d + 1)
     for w in all_permutations(len(h)):
-        counts[d - h_length(w, h)] += 1
+        counts[d - _h_length(w, h)] += 1
     return tuple(counts)
 
 
@@ -422,10 +420,8 @@ def _induced(h: HessFunc, vertices: tuple[Perm, ...]) -> tuple[GkmEdge, ...]:
 
 def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
     """Subgraph induced on the fixed points of the cell closure of (w, h)."""
-    h = validate_hessenberg(h)
-    w = as_permutation(w)
-    _check_rank(w, h)
-    return GkmGraph(tuple(sorted(hess_schubert_fixed_points(w, h))), h, w)
+    w, h = check_pair(w, h)
+    return GkmGraph(tuple(sorted(_fixed_point_set(w, h))), h, w)
 
 
 def h_bruhat_walk(g: MoveGraph, starts, toward: int, within: int = -1) -> set[int]:
@@ -460,11 +456,10 @@ def oracle_smooth_fixed_points(w: Perm, h) -> tuple[Perm, ...]:
     assumes neither fact that ``classify``'s full-degree set rests on:
     that w~'s up-steps reach all of [w~, w0], and that degrees never drop
     along them."""
-    h = validate_hessenberg(h)
-    w = as_permutation(w)
-    wt, u = admissible_representative(w, h)
+    w, h = check_pair(w, h)
+    wt, u = _ascend(w, h)
     g = interval_move_graph(h, wt)
-    dim = cell_dimension(w, h)
+    dim = _cell_dimension(w, h)
     full = [x for x, d in enumerate(g.degrees()) if d == dim]
     sandwich = h_bruhat_walk(g, [g.vertices.index(wt)], 1) & h_bruhat_walk(g, full, -1)
     return tuple(sorted(compose(u, g.vertices[x]) for x in sandwich))
@@ -516,13 +511,13 @@ def _representative(n: int, item):
     e = identity(n)
     win = window_mask(h)
     for w in perms:
-        wt, u = admissible_representative(w, h)
+        wt, u = _ascend(w, h)
         problems = []
         candidates = oracle_admissible_representative(w, h)
         if candidates != [wt]:
             found = ", ".join(map(format_permutation, candidates))
             problems.append(f"interval scan finds [{found}], not {format_permutation(wt)}")
-        if not is_admissible(wt, h):
+        if not _is_admissible(wt, h):
             problems.append("representative not admissible")
         if not bruhat_leq(w, wt):
             problems.append("representative not above w")
@@ -530,7 +525,7 @@ def _representative(n: int, item):
             problems.append("window order disagrees")
         if compose(u, wt) != w:
             problems.append("translation does not recover w")
-        if is_admissible(w, h) and (wt != w or u != e):
+        if _is_admissible(w, h) and (wt != w or u != e):
             problems.append("admissible w not its own representative")
         yield h, w, problems
 
@@ -538,10 +533,10 @@ def _representative(n: int, item):
 def _fixed_points(n: int, item):
     h, perms = item
     for w in perms:
-        fixed = hess_schubert_fixed_points(w, h)
+        fixed = _fixed_point_set(w, h)
         interval = bruhat_interval(w)
         problems = [] if fixed <= interval else ["fixed set leaves the interval"]
-        if (fixed == interval) != is_admissible(w, h):
+        if (fixed == interval) != _is_admissible(w, h):
             problems.append("fixed set equals interval iff admissible fails")
         yield h, w, problems
 
@@ -551,17 +546,19 @@ def _connectivity(n: int, item):
     ambient_connected = hessenberg_connected(h)
     win = window_mask(h)
     for w in perms:
-        if ambient_connected or is_admissible(w, h):
+        if ambient_connected or _is_admissible(w, h):
             yield h, w, [] if bruhat_move_graph(w).sinks(win) == 1 else ["interval graph disconnected"]
 
 
 def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
     """Window transpositions (i, j) with u(i,j) >= w: the edges at u in the
     interval graph of (w, h), probed at u alone."""
-    h = validate_hessenberg(h)
-    w, u = as_permutation(w), as_permutation(u)
-    _check_rank(w, h)
-    _check_rank(u, h, "u")
+    w, h = check_pair(w, h)
+    u, _ = check_pair(u, h, "u")
+    return _edges_at(h, w, u)
+
+
+def _edges_at(h: HessFunc, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
     interval = bruhat_interval(w)
     if u not in interval:
         raise ValueError(f"{format_permutation(u)} is not in the interval of {format_permutation(w)}")
@@ -571,17 +568,16 @@ def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
 def regularity_via_w0(h, w: Perm) -> bool:
     """Degree shortcut at the top vertex, valid for admissible w only:
     the interval graph is regular iff deg(w0) equals the cell dimension."""
-    h = validate_hessenberg(h)
-    w = as_permutation(w)
-    if not is_admissible(w, h):
+    w, h = check_pair(w, h)
+    if not _is_admissible(w, h):
         raise ValueError(f"{format_permutation(w)} is not admissible for h={h}; the shortcut does not apply")
-    return len(edge_set_at(h, w, longest_element(len(w)))) == cell_dimension(w, h)
+    return len(_edges_at(h, w, longest_element(len(w)))) == _cell_dimension(w, h)
 
 
 def _shortcut(n: int, h: HessFunc):
     win = window_mask(h)
     for w in enumerate_admissible(h):
-        full = bruhat_move_graph(w).regularity(cell_dimension(w, h), win).ok
+        full = bruhat_move_graph(w).regularity(_cell_dimension(w, h), win).ok
         yield h, w, [] if regularity_via_w0(h, w) == full else ["top-degree test disagrees with full scan"]
 
 
@@ -608,11 +604,11 @@ def phi_map(h, w: Perm, u: Perm, a: int, b: int) -> dict[tuple[int, int], tuple[
     (w, h) at u.  With (a, b) itself an edge at u and a length-increasing
     swap, the map is injective into the edges at v.
     """
-    h = validate_hessenberg(h)
-    w, u = as_permutation(w), as_permutation(u)
-    if not is_admissible(w, h):
+    w, h = check_pair(w, h)
+    u, _ = check_pair(u, h, "u")
+    if not _is_admissible(w, h):
         raise ValueError("phi is only defined for admissible w")
-    e_u = edge_set_at(h, w, u)
+    e_u = _edges_at(h, w, u)
     v = apply_transposition(u, a, b)
     if length(v) <= length(u):
         raise ValueError(f"({a},{b}) does not increase length at {format_permutation(u)}")
@@ -693,7 +689,7 @@ def _patterns(n: int, h: HessFunc):
     win = window_mask(h)
     for w in enumerate_admissible(h):
         avoids, witnesses = avoids_all_associated(w, h)
-        regular = bruhat_move_graph(w).regularity(cell_dimension(w, h), win).ok
+        regular = bruhat_move_graph(w).regularity(_cell_dimension(w, h), win).ok
         problems = []
         if avoids != regular:
             problems.append(f"avoidance={avoids} but regular={regular} (witnesses: {witnesses})")
@@ -703,16 +699,16 @@ def _patterns(n: int, h: HessFunc):
 def _example61(n: int, _):
     h = validate_hessenberg((3, 4, 5, 6, 6, 6))
     w = (2, 3, 6, 4, 5, 1)
-    if not is_admissible(w, h):
+    if not _is_admissible(w, h):
         yield h, w, ["w should be admissible"]
         return
-    lw = h_length(w, h)
+    lw = _h_length(w, h)
     problems = [
         f"window length not minimal: l_h({format_permutation(u)}) <= {lw}"
         for u in bruhat_interval(w)
-        if u != w and h_length(u, h) <= lw
+        if u != w and _h_length(u, h) <= lw
     ]
-    if interval_move_graph(h, w).regularity(cell_dimension(w, h)).ok:
+    if interval_move_graph(h, w).regularity(_cell_dimension(w, h)).ok:
         problems.append("interval graph unexpectedly regular")
     yield h, w, problems
 

@@ -16,9 +16,7 @@ from hessgkm.hess import (
     admissible_representative,
     cell_dimension,
     enumerate_admissible,
-    h_length,
     hess_schubert_fixed_points,
-    is_admissible,
 )
 from hessgkm.patterns import avoids_all_associated, pattern_witnesses
 from hessgkm.perms import (
@@ -31,14 +29,8 @@ from hessgkm.perms import (
     length,
     longest_element,
 )
-from hessgkm.verify import (
-    edge_set_at,
-    fixed_point_induced_graph,
-    hessenberg_functions,
-    oracle_smooth_fixed_points,
-    phi_map,
-    regularity_via_w0,
-)
+from hessgkm.verify import hessenberg_functions, oracle_smooth_fixed_points
+from test_contract import CHECKED, VALID, as_data, call_with
 
 H3344 = (3, 3, 4, 4)
 
@@ -109,53 +101,23 @@ def test_rank12_edge_past_bit_63():
     assert r.intersection_smooth == "yes" and r.smooth_fixed_points == (w, w0)
 
 
-# Every entry point taking a (w, h) pair, called with |w| = 3 and |h| = 4.
-RANK_MISMATCH_CALLS = {
-    "classify": classify,
-    "component_lower_bound": component_lower_bound,
-    "h_length": h_length,
-    "cell_dimension": cell_dimension,
-    "is_admissible": is_admissible,
-    "admissible_representative": admissible_representative,
-    "hess_schubert_fixed_points": hess_schubert_fixed_points,
-    "interval_graph": lambda w, h: interval_graph(h, w),
-    "interval_move_graph": lambda w, h: interval_move_graph(h, w),
-    "fixed_point_induced_graph": lambda w, h: fixed_point_induced_graph(h, w),
-    "edge_set_at": lambda w, h: edge_set_at(h, w, w),
-    "regularity_via_w0": lambda w, h: regularity_via_w0(h, w),
-    "phi_map": lambda w, h: phi_map(h, w, w, 1, 2),
-    "localized_class_candidate": lambda w, h: localized_class_candidate(h, w),
-    "pattern_witnesses": pattern_witnesses,
-    "avoids_all_associated": avoids_all_associated,
-}
+# The (w, h) entries of the contract table, each called by keyword on its
+# valid arguments (h = (3, 3, 4, 4), w = 4312) with one replaced.
+PAIR_ENTRIES = [name for name, entry in CHECKED.items() if {"w", "h"} <= set(entry.kinds)]
 
 
-@pytest.mark.parametrize("entry", RANK_MISMATCH_CALLS)
+@pytest.mark.parametrize("entry", PAIR_ENTRIES)
 def test_rank_mismatch(entry):
     with pytest.raises(ValueError, match=r"rank mismatch: \|w\| = 3, \|h\| = 4"):
-        RANK_MISMATCH_CALLS[entry]((1, 2, 3), H3344)
+        call_with(entry, w=(1, 2, 3))
 
 
 @pytest.mark.parametrize("w", [(1, 1, 3), (0, 1, 2), (1.5, 2, 3)])
 def test_non_permutation_w_raises(w):
-    # w is checked where classify takes it and where any interval of it is
-    # listed, before a report or a graph is built on it.  The admissibility
-    # test and the ascent take w unvalidated: inverse finds a slot unfilled.
-    calls = [
-        lambda: classify(w, (2, 3, 3)),
-        lambda: is_admissible(w, (3, 3, 3)),
-        lambda: admissible_representative(w, (3, 3, 3)),
-        lambda: interval_move_graph((2, 3, 3), w),
-        lambda: interval_graph((2, 3, 3), w),
-        lambda: fixed_point_induced_graph((2, 3, 3), w),
-        lambda: component_lower_bound(w, (2, 3, 3)),
-        lambda: edge_set_at((2, 3, 3), w, (1, 2, 3)),
-        lambda: pattern_witnesses(w, (2, 3, 3)),
-        lambda: avoids_all_associated(w, (3, 3, 3)),
-    ]
-    for call in calls:
+    # w is checked by check_pair before a report or a graph is built on it.
+    for entry in PAIR_ENTRIES:
         with pytest.raises(ValueError, match="not a permutation|not an integer"):
-            call()
+            call_with(entry, w=w, h=(3, 3, 3))
 
 
 def test_pattern_scan_rejects_non_permutations():
@@ -168,35 +130,19 @@ def test_pattern_scan_rejects_non_permutations():
 
 
 def test_list_w_is_taken_as_a_permutation():
-    # classify takes a list w; so does every entry it reaches.
-    h, w = (2, 3, 3), (2, 1, 3)
-    assert interval_graph(h, list(w)) == interval_graph(h, w)
-    assert interval_move_graph(h, list(w)).vertices == interval_move_graph(h, w).vertices
-    assert edge_set_at(h, list(w), w) == edge_set_at(h, w, w)
-    assert pattern_witnesses(list(w), h) == pattern_witnesses(w, h)
-    assert classify(list(w), h) == classify(w, h)
+    # classify takes a list w; so does every (w, h) entry.
+    for entry in PAIR_ENTRIES:
+        assert as_data(call_with(entry, w=list(VALID["w"]))) == as_data(call_with(entry)), entry
 
 
-# The other public (w, h) entries, each called with h = (3, 3, 4, 4) and a w
-# for which it is defined.
-PAIR_CALLS = {
-    "component_lower_bound": component_lower_bound,
-    "localized_class_candidate": lambda w, h: localized_class_candidate(h, w),
-    "regularity_via_w0": lambda w, h: regularity_via_w0(h, w),
-    "is_admissible": is_admissible,
-    "admissible_representative": admissible_representative,
-}
-
-
-@pytest.mark.parametrize("entry", PAIR_CALLS)
+@pytest.mark.parametrize("entry", PAIR_ENTRIES)
 def test_pair_entries_take_w_as_classify_does(entry):
     # A list w gives the tuple's result; a w that is not a permutation raises.
-    call = PAIR_CALLS[entry]
-    w = (4, 3, 1, 2)
-    assert call(list(w), H3344) == call(w, H3344)
+    w = VALID["w"]
+    assert as_data(call_with(entry, w=list(w))) == as_data(call_with(entry, w=w))
     for bad in [(1, 1, 1, 1), (1, 1, 2, 2), (0, 1, 2, 3), (1, 2, 3, 5)]:
         with pytest.raises(ValueError, match="not a permutation"):
-            call(bad, H3344)
+            call_with(entry, w=bad)
 
 
 def test_classify_checks_the_quadruple_limit_before_any_graph():

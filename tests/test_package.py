@@ -6,7 +6,7 @@ import subprocess
 import sys
 from math import factorial
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import hessgkm
 
@@ -41,6 +41,17 @@ def test_claims_under_test_live_in_verify():
     assert "contains_hpattern" not in hessgkm.__all__
     assert not hasattr(patterns, "contains_hpattern")
     assert all(hasattr(hessgkm, name) for name in hessgkm.__all__)
+
+
+def test_contract_table_names_every_public_function():
+    """The input-contract table of tests/test_contract.py lists every
+    function of __all__, checked or exempt with its reason, so a new public
+    name has to join it."""
+    from test_contract import CONTRACT
+
+    functions = {name for name in hessgkm.__all__ if isinstance(getattr(hessgkm, name), FunctionType)}
+    assert {"h_length", "classify_arbitrary", "sweep"} <= functions
+    assert functions - set(CONTRACT) == set()
 
 
 def test_import_loads_no_heavy_stdlib():

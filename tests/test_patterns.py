@@ -5,9 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from hessgkm import patterns
+from hessgkm import classify as classify_module, cohomology, graphs, hess, patterns, verify
 from hessgkm.graphs import interval_graph, is_regular
-from hessgkm.hess import cell_dimension, enumerate_admissible, validate_hessenberg
+from hessgkm.hess import cell_dimension, enumerate_admissible
 from hessgkm.patterns import (
     PATTERN_IDS,
     _window_ok,
@@ -102,14 +102,25 @@ def test_one_pass_matches_per_pattern_scan_sampled(n):
 
 
 def test_avoids_all_associated_validates_h_once(monkeypatch):
+    """One call checks its pair once, through check_pair, and reaches no
+    other validator: avoids_all_associated and classify, whose every call
+    below the check is an unchecked core.  (A memoized primitive of perms
+    checks w on its own cache miss, so its module is left unpatched.)"""
     calls = []
 
-    def counting(values):
-        calls.append(values)
-        return validate_hessenberg(values)
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(patterns, "validate_hessenberg", counting)
+    for module in (hess, patterns, graphs, classify_module, cohomology, verify):
+        for name in ("check_pair", "validate_hessenberg", "as_permutation"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
     for w in enumerate_admissible(H3344):
-        calls.clear()
-        avoids_all_associated(w, [3, 3, 4, 4])
-        assert calls == [[3, 3, 4, 4]]
+        for call in (avoids_all_associated, classify_module.classify):
+            calls.clear()
+            call(list(w), [3, 3, 4, 4])
+            # check_pair's own two validators, once each
+            assert calls == ["check_pair", "as_permutation", "validate_hessenberg"], (call, w)
