@@ -10,7 +10,8 @@ Each edge question has one source.  A whole interval's, in either type, is
 the kernel :class:`MoveGraph`: per vertex a mask of its moves and one of its
 up-steps, which answer degrees, regularity and connectivity.  The targets
 are filled from the type's walk of its up-steps on the first read, which
-only the sweeps' phi suites and the oracles of :mod:`hessgkm.verify` make.
+only the oracles of :mod:`hessgkm.verify` and phi-injective's walk of a
+failing pair make; the phi suites read the walk itself.
 Type A moves by the swaps u(i,j).  [w, w0] is an upset, so every descent
 inside it mirrors an ascent of its lower end, and one pass over the
 ascents sets each edge's bit at both ends, the target found by arithmetic
@@ -155,7 +156,7 @@ class MoveGraph:
     ``up[x]`` those that lengthen x.  A read sees only the bits of
     ``within``.  The masks answer degrees, regularity and sinks; bit k at x
     leads to ``targets[x * width + k]``, filled on the first read that walks
-    edges from ``up_steps(self)``, the type's own walk of (x, k, y) over the
+    edges from :meth:`up_steps`, the type's own walk of (x, k, y) over the
     up bits, each mirrored into its target."""
 
     __slots__ = ("vertices", "moves", "up", "width", "_up_steps", "_targets")
@@ -168,13 +169,18 @@ class MoveGraph:
         self._up_steps = up_steps
         self._targets = None
 
+    def up_steps(self):
+        """(x, k, y) per up bit k at x, y its target, by the type's walk;
+        it fills no ``targets``."""
+        return self._up_steps(self)
+
     @property
     def targets(self) -> array:
         """Each up-step's target id, mirrored into it: the down-step back."""
         if self._targets is None:
             width = self.width
             targets = array("i", [0]) * (len(self.vertices) * width)
-            for x, k, y in self._up_steps(self):
+            for x, k, y in self.up_steps():
                 targets[x * width + k] = y
                 targets[y * width + k] = x
             self._targets = targets

@@ -42,8 +42,6 @@ from .perms import (
     as_permutation,
     bruhat_interval,
     check_size,
-    compose,
-    inverse,
     inversion_mask,
     left_multiply,
     transpositions,
@@ -150,13 +148,21 @@ def is_admissible(w: Perm, h: HessFunc) -> bool:
     return _is_admissible(*check_pair(w, h))
 
 
+def _positions(w: Perm) -> list[int]:
+    """``pos[k]`` is the 0-based position of the value k in w; ``pos[0]`` is unused."""
+    pos = [0] * (len(w) + 1)
+    for i, x in enumerate(w):
+        pos[x] = i
+    return pos
+
+
 def _is_admissible(w: Perm, h: HessFunc) -> bool:
-    n = len(w)
-    winv = inverse(w)
-    for j in range(1, n + 1):
-        v = w[j - 1]
-        if v <= n - 1 and winv[v] > h[j - 1]:  # winv[v] is the position of v + 1
+    pos = _positions(w)
+    p = pos[1]
+    for q in pos[2:]:  # k at p and k + 1 at q, 0-based: q + 1 <= h(p + 1)
+        if q >= h[p]:
             return False
+        p = q
     return True
 
 
@@ -191,18 +197,18 @@ def admissible_representative(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
 def _ascend(w: Perm, h: HessFunc) -> tuple[Perm, Perm]:
     n = len(w)
     v = list(w)
-    pos = [0, *inverse(w)]  # pos[k] is the position of the value k
+    pos = _positions(w)
     ascending = True
     while ascending:
         ascending = False
         for k in range(1, n):
             p, q = pos[k], pos[k + 1]
-            if q > h[p - 1]:  # q > h(p) >= p, so k sits left of k + 1
-                v[p - 1], v[q - 1] = k + 1, k
+            if q >= h[p]:  # q + 1 > h(p + 1) >= p + 1, so k sits left of k + 1
+                v[p], v[q] = k + 1, k
                 pos[k], pos[k + 1] = q, p
                 ascending = True
-    wt = tuple(v)
-    return wt, compose(w, pos[1:])  # pos[1:] is inverse(wt)
+    del pos[0]  # now the 0-based inverse of w~, so u(k) = w(w~^-1(k))
+    return tuple(v), tuple(map(w.__getitem__, pos))
 
 
 def hess_schubert_fixed_points(w: Perm, h: HessFunc) -> frozenset[Perm]:

@@ -5,10 +5,15 @@ A permutation w of [n] = {1, ..., n} is a tuple holding the values
 image of i.  Composition follows the function convention,
 ``compose(u, v)(i) == u(v(i))``.
 
-The Bruhat order is decided by the sorted-prefix dominance criterion:
-u <= v iff for every k the increasingly sorted prefixes satisfy
-sorted(u[:k]) <= sorted(v[:k]) entrywise.  An independent chain oracle for
-the same order lives in :mod:`hessgkm.verify`.
+The Bruhat order is decided by the tableau criterion (Ehresmann;
+Bjorner and Brenti, *Combinatorics of Coxeter Groups*, ch. 2): u <= v iff
+for every k the increasingly sorted prefixes satisfy sorted(u[:k]) <=
+sorted(v[:k]) entrywise, that is iff for every k and threshold t, v[:k]
+holds at least as many values >= t as u[:k].  The differences of those
+counts, one slack per threshold, are packed into fixed-width fields of one
+int (:func:`_slack_layout`), so a position costs one add and one test.  An
+independent chain oracle for the same order, and the sorted-prefix loop,
+live in :mod:`hessgkm.verify`.
 
 Upper intervals [w, w0] are built by one enumerator for every n.  The
 k-th condition involves only the set of v[:k], so a prefix is dropped as
@@ -16,10 +21,9 @@ soon as its set fails (no extension of it lies above w), and two prefixes
 holding the same set have the same tails.  The tails after each prefix set
 are therefore listed once, memoized by the set's bitmask: those after S
 are x followed by each tail after S + {x}, for x ascending, which keeps the
-lexicographic order.  The conditions are kept as one slack count per
-threshold, packed into fixed-width fields of one int, so the test for the
-next value is O(1).  The cost follows the size of the interval rather
-than n!.
+lexicographic order.  The conditions are the same packed slack fields,
+so the test for the next value is O(1).  The cost follows the size of the
+interval rather than n!.
 
 Position pairs share one bit layout: bit k stands for the k-th pair of
 :func:`transpositions`, (1, 2), (1, 3), ..., (n-1, n).  :func:`inversion_mask`
@@ -40,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import insort
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -135,7 +138,8 @@ def left_multiply(u: Perm, vs: Iterable[Perm]) -> Iterator[Perm]:
 def inverse(w: Perm) -> Perm:
     """Position lookup.  An entry outside 1..n or not integral fills no slot
     and a repeated one fills a slot twice, so a slot left empty raises
-    ``ValueError``: the cheap check of hot paths that skip :func:`as_permutation`.
+    ``ValueError``.  No hot path relies on this check: the library's cores
+    build their position lists in place on permutations already checked.
 
     >>> inverse((4, 3, 1, 2))
     (3, 4, 2, 1)
@@ -201,8 +205,30 @@ def transpositions(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+@lru_cache(maxsize=None)
+def _slack_layout(n: int) -> tuple[int, tuple[int, ...], int]:
+    """The packed slack fields of rank n: (width, below, guards).  Field t,
+    for t = 1..n, is ``width`` bits at bit t * width; ``below[x]`` has a one
+    in each field 1..x (the thresholds t <= x that a value x counts for), and
+    ``guards`` the top bit of each field.  A count is at most n <
+    2 ** (width - 1), so a field biased by its guard bit stays within its
+    width from one below the bias upward, and its guard is off iff it is
+    below the bias.  :func:`bruhat_leq` keeps biased fields and
+    :func:`bruhat_interval_lex` plain ones."""
+    width = n.bit_length() + 1
+    below = [0] * (n + 1)
+    for t in range(1, n + 1):
+        below[t] = below[t - 1] | 1 << t * width
+    return width, tuple(below), below[n] << (width - 1)
+
+
 def bruhat_leq(u: Perm, v: Perm) -> bool:
-    """Sorted-prefix dominance test for u <= v in the strong Bruhat order.
+    """Tableau test (Ehresmann) for u <= v in the strong Bruhat order: for
+    every prefix length k and threshold t, v[:k] has at least as many values
+    >= t as u[:k].  The differences are the packed slack fields of
+    :func:`_slack_layout`, biased by their guards: each position adds one
+    step, and a cleared guard is a negative slack.  The sorted-prefix loop
+    it replaced is :func:`hessgkm.verify.oracle_sorted_prefix_leq`.
 
     >>> bruhat_leq((3, 2, 1, 4), (4, 3, 1, 2))
     True
@@ -210,15 +236,11 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     False
     """
     _check_same_rank(u, v)
-    if u == v:
-        return True
-    su: list[int] = []
-    sv: list[int] = []
-    # The k = n prefix is all of [n] for both, so it never decides.
-    for k in range(len(u) - 1):
-        insort(su, u[k])
-        insort(sv, v[k])
-        if any(a > b for a, b in zip(su, sv)):
+    _, below, guards = _slack_layout(len(u))
+    slack = guards
+    for a, b in zip(u, v):
+        slack += below[b] - below[a]
+        if slack & guards != guards:
             return False
     return True
 
@@ -270,14 +292,10 @@ def bruhat_interval_lex(w: Perm) -> tuple[Perm, ...]:
     as_permutation(w)
     n = len(w)
     check_size(math.comb(n, 2), "position pairs")
-    width = n.bit_length() + 1
-    below = [0] * (n + 1)  # below[t]: a one in each field 1..t
-    for t in range(1, n + 1):
-        below[t] = below[t - 1] | 1 << t * width
-    ones = below[n]
+    width, below, guards = _slack_layout(n)
     what = f"interval [{format_permutation(w)}, w0] (enumeration stopped)"
     memo: dict = {}
-    spec = (w, width, below, ones << (width - 1), ones, what)
+    spec = (w, width, below, guards, below[n], what)
     out = _completions((1 << (n + 1)) - 2, 0, memo, spec)
     memo.clear()
     return tuple(out)

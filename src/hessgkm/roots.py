@@ -239,6 +239,8 @@ class RootSystem:
     # -- element operations ------------------------------------------------------
 
     def act(self, w: Element, coords: Coords) -> Coords:
+        """w(root) for a root of either sign; w is checked."""
+        self._id(w)
         return self._signed[w[self._signed_root_index(coords)]]
 
     def mul(self, a: Element, b: Element) -> Element:
@@ -257,6 +259,10 @@ class RootSystem:
         return frozenset(self._signed[i] for i in range(p) if w[i] >= p)
 
     def inversion_mask(self, w: Element) -> int:
+        self._id(w)
+        return self._inversion_mask(w)
+
+    def _inversion_mask(self, w: Element) -> int:
         p = self._num_positive
         mask = 0
         for i in range(p):
@@ -374,7 +380,7 @@ class RootSystem:
 
     @cached_property
     def _inv_masks(self) -> tuple[int, ...]:
-        return tuple(map(self.inversion_mask, self.elements()))
+        return tuple(map(self._inversion_mask, self.elements()))
 
     @cached_property
     def _id_of_mask(self) -> dict[int, int]:

@@ -5,9 +5,11 @@ Every suite iterates all Hessenberg functions of each rank up to n_max
 permutations, and records counterexamples; a clean run returns zero
 violations.  A suite is a case generator: given one item of rank n (a
 permutation, an h, or an h with the shared list of S_n) it yields
-``(h, w, problems)`` for each case, a problem being a detail string or a
-(detail, extra fields) pair.  :func:`sweep` alone walks the ranks, checks
-the deadline, counts the cases and builds the violation records.
+``(h, w, cases, problems)``, a problem being a detail string or a (detail,
+extra fields) pair.  ``cases`` is 1, except where phi-injective stands for
+all the clean cases of one (h, w) with one record.  :func:`sweep` alone
+walks the ranks, checks the deadline, adds up the cases and builds the
+violation records.
 
 Oracles
 -------
@@ -15,6 +17,8 @@ Each shares no decision logic with the library result it checks.
 
 oracle_bruhat(_upset)             chain reachability (BFS over length-
                                   increasing transpositions), for perms
+oracle_sorted_prefix_leq          prefixes sorted by insort and compared
+                                  entrywise, for the packed-slack bruhat_leq
 oracle_admissible_representative  the admissible v with w's window order
                                   (inversion masks equal under the window
                                   mask) that lie in [w, w0], from a table
@@ -74,17 +78,25 @@ shortcut        top-degree test vs. full regularity scan (admissible w); the
                 scan reads w's Bruhat graph under h's windows
 phi-injective   edge comparison map total, well-defined, injective; edge
                 sets are u's moves in w's Bruhat graph under h's windows,
-                the up-steps those that lengthen u, and phi_rule's verdicts are
-                memoized per (edge mask of u, move) within one h
+                the up-steps those that lengthen u.  A case's checks read
+                only its key (k, moves of u, moves of v = u t_k), so each
+                w's keys and their counts are built once from the kernel's
+                up-step walk and shared by every h; an (h, w) checks the
+                keys of h's windows, each once, and only one with a failing
+                key walks its cases one by one to name each violation.
+                phi_rule's verdicts are memoized per (edge mask of u, move)
+                within one h
 phi-surjective  edge comparison map onto, for one-reflection moves from w;
-                edge sets are moves in w's Bruhat graph under h's windows
+                edge sets are moves in w's Bruhat graph under h's windows,
+                w's own up-steps found once per w
 patterns        pattern avoidance vs. regularity (admissible w), the latter
                 read off w's Bruhat graph under h's windows
 example61       the rank-6 regression case: admissibility, strict window
                 length minimality over the interval, graph irregularity
 
 w's Bruhat graph is :func:`hessgkm.graphs.bruhat_move_graph`, built once
-per w and shared by every h; example61 builds its one interval graph with
+per w and shared by every h, its targets left unbuilt unless phi-injective
+walks a failing pair; example61 builds its one interval graph with
 :func:`hessgkm.graphs.interval_move_graph`.  On every (h, w) with n <= 5
 the agreement tests of ``tests/test_graphs.py`` check the latter against
 the edges of :func:`_induced` and the former against the latter.
@@ -99,10 +111,11 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left, insort
 from functools import lru_cache, reduce
 from operator import or_
 
-from .graphs import GkmEdge, GkmGraph, MoveGraph, bruhat_move_graph, interval_move_graph
+from .graphs import GkmEdge, GkmGraph, MoveGraph, _pack, bruhat_move_graph, interval_move_graph
 from .hess import (
     HessFunc,
     _ascend,
@@ -224,6 +237,30 @@ def oracle_bruhat(u: Perm, v: Perm) -> bool:
     sorted-prefix criterion."""
     _check_same_rank(u, v)
     return v in oracle_bruhat_upset(u)
+
+
+def oracle_sorted_prefix_leq(u: Perm, v: Perm) -> bool:
+    """Sorted-prefix dominance test for u <= v in the strong Bruhat order:
+    each prefix kept sorted by ``insort`` and compared entrywise.  The
+    oracle of the packed-slack test :func:`hessgkm.perms.bruhat_leq`.
+
+    >>> oracle_sorted_prefix_leq((3, 2, 1, 4), (4, 3, 1, 2))
+    True
+    >>> oracle_sorted_prefix_leq((4, 3, 1, 2), (3, 4, 2, 1))
+    False
+    """
+    _check_same_rank(u, v)
+    if u == v:
+        return True
+    su: list[int] = []
+    sv: list[int] = []
+    # The k = n prefix is all of [n] for both, so it never decides.
+    for k in range(len(u) - 1):
+        insort(su, u[k])
+        insort(sv, v[k])
+        if any(a > b for a, b in zip(su, sv)):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -502,7 +539,7 @@ def _bruhat(n: int, u: Perm):
     for v in all_permutations(n):
         if bruhat_leq(u, v) != (v in upset):
             problems.append(f"criterion and chain oracle disagree on v={format_permutation(v)}")
-        yield None, u, problems
+        yield None, u, 1, problems
         problems = []
 
 
@@ -527,7 +564,7 @@ def _representative(n: int, item):
             problems.append("translation does not recover w")
         if _is_admissible(w, h) and (wt != w or u != e):
             problems.append("admissible w not its own representative")
-        yield h, w, problems
+        yield h, w, 1, problems
 
 
 def _fixed_points(n: int, item):
@@ -538,7 +575,7 @@ def _fixed_points(n: int, item):
         problems = [] if fixed <= interval else ["fixed set leaves the interval"]
         if (fixed == interval) != _is_admissible(w, h):
             problems.append("fixed set equals interval iff admissible fails")
-        yield h, w, problems
+        yield h, w, 1, problems
 
 
 def _connectivity(n: int, item):
@@ -547,7 +584,7 @@ def _connectivity(n: int, item):
     win = window_mask(h)
     for w in perms:
         if ambient_connected or _is_admissible(w, h):
-            yield h, w, [] if bruhat_move_graph(w).sinks(win) == 1 else ["interval graph disconnected"]
+            yield h, w, 1, [] if bruhat_move_graph(w).sinks(win) == 1 else ["interval graph disconnected"]
 
 
 def edge_set_at(h, w: Perm, u: Perm) -> frozenset[tuple[int, int]]:
@@ -578,7 +615,7 @@ def _shortcut(n: int, h: HessFunc):
     win = window_mask(h)
     for w in enumerate_admissible(h):
         full = bruhat_move_graph(w).regularity(_cell_dimension(w, h), win).ok
-        yield h, w, [] if regularity_via_w0(h, w) == full else ["top-degree test disagrees with full scan"]
+        yield h, w, 1, [] if regularity_via_w0(h, w) == full else ["top-degree test disagrees with full scan"]
 
 
 def phi_rule(edge_set, a: int, b: int) -> dict[tuple[int, int], tuple[int, int]]:
@@ -622,6 +659,26 @@ def _pairs_of(mask: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [pairs[k] for k in _bits(mask)]
 
 
+@lru_cache(maxsize=None)
+def _edge_keys(w: Perm) -> tuple[tuple[int, ...], tuple[int, ...], object]:
+    """w's up-steps u -> v = u t_k by key, for every h to read: per pair k,
+    the number of up-steps along it, and its distinct keys ``k << 2 width |
+    moves[u] << width | moves[v]`` (both masks in w's all-pairs Bruhat
+    graph).  Returns (counts, starts, keys): the keys sorted, so those of k
+    are ``keys[starts[k]:starts[k + 1]]``.  Taken from the kernel's up-step
+    walk, so its targets stay unbuilt."""
+    g = bruhat_move_graph(w)
+    moves, width = g.moves, g.width
+    counts = [0] * width
+    found = set()
+    for x, k, y in g.up_steps():
+        counts[k] += 1
+        found.add((k << width | moves[x]) << width | moves[y])
+    keys = sorted(found)
+    starts = [bisect_left(keys, k << 2 * width) for k in range(width + 1)]
+    return tuple(counts), tuple(starts), _pack(keys, 2 * width + width.bit_length())
+
+
 def _phi_injective(n: int, h: HessFunc):
     # Edge sets are position-pair masks.  A pair outside the layout (only a
     # faulty rule yields one) gets a bit that no edge set has.
@@ -629,12 +686,46 @@ def _phi_injective(n: int, h: HessFunc):
     bit = {ij: 1 << k for k, ij in enumerate(pairs)}
     off_layout = 1 << len(bit)
     win = window_mask(h)
+    width = len(pairs)
+    wins = _bits(win)
+    both = win << width | win
     # phi_rule sees only the edge set and the move, so its verdicts are
     # exact per (edge mask of u, move k): total, injective, image mask, deg(u).
     memo = {}
+
+    def verdict(mask_u: int, k: int) -> tuple[bool, bool, int, int]:
+        entry = memo.get((mask_u, k))
+        if entry is None:
+            e_u = _pairs_of(mask_u, pairs)
+            images = phi_rule(e_u, *pairs[k])
+            vals = set(images.values())
+            image = reduce(or_, (bit.get(ij, off_layout) for ij in vals), 0)
+            entry = memo[mask_u, k] = (len(images) == len(e_u), len(vals) == len(images), image, len(e_u))
+        return entry
+
+    # A case is an up-step u -> v = u t_k with k a window.  Its checks read
+    # only k and the edges at u and at v, so a key under h's windows stands
+    # for all its up-steps; passed[k] holds the keys so read that pass.
+    passed = [set() for _ in pairs]
     for w in enumerate_admissible(h):
+        counts, starts, keys = _edge_keys(w)
+        clean = True
+        for k in wins:
+            for key in {key & both for key in keys[starts[k]:starts[k + 1]]} - passed[k]:
+                mask_v = key & win
+                total, injective, image, deg = verdict(key >> width, k)
+                if not (total and injective and not image & ~mask_v and deg <= mask_v.bit_count()):
+                    clean = False
+                    break
+                passed[k].add(key)
+            if not clean:
+                break
+        if clean:
+            yield h, w, sum(counts[k] for k in wins), []
+            continue
+        # A key fails: walk w's cases one by one to name each violation.
         g = bruhat_move_graph(w)
-        moves, targets, width = g.moves, g.targets, g.width
+        moves, targets = g.moves, g.targets
         for x, (mask, up) in enumerate(zip(moves, g.up)):
             mask_u = mask & win
             base = x * width
@@ -645,16 +736,7 @@ def _phi_injective(n: int, h: HessFunc):
                 steps ^= low
                 k = low.bit_length() - 1
                 a, b = pairs[k]
-                entry = memo.get((mask_u, k))
-                if entry is None:
-                    e_u = _pairs_of(mask_u, pairs)
-                    images = phi_rule(e_u, a, b)
-                    vals = set(images.values())
-                    image = reduce(or_, (bit.get(ij, off_layout) for ij in vals), 0)
-                    entry = memo[mask_u, k] = (
-                        len(images) == len(e_u), len(vals) == len(images), image, len(e_u)
-                    )
-                total, injective, image, deg = entry
+                total, injective, image, deg = verdict(mask_u, k)
                 y = targets[base + k]
                 mask_v = moves[y] & win
                 problems = [] if total else ["map not total"]
@@ -664,25 +746,33 @@ def _phi_injective(n: int, h: HessFunc):
                     problems.append(f"image leaves the edge set at v={format_permutation(g.vertices[y])}")
                 if deg > mask_v.bit_count():
                     problems.append("degree decreases along an h-order edge")
-                yield h, w, problems
+                yield h, w, 1, problems
+
+
+@lru_cache(maxsize=None)
+def _own_targets(w: Perm) -> tuple[int, ...]:
+    """The id of w t_k per move k of w, in bit order.  w is the least vertex
+    (id 0) of its Bruhat graph, so each move is an up-step; w t_k is found by
+    bisection in the lexicographic vertices, and the targets stay unbuilt."""
+    g = bruhat_move_graph(w)
+    pairs = transpositions(len(w))
+    return tuple(bisect_left(g.vertices, apply_transposition(w, *pairs[k])) for k in _bits(g.moves[0]))
 
 
 def _phi_surjective(n: int, h: HessFunc):
     pairs = transpositions(n)
     win = window_mask(h)
     for w in enumerate_admissible(h):
-        # w is id 0 of its Bruhat graph; its moves are the k with w t_k in [w, w0].
         g = bruhat_move_graph(w)
         e_w = _pairs_of(g.moves[0] & win, pairs)
-        for k in _bits(g.moves[0]):
-            y = g.targets[k]
+        for k, y in zip(_bits(g.moves[0]), _own_targets(w)):
             e_v = set(_pairs_of(g.moves[y] & win, pairs))
             images = set(phi_rule(e_w, *pairs[k]).values())
             problems = []
             if not e_v <= images:
                 v_text = format_permutation(g.vertices[y])
                 problems.append((f"misses edges at v={v_text}: {sorted(e_v - images)}", {"v": v_text}))
-            yield h, w, problems
+            yield h, w, 1, problems
 
 
 def _patterns(n: int, h: HessFunc):
@@ -693,14 +783,14 @@ def _patterns(n: int, h: HessFunc):
         problems = []
         if avoids != regular:
             problems.append(f"avoidance={avoids} but regular={regular} (witnesses: {witnesses})")
-        yield h, w, problems
+        yield h, w, 1, problems
 
 
 def _example61(n: int, _):
     h = validate_hessenberg((3, 4, 5, 6, 6, 6))
     w = (2, 3, 6, 4, 5, 1)
     if not _is_admissible(w, h):
-        yield h, w, ["w should be admissible"]
+        yield h, w, 1, ["w should be admissible"]
         return
     lw = _h_length(w, h)
     problems = [
@@ -710,7 +800,7 @@ def _example61(n: int, _):
     ]
     if interval_move_graph(h, w).regularity(_cell_dimension(w, h)).ok:
         problems.append("interval graph unexpectedly regular")
-    yield h, w, problems
+    yield h, w, 1, problems
 
 
 # Per suite: its items of rank n and its case generator.  example61 has no
@@ -751,8 +841,8 @@ def sweep(suite_id: str, n_max: int, budget_seconds: float | None = None) -> Swe
             result.complete = False
             result.note = f"stopped inside n={n}"
             break
-        for h, w, problems in cases(n, x):
-            result.cases += 1
+        for h, w, count, problems in cases(n, x):
+            result.cases += count
             for p in problems:
                 detail, extra = (p, {}) if isinstance(p, str) else p
                 result.violations.append({**_violation(n, h, w, suite_id, detail), **extra})

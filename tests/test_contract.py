@@ -59,7 +59,6 @@ PAIR = {"w": "w", "h": "h"}
 TAKES_A_GRAPH = "takes a graph built by a checked entry"
 TAKES_A_SPACE = "takes a HessenbergSpace, checked by validate_hessenberg_space"
 HOT = "hot primitive on checked permutations, called in the sweeps' inner loops"
-LEFT_OPEN = "does not check its element yet: an open item of the input contract"
 MEMO = "memoized by the tuple w, which it checks on a cache miss"
 
 # Every public callable: how it checks an h, w or Weyl-group element, or
@@ -121,8 +120,8 @@ CONTRACT = {
     "RootSystem.canonical_word": Checked(B2.canonical_word, {"w": "element"}),
     "RootSystem.format_element": Checked(B2.format_element, {"w": "element"}),
     "RootSystem.bruhat_interval_up": Checked(B2.bruhat_interval_up, {"w": "element"}),
-    "RootSystem.act": LEFT_OPEN,
-    "RootSystem.inversion_mask": LEFT_OPEN,
+    "RootSystem.act": Checked(lambda w: B2.act(w, (1, 0)), {"w": "element"}),
+    "RootSystem.inversion_mask": Checked(B2.inversion_mask, {"w": "element"}),
     "build_root_system": "takes a type label and a rank",
     "validate_hessenberg_space": "takes a root system and a root set, which it validates",
     "arbitrary_gkm_graph": TAKES_A_SPACE,

@@ -24,7 +24,7 @@ from hessgkm.perms import (
     parse_permutation,
     transpositions,
 )
-from hessgkm.verify import oracle_bruhat_upset
+from hessgkm.verify import oracle_bruhat_upset, oracle_sorted_prefix_leq
 
 perms_of = lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 
@@ -130,8 +130,58 @@ def test_bruhat_frozen_values():
 
 
 def test_bruhat_rank_mismatch():
-    with pytest.raises(ValueError):
-        bruhat_leq((1, 2), (1, 2, 3))
+    for leq in (bruhat_leq, oracle_sorted_prefix_leq):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            leq((1, 2), (1, 2, 3))
+        with pytest.raises(ValueError, match="rank mismatch"):
+            leq((3, 2, 1), (2, 1))
+
+
+def test_bruhat_leq_matches_sorted_prefix_oracle_n5():
+    for n in range(1, 6):
+        perms = list(all_permutations(n))
+        for u in perms:
+            assert [bruhat_leq(u, v) for v in perms] == [oracle_sorted_prefix_leq(u, v) for v in perms], u
+
+
+# The packed-slack fields are n.bit_length() + 1 bits wide, so the width
+# steps up between these ranks.
+FIELD_WIDTH_EDGES = [7, 8, 15, 16, 31, 32]
+
+
+@st.composite
+def bruhat_pairs(draw):
+    """(u, v, swaps) of rank 6..40: v random (swaps None), or v = u with one
+    or two transpositions made, each an ascent swap one way or the other."""
+    n = draw(st.one_of(st.sampled_from(FIELD_WIDTH_EDGES), st.integers(6, 40)))
+    u = draw(perms_of(n))
+    swaps = draw(st.sampled_from([None, 1, 2]))
+    if swaps is None:
+        return u, draw(perms_of(n)), None
+    v = u
+    for _ in range(swaps):
+        i = draw(st.integers(1, n - 1))
+        v = apply_transposition(v, i, draw(st.integers(i + 1, n)))
+    return u, v, swaps
+
+
+@given(bruhat_pairs())
+def test_bruhat_leq_matches_sorted_prefix_oracle_random(pair):
+    u, v, swaps = pair
+    assert bruhat_leq(u, v) == oracle_sorted_prefix_leq(u, v)
+    assert bruhat_leq(v, u) == oracle_sorted_prefix_leq(v, u)
+    if swaps == 1:  # u and v = u t differ in length, so exactly one lies below
+        assert bruhat_leq(u, v) != bruhat_leq(v, u)
+
+
+def test_bruhat_leq_at_the_field_width_edges():
+    # e <= w0 at every rank, and the one-swap pairs below and above e and w0.
+    for n in FIELD_WIDTH_EDGES:
+        e, w0 = identity(n), longest_element(n)
+        assert bruhat_leq(e, w0) and not bruhat_leq(w0, e)
+        up, down = apply_transposition(e, 1, n), apply_transposition(w0, 1, n)
+        assert bruhat_leq(e, up) and not bruhat_leq(up, e)
+        assert bruhat_leq(down, w0) and not bruhat_leq(w0, down)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

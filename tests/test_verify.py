@@ -16,9 +16,13 @@ suites report those violations faithfully rather than masking them:
   is irregular as expected.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from hessgkm import verify
+from hessgkm.graphs import bruhat_move_graph
 from hessgkm.hess import admissible_representative, enumerate_admissible
 from hessgkm.perms import all_permutations, apply_transposition, bruhat_leq, compose, inverse
 from hessgkm.verify import (
@@ -121,6 +125,44 @@ def _shift_move(edges, a, b):
 def test_phi_injective_catches_a_faulty_rule(rule, found, monkeypatch):
     monkeypatch.setattr(verify, "phi_rule", rule)
     assert _details(sweep("phi-injective", 4)) == found
+
+
+# sha256 of json.dumps(violations) -- every record, each field in order --
+# and the case count of sweep("phi-injective", n) under each faulty rule,
+# recorded when the suite still walked every case, so that the per-key
+# suite names each violation as that walk did.
+FAULTY_RULE_VIOLATIONS = {
+    ("merge", 4): (1105, "0366b93fbd1dd0c2292c5ad0effdd971a2f808da0084415931f3fec1d9e18ea8"),
+    ("merge", 5): (56967, "30836d8b60a14851b505953446f7ae7fb518f5271f14d51fd6a0708ad2b162d6"),
+    ("off-layout", 4): (1105, "588d0bbad8003f6d79982cd4cfbbe54b11aeda50d4a5df9fc4a5ea80cba911e8"),
+    ("off-layout", 5): (56967, "7f5c5dd3a02ced0834ca2edc5fa991cb83e72b9a57be4326d074af59ef64a23c"),
+    ("in-layout", 4): (1105, "65cadeb44c715361e270420a2581ca2c9ff9816513a5f9be8864bc4611f52d53"),
+    ("in-layout", 5): (56967, "272a93a332d9e6c0337d171c8078f7727f895757ace3d9d2ca775bee50d8bef0"),
+}
+FAULTY_RULES = {"merge": _merge_edges, "off-layout": _reverse_pairs, "in-layout": _shift_move}
+
+
+@pytest.mark.parametrize(
+    "rule, n", FAULTY_RULE_VIOLATIONS, ids=[f"{rule}-{n}" for rule, n in FAULTY_RULE_VIOLATIONS]
+)
+def test_phi_injective_names_each_violation_as_the_case_walk_did(rule, n, monkeypatch):
+    monkeypatch.setattr(verify, "phi_rule", FAULTY_RULES[rule])
+    result = sweep("phi-injective", n)
+    digest = hashlib.sha256(json.dumps(result.violations).encode()).hexdigest()
+    assert (result.cases, digest) == FAULTY_RULE_VIOLATIONS[rule, n]
+
+
+def test_phi_suites_leave_the_kernel_targets_unbuilt():
+    # phi-injective reads its keys, and phi-surjective its own up-steps,
+    # off the up-step walk; only a failing pair walks the targets, so the
+    # kernels that a faulty rule's test may have walked are dropped first.
+    bruhat_move_graph.cache_clear()
+    verify._edge_keys.cache_clear()
+    verify._own_targets.cache_clear()
+    sweep("phi-injective", 4)
+    sweep("phi-surjective", 4)
+    for w in all_permutations(4):
+        assert bruhat_move_graph(w)._targets is None, w
 
 
 def test_representative_suite_catches_an_extra_swap(monkeypatch):
