@@ -12,14 +12,17 @@ up-steps, which answer degrees, regularity and connectivity.  The targets
 are filled from the type's walk of its up-steps on the first read, which
 only the oracles of :mod:`hessgkm.verify` and phi-injective's walk of a
 failing pair make; the phi suites read the walk itself.
-Type A moves by the swaps u(i,j).  [w, w0] is an upset, so every descent
-inside it mirrors an ascent of its lower end, and one pass over the
-ascents sets each edge's bit at both ends, the target found by arithmetic
-on integer codes of the vertices.  Its kernels are
-:func:`interval_move_graph` by h's windows (``classify``, the localized
-classes, example61) and :func:`bruhat_move_graph` by every pair, once per
-w, for the sweeps to read under each h's window mask.  :mod:`hessgkm.roots`
-reads its masks off inversion sets and walks its reflection table.
+Type A moves by the swaps u(i,j).  Its masks come from whole-interval
+integer arithmetic, each vertex of [w, w0] a lane in a few big ints, so a
+step is a few big-int operations per pair or per position rather than a
+loop over the vertices (:func:`_type_a_move_graph`).  The per-vertex pass
+it replaced is the oracle ``verify.oracle_move_graph``; the up-step walk
+finds each target by arithmetic on integer codes of the vertices.  Its
+kernels are :func:`interval_move_graph` by h's windows (``classify``, the
+localized classes, example61) and :func:`bruhat_move_graph` by every pair,
+once per w, for the sweeps to read under each h's window mask.
+:mod:`hessgkm.roots` reads its masks off inversion sets and walks its
+reflection table.
 Export reads a ``GkmGraph``, the full graph or ``interval_graph(h, w)``
 on the Bruhat interval [w, w0], which keeps only its vertices, h and w.
 One walk, :func:`_edge_rows`, lists each vertex's window ascents inside
@@ -29,11 +32,12 @@ compatibility check and ``GkmGraph.degrees`` and ``adjacency`` (so
 ``GkmGraph.edges`` builds ``GkmEdge`` objects from them on each read, for
 ``to_json_dict`` and the tests.  ``verify._induced``, which swaps the
 entries and probes the vertex set, is the oracle of those edges, and the
-kernels are checked against it.  The export's text is pieces made once per
-graph: each vertex's label, DOT's weight tail per value pair, and JSON's
-edge object cut from the writer's text of a stand-in edge, a head per
-position pair and a tail per value pair.  So an edge is three
-concatenations, and :mod:`hessgkm.jsontext` writes the JSON around them.
+kernels are checked against it and against the pass oracle.  The export's
+text is pieces made once per graph: each vertex's label, DOT's weight tail
+per value pair, and JSON's edge object cut from the writer's text of a
+stand-in edge, a head per position pair and a tail per value pair.  So an
+edge is three concatenations, and :mod:`hessgkm.jsontext` writes the JSON
+around them.
 The claims that only the sweeps and the tests check (the one-vertex probe
 ``edge_set_at``, the top-degree shortcut, the phi maps, the h-Bruhat walk
 and the graph on the cell-closure fixed points) live in :mod:`hessgkm.verify`.
@@ -42,9 +46,10 @@ and the graph on the cell-closure fixed points) live in :mod:`hessgkm.verify`.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 from .hess import HessFunc, check_pair, validate_hessenberg, window_mask
@@ -153,7 +158,8 @@ class MoveGraph:
     ends: a position pair in type A (as in :func:`hessgkm.perms.inversion_mask`),
     a positive root in general type; ``width`` is the number of bits.
     ``moves[x]`` has the bits of the edges at x inside the interval and
-    ``up[x]`` those that lengthen x.  A read sees only the bits of
+    ``up[x]`` those that lengthen x, both taken as given (packed by the
+    type's kernel, see :func:`_pack`).  A read sees only the bits of
     ``within``.  The masks answer degrees, regularity and sinks; bit k at x
     leads to ``targets[x * width + k]``, filled on the first read that walks
     edges from :meth:`up_steps`, the type's own walk of (x, k, y) over the
@@ -164,8 +170,8 @@ class MoveGraph:
     def __init__(self, vertices, moves, up, width, up_steps) -> None:
         self.vertices = vertices
         self.width = width
-        self.moves = _pack(moves, width)
-        self.up = _pack(up, width)
+        self.moves = moves
+        self.up = up
         self._up_steps = up_steps
         self._targets = None
 
@@ -211,27 +217,160 @@ def _pack(masks: list[int], width: int):
     return array("Q", masks) if width <= 64 else tuple(masks)
 
 
+@lru_cache(maxsize=None)
+def _lane_layout(n: int) -> tuple:
+    """The lane schedule of rank n, one per rank: (bits, group, below,
+    at_least, pairs).
+
+    A lane has ``bits`` bits, and every sum or difference the kernel forms
+    in one lies in (-2^top, 2^top), top = bits - 1, so a lane biased by
+    2^top borrows from no other and its top bit is the sign: one byte a
+    lane up to n = 127, two up to the pair limit n = 362.  A column has one
+    lane per vertex; a group has n lanes per vertex, lane m standing for
+    position or threshold m + 1.  Over one group, ``group`` has a one in
+    each lane, ``below[v]`` in lanes 0..v - 1 (the thresholds t <= v), and
+    ``at_least`` 2^top - t in lane t - 1, whose top bit an entry e added to
+    it sets iff e >= t.  ``pairs`` has the row (k, i - 1, j - 1, r, top - r,
+    c, shift) per pair k = (i, j): bit r = k mod 8 of mask byte c = k // 8,
+    kept in the moves at bit 8 (c mod span) + r of a group of span bytes,
+    ``shift`` bits below the group's top bit."""
+    size = 1 if n < 128 else 2
+    bits = 8 * size
+    top = bits - 1
+    below = [0]
+    for _ in range(n):
+        below.append(below[-1] << bits | 1)
+    at_least = sum(((1 << top) - t) << bits * (t - 1) for t in range(1, n + 1))
+    pairs = tuple(
+        (k, i - 1, j - 1, k & 7, top - (k & 7), k >> 3, bits * n - 1 - 8 * ((k >> 3) % (size * n)) - (k & 7))
+        for k, (i, j) in enumerate(transpositions(n))
+    )
+    return bits, below[n], tuple(below), at_least, pairs
+
+
 def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
-    """[w, w0] in lexicographic order, its edges the swaps u t_k with k in
-    ``allowed``.  The interval is an upset, so every ascent u t_k of u
-    (u(i) < u(j)) lies in it, and every descent of a vertex inside it is
-    the mirror of an ascent of its lower end: one pass over the ascents
-    sets the bits at both ends, each target found by its integer code."""
+    """[w, w0] in lexicographic order, its edges the swaps y t_k, k = (i, j)
+    in ``allowed``, by whole-interval integer arithmetic on lanes
+    (:func:`_lane_layout`): each step below is a few big-int operations
+    over all vertices at once, per pair or per position.
+
+    * Ascents y(i) < y(j), from the columns: one sign bit per vertex.  The
+      interval is an upset, so each ascent y t_k lies in it.  A pair with
+      no ascent in the interval has no move either (a descent inside it
+      would mirror an ascent of its lower end), and a pair of ascents alone
+      needs no more.
+    * Descents, by Ehresmann's tableau test (Bjorner and Brenti,
+      *Combinatorics of Coxeter Groups*, 2.1.5), on groups: with
+      slack_y(p, t) = #{q <= p : y(q) >= t} - #{q <= p : w(q) >= t}, which
+      is >= 0, the swap y t_k of y(i) > y(j) stays in [w, w0] iff
+      slack_y(p, t) >= 1 for all i <= p < j and y(j) < t <= y(i).  Lane
+      t - 1 of ``ge[q]`` marks y(q + 1) >= t, and of ``zero[p]`` a zero
+      slack_y(p + 1, t).  The swap fails where a lane has y(i) >= t > y(j)
+      and a zero slack at some p in [i, j); such a group carries into its
+      top bit, and that bit is moved to the pair's bit.
+    * Masks: pair k's bit is bit k mod 8 of mask byte k // 8, so eight
+      pairs sum to one chunk (the moves' chunks side by side in a group),
+      and the chunks' bytes are interleaved into 8-byte masks loaded
+      straight into ``array('Q')`` (width <= 64), or into ints from wider
+      slices (n >= 12).
+
+    The per-vertex pass it replaced is :func:`hessgkm.verify.oracle_move_graph`."""
     vertices = bruhat_interval_lex(w)
-    index = _code_index(vertices)
-    chosen = [row for row in _code_pairs(len(w)) if row[0] & allowed]
-    moves = [0] * len(vertices)
-    up = []
-    for x, (u, code) in enumerate(zip(vertices, index)):
-        ascents = 0
-        for bit, i, j, d in chosen:
-            a, b = u[i], u[j]
-            if a < b:
-                ascents |= bit
-                moves[index[code + (b - a) * d]] |= bit
-        moves[x] |= ascents
-        up.append(ascents)
-    return MoveGraph(vertices, moves, up, len(w) * (len(w) - 1) // 2, _type_a_up_steps)
+    n, size = len(w), len(vertices)
+    bits, group, below, at_least, pairs = _lane_layout(n)
+    lane, top = bits // 8, bits - 1
+    span = lane * n
+    raw, cols = _entry_bytes(vertices, n, lane)
+    # Columns: one lane per vertex.
+    cols = [int.from_bytes(c, "little") for c in cols]
+    ones = int.from_bytes((1).to_bytes(lane, "little") * size, "little")
+    bias = ones << top
+    lows = [c - bias for c in cols]
+    marks = [ones << r for r in range(8)]
+    chunks = (len(pairs) + 7) // 8
+    up = [0] * chunks
+    reached = [0] * chunks
+    open_pairs = []
+    last = 0
+    for k, i, j, r, sign, c, _ in pairs:
+        if allowed >> k & 1:
+            asc = (cols[j] - lows[i]) >> sign & marks[r]
+            if asc:
+                up[c] |= asc
+                reached[c] |= 1 << r
+                if asc != marks[r]:
+                    open_pairs.append(pairs[k])
+                    last = max(last, j)
+    # Groups: n lanes per vertex.  The moves start as every pair with an
+    # ascent; the descents that fail are taken off.
+    first = int.from_bytes((1).to_bytes(span, "little") * size, "little")
+    moves = [0] * ((chunks + span - 1) // span)
+    for c, bits_c in enumerate(reached):
+        moves[c // span] += bits_c << 8 * (c % span)
+    moves = [first * x for x in moves]
+    if open_pairs:
+        full, tops = first * group, first << bits * n - 1
+        at_least, carry = first * at_least, tops - first
+        flat = int.from_bytes(raw, "little")
+        lane0 = first * ((1 << bits) - 1)
+        ge = [((flat >> bits * q & lane0) * group + at_least) >> top & full for q in range(last + 1)]
+        half = group << top
+        tally = mine = 0
+        zero = []
+        for g, v in zip(ge[:last], w):
+            tally += g
+            mine += below[v]
+            zero.append((first * (mine + half) - tally) >> top & full)
+        row = -1
+        for k, i, j, r, _, c, shift in open_pairs:
+            if i != row:
+                row, at, tight = i, i, 0
+            while at < j:
+                tight |= zero[at]
+                at += 1
+            inside = ge[i] & tight
+            fails = inside ^ (inside & ge[j])
+            if fails:
+                moves[c // span] -= (fails + carry & tops) >> shift
+    stride = 8 if chunks <= 8 else chunks
+    move_buf, up_buf = bytearray(stride * size), bytearray(stride * size)
+    for c, x in enumerate(up):
+        up_buf[c::stride] = x.to_bytes(size * lane, "little")[::lane]
+    for a, x in enumerate(moves):
+        data = x.to_bytes(size * span, "little")
+        for c in range(a * span, min(chunks, (a + 1) * span)):
+            move_buf[c::stride] = data[c % span :: span]
+    return MoveGraph(vertices, _masks(move_buf, stride), _masks(up_buf, stride), len(pairs), _type_a_up_steps)
+
+
+def _entry_bytes(vertices, n: int, lane: int) -> tuple[bytes, list[bytes]]:
+    """The entries of ``vertices`` in little-endian lanes of ``lane`` bytes,
+    vertex by vertex, and each position's column of them."""
+    entries = chain.from_iterable(vertices)
+    if lane == 1:
+        raw = bytes(entries)
+        return raw, [raw[q::n] for q in range(n)]
+    raw = b"".join(x.to_bytes(lane, "little") for x in entries)
+    planes = [raw[b::lane] for b in range(lane)]
+    cols = []
+    for q in range(n):
+        col = bytearray(len(raw) // n)
+        for b, plane in enumerate(planes):
+            col[b::lane] = plane[q::n]
+        cols.append(bytes(col))
+    return raw, cols
+
+
+def _masks(buf: bytearray, stride: int):
+    """Per vertex the little-endian mask in ``stride`` bytes of ``buf``:
+    ``array('Q')`` for 8 bytes, a tuple of ints for more."""
+    if stride > 8:
+        return tuple(int.from_bytes(buf[x : x + stride], "little") for x in range(0, len(buf), stride))
+    masks = array("Q")
+    masks.frombytes(buf)
+    if sys.byteorder == "big":
+        masks.byteswap()
+    return masks
 
 
 def _type_a_up_steps(g: MoveGraph):

@@ -72,7 +72,7 @@ from functools import cache, cached_property, reduce
 from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
-from .graphs import MoveGraph
+from .graphs import MoveGraph, _pack
 from .perms import Perm, _fields, _integers, check_size, compose as perm_compose
 
 Coords = tuple[int, ...]
@@ -271,8 +271,12 @@ class RootSystem:
         return mask
 
     def _index(self, coords: Coords) -> int:
-        """The index of a positive root; a ``ValueError`` names anything else."""
-        i = self._pos_index.get(coords)
+        """The index of a positive root, a tuple or a list; a ``ValueError``
+        names anything else."""
+        try:
+            i = self._pos_index.get(tuple(coords))
+        except TypeError:  # not a sequence, or an unhashable entry
+            i = None
         if i is None:
             raise ValueError(f"{coords} is not a positive root of {self.type_label}{self.rank}")
         return i
@@ -291,6 +295,15 @@ class RootSystem:
         return mask
 
     def roots_of_mask(self, mask: int) -> frozenset[Coords]:
+        """The positive roots of the bits of ``mask``, an int of no bit past
+        the last root; a ``ValueError`` names anything else."""
+        if not isinstance(mask, int) or mask < 0 or mask >> self._num_positive:
+            raise ValueError(
+                f"mask {mask!r} is not a set of the {self._num_positive} positive roots of {self.type_label}{self.rank}"
+            )
+        return self._roots_of_mask(mask)
+
+    def _roots_of_mask(self, mask: int) -> frozenset[Coords]:
         return frozenset(map(self.positive_roots.__getitem__, _bits(mask)))
 
     def reflection(self, coords: Coords) -> Element:
@@ -447,16 +460,18 @@ class RootSystem:
     # -- text forms ---------------------------------------------------------------------
 
     def format_root(self, coords: Coords) -> str:
-        terms = []
-        for j, c in enumerate(coords):
-            if c:
-                terms.append(f"a{j + 1}" if c == 1 else f"{c}a{j + 1}")
-        return "+".join(terms) if terms else "0"
+        """The label of a positive root, as in ``a1+2a2``; a ``ValueError``
+        names anything else."""
+        return self._root_labels[self._index(coords)]
 
     @cached_property
     def _root_labels(self) -> tuple[str, ...]:
-        """:meth:`format_root` of each positive root, in root order."""
-        return tuple(map(self.format_root, self.positive_roots))
+        """The label of each positive root, in root order."""
+        labels = []
+        for coords in self.positive_roots:
+            terms = [f"a{j + 1}" if c == 1 else f"{c}a{j + 1}" for j, c in enumerate(coords) if c]
+            labels.append("+".join(terms))
+        return tuple(labels)
 
     def format_roots(self, roots) -> list[str]:
         """The labels of a set of positive roots, in root order."""
@@ -643,7 +658,7 @@ def _class_table(hs: HessenbergSpace) -> dict[int, tuple[frozenset[Coords], tupl
         masks = [inv[k] for k in members]
         if inv[z] & ~reduce(and_, masks) or reduce(or_, masks) & ~inv[w]:
             raise RuntimeError("class is not sandwiched between z_S and w_S")
-        table[s] = rs.roots_of_mask(s), tuple(members), z, w
+        table[s] = rs._roots_of_mask(s), tuple(members), z, w
     hs._classes = table
     return table
 
@@ -704,7 +719,7 @@ def enumerate_hessenberg_spaces(rs: RootSystem) -> list[frozenset[Coords]]:
                     spaces.add(grown)
                     nxt.append(grown)
         frontier = nxt
-    return [rs.roots_of_mask(m) for m in sorted(spaces, key=mask_order_key)]
+    return [rs._roots_of_mask(m) for m in sorted(spaces, key=mask_order_key)]
 
 
 # -- moment graph over W -----------------------------------------------------------
@@ -732,7 +747,8 @@ def _move_graph(hs: HessenbergSpace, ids) -> MoveGraph:
                 if m_mask >> c & 1:
                     yield x, c, local[y]
 
-    return MoveGraph(tuple(map(rs.elements().__getitem__, ids)), moves, up, rs._num_positive, up_steps)
+    width = rs._num_positive
+    return MoveGraph(tuple(map(rs.elements().__getitem__, ids)), _pack(moves, width), _pack(up, width), width, up_steps)
 
 
 def arbitrary_gkm_graph(hs: HessenbergSpace) -> MoveGraph:

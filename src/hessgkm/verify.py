@@ -32,6 +32,10 @@ oracle_json                       ``json.dumps(payload, sort_keys=True,
 _induced                          each window swap made on a list and
                                   probed in the vertex set, for the edge
                                   walk of ``GkmGraph.edges`` and the kernels
+oracle_move_graph                 one pass over each vertex's pairs, each
+                                  ascent's target found by its integer code
+                                  and its bit set at both ends, for the lane
+                                  arithmetic of the type-A kernel
 oracle_weyl_bruhat_leq            the right-descent recursion, for the
                                   general-type upper intervals
 oracle_weak_leq                   l(v) = l(u) + l(v u^-1), for weak order
@@ -99,7 +103,8 @@ per w and shared by every h, its targets left unbuilt unless phi-injective
 walks a failing pair; example61 builds its one interval graph with
 :func:`hessgkm.graphs.interval_move_graph`.  On every (h, w) with n <= 5
 the agreement tests of ``tests/test_graphs.py`` check the latter against
-the edges of :func:`_induced` and the former against the latter.
+the edges of :func:`_induced` and the former against the latter, and both
+kernels' masks against :func:`oracle_move_graph`, bit for bit.
 
 Two suites have known nonempty violation sets: phi-surjective (onto fails
 already at rank 4) and example61 (the strict minimality has exactly two
@@ -115,7 +120,17 @@ from bisect import bisect_left, insort
 from functools import lru_cache, reduce
 from operator import or_
 
-from .graphs import GkmEdge, GkmGraph, MoveGraph, _pack, bruhat_move_graph, interval_move_graph
+from .graphs import (
+    GkmEdge,
+    GkmGraph,
+    MoveGraph,
+    _code_index,
+    _code_pairs,
+    _pack,
+    _type_a_up_steps,
+    bruhat_move_graph,
+    interval_move_graph,
+)
 from .hess import (
     HessFunc,
     _ascend,
@@ -139,6 +154,7 @@ from .perms import (
     all_permutations,
     apply_transposition,
     bruhat_interval,
+    bruhat_interval_lex,
     bruhat_leq,
     compose,
     format_permutation,
@@ -425,6 +441,32 @@ def oracle_json(payload) -> str:
     every ``--json`` verb and ``graphs.to_json`` (on
     :func:`hessgkm.graphs.to_json_dict`) write."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def oracle_move_graph(w: Perm, allowed: int) -> MoveGraph:
+    """The kernel of [w, w0] under the pair mask ``allowed`` by one pass
+    over each vertex's pairs: the oracle of the lane arithmetic of
+    :func:`hessgkm.graphs._type_a_move_graph`, which it was.  The interval
+    is an upset, so every ascent u t_k (u(i) < u(j)) lies in it, and every
+    descent of a vertex inside it is the mirror of an ascent of its lower
+    end: one pass over the ascents sets the bits at both ends, each target
+    found by its integer code."""
+    vertices = bruhat_interval_lex(w)
+    index = _code_index(vertices)
+    chosen = [row for row in _code_pairs(len(w)) if row[0] & allowed]
+    moves = [0] * len(vertices)
+    up = []
+    for x, (u, code) in enumerate(zip(vertices, index)):
+        ascents = 0
+        for bit, i, j, d in chosen:
+            a, b = u[i], u[j]
+            if a < b:
+                ascents |= bit
+                moves[index[code + (b - a) * d]] |= bit
+        moves[x] |= ascents
+        up.append(ascents)
+    width = len(w) * (len(w) - 1) // 2
+    return MoveGraph(vertices, _pack(moves, width), _pack(up, width), width, _type_a_up_steps)
 
 
 def _induced(h: HessFunc, vertices: tuple[Perm, ...]) -> tuple[GkmEdge, ...]:

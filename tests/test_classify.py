@@ -7,6 +7,7 @@ from hessgkm.cohomology import localized_class_candidate
 from hessgkm.graphs import (
     MoveGraph,
     _code_pairs,
+    _lane_layout,
     build_hessenberg_graph,
     interval_graph,
     interval_move_graph,
@@ -147,20 +148,24 @@ def test_pair_entries_take_w_as_classify_does(entry):
 
 def test_classify_checks_the_quadruple_limit_before_any_graph():
     # C(200, 4) quadruples exceed the size limit.  w0's interval is one
-    # vertex, but S_200's pair table alone would hold about 33 MB.
+    # vertex, but S_200's pair tables would hold megabytes.
     n = 200
-    before = _code_pairs.cache_info().currsize
+    before = _lane_layout.cache_info().currsize, _code_pairs.cache_info().currsize
     with pytest.raises(ValueError, match="position quadruples"):
         classify(longest_element(n), (n,) * n)
-    assert _code_pairs.cache_info().currsize == before
+    assert (_lane_layout.cache_info().currsize, _code_pairs.cache_info().currsize) == before
 
 
 def test_classify_keeps_one_pair_table_per_rank():
+    # The kernel's per-rank table is its lane schedule; the code table of
+    # the edge walk is not built at all.
+    _lane_layout.cache_clear()
     _code_pairs.cache_clear()
     w = (2, 1, 3, 4, 5, 6)
     for h in [(2, 3, 4, 5, 6, 6), (3, 3, 4, 6, 6, 6), (6,) * 6]:
         classify(w, h)
-    assert _code_pairs.cache_info().currsize == 1
+    assert _lane_layout.cache_info().currsize == 1
+    assert _code_pairs.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

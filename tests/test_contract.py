@@ -1,10 +1,11 @@
 """The input contract of the public callables, in one table.
 
-A malformed h, w or Weyl-group element raises ``ValueError`` naming the
-argument: h and w by name (``h(2) = 1 < 2``, ``rank mismatch: |w| = 3,
-|h| = 4``), an element by its value, since a Weyl-group element has no
-name in its messages.  A list is taken as the tuple it lists.  ``TypeError``
-is allowed only for a value that is not a sequence, and for a list or an
+A malformed h, w, Weyl-group element, root or root mask raises
+``ValueError`` naming the argument: h and w by name (``h(2) = 1 < 2``,
+``rank mismatch: |w| = 3, |h| = 4``), an element, a root or a mask by its
+value, since they have no name in their messages (a root given as text by
+that text).  A list is taken as the tuple it lists.  ``TypeError`` is
+allowed only for a value that is not a sequence, and for a list or an
 unhashable entry given to a function memoized by the tuple.  Each kind's
 malformations are one hypothesis strategy; the CI job draws more examples
 under the ``ci`` profile of ``tests/conftest.py``.
@@ -46,12 +47,19 @@ H = (3, 3, 4, 4)
 W = (4, 3, 1, 2)  # admissible for H, with a regular interval graph
 B2 = build_root_system("B", 2)
 X = B2.elements()[3]
-VALID = {"w": W, "h": H, "element": X}
+VALID = {"w": W, "h": H, "element": X, "root": (1, 1), "mask": 0b1011}
+# The kinds given as sequences; a root mask is an int.
+SEQUENCES = {"w", "h", "element", "root"}
+
+
+def as_text(root) -> str:
+    """A root in the bracketed text form of ``RootSystem.parse_root``."""
+    return "[" + ",".join(map(str, root)) + "]"
 
 
 class Checked(NamedTuple):
     call: Callable
-    kinds: dict  # parameter name -> "w", "h" or "element"; called by keyword
+    kinds: dict  # parameter name -> "w", "h", "element", "root" or "mask"; called by keyword
     tuple_only: str | None = None  # why a list or an unhashable entry raises TypeError
 
 
@@ -122,6 +130,13 @@ CONTRACT = {
     "RootSystem.bruhat_interval_up": Checked(B2.bruhat_interval_up, {"w": "element"}),
     "RootSystem.act": Checked(lambda w: B2.act(w, (1, 0)), {"w": "element"}),
     "RootSystem.inversion_mask": Checked(B2.inversion_mask, {"w": "element"}),
+    "RootSystem.reflection": Checked(B2.reflection, {"coords": "root"}),
+    "RootSystem.mask_of": Checked(lambda root: B2.mask_of([(0, 1), root]), {"root": "root"}),
+    "RootSystem.format_root": Checked(B2.format_root, {"coords": "root"}),
+    "RootSystem.format_roots": Checked(lambda root: B2.format_roots([root, (1, 0)]), {"root": "root"}),
+    "RootSystem.format_root_set": Checked(lambda root: B2.format_root_set([root]), {"root": "root"}),
+    "RootSystem.parse_root": Checked(lambda root: B2.parse_root(as_text(root)), {"root": "root"}),
+    "RootSystem.roots_of_mask": Checked(B2.roots_of_mask, {"mask": "mask"}),
     "build_root_system": "takes a type label and a rank",
     "validate_hessenberg_space": "takes a root system and a root set, which it validates",
     "arbitrary_gkm_graph": TAKES_A_SPACE,
@@ -205,7 +220,40 @@ def bad_elements(draw):
     return way, x[:i] + x[i + 1:] if draw(st.booleans()) else x + (0,)
 
 
-MALFORMED = {"w": bad_permutations(), "h": bad_hessenberg(), "element": bad_elements()}
+@st.composite
+def bad_roots(draw):
+    """A malformed positive root of B2: a non-integral coordinate, a vector
+    of integers that is no positive root (zero, negative, too long), or a
+    coordinate too many or too few."""
+    root = draw(st.sampled_from(B2.positive_roots))
+    i = draw(st.integers(0, len(root) - 1))
+    way = draw(st.sampled_from(["non-integral", "not a root", "length"]))
+    if way == "non-integral":
+        return way, _put(root, i, draw(NON_INTEGRAL))
+    if way == "not a root":
+        return way, draw(st.sampled_from([(0, 0), (5, 5), (2, 0), (1, 3), (-1, 0), (-1, -2)]))
+    return way, root[:i] + root[i + 1:] if draw(st.booleans()) else root + (0,)
+
+
+@st.composite
+def bad_masks(draw):
+    """A malformed root mask of B2: negative, a bit past the last of its
+    four positive roots, or not an int."""
+    way = draw(st.sampled_from(["negative", "too wide", "not an int"]))
+    if way == "negative":
+        return way, draw(st.integers(max_value=-1))
+    if way == "too wide":
+        return way, draw(st.integers(min_value=1 << len(B2.positive_roots)))
+    return way, draw(st.sampled_from([2.5, 3.0, "3", None, (1,), [1], float("nan")]))
+
+
+MALFORMED = {
+    "w": bad_permutations(),
+    "h": bad_hessenberg(),
+    "element": bad_elements(),
+    "root": bad_roots(),
+    "mask": bad_masks(),
+}
 
 
 def hashable(value) -> bool:
@@ -218,9 +266,12 @@ def hashable(value) -> bool:
 
 def names(message: str, arg: str, kind: str, value) -> bool:
     """Whether the message names the argument: h or w by its name, standing
-    alone or in h(i), |w| and the like; an element by its value."""
-    if kind == "element":
+    alone or in h(i), |w| and the like; an element, a root or a mask by its
+    value, a root also by its text."""
+    if kind in ("element", "mask"):
         return str(value) in message
+    if kind == "root":
+        return str(value) in message or as_text(value) in message
     return re.search(rf"(?<![A-Za-z_]){arg}(?![A-Za-z_])", message) is not None
 
 
@@ -247,7 +298,10 @@ def as_data(result):
     return (result.vertices, result.moves, result.up) if isinstance(result, MoveGraph) else result
 
 
-@pytest.mark.parametrize("name, arg", ARGUMENTS, ids=[f"{n}-{a}" for n, a in ARGUMENTS])
+SEQUENCE_ARGUMENTS = [(name, arg) for name, arg in ARGUMENTS if CHECKED[name].kinds[arg] in SEQUENCES]
+
+
+@pytest.mark.parametrize("name, arg", SEQUENCE_ARGUMENTS, ids=[f"{n}-{a}" for n, a in SEQUENCE_ARGUMENTS])
 def test_a_list_is_taken_as_the_tuple(name, arg):
     entry = CHECKED[name]
     value = VALID[entry.kinds[arg]]
@@ -259,7 +313,7 @@ def test_a_list_is_taken_as_the_tuple(name, arg):
 
 
 def test_not_a_sequence_raises_type_error_or_value_error():
-    for name, arg in ARGUMENTS:
+    for name, arg in SEQUENCE_ARGUMENTS:
         for value in (None, 5):
             with pytest.raises((TypeError, ValueError)):
                 call_with(name, **{arg: value})

@@ -1,12 +1,16 @@
 """Moment graph construction, degrees, regularity, connectivity, exports."""
 
 import math
+from array import array
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hessgkm.graphs import (
     _code_pairs,
+    _lane_layout,
+    _type_a_move_graph,
     build_hessenberg_graph,
     bruhat_move_graph,
     interval_graph,
@@ -38,6 +42,7 @@ from hessgkm.verify import (
     hessenberg_functions,
     oracle_bruhat_upset,
     oracle_json,
+    oracle_move_graph,
     phi_map,
     regularity_via_w0,
 )
@@ -370,8 +375,9 @@ def test_bruhat_move_graph_matches_definition(n):
 
 def test_kernel_codes_past_rank_255():
     # From n = 256 an entry takes two bytes of a vertex's code, so the codes
-    # do not cap the rank.  Near w0 of S_300, [w, w0] is a square: w, its
-    # up-steps by the pairs (1, 2) and (299, 300), and w0.
+    # do not cap the rank; the kernel's lanes take two bytes from n = 128.
+    # Near w0 of S_300, [w, w0] is a square: w, its up-steps by the pairs
+    # (1, 2) and (299, 300), and w0.
     n = 300
     w0 = longest_element(n)
     w = apply_transposition(apply_transposition(w0, 1, 2), n - 1, n)
@@ -419,15 +425,103 @@ def test_interval_kernel_checks_the_pair_limit_first():
     # C(363, 2) position pairs exceed the size limit (C(362, 2) do not), so
     # w0's one-vertex interval is refused before a pair table is cached.
     n = 363
-    before = _code_pairs.cache_info().currsize
+    before = _lane_layout.cache_info().currsize, _code_pairs.cache_info().currsize
     with pytest.raises(ValueError, match="position pairs"):
         interval_move_graph((n,) * n, longest_element(n))
-    assert _code_pairs.cache_info().currsize == before
+    assert (_lane_layout.cache_info().currsize, _code_pairs.cache_info().currsize) == before
 
 
 def test_bruhat_move_graph_size_limit():
     with pytest.raises(ValueError, match="exceed the size limit SIZE_LIMIT"):
         bruhat_move_graph(identity(9))
+
+
+def _same_kernel(w, allowed):
+    # The lane kernel against the per-vertex pass it replaced: the same
+    # vertices, width and masks, bit for bit and of the same type.
+    got, want = _type_a_move_graph(w, allowed), oracle_move_graph(w, allowed)
+    assert got.vertices == want.vertices and got.width == want.width, (w, allowed)
+    assert type(got.moves) is type(want.moves) and type(got.up) is type(want.up), (w, allowed)
+    assert got.moves == want.moves and got.up == want.up, (w, allowed)
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lane_kernel_matches_the_pass_oracle(n):
+    # Every w under every window mask and under every pair.
+    masks = [window_mask(h) for h in hessenberg_functions(n)] + [-1]
+    for w in all_permutations(n):
+        for allowed in masks:
+            _same_kernel(w, allowed)
+
+
+def _below_w0(n, swaps):
+    # w0 with the given position swaps applied in order: for a few adjacent
+    # swaps, a short interval [w, w0].
+    w = longest_element(n)
+    for i, j in swaps:
+        w = apply_transposition(w, i, j)
+    return w
+
+
+@pytest.mark.parametrize(
+    "n,swaps",
+    [
+        (1, []),
+        (2, []),
+        (2, [(1, 2)]),
+        (3, []),
+        (6, []),
+        (11, [(1, 2), (5, 6), (10, 11)]),
+        (11, [(3, 4), (2, 3), (4, 5)]),
+        (12, [(1, 2), (6, 7), (11, 12)]),
+        (12, [(3, 4), (2, 3), (4, 5)]),
+        (127, [(1, 2), (63, 64), (126, 127)]),
+        (128, [(1, 2), (64, 65), (127, 128)]),
+        (128, [(2, 3), (1, 2), (3, 4)]),
+        (129, [(1, 2), (64, 65), (128, 129)]),
+    ],
+)
+def test_lane_kernel_at_its_edges(n, swaps):
+    # One vertex (w = w0), the ranks 1 and 2, masks of 55 and 66 bits
+    # (array('Q') at n = 11, ints from n = 12), and both sides of the
+    # lane-width switch (one byte a lane to n = 127, two from 128).  Each
+    # kernel is held to the pass oracle and to the edges of _induced, under
+    # every pair (h = (n, ..., n)) and under h's windows.
+    w = _below_w0(n, swaps)
+    pairs = list(enumerate(transpositions(n)))
+    try:
+        for h in [(n,) * n, tuple(min(i + 2, n) for i in range(1, n + 1))]:
+            kernel = _same_kernel(w, window_mask(h))
+            assert isinstance(kernel.moves, array) == (len(pairs) <= 64)
+            _check_move_graph(kernel, -1, h, w, pairs)
+    finally:
+        _code_pairs.cache_clear()
+
+
+@st.composite
+def kernel_cases(draw):
+    # A rank 6..9 and a window mask (a Hessenberg function's, or every
+    # pair).  At n = 6 and 7 w is any permutation; at n = 8 and 9 it is w0
+    # after up to 12 random adjacent swaps, which keeps [w, w0] small.
+    n = draw(st.integers(6, 9))
+    if n <= 7:
+        w = tuple(draw(st.permutations(range(1, n + 1))))
+    else:
+        swaps = draw(st.lists(st.integers(1, n - 1), max_size=12))
+        w = _below_w0(n, [(i, i + 1) for i in swaps])
+    bounds = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    h = []
+    for i, b in enumerate(bounds, 1):
+        h.append(max(b, i, h[-1] if h else 1))
+    allowed = draw(st.sampled_from([window_mask(tuple(h)), -1]))
+    return w, allowed
+
+
+@given(kernel_cases())
+@settings(deadline=None)
+def test_lane_kernel_matches_the_pass_oracle_random(case):
+    _same_kernel(*case)
 
 
 def _pattern(values):
