@@ -15,7 +15,8 @@ failing pair make; the phi suites read the walk itself.
 Type A moves by the swaps u(i,j).  Its masks come from whole-interval
 integer arithmetic, each vertex of [w, w0] a lane in a few big ints, so a
 step is a few big-int operations per pair or per position rather than a
-loop over the vertices (:func:`_type_a_move_graph`).  The per-vertex pass
+loop over the vertices (:func:`_type_a_move_graph`); the vertices run in
+blocks that keep those ints to a fixed budget.  The per-vertex pass
 it replaced is the oracle ``verify.oracle_move_graph``; the up-step walk
 finds each target by arithmetic on integer codes of the vertices.  Its
 kernels are :func:`interval_move_graph` by h's windows (``classify``, the
@@ -158,8 +159,8 @@ class MoveGraph:
     ends: a position pair in type A (as in :func:`hessgkm.perms.inversion_mask`),
     a positive root in general type; ``width`` is the number of bits.
     ``moves[x]`` has the bits of the edges at x inside the interval and
-    ``up[x]`` those that lengthen x, both taken as given (packed by the
-    type's kernel, see :func:`_pack`).  A read sees only the bits of
+    ``up[x]`` those that lengthen x; lists are packed by :func:`_pack`, and
+    the type A kernel's arrays are taken as given.  A read sees only the bits of
     ``within``.  The masks answer degrees, regularity and sinks; bit k at x
     leads to ``targets[x * width + k]``, filled on the first read that walks
     edges from :meth:`up_steps`, the type's own walk of (x, k, y) over the
@@ -170,8 +171,8 @@ class MoveGraph:
     def __init__(self, vertices, moves, up, width, up_steps) -> None:
         self.vertices = vertices
         self.width = width
-        self.moves = moves
-        self.up = up
+        self.moves = _pack(moves, width) if isinstance(moves, list) else moves
+        self.up = _pack(up, width) if isinstance(up, list) else up
         self._up_steps = up_steps
         self._targets = None
 
@@ -212,15 +213,38 @@ class MoveGraph:
         return [u & within for u in self.up].count(0)
 
 
-def _pack(masks: list[int], width: int):
-    # array('Q') keeps 8 bytes a mask; wider masks (type A from n = 12) stay ints.
-    return array("Q", masks) if width <= 64 else tuple(masks)
+def _mask_bytes(width: int) -> int:
+    """Bytes a mask of ``width`` bits takes: 8 up to 64 bits, the masks kept
+    in ``array('Q')``; wider masks (type A from n = 12) are ints."""
+    return max(8, (width + 7) // 8)
+
+
+def _pack(masks, width: int):
+    """``masks`` as a kernel keeps them: ``array('Q')``, or a tuple of ints."""
+    return array("Q", masks) if _mask_bytes(width) == 8 else tuple(masks)
+
+
+def _masks(buf, stride: int):
+    """Per vertex the little-endian mask in its ``stride`` bytes of ``buf``
+    (:func:`_mask_bytes`): an ``array('Q')``, or for wider masks a list of
+    ints, which :class:`MoveGraph` packs (:func:`_pack`)."""
+    if stride > 8:
+        return [int.from_bytes(buf[x : x + stride], "little") for x in range(0, len(buf), stride)]
+    masks = array("Q")
+    masks.frombytes(buf)
+    if sys.byteorder == "big":
+        masks.byteswap()
+    return masks
+
+
+# The big ints of one block of lanes take about this many bytes at once.
+_BLOCK_BYTES = 1 << 21
 
 
 @lru_cache(maxsize=None)
 def _lane_layout(n: int) -> tuple:
     """The lane schedule of rank n, one per rank: (bits, group, below,
-    at_least, pairs).
+    at_least, pairs, stride, block).
 
     A lane has ``bits`` bits, and every sum or difference the kernel forms
     in one lies in (-2^top, 2^top), top = bits - 1, so a lane biased by
@@ -233,7 +257,11 @@ def _lane_layout(n: int) -> tuple:
     it sets iff e >= t.  ``pairs`` has the row (k, i - 1, j - 1, r, top - r,
     c, shift) per pair k = (i, j): bit r = k mod 8 of mask byte c = k // 8,
     kept in the moves at bit 8 (c mod span) + r of a group of span bytes,
-    ``shift`` bits below the group's top bit."""
+    ``shift`` bits below the group's top bit.  A mask takes ``stride``
+    bytes (:func:`_mask_bytes`).  A kernel runs over blocks of
+    ``block`` vertices: a vertex's columns, at most 2n groups and its chunks
+    of both masks take some bytes each, and a block's take about
+    :data:`_BLOCK_BYTES`."""
     size = 1 if n < 128 else 2
     bits = 8 * size
     top = bits - 1
@@ -245,14 +273,16 @@ def _lane_layout(n: int) -> tuple:
         (k, i - 1, j - 1, k & 7, top - (k & 7), k >> 3, bits * n - 1 - 8 * ((k >> 3) % (size * n)) - (k & 7))
         for k, (i, j) in enumerate(transpositions(n))
     )
-    return bits, below[n], tuple(below), at_least, pairs
+    span, chunks, stride = size * n, (len(pairs) + 7) // 8, _mask_bytes(len(pairs))
+    vertex = span * (2 * n + 16) + chunks * (size + 1) + 2 * stride
+    return bits, below[n], tuple(below), at_least, pairs, stride, max(1, _BLOCK_BYTES // vertex)
 
 
 def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
     """[w, w0] in lexicographic order, its edges the swaps y t_k, k = (i, j)
     in ``allowed``, by whole-interval integer arithmetic on lanes
     (:func:`_lane_layout`): each step below is a few big-int operations
-    over all vertices at once, per pair or per position.
+    over all vertices of a block at once, per pair or per position.
 
     * Ascents y(i) < y(j), from the columns: one sign bit per vertex.  The
       interval is an upset, so each ascent y t_k lies in it.  A pair with
@@ -273,56 +303,91 @@ def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
       and the chunks' bytes are interleaved into 8-byte masks loaded
       straight into ``array('Q')`` (width <= 64), or into ints from wider
       slices (n >= 12).
+    * Blocks: the vertices run in blocks of the layout's size, so the big
+      ints stay within about :data:`_BLOCK_BYTES` whatever the rank and the
+      interval.  A first pass takes every block's ascents, and so the pairs
+      with an ascent anywhere; a second takes each block's descents.
 
     The per-vertex pass it replaced is :func:`hessgkm.verify.oracle_move_graph`."""
     vertices = bruhat_interval_lex(w)
-    n, size = len(w), len(vertices)
-    bits, group, below, at_least, pairs = _lane_layout(n)
+    layout = _lane_layout(len(w))
+    pairs, stride, block = layout[4:]
+    chosen = [row for row in pairs if allowed >> row[0] & 1]
+    reached = bytearray((len(pairs) + 7) // 8)
+    up, moves, ascents = _masks(b"", stride), _masks(b"", stride), []
+    for x in range(0, len(vertices), block):
+        part = vertices[x : x + block]
+        raw, buf, partial = _block_ascents(part, layout, chosen, reached)
+        ascents.append((len(part), raw, partial))
+        up += _masks(buf, stride)
+    for count, raw, partial in ascents:
+        moves += _masks(_block_moves(count, raw, w, layout, reached, partial), stride)
+    return MoveGraph(vertices, moves, up, len(pairs), _type_a_up_steps)
+
+
+def _block_ascents(part, layout, chosen, reached: bytearray):
+    """One block's entry bytes, its up masks' bytes, and the rows of
+    ``chosen`` with a descent in it; a pair's bit is set in ``reached``
+    when it has an ascent here."""
+    bits, stride = layout[0], layout[5]
+    n, count = len(part[0]), len(part)
     lane, top = bits // 8, bits - 1
-    span = lane * n
-    raw, cols = _entry_bytes(vertices, n, lane)
+    raw, cols = _entry_bytes(part, n, lane)
     # Columns: one lane per vertex.
     cols = [int.from_bytes(c, "little") for c in cols]
-    ones = int.from_bytes((1).to_bytes(lane, "little") * size, "little")
+    ones = int.from_bytes((1).to_bytes(lane, "little") * count, "little")
     bias = ones << top
     lows = [c - bias for c in cols]
     marks = [ones << r for r in range(8)]
-    chunks = (len(pairs) + 7) // 8
-    up = [0] * chunks
-    reached = [0] * chunks
-    open_pairs = []
-    last = 0
-    for k, i, j, r, sign, c, _ in pairs:
-        if allowed >> k & 1:
-            asc = (cols[j] - lows[i]) >> sign & marks[r]
-            if asc:
-                up[c] |= asc
-                reached[c] |= 1 << r
-                if asc != marks[r]:
-                    open_pairs.append(pairs[k])
-                    last = max(last, j)
-    # Groups: n lanes per vertex.  The moves start as every pair with an
-    # ascent; the descents that fail are taken off.
-    first = int.from_bytes((1).to_bytes(span, "little") * size, "little")
-    moves = [0] * ((chunks + span - 1) // span)
-    for c, bits_c in enumerate(reached):
-        moves[c // span] += bits_c << 8 * (c % span)
-    moves = [first * x for x in moves]
+    up = [0] * len(reached)
+    partial = []
+    for row in chosen:
+        _, i, j, r, sign, c, _ = row
+        asc = (cols[j] - lows[i]) >> sign & marks[r]
+        if asc:
+            up[c] |= asc
+            reached[c] |= 1 << r
+        if asc != marks[r]:
+            partial.append(row)
+    buf = bytearray(stride * count)
+    for c, x in enumerate(up):
+        if x:
+            buf[c::stride] = x.to_bytes(count * lane, "little")[::lane]
+    return raw, buf, partial
+
+
+def _block_moves(count: int, raw: bytes, w: Perm, layout, reached: bytearray, partial) -> bytearray:
+    """One block's moves masks' bytes: each pair of ``reached`` (an ascent
+    somewhere in the interval) at every vertex, less the descents of
+    ``partial`` that leave the interval."""
+    bits, group, below, at_least, _, stride, _ = layout
+    n = len(w)
+    top, span = bits - 1, bits // 8 * n
+    # Groups: n lanes per vertex.  The moves start as every reached pair;
+    # the descents that fail are taken off.
+    first = int.from_bytes((1).to_bytes(span, "little") * count, "little")
+    moves = [first * int.from_bytes(reached[a : a + span], "little") for a in range(0, len(reached), span)]
+    open_pairs = [row for row in partial if reached[row[5]] >> row[3] & 1]
     if open_pairs:
         full, tops = first * group, first << bits * n - 1
         at_least, carry = first * at_least, tops - first
         flat = int.from_bytes(raw, "little")
         lane0 = first * ((1 << bits) - 1)
-        ge = [((flat >> bits * q & lane0) * group + at_least) >> top & full for q in range(last + 1)]
         half = group << top
+        # Position by position, the counts summed as they go; ge and zero
+        # are kept from the first open row on, up to the last j.
+        start, last = open_pairs[0][1], max([row[2] for row in open_pairs])
+        ge, zero = [0] * (last + 1), [0] * (last + 1)
         tally = mine = 0
-        zero = []
-        for g, v in zip(ge[:last], w):
+        for p in range(last + 1):
+            g = ((flat >> bits * p & lane0) * group + at_least) >> top & full
             tally += g
-            mine += below[v]
-            zero.append((first * (mine + half) - tally) >> top & full)
+            mine += below[w[p]]
+            if p >= start:
+                ge[p] = g
+                zero[p] = (first * (mine + half) - tally) >> top & full
         row = -1
-        for k, i, j, r, _, c, shift in open_pairs:
+        for _, i, j, r, _, c, shift in open_pairs:
             if i != row:
                 row, at, tight = i, i, 0
             while at < j:
@@ -332,15 +397,14 @@ def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
             fails = inside ^ (inside & ge[j])
             if fails:
                 moves[c // span] -= (fails + carry & tops) >> shift
-    stride = 8 if chunks <= 8 else chunks
-    move_buf, up_buf = bytearray(stride * size), bytearray(stride * size)
-    for c, x in enumerate(up):
-        up_buf[c::stride] = x.to_bytes(size * lane, "little")[::lane]
+    buf = bytearray(stride * count)
     for a, x in enumerate(moves):
-        data = x.to_bytes(size * span, "little")
-        for c in range(a * span, min(chunks, (a + 1) * span)):
-            move_buf[c::stride] = data[c % span :: span]
-    return MoveGraph(vertices, _masks(move_buf, stride), _masks(up_buf, stride), len(pairs), _type_a_up_steps)
+        if x:
+            data = x.to_bytes(count * span, "little")
+            for c in range(a * span, min(len(reached), (a + 1) * span)):
+                if reached[c]:
+                    buf[c::stride] = data[c % span :: span]
+    return buf
 
 
 def _entry_bytes(vertices, n: int, lane: int) -> tuple[bytes, list[bytes]]:
@@ -359,18 +423,6 @@ def _entry_bytes(vertices, n: int, lane: int) -> tuple[bytes, list[bytes]]:
             col[b::lane] = plane[q::n]
         cols.append(bytes(col))
     return raw, cols
-
-
-def _masks(buf: bytearray, stride: int):
-    """Per vertex the little-endian mask in ``stride`` bytes of ``buf``:
-    ``array('Q')`` for 8 bytes, a tuple of ints for more."""
-    if stride > 8:
-        return tuple(int.from_bytes(buf[x : x + stride], "little") for x in range(0, len(buf), stride))
-    masks = array("Q")
-    masks.frombytes(buf)
-    if sys.byteorder == "big":
-        masks.byteswap()
-    return masks
 
 
 def _type_a_up_steps(g: MoveGraph):

@@ -72,7 +72,7 @@ from functools import cache, cached_property, reduce
 from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
-from .graphs import MoveGraph, _pack
+from .graphs import MoveGraph
 from .perms import Perm, _fields, _integers, check_size, compose as perm_compose
 
 Coords = tuple[int, ...]
@@ -747,8 +747,7 @@ def _move_graph(hs: HessenbergSpace, ids) -> MoveGraph:
                 if m_mask >> c & 1:
                     yield x, c, local[y]
 
-    width = rs._num_positive
-    return MoveGraph(tuple(map(rs.elements().__getitem__, ids)), _pack(moves, width), _pack(up, width), width, up_steps)
+    return MoveGraph(tuple(map(rs.elements().__getitem__, ids)), moves, up, rs._num_positive, up_steps)
 
 
 def arbitrary_gkm_graph(hs: HessenbergSpace) -> MoveGraph:

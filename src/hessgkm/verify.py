@@ -466,7 +466,7 @@ def oracle_move_graph(w: Perm, allowed: int) -> MoveGraph:
         moves[x] |= ascents
         up.append(ascents)
     width = len(w) * (len(w) - 1) // 2
-    return MoveGraph(vertices, _pack(moves, width), _pack(up, width), width, _type_a_up_steps)
+    return MoveGraph(vertices, moves, up, width, _type_a_up_steps)
 
 
 def _induced(h: HessFunc, vertices: tuple[Perm, ...]) -> tuple[GkmEdge, ...]:

@@ -1,12 +1,14 @@
 """Moment graph construction, degrees, regularity, connectivity, exports."""
 
 import math
+import tracemalloc
 from array import array
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hessgkm import graphs
 from hessgkm.graphs import (
     _code_pairs,
     _lane_layout,
@@ -26,6 +28,7 @@ from hessgkm.perms import (
     all_permutations,
     apply_transposition,
     bruhat_interval,
+    bruhat_interval_lex,
     compose,
     identity,
     inversion_mask,
@@ -453,6 +456,47 @@ def test_lane_kernel_matches_the_pass_oracle(n):
     for w in all_permutations(n):
         for allowed in masks:
             _same_kernel(w, allowed)
+
+
+@pytest.mark.parametrize("n,block", [(n, b) for n in range(1, 5) for b in (1, 2, 7)] + [(5, 7)])
+def test_lane_kernel_by_blocks_matches_the_pass_oracle(monkeypatch, n, block):
+    # The kernel runs over blocks of vertices: a pair may have an ascent in
+    # one block only and its descents in another.  Blocks of 1, 2 and 7
+    # vertices, every w under every window mask and under every pair.
+    layout = graphs._lane_layout
+    monkeypatch.setattr(graphs, "_lane_layout", lambda n: layout(n)[:-1] + (block,))
+    masks = [window_mask(h) for h in hessenberg_functions(n)] + [-1]
+    for w in all_permutations(n):
+        for allowed in masks:
+            _same_kernel(w, allowed)
+
+
+def test_lane_kernel_peak_memory_is_the_oracles():
+    # A Boolean interval of 2^16 vertices at n = 36 (w0 times 16 disjoint
+    # adjacent swaps) under a banded h: the kernel's big ints run block by
+    # block, so its peak stays near its masks', as the pass oracle's does,
+    # not a whole-interval group int per position.  Its masks, from over a
+    # hundred blocks, are the oracle's.
+    n = 36
+    w = _below_w0(n, [(p, p + 1) for p in range(1, n, 2)][:16])
+    h = tuple(min(i + 3, n) for i in range(1, n + 1))
+    allowed = window_mask(h)
+    try:
+        assert len(bruhat_interval_lex(w)) == 1 << 16
+        built, peaks = [], []
+        for build in (_type_a_move_graph, oracle_move_graph):
+            tracemalloc.start()
+            try:
+                built.append(build(w, allowed))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 1.25 * peaks[1], peaks
+        got, want = built
+        assert got.moves == want.moves and got.up == want.up
+    finally:
+        bruhat_interval_lex.cache_clear()
+        _code_pairs.cache_clear()
 
 
 def _below_w0(n, swaps):
