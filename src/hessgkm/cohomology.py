@@ -41,6 +41,7 @@ from .perms import (
     Perm,
     all_permutations,
     apply_transposition,
+    check_factorial,
     check_size,
     format_permutation,
     transpositions,
@@ -159,7 +160,7 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
     """
     w, h = check_pair(w, h)
     n = len(h)
-    check_size(math.factorial(n), f"S_{n}")
+    check_factorial(n, f"S_{n}")
     win = window_mask(h)
     g = _type_a_move_graph(w, win)
     check = g.regularity(_cell_dimension(w, h))

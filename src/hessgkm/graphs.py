@@ -8,26 +8,25 @@ and {a, b} = {u(i), u(j)} = {v(i), v(j)}; the torus weight of the edge is
 
 Each edge question has one source.  A whole interval's, in either type, is
 the kernel :class:`MoveGraph`: per vertex a mask of its moves and one of its
-up-steps, which answer degrees, regularity and connectivity.  The targets
-are filled from the type's walk of its up-steps on the first read, which
-only the oracles of :mod:`hessgkm.verify` and phi-injective's walk of a
-failing pair make; the phi suites read the walk itself.
+up-steps, which answer degrees, regularity and connectivity, and the type's
+walk of its up-steps, the one read of the edges themselves.
 Type A moves by the swaps u(i,j).  Its masks come from whole-interval
 integer arithmetic, each vertex of [w, w0] a lane in a few big ints, so a
 step is a few big-int operations per pair or per position rather than a
 loop over the vertices (:func:`_type_a_move_graph`); the vertices run in
 blocks that keep those ints to a fixed budget.  The per-vertex pass
-it replaced is the oracle ``verify.oracle_move_graph``; the up-step walk
-finds each target by arithmetic on integer codes of the vertices.  Its
-kernels are :func:`interval_move_graph` by h's windows (``classify``, the
-localized classes, example61) and :func:`bruhat_move_graph` by every pair,
-once per w, for the sweeps to read under each h's window mask.
+it replaced is the oracle ``verify.oracle_move_graph``.  Its kernels are
+:func:`interval_move_graph` by h's windows (``classify``, the localized
+classes, example61) and :func:`bruhat_move_graph` by every pair, once per
+w, for the sweeps to read under each h's window mask.
 :mod:`hessgkm.roots` reads its masks off inversion sets and walks its
 reflection table.
 Export reads a ``GkmGraph``, the full graph or ``interval_graph(h, w)``
 on the Bruhat interval [w, w0], which keeps only its vertices, h and w.
 One walk, :func:`_edge_rows`, lists each vertex's window ascents inside
-the vertex set by the same arithmetic on codes.  DOT/JSON, the
+the vertex set.  It and the up-step walk find each target by arithmetic
+on integer codes of the vertices, their weights and pair rows read off the
+one per-rank schedule of the kernel, :func:`_lane_layout`.  DOT/JSON, the
 compatibility check and ``GkmGraph.degrees`` and ``adjacency`` (so
 :func:`is_regular` and :func:`is_connected`) stream its rows;
 ``GkmGraph.edges`` builds ``GkmEdge`` objects from them on each read, for
@@ -46,7 +45,6 @@ and the graph on the cell-closure fixed points) live in :mod:`hessgkm.verify`.
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from functools import lru_cache
@@ -59,7 +57,7 @@ from .perms import (
     Perm,
     all_permutations,
     bruhat_interval_lex,
-    check_size,
+    check_factorial,
     format_permutation,
     transpositions,
 )
@@ -119,14 +117,17 @@ class GkmGraph(NamedTuple):
 def _edge_rows(g: GkmGraph):
     """Per vertex u of g, in order, its window ascents u -> u(i,j) inside the
     vertex set, as rows (target id, i, j, u(i), u(j)) sorted by target id.
-    Each target is found by the kernel's arithmetic on integer codes and
-    looked up with ``get``: the vertex set need not be an upset (the
-    cell-closure fixed points are not)."""
+    Each target's code is u's plus (u(j) - u(i)) d, d = P[i - 1] - P[j - 1]
+    from the power row of :func:`_lane_layout`, and is looked up with
+    ``get``: the vertex set need not be an upset (the cell-closure fixed
+    points are not)."""
     vertices = g.vertices
-    index = _code_index(vertices)
+    layout = _lane_layout(len(g.h))
+    power = layout[4]
+    index = _code_index(vertices, layout)
     get = index.get
-    win = window_mask(g.h)
-    rows = [(i, j, d, i + 1, j + 1) for bit, i, j, d in _code_pairs(len(g.h)) if bit & win]
+    win = window_mask(g.h).to_bytes(len(layout[5]) // 8 + 1, "little")
+    rows = [(i, j, power[i] - power[j], i + 1, j + 1) for _, i, j, r, _, c, _ in layout[5] if win[c] >> r & 1]
     for u, code in zip(vertices, index):
         out = []
         for i, j, d, p, q in rows:
@@ -143,7 +144,7 @@ def build_hessenberg_graph(h) -> GkmGraph:
     """The full moment graph: vertices S_n, edges all window swaps."""
     h = validate_hessenberg(h)
     n = len(h)
-    check_size(math.factorial(n), f"S_{n}")
+    check_factorial(n, f"S_{n}")
     return GkmGraph(tuple(all_permutations(n)), h)
 
 
@@ -161,12 +162,10 @@ class MoveGraph:
     ``moves[x]`` has the bits of the edges at x inside the interval and
     ``up[x]`` those that lengthen x; lists are packed by :func:`_pack`, and
     the type A kernel's arrays are taken as given.  A read sees only the bits of
-    ``within``.  The masks answer degrees, regularity and sinks; bit k at x
-    leads to ``targets[x * width + k]``, filled on the first read that walks
-    edges from :meth:`up_steps`, the type's own walk of (x, k, y) over the
-    up bits, each mirrored into its target."""
+    ``within``.  The masks answer degrees, regularity and sinks; the edges
+    themselves are walked by :meth:`up_steps`, each from its lower end."""
 
-    __slots__ = ("vertices", "moves", "up", "width", "_up_steps", "_targets")
+    __slots__ = ("vertices", "moves", "up", "width", "_up_steps")
 
     def __init__(self, vertices, moves, up, width, up_steps) -> None:
         self.vertices = vertices
@@ -174,24 +173,11 @@ class MoveGraph:
         self.moves = _pack(moves, width) if isinstance(moves, list) else moves
         self.up = _pack(up, width) if isinstance(up, list) else up
         self._up_steps = up_steps
-        self._targets = None
 
     def up_steps(self):
-        """(x, k, y) per up bit k at x, y its target, by the type's walk;
-        it fills no ``targets``."""
+        """(x, k, y) per up bit k at x, y its target, by the type's walk:
+        x ascending, and k ascending at each x."""
         return self._up_steps(self)
-
-    @property
-    def targets(self) -> array:
-        """Each up-step's target id, mirrored into it: the down-step back."""
-        if self._targets is None:
-            width = self.width
-            targets = array("i", [0]) * (len(self.vertices) * width)
-            for x, k, y in self.up_steps():
-                targets[x * width + k] = y
-                targets[y * width + k] = x
-            self._targets = targets
-        return self._targets
 
     def degrees(self, within: int = -1) -> list[int]:
         return [(m & within).bit_count() for m in self.moves]
@@ -244,7 +230,7 @@ _BLOCK_BYTES = 1 << 21
 @lru_cache(maxsize=None)
 def _lane_layout(n: int) -> tuple:
     """The lane schedule of rank n, one per rank: (bits, group, below,
-    at_least, pairs, stride, block).
+    at_least, power, pairs, stride, block).
 
     A lane has ``bits`` bits, and every sum or difference the kernel forms
     in one lies in (-2^top, 2^top), top = bits - 1, so a lane biased by
@@ -254,13 +240,17 @@ def _lane_layout(n: int) -> tuple:
     position or threshold m + 1.  Over one group, ``group`` has a one in
     each lane, ``below[v]`` in lanes 0..v - 1 (the thresholds t <= v), and
     ``at_least`` 2^top - t in lane t - 1, whose top bit an entry e added to
-    it sets iff e >= t.  ``pairs`` has the row (k, i - 1, j - 1, r, top - r,
-    c, shift) per pair k = (i, j): bit r = k mod 8 of mask byte c = k // 8,
-    kept in the moves at bit 8 (c mod span) + r of a group of span bytes,
-    ``shift`` bits below the group's top bit.  A mask takes ``stride``
-    bytes (:func:`_mask_bytes`).  A kernel runs over blocks of
-    ``block`` vertices: a vertex's columns, at most 2n groups and its chunks
-    of both masks take some bytes each, and a block's take about
+    it sets iff e >= t.  A permutation's code is its entries in big-endian
+    lanes (:func:`_code_index`), so with B = 2^bits, ``power[p]`` =
+    B^(n - 1 - p) is the weight of position p + 1, and the code of u t_k,
+    k = (i, j), is u's plus (u(j) - u(i)) (power[i - 1] - power[j - 1]).
+    ``pairs`` has the row (k, i - 1, j - 1, r, top - r, c, shift) per pair
+    k = (i, j): bit r = k mod 8 of mask byte c = k // 8, kept in the moves
+    at bit 8 (c mod span) + r of a group of span bytes, ``shift`` bits
+    below the group's top bit.  A mask takes ``stride`` bytes
+    (:func:`_mask_bytes`).  A kernel runs over blocks of ``block``
+    vertices: a vertex's columns, at most 2n groups and its chunks of both
+    masks take some bytes each, and a block's take about
     :data:`_BLOCK_BYTES`."""
     size = 1 if n < 128 else 2
     bits = 8 * size
@@ -269,13 +259,14 @@ def _lane_layout(n: int) -> tuple:
     for _ in range(n):
         below.append(below[-1] << bits | 1)
     at_least = sum(((1 << top) - t) << bits * (t - 1) for t in range(1, n + 1))
+    power = tuple(1 << bits * (n - 1 - p) for p in range(n))
     pairs = tuple(
         (k, i - 1, j - 1, k & 7, top - (k & 7), k >> 3, bits * n - 1 - 8 * ((k >> 3) % (size * n)) - (k & 7))
         for k, (i, j) in enumerate(transpositions(n))
     )
     span, chunks, stride = size * n, (len(pairs) + 7) // 8, _mask_bytes(len(pairs))
     vertex = span * (2 * n + 16) + chunks * (size + 1) + 2 * stride
-    return bits, below[n], tuple(below), at_least, pairs, stride, max(1, _BLOCK_BYTES // vertex)
+    return bits, below[n], tuple(below), at_least, power, pairs, stride, max(1, _BLOCK_BYTES // vertex)
 
 
 def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
@@ -311,7 +302,7 @@ def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
     The per-vertex pass it replaced is :func:`hessgkm.verify.oracle_move_graph`."""
     vertices = bruhat_interval_lex(w)
     layout = _lane_layout(len(w))
-    pairs, stride, block = layout[4:]
+    pairs, stride, block = layout[5:]
     chosen = [row for row in pairs if allowed >> row[0] & 1]
     reached = bytearray((len(pairs) + 7) // 8)
     up, moves, ascents = _masks(b"", stride), _masks(b"", stride), []
@@ -329,7 +320,7 @@ def _block_ascents(part, layout, chosen, reached: bytearray):
     """One block's entry bytes, its up masks' bytes, and the rows of
     ``chosen`` with a descent in it; a pair's bit is set in ``reached``
     when it has an ascent here."""
-    bits, stride = layout[0], layout[5]
+    bits, stride = layout[0], layout[6]
     n, count = len(part[0]), len(part)
     lane, top = bits // 8, bits - 1
     raw, cols = _entry_bytes(part, n, lane)
@@ -360,7 +351,7 @@ def _block_moves(count: int, raw: bytes, w: Perm, layout, reached: bytearray, pa
     """One block's moves masks' bytes: each pair of ``reached`` (an ascent
     somewhere in the interval) at every vertex, less the descents of
     ``partial`` that leave the interval."""
-    bits, group, below, at_least, _, stride, _ = layout
+    bits, group, below, at_least, _, _, stride, _ = layout
     n = len(w)
     top, span = bits - 1, bits // 8 * n
     # Groups: n lanes per vertex.  The moves start as every reached pair;
@@ -426,47 +417,32 @@ def _entry_bytes(vertices, n: int, lane: int) -> tuple[bytes, list[bytes]]:
 
 
 def _type_a_up_steps(g: MoveGraph):
-    """(x, k, y) per up bit k at x, y the id of u t_k, by the mask pass's
-    arithmetic on codes made afresh: a kernel keeps no code table."""
+    """(x, k, y) per up bit k at x, y the id of u t_k, by the arithmetic of
+    :func:`_edge_rows` on codes made afresh: a kernel keeps no code table."""
     vertices = g.vertices
-    index = _code_index(vertices)
-    pairs = _code_pairs(len(vertices[0]))
+    layout = _lane_layout(len(vertices[0]))
+    power = layout[4]
+    index = _code_index(vertices, layout)
+    rows = [(i, j, power[i] - power[j]) for _, i, j, *_ in layout[5]]
     for x, (u, code, bits) in enumerate(zip(vertices, index, g.up)):
         while bits:
             low = bits & -bits
             k = low.bit_length() - 1
-            _, i, j, d = pairs[k]
+            i, j, d = rows[k]
             yield x, k, index[code + (u[j] - u[i]) * d]
             bits ^= low
 
 
-def _code_bytes(n: int) -> int:
-    """Bytes per entry in the codes of S_n: one up to n = 255."""
-    return (n.bit_length() + 7) // 8
-
-
-def _code_index(vertices) -> dict[int, int]:
+def _code_index(vertices, layout) -> dict[int, int]:
     """Code to id, in id order.  A permutation's code is the big-endian
-    integer of its entries, each in :func:`_code_bytes` bytes."""
-    size = _code_bytes(len(vertices[0]))
+    integer of its entries, each in one lane of ``layout``
+    (:func:`_lane_layout`)."""
+    size = layout[0] // 8
     if size == 1:
         raw = map(bytes, vertices)
     else:
         raw = (b"".join(x.to_bytes(size, "big") for x in u) for u in vertices)
     return dict(zip(map(int.from_bytes, raw, repeat("big")), count()))
-
-
-@lru_cache(maxsize=None)
-def _code_pairs(n: int) -> tuple:
-    """(1 << k, i - 1, j - 1, d_k) per pair k = (i, j) of S_n, one table per
-    rank; a kernel keeps the rows of its mask.  With B = 256 ** _code_bytes(n),
-    the code of u t_k is u's plus (u(j) - u(i)) * d_k, where
-    d_k = B^(n - i) - B^(n - j)."""
-    power = [(256 ** _code_bytes(n)) ** e for e in range(n)]
-    return tuple(
-        (1 << k, i - 1, j - 1, power[n - i] - power[n - j])
-        for k, (i, j) in enumerate(transpositions(n))
-    )
 
 
 def interval_move_graph(h, w: Perm) -> MoveGraph:

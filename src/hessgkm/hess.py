@@ -31,7 +31,6 @@ library runs the unchecked cores ``_name`` on checked values.  The memo caches
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .perms import (
@@ -41,7 +40,7 @@ from .perms import (
     all_permutations,
     as_permutation,
     bruhat_interval,
-    check_size,
+    check_factorial,
     inversion_mask,
     left_multiply,
     transpositions,
@@ -173,7 +172,7 @@ def enumerate_admissible(h) -> tuple[Perm, ...]:
 
 @lru_cache(maxsize=None)
 def _enumerate_admissible(h: HessFunc) -> tuple[Perm, ...]:
-    check_size(math.factorial(len(h)), f"S_{len(h)}")
+    check_factorial(len(h), f"S_{len(h)}")
     return tuple(w for w in all_permutations(len(h)) if _is_admissible(w, h))
 
 

@@ -35,6 +35,7 @@ The memo caches here are keyed by w alone.
 Every verb guards the factorial growth of S_n, W and the intervals with
 one bound, :data:`SIZE_LIMIT`, on the elements a call would materialize;
 :func:`check_size` raises ``ValueError`` naming it, so the CLI exits 2.
+A factorial count is bounded by :func:`check_factorial` before it is taken.
 
 Text form: a digit string for n <= 9 (``"4312"``), comma-separated values
 for larger n (``"10,3,1,2,4,5,6,7,8,9"``).
@@ -53,10 +54,32 @@ Perm = tuple[int, ...]
 SIZE_LIMIT = 1 << 16
 
 
+# Python prints no int of more than 4,300 digits, about 14,280 bits; a
+# longer count is named by a power of two below it.
+_PRINTED_BITS = 14_000
+
+
 def check_size(count: int, what: str) -> None:
     """Fail fast when ``what`` would hold more than SIZE_LIMIT items."""
     if count > SIZE_LIMIT:
-        raise ValueError(f"{what}: {count} items exceed the size limit SIZE_LIMIT = {SIZE_LIMIT}")
+        bits = count.bit_length() - 1
+        _refuse(count if bits < _PRINTED_BITS else f"more than 2^{bits}", what)
+
+
+def check_factorial(n: int, what: str, shift: int = 0) -> None:
+    """:func:`check_size` of n! 2^shift, the order of S_n or of a Weyl
+    group.  A base-2 log bound from ``lgamma`` comes first, so an order too
+    long to print is refused by a power of two below it, and neither it nor
+    n! is built.  (2^50)! is far past printing, and n! exceeds it for any
+    larger n."""
+    bits = int(math.lgamma(min(n, 1 << 50) + 1) / math.log(2)) + shift - 1
+    if bits >= _PRINTED_BITS:
+        _refuse(f"more than 2^{bits}", what)
+    check_size(math.factorial(n) << shift, what)
+
+
+def _refuse(count, what: str):
+    raise ValueError(f"{what}: {count} items exceed the size limit SIZE_LIMIT = {SIZE_LIMIT}")
 
 
 def _integers(values, name: str) -> tuple[int, ...]:

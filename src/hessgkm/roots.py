@@ -73,7 +73,7 @@ from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from .graphs import MoveGraph
-from .perms import Perm, _fields, _integers, check_size, compose as perm_compose
+from .perms import Perm, _fields, _integers, check_factorial, check_size, compose as perm_compose
 
 Coords = tuple[int, ...]
 Element = tuple[int, ...]  # permutation of the signed root index list
@@ -94,14 +94,8 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-_ORDER_FORMULA = {
-    "A": lambda r: math.factorial(r + 1),
-    "B": lambda r: (1 << r) * math.factorial(r),
-    "C": lambda r: (1 << r) * math.factorial(r),
-    "D": lambda r: (1 << (r - 1)) * math.factorial(r),
-    "G": lambda r: 12,
-    "F": lambda r: 1152,
-}
+# The least rank of each type; G and F have that rank alone.
+_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2, "F": 4}
 
 _POSITIVE_COUNT = {
     "A": lambda r: r * (r + 1) // 2,
@@ -120,37 +114,44 @@ def _unit_diff(dim: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _simple_roots_euclidean(type_label: str, rank: int) -> list[tuple[int, ...]]:
-    t = type_label
+def _weyl_order(t: str, rank: int) -> int:
+    """|W| of type t and rank ``rank``, within the size limit.  The type,
+    the rank and the limit are checked first, and nothing of the rank's
+    size is built before: the order m! 2^s of A-D is bounded by
+    :func:`hessgkm.perms.check_factorial` before it is taken."""
+    least = _LEAST_RANK.get(t)
+    if least is None:
+        raise ValueError(f"unsupported type {t!r} (supported: A, B, C, D, G2, F4)")
+    if t in ("G", "F"):
+        if rank != least:
+            raise ValueError(f"type {t} has rank {least}")
+        return 12 if t == "G" else 1152
+    if rank < least:
+        raise ValueError(f"type {t} needs rank >= {least}")
+    m, s = (rank + 1, 0) if t == "A" else (rank, rank - (t == "D"))
+    check_factorial(m, f"W({t}{rank})", s)
+    return math.factorial(m) << s
+
+
+def _simple_roots_euclidean(t: str, rank: int) -> list[tuple[int, ...]]:
+    """The simple roots of a type and rank that :func:`_weyl_order` passed."""
     if t == "A":
-        if rank < 1:
-            raise ValueError("type A needs rank >= 1")
         return [_unit_diff(rank + 1, i, i + 1) for i in range(rank)]
     if t in ("B", "C"):
-        if rank < 2:
-            raise ValueError(f"type {t} needs rank >= 2")
         out = [_unit_diff(rank, i, i + 1) for i in range(rank - 1)]
         last = [0] * rank
         last[rank - 1] = 1 if t == "B" else 2
         return out + [tuple(last)]
     if t == "D":
-        if rank < 3:
-            raise ValueError("type D needs rank >= 3")
         out = [_unit_diff(rank, i, i + 1) for i in range(rank - 1)]
         last = [0] * rank
         last[rank - 2] = 1
         last[rank - 1] = 1
         return out + [tuple(last)]
     if t == "G":
-        if rank != 2:
-            raise ValueError("type G has rank 2")
         return [(1, -1, 0), (-2, 1, 1)]
-    if t == "F":
-        if rank != 4:
-            raise ValueError("type F has rank 4")
-        # The usual realization doubled, so that it is integral.
-        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
-    raise ValueError(f"unsupported type {type_label!r} (supported: A, B, C, D, G2, F4)")
+    # F4: the usual realization doubled, so that it is integral.
+    return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
 
 
 def _reflect_coords(gamma: Coords, beta: Coords, row: tuple[int, ...]) -> Coords:
@@ -172,12 +173,11 @@ class RootSystem:
 
     def __init__(self, type_label: str, rank: int):
         type_label = type_label.upper()
+        # Covers A<=7, B/C<=6, D<=6, G2, F4; E types are not built here.
+        self.order = _weyl_order(type_label, rank)
         simples = _simple_roots_euclidean(type_label, rank)
         self.type_label = type_label
         self.rank = rank
-        self.order = _ORDER_FORMULA[type_label](rank)
-        # Covers A<=7, B/C<=6, D<=6, G2, F4; E types are not built here.
-        check_size(self.order, f"W({type_label}{rank})")
         # gram[i][j] = (alpha_i, alpha_j), an integer
         self._gram = [[sum(a * b for a, b in zip(x, y)) for y in simples] for x in simples]
         self.simple_roots: tuple[Coords, ...] = tuple(

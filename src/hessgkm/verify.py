@@ -33,9 +33,10 @@ _induced                          each window swap made on a list and
                                   probed in the vertex set, for the edge
                                   walk of ``GkmGraph.edges`` and the kernels
 oracle_move_graph                 one pass over each vertex's pairs, each
-                                  ascent's target found by its integer code
-                                  and its bit set at both ends, for the lane
-                                  arithmetic of the type-A kernel
+                                  ascent swapped on a list, probed in the
+                                  vertex set and its bit set at both ends,
+                                  for the lane arithmetic of the type-A
+                                  kernel
 oracle_weyl_bruhat_leq            the right-descent recursion, for the
                                   general-type upper intervals
 oracle_weak_leq                   l(v) = l(u) + l(v u^-1), for weak order
@@ -99,8 +100,9 @@ example61       the rank-6 regression case: admissibility, strict window
                 length minimality over the interval, graph irregularity
 
 w's Bruhat graph is :func:`hessgkm.graphs.bruhat_move_graph`, built once
-per w and shared by every h, its targets left unbuilt unless phi-injective
-walks a failing pair; example61 builds its one interval graph with
+per w and shared by every h; its edges are read only by its up-step walk,
+for the keys of phi-injective and the cases of a failing pair.  example61
+builds its one interval graph with
 :func:`hessgkm.graphs.interval_move_graph`.  On every (h, w) with n <= 5
 the agreement tests of ``tests/test_graphs.py`` check the latter against
 the edges of :func:`_induced` and the former against the latter, and both
@@ -124,8 +126,6 @@ from .graphs import (
     GkmEdge,
     GkmGraph,
     MoveGraph,
-    _code_index,
-    _code_pairs,
     _pack,
     _type_a_up_steps,
     bruhat_move_graph,
@@ -208,6 +208,8 @@ class SweepResult:
 def hessenberg_functions(n: int) -> list[HessFunc]:
     """All Hessenberg functions on [n], lexicographic; the count is a
     Catalan number, asserted as a generator self-test."""
+    if n < 1:
+        raise ValueError(f"rank n = {n} is below the lower limit 1")
     out: list[HessFunc] = []
 
     def grow(prefix: list[int]) -> None:
@@ -446,27 +448,30 @@ def oracle_json(payload) -> str:
 def oracle_move_graph(w: Perm, allowed: int) -> MoveGraph:
     """The kernel of [w, w0] under the pair mask ``allowed`` by one pass
     over each vertex's pairs: the oracle of the lane arithmetic of
-    :func:`hessgkm.graphs._type_a_move_graph`, which it was.  The interval
-    is an upset, so every ascent u t_k (u(i) < u(j)) lies in it, and every
-    descent of a vertex inside it is the mirror of an ascent of its lower
-    end: one pass over the ascents sets the bits at both ends, each target
-    found by its integer code."""
+    :func:`hessgkm.graphs._type_a_move_graph`.  The interval is an upset,
+    so every ascent u t_k (u(i) < u(j)) lies in it, and every descent of a
+    vertex inside it is the mirror of an ascent of its lower end: one pass
+    over the ascents sets the bits at both ends, each target found as
+    :func:`_induced` finds it, by swapping the entries and probing the
+    vertex set."""
     vertices = bruhat_interval_lex(w)
-    index = _code_index(vertices)
-    chosen = [row for row in _code_pairs(len(w)) if row[0] & allowed]
+    index = dict(zip(vertices, range(len(vertices))))
+    pairs = transpositions(len(w))
+    chosen = [(1 << k, i - 1, j - 1) for k, (i, j) in enumerate(pairs) if allowed >> k & 1]
     moves = [0] * len(vertices)
     up = []
-    for x, (u, code) in enumerate(zip(vertices, index)):
+    for x, u in enumerate(vertices):
         ascents = 0
-        for bit, i, j, d in chosen:
+        for bit, i, j in chosen:
             a, b = u[i], u[j]
             if a < b:
                 ascents |= bit
-                moves[index[code + (b - a) * d]] |= bit
+                v = list(u)
+                v[i], v[j] = b, a
+                moves[index[tuple(v)]] |= bit
         moves[x] |= ascents
         up.append(ascents)
-    width = len(w) * (len(w) - 1) // 2
-    return MoveGraph(vertices, moves, up, width, _type_a_up_steps)
+    return MoveGraph(vertices, moves, up, len(pairs), _type_a_up_steps)
 
 
 def _induced(h: HessFunc, vertices: tuple[Perm, ...]) -> tuple[GkmEdge, ...]:
@@ -506,24 +511,23 @@ def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
 def h_bruhat_walk(g: MoveGraph, starts, toward: int, within: int = -1) -> set[int]:
     """The h-Bruhat order on a kernel: the ids reached from the ids
     ``starts`` along the up-steps (``up``, a part of ``moves``) if
-    ``toward`` is 1, or the down-steps (``moves ^ up``) if it is -1, each
-    read under ``within``; it stops once all are seen."""
-    moves, up, targets, width = g.moves, g.up, g.targets, g.width
-    steps = up if toward > 0 else [m ^ u for m, u in zip(moves, up)]
-    size = len(moves)
+    ``toward`` is 1, or the down-steps (the same edges from their upper
+    ends) if it is -1, each read under ``within``.  The steps come from the
+    kernel's up-step walk; the search stops once all are seen."""
+    steps = [[] for _ in g.vertices]
+    for x, k, y in g.up_steps():
+        if within >> k & 1:
+            if toward > 0:
+                steps[x].append(y)
+            else:
+                steps[y].append(x)
     seen = set(starts)
     stack = list(seen)
-    while stack and len(seen) < size:
-        x = stack.pop()
-        bits = steps[x] & within
-        base = x * width
-        while bits:
-            low = bits & -bits
-            y = targets[base + low.bit_length() - 1]
+    while stack and len(seen) < len(steps):
+        for y in steps[stack.pop()]:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
-            bits ^= low
     return seen
 
 
@@ -708,7 +712,7 @@ def _edge_keys(w: Perm) -> tuple[tuple[int, ...], tuple[int, ...], object]:
     moves[u] << width | moves[v]`` (both masks in w's all-pairs Bruhat
     graph).  Returns (counts, starts, keys): the keys sorted, so those of k
     are ``keys[starts[k]:starts[k + 1]]``.  Taken from the kernel's up-step
-    walk, so its targets stay unbuilt."""
+    walk."""
     g = bruhat_move_graph(w)
     moves, width = g.moves, g.width
     counts = [0] * width
@@ -766,36 +770,31 @@ def _phi_injective(n: int, h: HessFunc):
             yield h, w, sum(counts[k] for k in wins), []
             continue
         # A key fails: walk w's cases one by one to name each violation.
+        # The up-steps u -> v = u t_k are the edges at u that lengthen u,
+        # walked by u and then by k; those of h's windows are the cases.
         g = bruhat_move_graph(w)
-        moves, targets = g.moves, g.targets
-        for x, (mask, up) in enumerate(zip(moves, g.up)):
-            mask_u = mask & win
-            base = x * width
-            # The up-steps u -> v = u t_k are the edges at u that lengthen u.
-            steps = mask_u & up
-            while steps:
-                low = steps & -steps
-                steps ^= low
-                k = low.bit_length() - 1
-                a, b = pairs[k]
-                total, injective, image, deg = verdict(mask_u, k)
-                y = targets[base + k]
-                mask_v = moves[y] & win
-                problems = [] if total else ["map not total"]
-                if not injective:
-                    problems.append(f"not injective at u={format_permutation(g.vertices[x])} (a,b)=({a},{b})")
-                if image & ~mask_v:
-                    problems.append(f"image leaves the edge set at v={format_permutation(g.vertices[y])}")
-                if deg > mask_v.bit_count():
-                    problems.append("degree decreases along an h-order edge")
-                yield h, w, 1, problems
+        moves = g.moves
+        for x, k, y in g.up_steps():
+            if not win >> k & 1:
+                continue
+            a, b = pairs[k]
+            total, injective, image, deg = verdict(moves[x] & win, k)
+            mask_v = moves[y] & win
+            problems = [] if total else ["map not total"]
+            if not injective:
+                problems.append(f"not injective at u={format_permutation(g.vertices[x])} (a,b)=({a},{b})")
+            if image & ~mask_v:
+                problems.append(f"image leaves the edge set at v={format_permutation(g.vertices[y])}")
+            if deg > mask_v.bit_count():
+                problems.append("degree decreases along an h-order edge")
+            yield h, w, 1, problems
 
 
 @lru_cache(maxsize=None)
-def _own_targets(w: Perm) -> tuple[int, ...]:
+def _own_ends(w: Perm) -> tuple[int, ...]:
     """The id of w t_k per move k of w, in bit order.  w is the least vertex
     (id 0) of its Bruhat graph, so each move is an up-step; w t_k is found by
-    bisection in the lexicographic vertices, and the targets stay unbuilt."""
+    bisection in the lexicographic vertices."""
     g = bruhat_move_graph(w)
     pairs = transpositions(len(w))
     return tuple(bisect_left(g.vertices, apply_transposition(w, *pairs[k])) for k in _bits(g.moves[0]))
@@ -807,7 +806,7 @@ def _phi_surjective(n: int, h: HessFunc):
     for w in enumerate_admissible(h):
         g = bruhat_move_graph(w)
         e_w = _pairs_of(g.moves[0] & win, pairs)
-        for k, y in zip(_bits(g.moves[0]), _own_targets(w)):
+        for k, y in zip(_bits(g.moves[0]), _own_ends(w)):
             e_v = set(_pairs_of(g.moves[y] & win, pairs))
             images = set(phi_rule(e_w, *pairs[k]).values())
             problems = []

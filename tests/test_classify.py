@@ -3,10 +3,7 @@
 import pytest
 
 from hessgkm.classify import classify, component_lower_bound
-from hessgkm.cohomology import localized_class_candidate
 from hessgkm.graphs import (
-    MoveGraph,
-    _code_pairs,
     _lane_layout,
     build_hessenberg_graph,
     interval_graph,
@@ -94,7 +91,7 @@ def test_rank12_edge_past_bit_63():
     bit = 1 << 65
     assert g.width == 66 and g.vertices == (w, w0)
     assert g.moves == (bit, bit) and g.up == (bit, 0)
-    assert g.targets[65] == 1 and g.targets[66 + 65] == 0
+    assert list(g.up_steps()) == [(0, 65, 1)]
     r = classify(w, h)
     assert r.interval_size == 2 and r.fixed_points == (w, w0)
     assert r.graph_stats.connected and r.graph_stats.regular
@@ -148,24 +145,22 @@ def test_pair_entries_take_w_as_classify_does(entry):
 
 def test_classify_checks_the_quadruple_limit_before_any_graph():
     # C(200, 4) quadruples exceed the size limit.  w0's interval is one
-    # vertex, but S_200's pair tables would hold megabytes.
+    # vertex, but S_200's lane schedule would hold megabytes.
     n = 200
-    before = _lane_layout.cache_info().currsize, _code_pairs.cache_info().currsize
+    before = _lane_layout.cache_info().currsize
     with pytest.raises(ValueError, match="position quadruples"):
         classify(longest_element(n), (n,) * n)
-    assert (_lane_layout.cache_info().currsize, _code_pairs.cache_info().currsize) == before
+    assert _lane_layout.cache_info().currsize == before
 
 
 def test_classify_keeps_one_pair_table_per_rank():
-    # The kernel's per-rank table is its lane schedule; the code table of
-    # the edge walk is not built at all.
+    # The one per-rank table is the kernel's lane schedule: three h of one
+    # rank build it once.
     _lane_layout.cache_clear()
-    _code_pairs.cache_clear()
     w = (2, 1, 3, 4, 5, 6)
     for h in [(2, 3, 4, 5, 6, 6), (3, 3, 4, 6, 6, 6), (6,) * 6]:
         classify(w, h)
     assert _lane_layout.cache_info().currsize == 1
-    assert _code_pairs.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -309,20 +304,6 @@ def test_smooth_points_match_the_walked_sandwich(n):
     for h in hessenberg_functions(n):
         for w in all_permutations(n):
             assert classify(w, h).smooth_fixed_points == oracle_smooth_fixed_points(w, h), (h, w)
-
-
-def test_verdict_and_class_paths_read_no_targets(monkeypatch):
-    # Both read only masks: degrees, sinks, and each interval edge's far
-    # end by the swap itself.
-    def unread(g):
-        raise AssertionError("MoveGraph.targets was read")
-
-    monkeypatch.setattr(MoveGraph, "targets", property(unread))
-    with pytest.raises(AssertionError):
-        interval_move_graph(H3344, (2, 1, 3, 4)).targets
-    for w, adm in [((2, 1, 3, 4), True), ((3, 2, 1, 4), False)]:
-        assert classify(w, H3344).admissible is adm
-    assert localized_class_candidate(H3344, (1, 4, 2, 3))
 
 
 def test_component_lower_bound_frozen():

@@ -350,8 +350,16 @@ NINES = ",".join(["9"] * 9)
         ["betti", "--h", ",".join(["19"] * 19)],
         ["roots", "--type", "B", "--rank", "7"],
         ["patterns", "--h", ",".join(["37"] * 37), "--w", ",".join(map(str, range(1, 38)))],
+        ["graph", "--h", ",".join(["1800"] * 1800)],
+        ["enumerate-admissible", "--h", ",".join(["1800"] * 1800)],
+        ["roots", "--type", "A", "--rank", "2000"],
+        ["roots", "--type", "A", "--rank", "1000000"],
     ],
-    ids=["classify", "graph", "enumerate-admissible", "betti", "roots", "patterns"],
+    ids=[
+        "classify", "graph", "enumerate-admissible", "betti", "roots", "patterns",
+        # Orders past 4,300 digits, which Python does not print.
+        "graph-1800", "enumerate-admissible-1800", "roots-A2000", "roots-A1000000",
+    ],
 )
 def test_oversized_requests_exit_2(argv, capsys):
     code = main(argv)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from hessgkm import graphs
 from hessgkm.graphs import (
-    _code_pairs,
     _lane_layout,
     _type_a_move_graph,
     build_hessenberg_graph,
@@ -36,7 +35,6 @@ from hessgkm.perms import (
     longest_element,
     transpositions,
 )
-from hessgkm.roots import arbitrary_gkm_graph, build_root_system, validate_hessenberg_space
 from hessgkm.verify import (
     _induced,
     edge_set_at,
@@ -249,22 +247,14 @@ def test_one_sink_iff_connected(n):
         assert counts == {True: 2025, False: 3015}
 
 
-def _unread(kernel):
-    # A kernel builds its targets on the first read that walks edges.
-    return kernel._targets is None
-
-
 def _check_move_graph(kernel, within, h, w, pairs):
     # A kernel read through ``within`` against the oracle's edges induced by
-    # h on [w, w0], which share no arithmetic with it.  First the masks,
-    # compared before any target is built: the moves at each vertex are the
-    # pairs of its edges, the up bits those of the edges it is the lower end
-    # of.  Then along each vertex's up bits the steps are the edges from
-    # their lower ends, along its other moves the same edges from their
-    # upper ends; the degrees, the first violator for every degree value and
-    # the components are the induced graph's.
+    # h on [w, w0], which share no arithmetic with it.  First the masks: the
+    # moves at each vertex are the pairs of its edges, the up bits those of
+    # the edges it is the lower end of.  Then the up-step walk is the edges
+    # from their lower ends, in order; the degrees, the first violator for
+    # every degree value and the components are the induced graph's.
     assert kernel.vertices == tuple(sorted(bruhat_interval(w)))
-    assert _unread(kernel)
     induced = _induced(h, kernel.vertices)
     bit = {ij: 1 << k for k, ij in pairs}
     expect_moves = dict.fromkeys(kernel.vertices, 0)
@@ -275,17 +265,10 @@ def _check_move_graph(kernel, within, h, w, pairs):
         expect_up[e.u] |= bit[e.pos]
     assert [m & within for m in kernel.moves] == list(expect_moves.values())
     assert [u & m & within for u, m in zip(kernel.up, kernel.moves)] == list(expect_up.values())
-    assert _unread(kernel)
-    edges = {(e.u, e.v, e.pos) for e in induced}
-    steps = {True: set(), False: set()}
-    for x, u in enumerate(kernel.vertices):
-        moves = kernel.moves[x] & within
-        for k, ij in pairs:
-            if moves >> k & 1:
-                v = kernel.vertices[kernel.targets[x * kernel.width + k]]
-                steps[kernel.up[x] >> k & 1 == 1].add((u, v, ij))
-    assert steps == {True: edges, False: {(v, u, ij) for u, v, ij in edges}}
-    assert all(length(v) > length(u) for u, v, _ in steps[True])
+    vertices = kernel.vertices
+    steps = [(vertices[x], vertices[y], pairs[k][1]) for x, k, y in kernel.up_steps() if within >> k & 1]
+    assert sorted(steps) == [(e.u, e.v, e.pos) for e in induced]
+    assert all(length(v) > length(u) for u, v, _ in steps)
     degs = dict.fromkeys(kernel.vertices, 0)
     for e in induced:
         degs[e.u] += 1
@@ -311,11 +294,10 @@ def test_interval_summary_matches_graph(n):
 def test_move_masks_agree_with_summary(n):
     # The sweeps' per-w kernel of every pair, read through h's window mask,
     # against the windowed kernel, which the test above holds to the
-    # GkmGraph: the same moves, up bits and targets at each vertex, and the
-    # same degrees, violators, connectivity and up- and down-reach.
-    # The windowed kernel's masks are compared before its targets are built
-    # (the shared kernel's are tested unread below).
-    pairs = list(enumerate(transpositions(n)))
+    # GkmGraph: the same moves and up bits at each vertex, the same up-steps
+    # in the same order, and the same degrees, violators, connectivity and
+    # up- and down-reach.
+    walks = {w: list(bruhat_move_graph(w).up_steps()) for w in all_permutations(n)}
     for h in hessenberg_functions(n):
         win = window_mask(h)
         for w in all_permutations(n):
@@ -324,12 +306,7 @@ def test_move_masks_agree_with_summary(n):
             for x in range(len(own.vertices)):
                 moves = shared.moves[x] & win
                 assert moves == own.moves[x] and shared.up[x] & moves == own.up[x]
-            assert _unread(own)
-            for x in range(len(own.vertices)):
-                moves = own.moves[x]
-                for k, _ in pairs:
-                    if moves >> k & 1:
-                        assert shared.targets[x * shared.width + k] == own.targets[x * own.width + k]
+            assert [step for step in walks[w] if win >> step[1] & 1] == list(own.up_steps())
             degs = own.degrees()
             assert shared.degrees(win) == degs
             for d in set(degs) | {cell_dimension(w, h)}:
@@ -356,8 +333,9 @@ def test_summary_edges_at_matches_edge_set_at(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bruhat_move_graph_matches_definition(n):
     # Per w, [w, w0] in lexicographic order; at each u the pairs k with
-    # u t_k in the interval, each leading to u t_k, and the up bits are the
-    # pairs off u's inversions.
+    # u t_k in the interval, and the up bits are the pairs off u's
+    # inversions.  The up-step walk, each step taken from both ends, leads
+    # along every move k at u to u t_k.
     pairs = transpositions(n)
     full = (1 << len(pairs)) - 1
     for w in all_permutations(n):
@@ -371,67 +349,40 @@ def test_bruhat_move_graph_matches_definition(n):
             inside = {k: v for k, v in inside.items() if v in interval}
             assert g.moves[x] == sum(1 << k for k in inside)
             assert g.up[x] == full & ~inversion_mask(u)
-            steps += [(x * g.width + k, index[v]) for k, v in inside.items()]
-        assert _unread(g)
-        assert all(g.targets[at] == y for at, y in steps)
+            steps += [(x, k, index[v]) for k, v in inside.items()]
+        walked = list(g.up_steps())
+        assert sorted(walked + [(y, k, x) for x, k, y in walked]) == sorted(steps)
 
 
 def test_kernel_codes_past_rank_255():
-    # From n = 256 an entry takes two bytes of a vertex's code, so the codes
-    # do not cap the rank; the kernel's lanes take two bytes from n = 128.
-    # Near w0 of S_300, [w, w0] is a square: w, its up-steps by the pairs
-    # (1, 2) and (299, 300), and w0.
+    # An entry takes two bytes of a vertex's code from n = 128, as it takes
+    # two bytes of a lane, so neither caps the rank short of the pair
+    # limit.  Near w0 of S_300, [w, w0] is a square: w, its up-steps by the
+    # pairs (1, 2) and (299, 300), and w0.
     n = 300
     w0 = longest_element(n)
     w = apply_transposition(apply_transposition(w0, 1, 2), n - 1, n)
     pairs = transpositions(n)
-    first, last = 1 << pairs.index((1, 2)), 1 << pairs.index((n - 1, n))
-    try:
-        for g in (interval_move_graph((n,) * n, w), bruhat_move_graph.__wrapped__(w)):
-            assert g.vertices == tuple(sorted(bruhat_interval(w))) and len(g.vertices) == 4
-            assert g.width == len(pairs)
-            assert list(g.moves) == [first | last] * 4
-            assert list(g.up) == [first | last, first, last, 0]
-            assert _unread(g)
-            for x, u in enumerate(g.vertices):
-                for bit in (first, last):
-                    k = bit.bit_length() - 1
-                    assert g.vertices[g.targets[x * g.width + k]] == apply_transposition(u, *pairs[k])
-            assert g.degrees() == [2] * 4 and g.sinks() == 1
-    finally:
-        # The pair table of S_300 holds about 150 MB; free it for the
-        # tests that follow.
-        _code_pairs.cache_clear()
-
-
-def test_kernels_fill_targets_on_first_edge_read():
-    # In both types a kernel is built with its masks alone: degrees,
-    # regularity and sinks leave the targets unbuilt, and the first walk
-    # of the edges fills them.
-    c2 = build_root_system("C", 2)
-    kernels = [
-        interval_move_graph(H3344, (2, 1, 3, 4)),
-        bruhat_move_graph.__wrapped__((2, 1, 3, 4)),
-        arbitrary_gkm_graph(validate_hessenberg_space(c2, c2.parse_root_list("a1,a2,a1+a2"))),
-    ]
-    for g in kernels:
-        assert _unread(g)
-        g.degrees()
-        g.regularity(0)
-        g.sinks()
-        assert _unread(g)
-        assert h_bruhat_walk(g, [0], 1) == set(range(len(g.vertices)))
-        assert not _unread(g)
+    first, last = pairs.index((1, 2)), pairs.index((n - 1, n))
+    for g in (interval_move_graph((n,) * n, w), bruhat_move_graph.__wrapped__(w)):
+        assert g.vertices == tuple(sorted(bruhat_interval(w))) and len(g.vertices) == 4
+        assert g.width == len(pairs)
+        assert list(g.moves) == [1 << first | 1 << last] * 4
+        assert list(g.up) == [1 << first | 1 << last, 1 << first, 1 << last, 0]
+        assert list(g.up_steps()) == [(0, first, 2), (0, last, 1), (1, first, 3), (2, last, 3)]
+        for x, k, y in g.up_steps():
+            assert g.vertices[y] == apply_transposition(g.vertices[x], *pairs[k])
+        assert g.degrees() == [2] * 4 and g.sinks() == 1
 
 
 def test_interval_kernel_checks_the_pair_limit_first():
     # C(363, 2) position pairs exceed the size limit (C(362, 2) do not), so
-    # w0's one-vertex interval is refused before a pair table is cached.
+    # w0's one-vertex interval is refused before a lane schedule is cached.
     n = 363
-    before = _lane_layout.cache_info().currsize, _code_pairs.cache_info().currsize
+    before = _lane_layout.cache_info().currsize
     with pytest.raises(ValueError, match="position pairs"):
         interval_move_graph((n,) * n, longest_element(n))
-    assert (_lane_layout.cache_info().currsize, _code_pairs.cache_info().currsize) == before
+    assert _lane_layout.cache_info().currsize == before
 
 
 def test_bruhat_move_graph_size_limit():
@@ -496,7 +447,6 @@ def test_lane_kernel_peak_memory_is_the_oracles():
         assert got.moves == want.moves and got.up == want.up
     finally:
         bruhat_interval_lex.cache_clear()
-        _code_pairs.cache_clear()
 
 
 def _below_w0(n, swaps):
@@ -524,23 +474,46 @@ def _below_w0(n, swaps):
         (128, [(1, 2), (64, 65), (127, 128)]),
         (128, [(2, 3), (1, 2), (3, 4)]),
         (129, [(1, 2), (64, 65), (128, 129)]),
+        (200, [(1, 2), (100, 101), (199, 200), (2, 3)]),
+        (255, [(1, 2), (127, 128), (254, 255), (2, 3)]),
+        (256, [(1, 2), (128, 129), (255, 256), (2, 3)]),
     ],
 )
 def test_lane_kernel_at_its_edges(n, swaps):
     # One vertex (w = w0), the ranks 1 and 2, masks of 55 and 66 bits
     # (array('Q') at n = 11, ints from n = 12), and both sides of the
-    # lane-width switch (one byte a lane to n = 127, two from 128).  Each
-    # kernel is held to the pass oracle and to the edges of _induced, under
-    # every pair (h = (n, ..., n)) and under h's windows.
+    # lane-width switch (one byte a lane to n = 127, two from 128), which
+    # the vertex codes of the edge walks share.  Each kernel is held to the
+    # pass oracle, and its up-step walk and the export's rows to the edges
+    # of _induced, under every pair (h = (n, ..., n)) and under h's windows.
     w = _below_w0(n, swaps)
     pairs = list(enumerate(transpositions(n)))
+    for h in [(n,) * n, tuple(min(i + 2, n) for i in range(1, n + 1))]:
+        kernel = _same_kernel(w, window_mask(h))
+        assert isinstance(kernel.moves, array) == (len(pairs) <= 64)
+        _check_move_graph(kernel, -1, h, w, pairs)
+        assert interval_graph(h, w).edges == _induced(h, kernel.vertices)
+
+
+def test_export_near_w0_at_the_pair_limit_peaks_in_bounded_memory():
+    # [w, w0] for w = w0 (1, 2) at n = 362, the pair limit: two vertices and
+    # one edge.  Its export once built a per-rank code table that grows as
+    # n^3, 336 MB at the peak of graph, DOT and JSON under tracemalloc; the
+    # walk now reads the lane schedule, of n^2 rows and n weights.  The
+    # schedule is built inside the measurement.
+    n = 362
+    w = apply_transposition(longest_element(n), 1, 2)
+    _lane_layout.cache_clear()
+    tracemalloc.start()
     try:
-        for h in [(n,) * n, tuple(min(i + 2, n) for i in range(1, n + 1))]:
-            kernel = _same_kernel(w, window_mask(h))
-            assert isinstance(kernel.moves, array) == (len(pairs) <= 64)
-            _check_move_graph(kernel, -1, h, w, pairs)
+        g = interval_graph((n,) * n, w)
+        dot, text = to_dot(g), to_json(g)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        _code_pairs.cache_clear()
+        tracemalloc.stop()
+        _lane_layout.cache_clear()
+    assert len(g.vertices) == 2 and dot.count(" -- ") == 1 and text.count('"pos"') == 1
+    assert peak <= 336 * 2**20 // 3, peak
 
 
 @st.composite

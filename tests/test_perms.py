@@ -1,6 +1,7 @@
 """Symmetric group arithmetic and the Bruhat order criterion."""
 
 import gc
+import math
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from hessgkm.perms import (
     SIZE_LIMIT,
+    check_factorial,
+    check_size,
     all_permutations,
     apply_transposition,
     as_permutation,
@@ -244,6 +247,35 @@ def test_interval_size_limit_boundary():
     assert len(bruhat_interval(identity(8))) == 40320 <= SIZE_LIMIT
     with pytest.raises(ValueError, match="65537 items exceed the size limit SIZE_LIMIT = 65536"):
         bruhat_interval(identity(9))
+
+
+def test_size_checks_name_the_limit_for_any_count():
+    # A count that prints keeps its digits; one past 4,300 digits, which
+    # Python does not print, is named by a power of two below it.
+    # check_factorial bounds n! 2^s so before it takes the factorial.
+    with pytest.raises(ValueError, match=r"^x: more than 2\^19999 items exceed the size limit SIZE_LIMIT = 65536$"):
+        check_size(1 << 19999, "x")
+    with pytest.raises(ValueError, match=r"^S_9: 362880 items exceed the size limit SIZE_LIMIT = 65536$"):
+        check_factorial(9, "S_9")
+    with pytest.raises(ValueError, match=r"^W\(B7\): 645120 items"):
+        check_factorial(7, "W(B7)", 7)
+    check_factorial(8, "S_8")
+    check_factorial(6, "W(B6)", 6)
+    # Across the switch, near n = 1,700, each message is n! or below it.
+    forms = set()
+    for n in range(1000, 2200, 23):
+        with pytest.raises(ValueError, match="exceed the size limit SIZE_LIMIT") as caught:
+            check_factorial(n, "S_n")
+        shown = str(caught.value).split(": ")[1].split(" items")[0]
+        if shown.startswith("more than 2^"):
+            assert 1 << int(shown[len("more than 2^"):]) < math.factorial(n), n
+        else:
+            assert shown == str(math.factorial(n)), n
+        forms.add(shown.startswith("more"))
+    assert forms == {False, True}
+    for n, shift in [(10**6, 0), (10**30, 0), (10**6, 10**6)]:
+        with pytest.raises(ValueError, match=r"^S_n: more than 2\^\d+ items exceed the size limit SIZE_LIMIT"):
+            check_factorial(n, "S_n", shift)
 
 
 def test_interval_matches_chain_oracle():

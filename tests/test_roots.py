@@ -127,6 +127,10 @@ def test_unsupported_inputs():
     with pytest.raises(ValueError, match="W\\(B7\\): 645120 items exceed the size limit"):
         build_root_system("B", 7)
     assert build_root_system("B", 6).order == 46080
+    # The order is bounded before any simple root or factorial of the rank
+    # is built, so a rank of a million fails at once.
+    with pytest.raises(ValueError, match=r"W\(A1000000\): more than 2\^\d+ items exceed the size limit SIZE_LIMIT"):
+        build_root_system("A", 10**6)
 
 
 def test_c2_conventions():
@@ -582,24 +586,23 @@ def test_weak_interval_reverse_inclusion_small(type_label, rank):
 def _check_moves(rs, m, g):
     """Each move bit c at a vertex w of the kernel ``g`` is a root of ``m``
     and leads to w s_c, which is longer exactly on the up bits; the up bits
-    are the c of ``m`` with w(c) > 0.  Returns the edges {w, w s_c}.  The
-    masks are checked before the targets are built."""
+    are the c of ``m`` with w(c) > 0.  The up-step walk, each step taken
+    from both ends, leads along every move.  Returns the edges {w, w s_c}."""
     positive = set(rs.positive_roots)
     m_bits = {rs.positive_roots.index(c) for c in m}
     for x, w in enumerate(g.vertices):
         for c, root in enumerate(rs.positive_roots):
             assert (g.up[x] >> c & 1) == (c in m_bits and rs.act(w, root) in positive)
             assert not g.moves[x] >> c & 1 or c in m_bits
-    assert g._targets is None
+    walked = list(g.up_steps())
+    ends = sorted(walked + [(y, c, x) for x, c, y in walked])
+    assert [(x, c) for x, c, _ in ends] == [(x, c) for x, m in enumerate(g.moves) for c in _bits(m)]
     edges = set()
-    for x, w in enumerate(g.vertices):
-        for c, root in enumerate(rs.positive_roots):
-            up = g.up[x] >> c & 1
-            if g.moves[x] >> c & 1:
-                v = g.vertices[g.targets[x * g.width + c]]
-                assert v == rs.mul(w, rs.reflection(root))
-                assert (rs.length(v) > rs.length(w)) == bool(up)
-                edges.add(frozenset((w, v)))
+    for x, c, y in ends:
+        w, v = g.vertices[x], g.vertices[y]
+        assert v == rs.mul(w, rs.reflection(rs.positive_roots[c]))
+        assert (rs.length(v) > rs.length(w)) == bool(g.up[x] >> c & 1)
+        edges.add(frozenset((w, v)))
     return edges
 
 
@@ -797,9 +800,8 @@ def test_type_a_dictionary(n):
         # graphs agree through the dictionary
         g = arbitrary_gkm_graph(hs)
         edges = {
-            frozenset({ol[g.vertices[x]], ol[g.vertices[g.targets[x * g.width + c]]]})
-            for x, up in enumerate(g.up)
-            for c in _bits(up)
+            frozenset({ol[g.vertices[x]], ol[g.vertices[y]]})
+            for x, _, y in g.up_steps()
         }
         from hessgkm.graphs import build_hessenberg_graph
 
