@@ -11,10 +11,11 @@ the kernel :class:`MoveGraph`: per vertex a mask of its moves and one of its
 up-steps, which answer degrees, regularity and connectivity, and the type's
 walk of its up-steps, the one read of the edges themselves.
 Type A moves by the swaps u(i,j).  Its masks come from whole-interval
-integer arithmetic, each vertex of [w, w0] a lane in a few big ints, so a
-step is a few big-int operations per pair or per position rather than a
-loop over the vertices (:func:`_type_a_move_graph`); the vertices run in
-blocks that keep those ints to a fixed budget.  The per-vertex pass
+integer arithmetic on the byte columns in which :mod:`hessgkm.perms`
+enumerates [w, w0], each vertex a lane in a few big ints, so a step is a
+few big-int operations per pair or per position rather than a loop over
+the vertices (:func:`_type_a_move_graph`); the vertices run in blocks
+that keep those ints to a fixed budget.  The per-vertex pass
 it replaced is the oracle ``verify.oracle_move_graph``.  Its kernels are
 :func:`interval_move_graph` by h's windows (``classify``, the localized
 classes, example61) and :func:`bruhat_move_graph` by every pair, once per
@@ -45,10 +46,10 @@ and the graph on the cell-closure fixed points) live in :mod:`hessgkm.verify`.
 
 from __future__ import annotations
 
-import sys
 from array import array
-from functools import lru_cache
-from itertools import chain, count, repeat
+from functools import lru_cache, reduce
+from itertools import count, repeat
+from operator import or_
 from typing import NamedTuple
 
 from .hess import HessFunc, check_pair, validate_hessenberg, window_mask
@@ -56,6 +57,9 @@ from .jsontext import Encoded, document, dumps
 from .perms import (
     Perm,
     all_permutations,
+    _interval_columns,
+    _lane_bytes,
+    _little_array,
     bruhat_interval_lex,
     check_factorial,
     format_permutation,
@@ -199,28 +203,29 @@ class MoveGraph:
         return [u & within for u in self.up].count(0)
 
 
+_MASK_TYPES = {4: "I", 8: "Q"}
+
+
 def _mask_bytes(width: int) -> int:
-    """Bytes a mask of ``width`` bits takes: 8 up to 64 bits, the masks kept
-    in ``array('Q')``; wider masks (type A from n = 12) are ints."""
-    return max(8, (width + 7) // 8)
+    """Bytes a mask of ``width`` bits takes: 4 up to 32 bits and 8 up to 64,
+    the masks kept in ``array('I')`` and ``array('Q')``; wider masks (type A
+    from n = 12) are ints."""
+    return 4 if width <= 32 else max(8, (width + 7) // 8)
 
 
 def _pack(masks, width: int):
-    """``masks`` as a kernel keeps them: ``array('Q')``, or a tuple of ints."""
-    return array("Q", masks) if _mask_bytes(width) == 8 else tuple(masks)
+    """``masks`` as a kernel keeps them: an array, or a tuple of ints."""
+    stride = _mask_bytes(width)
+    return array(_MASK_TYPES[stride], masks) if stride <= 8 else tuple(masks)
 
 
 def _masks(buf, stride: int):
     """Per vertex the little-endian mask in its ``stride`` bytes of ``buf``
-    (:func:`_mask_bytes`): an ``array('Q')``, or for wider masks a list of
-    ints, which :class:`MoveGraph` packs (:func:`_pack`)."""
+    (:func:`_mask_bytes`): an array, or for wider masks a list of ints,
+    which :class:`MoveGraph` packs (:func:`_pack`)."""
     if stride > 8:
         return [int.from_bytes(buf[x : x + stride], "little") for x in range(0, len(buf), stride)]
-    masks = array("Q")
-    masks.frombytes(buf)
-    if sys.byteorder == "big":
-        masks.byteswap()
-    return masks
+    return _little_array(_MASK_TYPES[stride], buf)
 
 
 # The big ints of one block of lanes take about this many bytes at once.
@@ -232,12 +237,12 @@ def _lane_layout(n: int) -> tuple:
     """The lane schedule of rank n, one per rank: (bits, group, below,
     at_least, power, pairs, stride, block).
 
-    A lane has ``bits`` bits, and every sum or difference the kernel forms
-    in one lies in (-2^top, 2^top), top = bits - 1, so a lane biased by
-    2^top borrows from no other and its top bit is the sign: one byte a
-    lane up to n = 127, two up to the pair limit n = 362.  A column has one
-    lane per vertex; a group has n lanes per vertex, lane m standing for
-    position or threshold m + 1.  Over one group, ``group`` has a one in
+    A lane has ``bits`` bits, the bytes of an entry in the interval's
+    columns (:func:`hessgkm.perms._lane_bytes`), and every sum or difference
+    the kernel forms in one lies in (-2^top, 2^top), top = bits - 1, so a
+    lane biased by 2^top borrows from no other and its top bit is the sign.
+    A column has one lane per vertex; a group has n lanes per vertex, lane
+    m standing for position or threshold m + 1.  Over one group, ``group`` has a one in
     each lane, ``below[v]`` in lanes 0..v - 1 (the thresholds t <= v), and
     ``at_least`` 2^top - t in lane t - 1, whose top bit an entry e added to
     it sets iff e >= t.  A permutation's code is its entries in big-endian
@@ -252,7 +257,7 @@ def _lane_layout(n: int) -> tuple:
     vertices: a vertex's columns, at most 2n groups and its chunks of both
     masks take some bytes each, and a block's take about
     :data:`_BLOCK_BYTES`."""
-    size = 1 if n < 128 else 2
+    size = _lane_bytes(n)
     bits = 8 * size
     top = bits - 1
     below = [0]
@@ -273,7 +278,8 @@ def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
     """[w, w0] in lexicographic order, its edges the swaps y t_k, k = (i, j)
     in ``allowed``, by whole-interval integer arithmetic on lanes
     (:func:`_lane_layout`): each step below is a few big-int operations
-    over all vertices of a block at once, per pair or per position.
+    over all vertices of a block at once, per pair or per position, on
+    the slices of the enumerator's columns (:mod:`hessgkm.perms`).
 
     * Ascents y(i) < y(j), from the columns: one sign bit per vertex.  The
       interval is an upset, so each ascent y t_k lies in it.  A pair with
@@ -291,39 +297,39 @@ def _type_a_move_graph(w: Perm, allowed: int) -> MoveGraph:
       top bit, and that bit is moved to the pair's bit.
     * Masks: pair k's bit is bit k mod 8 of mask byte k // 8, so eight
       pairs sum to one chunk (the moves' chunks side by side in a group),
-      and the chunks' bytes are interleaved into 8-byte masks loaded
-      straight into ``array('Q')`` (width <= 64), or into ints from wider
-      slices (n >= 12).
+      and the chunks' bytes are interleaved into masks of
+      :func:`_mask_bytes` loaded straight into an array (width <= 64), or
+      into ints from wider slices (n >= 12).
     * Blocks: the vertices run in blocks of the layout's size, so the big
       ints stay within about :data:`_BLOCK_BYTES` whatever the rank and the
       interval.  A first pass takes every block's ascents, and so the pairs
       with an ascent anywhere; a second takes each block's descents.
 
     The per-vertex pass it replaced is :func:`hessgkm.verify.oracle_move_graph`."""
-    vertices = bruhat_interval_lex(w)
+    vertices, columns = bruhat_interval_lex(w), _interval_columns(w)
     layout = _lane_layout(len(w))
     pairs, stride, block = layout[5:]
+    step = block * layout[0] // 8
     chosen = [row for row in pairs if allowed >> row[0] & 1]
     reached = bytearray((len(pairs) + 7) // 8)
     up, moves, ascents = _masks(b"", stride), _masks(b"", stride), []
-    for x in range(0, len(vertices), block):
-        part = vertices[x : x + block]
-        raw, buf, partial = _block_ascents(part, layout, chosen, reached)
-        ascents.append((len(part), raw, partial))
+    for x in range(0, len(columns[0]), step):
+        cols = [c[x : x + step] for c in columns]
+        buf, partial = _block_ascents(cols, layout, chosen, reached)
+        ascents.append((cols, partial))
         up += _masks(buf, stride)
-    for count, raw, partial in ascents:
-        moves += _masks(_block_moves(count, raw, w, layout, reached, partial), stride)
+    for cols, partial in ascents:
+        moves += _masks(_block_moves(cols, w, layout, reached, partial), stride)
     return MoveGraph(vertices, moves, up, len(pairs), _type_a_up_steps)
 
 
-def _block_ascents(part, layout, chosen, reached: bytearray):
-    """One block's entry bytes, its up masks' bytes, and the rows of
-    ``chosen`` with a descent in it; a pair's bit is set in ``reached``
-    when it has an ascent here."""
+def _block_ascents(cols, layout, chosen, reached: bytearray):
+    """One block's up masks' bytes, from its slices ``cols`` of the
+    interval's columns, and the rows of ``chosen`` with a descent in it; a
+    pair's bit is set in ``reached`` when it has an ascent here."""
     bits, stride = layout[0], layout[6]
-    n, count = len(part[0]), len(part)
     lane, top = bits // 8, bits - 1
-    raw, cols = _entry_bytes(part, n, lane)
+    count = len(cols[0]) // lane
     # Columns: one lane per vertex.
     cols = [int.from_bytes(c, "little") for c in cols]
     ones = int.from_bytes((1).to_bytes(lane, "little") * count, "little")
@@ -344,16 +350,17 @@ def _block_ascents(part, layout, chosen, reached: bytearray):
     for c, x in enumerate(up):
         if x:
             buf[c::stride] = x.to_bytes(count * lane, "little")[::lane]
-    return raw, buf, partial
+    return buf, partial
 
 
-def _block_moves(count: int, raw: bytes, w: Perm, layout, reached: bytearray, partial) -> bytearray:
+def _block_moves(cols, w: Perm, layout, reached: bytearray, partial) -> bytearray:
     """One block's moves masks' bytes: each pair of ``reached`` (an ascent
     somewhere in the interval) at every vertex, less the descents of
     ``partial`` that leave the interval."""
     bits, group, below, at_least, _, _, stride, _ = layout
     n = len(w)
-    top, span = bits - 1, bits // 8 * n
+    lane, top = bits // 8, bits - 1
+    span, count = lane * n, len(cols[0]) // lane
     # Groups: n lanes per vertex.  The moves start as every reached pair;
     # the descents that fail are taken off.
     first = int.from_bytes((1).to_bytes(span, "little") * count, "little")
@@ -362,16 +369,18 @@ def _block_moves(count: int, raw: bytes, w: Perm, layout, reached: bytearray, pa
     if open_pairs:
         full, tops = first * group, first << bits * n - 1
         at_least, carry = first * at_least, tops - first
-        flat = int.from_bytes(raw, "little")
-        lane0 = first * ((1 << bits) - 1)
         half = group << top
         # Position by position, the counts summed as they go; ge and zero
-        # are kept from the first open row on, up to the last j.
+        # are kept from the first open row on, up to the last j.  Column p
+        # is spread to lane 0 of each vertex's group.
         start, last = open_pairs[0][1], max([row[2] for row in open_pairs])
         ge, zero = [0] * (last + 1), [0] * (last + 1)
         tally = mine = 0
+        spread = bytearray(count * span)
         for p in range(last + 1):
-            g = ((flat >> bits * p & lane0) * group + at_least) >> top & full
+            for b in range(lane):
+                spread[b::span] = cols[p][b::lane]
+            g = (int.from_bytes(spread, "little") * group + at_least) >> top & full
             tally += g
             mine += below[w[p]]
             if p >= start:
@@ -398,32 +407,16 @@ def _block_moves(count: int, raw: bytes, w: Perm, layout, reached: bytearray, pa
     return buf
 
 
-def _entry_bytes(vertices, n: int, lane: int) -> tuple[bytes, list[bytes]]:
-    """The entries of ``vertices`` in little-endian lanes of ``lane`` bytes,
-    vertex by vertex, and each position's column of them."""
-    entries = chain.from_iterable(vertices)
-    if lane == 1:
-        raw = bytes(entries)
-        return raw, [raw[q::n] for q in range(n)]
-    raw = b"".join(x.to_bytes(lane, "little") for x in entries)
-    planes = [raw[b::lane] for b in range(lane)]
-    cols = []
-    for q in range(n):
-        col = bytearray(len(raw) // n)
-        for b, plane in enumerate(planes):
-            col[b::lane] = plane[q::n]
-        cols.append(bytes(col))
-    return raw, cols
-
-
 def _type_a_up_steps(g: MoveGraph):
     """(x, k, y) per up bit k at x, y the id of u t_k, by the arithmetic of
-    :func:`_edge_rows` on codes made afresh: a kernel keeps no code table."""
+    :func:`_edge_rows` on codes made afresh: a kernel keeps no code table.
+    A pair's row, and its d, is formed only if it is an up bit somewhere."""
     vertices = g.vertices
     layout = _lane_layout(len(vertices[0]))
-    power = layout[4]
+    power, pairs = layout[4], layout[5]
     index = _code_index(vertices, layout)
-    rows = [(i, j, power[i] - power[j]) for _, i, j, *_ in layout[5]]
+    used = reduce(or_, g.up, 0).to_bytes(len(pairs) // 8 + 1, "little")
+    rows = {k: (i, j, power[i] - power[j]) for k, i, j, r, _, c, _ in pairs if used[c] >> r & 1}
     for x, (u, code, bits) in enumerate(zip(vertices, index, g.up)):
         while bits:
             low = bits & -bits

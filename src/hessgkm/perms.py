@@ -19,9 +19,13 @@ Upper intervals [w, w0] are built by one enumerator for every n.  The
 k-th condition involves only the set of v[:k], so a prefix is dropped as
 soon as its set fails (no extension of it lies above w), and two prefixes
 holding the same set have the same tails.  The tails after each prefix set
-are therefore listed once, memoized by the set's bitmask: those after S
-are x followed by each tail after S + {x}, for x ascending, which keeps the
-lexicographic order.  The conditions are the same packed slack fields,
+are therefore listed once, memoized by the set's bitmask, as byte columns
+(:func:`_lane_bytes`): column c holds entry c of every tail, in
+lexicographic order.  The tails after S are x followed by those after
+S + {x}, for x ascending, so x's byte repeated heads them and column c + 1
+joins the children's columns c: no object is made per tail.  The kernel of
+:mod:`hessgkm.graphs` reads the columns, and :func:`bruhat_interval_lex`
+zips them into tuples.  The conditions are the same packed slack fields,
 so the test for the next value is O(1).  The cost follows the size of the
 interval rather than n!.
 
@@ -45,6 +49,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -268,24 +274,31 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     return True
 
 
-def _completions(free: int, slack: int, memo: dict, spec: tuple) -> list[tuple[int, ...]]:
-    """Every tail t, in lexicographic order, that completes a prefix of v
-    holding the values missing from ``free`` (bit x set for each value x
-    left) to some v >= w; the prefix must itself meet its conditions.
+def _lane_bytes(n: int) -> int:
+    """Bytes an entry of rank n takes in an interval's columns and the
+    kernel's lanes: one to n = 127, two (little-endian) from 128, so that a
+    lane's sums keep a sign bit."""
+    return 1 if n < 128 else 2
 
-    ``slack`` packs, in field t of ``width`` bits, the number of prefix
-    values >= t minus the same count for w[:k].  The tails depend on the
-    prefix set alone, so ``memo`` keeps them by ``free``.  A module-level
-    function holding no reference to itself, so the memo is no garbage
-    cycle.
-    """
-    tails = memo.get(free)
-    if tails is not None:
-        return tails
-    w, width, below, zero_guards, ones, what = spec
-    if not free & (free - 1):
-        tails = memo[free] = [(free.bit_length() - 1,)]
-        return tails
+
+def _little_array(code: str, buf) -> array:
+    """``buf`` as an array of type ``code`` whose items are little-endian."""
+    out = array(code, buf)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _columns(free: int, slack: int, memo: dict, spec: tuple) -> tuple[int, list[bytes]]:
+    """(count, columns) of the tails, in lexicographic order, that complete
+    a prefix of v holding the values missing from ``free`` (bit x set for
+    each value x left) to some v >= w; the prefix meets its conditions, so
+    some tail does.  ``slack`` packs, in field t of ``width`` bits, the
+    number of prefix values >= t minus the same count for w[:k].  The tails
+    depend on the prefix set alone, so ``memo`` keeps them by ``free``, and
+    a caller looks there first.  A module-level function holding no
+    reference to itself, so the memo is no garbage cycle."""
+    w, width, below, zero_guards, ones, heads, what = spec
     y = w[len(w) - free.bit_count()]
     # v[k] = x < y lowers the slack on (x, y] by one, so x must be at least
     # the highest threshold z <= y whose slack is already 0 (slack[1] is
@@ -294,34 +307,47 @@ def _completions(free: int, slack: int, memo: dict, spec: tuple) -> list[tuple[i
     zeros = zero_guards & ~((slack | zero_guards) - ones) & ((1 << (y + 1) * width) - 1)
     z = zeros.bit_length() // width - 1
     rest = free >> z << z
-    tails = []
+    total = 0
+    head, tails = [], []
     while rest:
         bit = rest & -rest
         rest ^= bit
         x = bit.bit_length() - 1
-        sub = _completions(free ^ bit, slack + below[x] - below[y], memo, spec)
-        if len(tails) + len(sub) > SIZE_LIMIT:
+        count, cols = memo.get(free ^ bit) or _columns(free ^ bit, slack + below[x] - below[y], memo, spec)
+        total += count
+        if total > SIZE_LIMIT:
             check_size(SIZE_LIMIT + 1, what)
-        tails += map((x,).__add__, sub)
-    memo[free] = tails
-    return tails
+        head.append(heads[x] * count)
+        tails.append(cols)
+    entry = memo[free] = (total, [b"".join(head), *map(b"".join, zip(*tails))])
+    return entry
 
 
 @lru_cache(maxsize=None)
-def bruhat_interval_lex(w: Perm) -> tuple[Perm, ...]:
-    """[w, w0] in lexicographic order, the order of its enumeration.  The
-    position pairs (a kernel bit each) are checked first, which also keeps
-    the recursion, a level a position, to n <= 362, within Python's depth."""
+def _interval_columns(w: Perm) -> tuple[bytes, ...]:
+    """[w, w0] in lexicographic order as n columns, column c holding entry
+    c + 1 of every vertex (:func:`_lane_bytes`).  The position pairs (a
+    kernel bit each) are checked first, which also keeps the recursion, a
+    level a position, to n <= 362, within Python's depth."""
     as_permutation(w)
     n = len(w)
     check_size(math.comb(n, 2), "position pairs")
     width, below, guards = _slack_layout(n)
+    heads = [x.to_bytes(_lane_bytes(n), "little") for x in range(n + 1)]
     what = f"interval [{format_permutation(w)}, w0] (enumeration stopped)"
-    memo: dict = {}
-    spec = (w, width, below, guards, below[n], what)
-    out = _completions((1 << (n + 1)) - 2, 0, memo, spec)
-    memo.clear()
-    return tuple(out)
+    spec = (w, width, below, guards, below[n], heads, what)
+    return tuple(_columns((1 << (n + 1)) - 2, 0, {0: (1, [])}, spec)[1])
+
+
+@lru_cache(maxsize=None)
+def bruhat_interval_lex(w: Perm) -> tuple[Perm, ...]:
+    """[w, w0] in lexicographic order, the order of its enumeration: the
+    columns of :func:`_interval_columns` zipped into tuples, their lanes
+    read as bytes or, two bytes wide, as ``array('H')``."""
+    columns = _interval_columns(w)
+    if _lane_bytes(len(w)) == 2:
+        columns = [_little_array("H", c) for c in columns]
+    return tuple(zip(*columns))
 
 
 @lru_cache(maxsize=None)

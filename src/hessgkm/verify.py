@@ -16,7 +16,8 @@ Oracles
 Each shares no decision logic with the library result it checks.
 
 oracle_bruhat(_upset)             chain reachability (BFS over length-
-                                  increasing transpositions), for perms
+                                  increasing transpositions), for perms'
+                                  bruhat_leq and interval enumerator
 oracle_sorted_prefix_leq          prefixes sorted by insort and compared
                                   entrywise, for the packed-slack bruhat_leq
 oracle_admissible_representative  the admissible v with w's window order
@@ -66,7 +67,7 @@ root_from_positions,            the type A dictionary h -> M, for the tests
 hessenberg_space_from_function  that match the general-type engine to S_n
 fixed_point_induced_graph       the ``GkmGraph`` on the cell-closure fixed
                                 points (Prop 2.5), for the tests
-h_bruhat_walk                   the h-Bruhat order as reach along a
+h_bruhat_steps, h_bruhat_walk   the h-Bruhat order as reach along a
                                 kernel's up- or down-steps: the sandwich
                                 w~ <=_h v <=_h x, deg(x) = dim, that
                                 certifies v smooth (oracle_smooth_fixed_points)
@@ -233,19 +234,21 @@ def hessenberg_functions(n: int) -> list[HessFunc]:
 
 
 def oracle_bruhat_upset(u: Perm) -> frozenset[Perm]:
-    """All v >= u, by BFS over length-increasing transposition moves."""
+    """All v >= u, by BFS over length-increasing transposition moves.  The
+    move x -> x(i,j) adds 1 + 2 #{k : i < k < j, x(i) < x(k) < x(j)}
+    inversions if x(i) < x(j), and removes as many otherwise."""
     seen = {u}
     frontier = [u]
     trans = transpositions(len(u))
     while frontier:
         nxt = []
         for x in frontier:
-            lx = length(x)
             for i, j in trans:
-                y = apply_transposition(x, i, j)
-                if length(y) > lx and y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
+                if x[i - 1] < x[j - 1]:
+                    y = apply_transposition(x, i, j)
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
         frontier = nxt
     return frozenset(seen)
 
@@ -508,19 +511,22 @@ def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:
     return GkmGraph(tuple(sorted(_fixed_point_set(w, h))), h, w)
 
 
-def h_bruhat_walk(g: MoveGraph, starts, toward: int, within: int = -1) -> set[int]:
-    """The h-Bruhat order on a kernel: the ids reached from the ids
-    ``starts`` along the up-steps (``up``, a part of ``moves``) if
-    ``toward`` is 1, or the down-steps (the same edges from their upper
-    ends) if it is -1, each read under ``within``.  The steps come from the
-    kernel's up-step walk; the search stops once all are seen."""
-    steps = [[] for _ in g.vertices]
+def h_bruhat_steps(g: MoveGraph, within: int = -1) -> tuple[list[list[int]], list[list[int]]]:
+    """Per id of a kernel, the targets of its up-steps under ``within``, and
+    those of its down-steps (the same edges from their upper ends), both
+    from one pass of the kernel's up-step walk."""
+    up, down = [[] for _ in g.vertices], [[] for _ in g.vertices]
     for x, k, y in g.up_steps():
         if within >> k & 1:
-            if toward > 0:
-                steps[x].append(y)
-            else:
-                steps[y].append(x)
+            up[x].append(y)
+            down[y].append(x)
+    return up, down
+
+
+def h_bruhat_walk(steps: list[list[int]], starts) -> set[int]:
+    """The ids reached from the ids ``starts`` along ``steps``, the up or
+    the down list of :func:`h_bruhat_steps`; the search stops once all are
+    seen."""
     seen = set(starts)
     stack = list(seen)
     while stack and len(seen) < len(steps):
@@ -544,7 +550,8 @@ def oracle_smooth_fixed_points(w: Perm, h) -> tuple[Perm, ...]:
     g = interval_move_graph(h, wt)
     dim = _cell_dimension(w, h)
     full = [x for x, d in enumerate(g.degrees()) if d == dim]
-    sandwich = h_bruhat_walk(g, [g.vertices.index(wt)], 1) & h_bruhat_walk(g, full, -1)
+    up, down = h_bruhat_steps(g)
+    sandwich = h_bruhat_walk(up, [g.vertices.index(wt)]) & h_bruhat_walk(down, full)
     return tuple(sorted(compose(u, g.vertices[x]) for x in sandwich))
 
 

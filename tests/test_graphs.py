@@ -39,6 +39,7 @@ from hessgkm.verify import (
     _induced,
     edge_set_at,
     fixed_point_induced_graph,
+    h_bruhat_steps,
     h_bruhat_walk,
     hessenberg_functions,
     oracle_bruhat_upset,
@@ -312,8 +313,8 @@ def test_move_masks_agree_with_summary(n):
             for d in set(degs) | {cell_dimension(w, h)}:
                 assert shared.regularity(d, win) == own.regularity(d)
             assert shared.sinks(win) == own.sinks()
-            for toward in (1, -1):
-                assert h_bruhat_walk(shared, [0], toward, win) == h_bruhat_walk(own, [0], toward)
+            for steps, same in zip(h_bruhat_steps(shared, win), h_bruhat_steps(own)):
+                assert h_bruhat_walk(steps, [0]) == h_bruhat_walk(same, [0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -466,6 +467,8 @@ def _below_w0(n, swaps):
         (2, [(1, 2)]),
         (3, []),
         (6, []),
+        (8, [(1, 2), (4, 5), (7, 8)]),
+        (9, [(1, 2), (4, 5), (8, 9)]),
         (11, [(1, 2), (5, 6), (10, 11)]),
         (11, [(3, 4), (2, 3), (4, 5)]),
         (12, [(1, 2), (6, 7), (11, 12)]),
@@ -480,10 +483,11 @@ def _below_w0(n, swaps):
     ],
 )
 def test_lane_kernel_at_its_edges(n, swaps):
-    # One vertex (w = w0), the ranks 1 and 2, masks of 55 and 66 bits
-    # (array('Q') at n = 11, ints from n = 12), and both sides of the
-    # lane-width switch (one byte a lane to n = 127, two from 128), which
-    # the vertex codes of the edge walks share.  Each kernel is held to the
+    # One vertex (w = w0), the ranks 1 and 2, masks of 28, 36, 55 and 66
+    # bits (array('I') to n = 8, array('Q') from n = 9 to 11, ints from
+    # n = 12), and both sides of the lane-width switch (one byte a lane to
+    # n = 127, two from 128), which the interval's columns and the vertex
+    # codes of the edge walks share.  Each kernel is held to the
     # pass oracle, and its up-step walk and the export's rows to the edges
     # of _induced, under every pair (h = (n, ..., n)) and under h's windows.
     w = _below_w0(n, swaps)
@@ -491,6 +495,7 @@ def test_lane_kernel_at_its_edges(n, swaps):
     for h in [(n,) * n, tuple(min(i + 2, n) for i in range(1, n + 1))]:
         kernel = _same_kernel(w, window_mask(h))
         assert isinstance(kernel.moves, array) == (len(pairs) <= 64)
+        assert len(pairs) > 64 or kernel.moves.itemsize == kernel.up.itemsize == (4 if len(pairs) <= 32 else 8)
         _check_move_graph(kernel, -1, h, w, pairs)
         assert interval_graph(h, w).edges == _induced(h, kernel.vertices)
 
@@ -514,6 +519,22 @@ def test_export_near_w0_at_the_pair_limit_peaks_in_bounded_memory():
         _lane_layout.cache_clear()
     assert len(g.vertices) == 2 and dot.count(" -- ") == 1 and text.count('"pos"') == 1
     assert peak <= 336 * 2**20 // 3, peak
+
+
+def test_up_step_walk_near_w0_at_the_pair_limit_peaks_in_bounded_memory():
+    # The kernel of [w, w0] for w = w0 (1, 2) at n = 362 has one up bit.  The
+    # walk forms a row, with its d = P[i] - P[j], only for a pair that is an
+    # up bit somewhere: all C(362, 2) rows took a 38 MB peak.
+    n = 362
+    g = interval_move_graph((n,) * n, apply_transposition(longest_element(n), 1, 2))
+    tracemalloc.start()
+    try:
+        steps = list(g.up_steps())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == [(0, 0, 1)]
+    assert peak <= 4 * 2**20, peak
 
 
 @st.composite

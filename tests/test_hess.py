@@ -29,7 +29,7 @@ from hessgkm.perms import (
     longest_element,
     transpositions,
 )
-from hessgkm.verify import h_bruhat_walk, hessenberg_functions, oracle_admissible_representative
+from hessgkm.verify import h_bruhat_steps, h_bruhat_walk, hessenberg_functions, oracle_admissible_representative
 
 H3344 = (3, 3, 4, 4)
 
@@ -241,7 +241,8 @@ def test_hessenberg_connected():
 
 
 def _reached(g, start, toward, within=-1):
-    return {g.vertices[x] for x in h_bruhat_walk(g, [g.vertices.index(start)], toward, within)}
+    steps = h_bruhat_steps(g, within)[toward < 0]
+    return {g.vertices[x] for x in h_bruhat_walk(steps, [g.vertices.index(start)])}
 
 
 def test_h_bruhat_reflexive_and_full_h():

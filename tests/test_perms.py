@@ -306,6 +306,20 @@ def test_interval_matches_chain_oracle():
         assert bruhat_interval(w) == oracle_bruhat_upset(w)
 
 
+@pytest.mark.parametrize("n", [127, 128, 129, 200, 255, 256, 362])
+def test_interval_near_w0_at_both_lane_widths(n):
+    # An entry takes one byte of a column up to n = 127 and two,
+    # little-endian, from n = 128 up to the pair limit 362, where no
+    # exhaustive check reaches.  Near w0 the chain oracle stays small: each
+    # [w, w0] here has 16 vertices.  The entries are ints at both widths.
+    w = longest_element(n)
+    for i, j in [(1, 2), (n // 2, n // 2 + 1), (n - 1, n), (2, 3)]:
+        w = apply_transposition(w, i, j)
+    interval = bruhat_interval_lex(w)
+    assert interval == tuple(sorted(oracle_bruhat_upset(w)))
+    assert len(interval) == 16 and {type(x) for v in interval for x in v} == {int}
+
+
 def test_interval_enumeration_leaves_no_cyclic_garbage():
     # The per-prefix-set memo is freed by reference counting when the
     # enumeration returns; a memo held by a self-recursive closure would be
