@@ -5,7 +5,7 @@ from types import ModuleType as _ModuleType
 
 from .classify import ClassificationReport, component_lower_bound
 from .cohomology import check_compatibility, localized_class_candidate, poincare_polynomial
-from .graphs import GkmGraph, build_hessenberg_graph, interval_graph, is_connected, is_regular
+from .graphs import GkmGraph, build_hessenberg_graph, interval_graph
 from .hess import (
     admissible_representative,
     complexity_dimension,
@@ -46,6 +46,8 @@ from .verify import (
     edge_set_at,
     fixed_point_induced_graph,
     hessenberg_functions,
+    is_connected,
+    is_regular,
     phi_map,
     regularity_via_w0,
     sweep,

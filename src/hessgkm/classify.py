@@ -157,25 +157,27 @@ def classify(w: Perm, h) -> ClassificationReport:
     # w~ keeps w's window order, so both have this cell dimension.
     dim = _cell_dimension(w, h)
     graph = _type_a_move_graph(w, window_mask(h))
-    reg = graph.regularity(dim)
+    degs = graph.degrees()
+    low, high = min(degs), max(degs)
+    regular = low == high == dim
+    violator = None if regular else graph.vertices[next(x for x, d in enumerate(degs) if d != dim)]
     conn = graph.sinks() == 1
     ambient = hessenberg_connected(h)
-    degs = graph.degrees()
     stats = GraphStats(
         connected=conn,
-        regular=reg.ok,
-        min_degree=min(degs),
-        max_degree=max(degs),
-        violating_vertex=reg.violator,
+        regular=regular,
+        min_degree=low,
+        max_degree=high,
+        violating_vertex=violator,
     )
 
     citations = [CITE_REGULAR_EQUIV]
-    smooth = "yes" if reg.ok else "no"
+    smooth = "yes" if regular else "no"
 
     if adm:
-        irreducible = "yes" if (reg.ok and conn) else "unknown"
+        irreducible = "yes" if (regular and conn) else "unknown"
         reason = None
-        if reg.ok and conn:
+        if regular and conn:
             citations.append(CITE_IRREDUCIBLE)
     else:
         irreducible = "no"
@@ -186,7 +188,7 @@ def classify(w: Perm, h) -> ClassificationReport:
     if conn and (adm or ambient):
         citations.append(CITE_CONNECTED)
 
-    equals_closure = "yes" if (reg.ok and conn) else "unknown"
+    equals_closure = "yes" if (regular and conn) else "unknown"
 
     graph_t = graph if adm else _type_a_move_graph(wt, window_mask(h))
     degs_t = degs if adm else graph_t.degrees()

@@ -24,10 +24,10 @@ leaving edge goes down in Bruhat order: its value pair (u(i), u(j)) has
 u(i) > u(j) at every such edge.  All weights therefore have one orientation,
 and writing each as t_a - t_b with a < b changes the class only by the global
 sign (-1)^{l_h(w)} (l_h(w) edges leave at every vertex).  The unsigned
-products are the class; each interval edge is still checked, its far end
-the swap u(i,j) itself, so no edge targets are built.  The compatibility
-check streams the rows of :func:`hessgkm.graphs._edge_rows` and builds a
-``GkmEdge`` only for an edge that violates it.
+products are the class; each interval edge is still checked, by
+:func:`check_compatibility` on the interval graph, the one edge
+congruence check.  It streams the rows of :func:`hessgkm.graphs._edge_rows`
+and builds a ``GkmEdge`` only for an edge that violates it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .hess import _cell_dimension, check_pair, complexity_dimension, validate_he
 from .perms import (
     Perm,
     all_permutations,
-    apply_transposition,
     check_factorial,
     check_size,
     format_permutation,
@@ -181,13 +180,9 @@ def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:
                 prod = poly_mul(prod, linear_form(n, min(a, b), max(a, b)))
         cls[u] = prod
 
-    for u, steps in zip(g.vertices, g.up):
-        for k, (i, j) in pairs:
-            if steps >> k & 1:
-                v = apply_transposition(u, i, j)
-                if not congruent(cls[u], cls[v], u[i - 1], u[j - 1]):
-                    raise RuntimeError(
-                        f"localized class not congruent on edge {format_permutation(u)} ~ {format_permutation(v)}"
-                    )
+    ok, bad = check_compatibility(GkmGraph(g.vertices, h, w), cls)
+    if not ok:
+        u, v = map(format_permutation, bad[0][:2])
+        raise RuntimeError(f"localized class not congruent on edge {u} ~ {v}")
 
     return {u: cls.get(u, {}) for u in all_permutations(n)}

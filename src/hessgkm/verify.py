@@ -33,6 +33,10 @@ oracle_json                       ``json.dumps(payload, sort_keys=True,
 _induced                          each window swap made on a list and
                                   probed in the vertex set, for the edge
                                   walk of ``GkmGraph.edges`` and the kernels
+is_regular, is_connected          degrees and components off _induced,
+                                  for the kernels' regularity and sinks
+oracle_graph_payload              the payload of graphs.to_json with the
+                                  edges of _induced
 oracle_move_graph                 one pass over each vertex's pairs, each
                                   ascent swapped on a list, probed in the
                                   vertex set and its bit set at both ends,
@@ -127,6 +131,7 @@ from .graphs import (
     GkmEdge,
     GkmGraph,
     MoveGraph,
+    RegularityCheck,
     _pack,
     _type_a_up_steps,
     bruhat_move_graph,
@@ -444,7 +449,7 @@ def oracle_poincare_polynomial(h) -> tuple[int, ...]:
 def oracle_json(payload) -> str:
     """The JSON document of payload by ``json.dumps``, and a newline: what
     every ``--json`` verb and ``graphs.to_json`` (on
-    :func:`hessgkm.graphs.to_json_dict`) write."""
+    :func:`oracle_graph_payload`) write."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -503,6 +508,50 @@ def _induced(h: HessFunc, vertices: tuple[Perm, ...]) -> tuple[GkmEdge, ...]:
         out.sort()
         edges += out
     return tuple(edges)
+
+
+def _components(vertices, edges) -> int:
+    """The components of the graph on ``vertices`` with ``edges``, counted by union-find."""
+    root = {u: u for u in vertices}
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for e in edges:
+        root[find(e.u)] = find(e.v)
+    return sum(root[u] == u for u in vertices)
+
+
+def _degrees(g: GkmGraph) -> dict[Perm, int]:
+    """Each vertex of g, in order, with its number of edges in :func:`_induced`."""
+    degs = dict.fromkeys(g.vertices, 0)
+    for e in _induced(g.h, g.vertices):
+        degs[e.u] += 1
+        degs[e.v] += 1
+    return degs
+
+
+def is_regular(g: GkmGraph, expected: int) -> RegularityCheck:
+    """Whether every vertex of g has ``expected`` edges, the violator the
+    first vertex that has not, from the edges of :func:`_induced`."""
+    bad = next((u for u, d in _degrees(g).items() if d != expected), None)
+    return RegularityCheck(bad is None, bad)
+
+
+def is_connected(g: GkmGraph) -> bool:
+    """Whether the edges of :func:`_induced` join all of g's vertices."""
+    return _components(g.vertices, _induced(g.h, g.vertices)) <= 1
+
+
+def oracle_graph_payload(g: GkmGraph) -> dict:
+    """g's JSON payload, its edges those of :func:`_induced`: what
+    :func:`hessgkm.graphs.to_json` writes is ``oracle_json`` of it."""
+    fmt = format_permutation
+    edges = [{"u": fmt(u), "v": fmt(v), "pos": list(ij), "val": list(ab)} for u, v, ij, ab in _induced(g.h, g.vertices)]
+    w = None if g.w is None else fmt(g.w)
+    return {"n": len(g.h), "h": list(g.h), "w": w, "vertices": [fmt(u) for u in g.vertices], "edges": edges}
 
 
 def fixed_point_induced_graph(h, w: Perm) -> GkmGraph:

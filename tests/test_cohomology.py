@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hessgkm import cohomology
 from hessgkm.cohomology import (
     check_compatibility,
     congruent,
@@ -14,10 +15,10 @@ from hessgkm.cohomology import (
     poly_mul,
     substitute_equal,
 )
-from hessgkm.graphs import build_hessenberg_graph, interval_graph, is_regular
+from hessgkm.graphs import build_hessenberg_graph, interval_graph
 from hessgkm.hess import cell_dimension, windows
 from hessgkm.perms import all_permutations, apply_transposition, bruhat_interval, longest_element
-from hessgkm.verify import hessenberg_functions, oracle_poincare_polynomial
+from hessgkm.verify import hessenberg_functions, is_regular, oracle_poincare_polynomial
 
 H3344 = (3, 3, 4, 4)
 
@@ -184,6 +185,14 @@ def test_localized_class_two_components():
 def test_localized_class_rejects_non_regular():
     with pytest.raises(ValueError):
         localized_class_candidate((2, 3, 3), (2, 1, 3))
+
+
+def test_localized_class_raises_on_an_edge_not_congruent(monkeypatch):
+    # The interval edges are checked by check_compatibility; the first edge
+    # that fails raises, named, rather than being patched silently.
+    monkeypatch.setattr(cohomology, "congruent", lambda p, q, a, b: False)
+    with pytest.raises(RuntimeError, match="localized class not congruent on edge 4312 ~ 4321"):
+        localized_class_candidate(H3344, (4, 3, 1, 2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

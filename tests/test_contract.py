@@ -99,8 +99,6 @@ CONTRACT = {
     "build_hessenberg_graph": Checked(build_hessenberg_graph, {"h": "h"}),
     "interval_graph": Checked(interval_graph, PAIR),
     "interval_move_graph": Checked(interval_move_graph, PAIR),
-    "is_connected": TAKES_A_GRAPH,
-    "is_regular": TAKES_A_GRAPH,
     # patterns and classify
     "pattern_witnesses": Checked(pattern_witnesses, PAIR),
     "avoids_all_associated": Checked(avoids_all_associated, PAIR),
@@ -110,6 +108,9 @@ CONTRACT = {
     "localized_class_candidate": Checked(localized_class_candidate, PAIR),
     "poincare_polynomial": Checked(poincare_polynomial, {"h": "h"}),
     "check_compatibility": TAKES_A_GRAPH,
+    # verify: the oracles of the kernels' regularity and sinks
+    "is_connected": TAKES_A_GRAPH,
+    "is_regular": TAKES_A_GRAPH,
     # verify: the claims under test
     "edge_set_at": Checked(edge_set_at, {"h": "h", "w": "w", "u": "w"}),
     "fixed_point_induced_graph": Checked(fixed_point_induced_graph, PAIR),

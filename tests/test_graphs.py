@@ -1,6 +1,7 @@
 """Moment graph construction, degrees, regularity, connectivity, exports."""
 
 import math
+import sys
 import tracemalloc
 from array import array
 from itertools import combinations
@@ -16,11 +17,8 @@ from hessgkm.graphs import (
     bruhat_move_graph,
     interval_graph,
     interval_move_graph,
-    is_connected,
-    is_regular,
     to_dot,
     to_json,
-    to_json_dict,
 )
 from hessgkm.hess import cell_dimension, enumerate_admissible, h_length, complexity_dimension, window_mask, windows
 from hessgkm.perms import (
@@ -36,13 +34,18 @@ from hessgkm.perms import (
     transpositions,
 )
 from hessgkm.verify import (
+    _components,
+    _degrees,
     _induced,
     edge_set_at,
     fixed_point_induced_graph,
     h_bruhat_steps,
     h_bruhat_walk,
     hessenberg_functions,
+    is_connected,
+    is_regular,
     oracle_bruhat_upset,
+    oracle_graph_payload,
     oracle_json,
     oracle_move_graph,
     phi_map,
@@ -97,29 +100,7 @@ def test_interval_graph_vertices_and_edges():
         frozenset({(2, 3, 1), (3, 2, 1)}),
         frozenset({(3, 1, 2), (3, 2, 1)}),
     }
-    assert sorted(g.degrees().values()) == [1, 1, 2, 2]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_degrees_and_adjacency_count_the_edges(n):
-    # Both read the rows of the edge walk; here they are counted off the
-    # GkmEdge tuples, in edge order.
-    def graphs():
-        for h in hessenberg_functions(n):
-            yield build_hessenberg_graph(h)
-            for w in all_permutations(n):
-                yield interval_graph(h, w)
-
-    for g in graphs():
-        degs = {u: 0 for u in g.vertices}
-        adj = {u: [] for u in g.vertices}
-        for e in g.edges:
-            degs[e.u] += 1
-            degs[e.v] += 1
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        assert g.degrees() == degs
-        assert g.adjacency() == adj
+    assert sorted(_degrees(g).values()) == [1, 1, 2, 2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -205,27 +186,6 @@ def test_is_connected():
     assert is_connected(interval_graph((2, 3, 3), (2, 1, 3)))
     assert not is_connected(build_hessenberg_graph((2, 2, 3)))
     assert is_connected(interval_graph(H3344, longest_element(4)))
-
-
-def _components(vertices, edges):
-    # The components of a graph on ``vertices`` with ``edges``, counted by
-    # search.
-    adj = {u: [] for u in vertices}
-    for e in edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    seen, count = set(), 0
-    for u in vertices:
-        if u not in seen:
-            count += 1
-            seen.add(u)
-            stack = [u]
-            while stack:
-                for v in adj[stack.pop()]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-    return count
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -446,6 +406,18 @@ def test_lane_kernel_peak_memory_is_the_oracles():
         assert peaks[0] < 1.25 * peaks[1], peaks
         got, want = built
         assert got.moves == want.moves and got.up == want.up
+    finally:
+        bruhat_interval_lex.cache_clear()
+
+
+def test_lane_kernel_masks_take_their_final_size():
+    # S_8 runs in six blocks.  Each block's masks are written into arrays
+    # allocated at their final size, so they hold no slack from growing.
+    try:
+        g = _type_a_move_graph(identity(8), -1)
+        assert len(g.vertices) > 5 * _lane_layout(8)[7]
+        exact = sys.getsizeof(array(g.moves.typecode, [0]) * len(g.vertices))
+        assert sys.getsizeof(g.moves) == sys.getsizeof(g.up) == exact
     finally:
         bruhat_interval_lex.cache_clear()
 
@@ -684,13 +656,13 @@ def test_dot_export_deterministic():
 
 def test_json_export_schema():
     g = interval_graph((2, 3, 3), (2, 1, 3))
-    d = to_json_dict(g)
+    d = oracle_graph_payload(g)
     assert d["n"] == 3 and d["h"] == [2, 3, 3] and d["w"] == "213"
     assert d["vertices"] == ["213", "231", "312", "321"]
     assert {"u": "213", "v": "231", "pos": [2, 3], "val": [1, 3]} in d["edges"]
-    full = to_json_dict(build_hessenberg_graph((2, 2, 3)))
+    full = oracle_graph_payload(build_hessenberg_graph((2, 2, 3)))
     assert full["w"] is None
-    assert to_json(g) == to_json(interval_graph((2, 3, 3), (2, 1, 3)))
+    assert to_json(g) == to_json(interval_graph((2, 3, 3), (2, 1, 3))) == oracle_json(d)
 
 
 def _export_cases():
@@ -714,7 +686,7 @@ def test_json_export_matches_encoder_oracle():
     shapes = {"edge-free": 0, "comma labels": 0}
     for g in _export_cases():
         text = to_json(g)
-        assert text == oracle_json(to_json_dict(g))
+        assert text == oracle_json(oracle_graph_payload(g))
         shapes["edge-free"] += '"edges": []' in text
         shapes["comma labels"] += '"10,9,' in text
     assert all(shapes.values())

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from hessgkm import classify as classify_module, cohomology, graphs, hess, patterns, verify
-from hessgkm.graphs import interval_graph, is_regular
+from hessgkm.graphs import interval_graph
 from hessgkm.hess import cell_dimension, enumerate_admissible
 from hessgkm.patterns import (
     PATTERN_IDS,
@@ -15,7 +15,7 @@ from hessgkm.patterns import (
     pattern_witnesses,
 )
 from hessgkm.perms import all_permutations, identity, longest_element
-from hessgkm.verify import hessenberg_functions
+from hessgkm.verify import hessenberg_functions, is_regular
 
 H3344 = (3, 3, 4, 4)
 

@@ -8,7 +8,7 @@ from functools import cached_property
 import pytest
 
 from hessgkm.classify import classify
-from hessgkm.graphs import interval_graph, is_regular
+from hessgkm.graphs import interval_graph
 from hessgkm.hess import admissible_representative, cell_dimension, enumerate_admissible
 from hessgkm.perms import all_permutations
 from hessgkm.roots import (
@@ -30,6 +30,7 @@ from hessgkm.roots import (
 from hessgkm.verify import (
     hessenberg_functions,
     hessenberg_space_from_function,
+    is_regular,
     is_weyl_type,
     oracle_canonical_word,
     oracle_weak_leq,
