@@ -8,14 +8,14 @@ substituting t_a := t_b into both and comparing, which is exact over Z.
 
 Betti numbers come from the cell dimensions: the 2k-th coefficient counts
 permutations whose cell has dimension k = d_h - l_h(w), and the total is n!.
-They are counted without enumerating S_n, by a dynamic program over the
-values v = 1..n.  A state is the set of positions that hold the values
-below v.  Putting v at position p adds to l_h one inversion for each window
-partner j of p to its right (p < j <= h(p)) that already holds a smaller
-value; partners to its left hold smaller values and are not inverted.  So
-step v ends with C(n, v) states, 2^n over the whole pass whatever h is,
-h = (n, ..., n) included, and at most n 2^n transitions.  Each state
-carries its generating polynomial in l_h.
+They are counted without enumerating S_n, by deleting the largest value: at
+position p it inverts its h(p) - p window partners to its right and none to
+its left, and the other positions carry h - p, h with p deleted and the
+windows that crossed p one shorter.  So P_h(q) = sum_p q^{h(p) - p}
+P_{h - p}(q), and P = 1 at n = 1.  The memo is keyed by h alone: position
+sets that induce the same function are counted once, and calls share their
+sub-functions.  Deleting k of n positions leaves at most C(n, k) of them,
+so C(n, n/2) still bounds the widest level of the memo.
 
 For a regular interval graph, GKM localization gives the interval class at
 each interval vertex u as the product of the weights of the full-graph edges
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 
 from .graphs import GkmEdge, GkmGraph, _edge_rows, _type_a_move_graph
 from .hess import _cell_dimension, check_pair, complexity_dimension, validate_hessenberg, window_mask
@@ -112,15 +113,9 @@ def check_compatibility(g: GkmGraph, cls: dict[Perm, Poly]) -> tuple[bool, list[
 
 
 def poincare_polynomial(h) -> tuple[int, ...]:
-    """Coefficients (b_0, b_2, ..., b_{2 d_h}) from the cell dimensions.
-
-    One pass over the values (see the module docstring).  A state is a
-    bitmask of taken positions; its generating polynomial in l_h is one int
-    holding the coefficients in fields of ``bits`` bits, and no coefficient
-    exceeds n!.  The states are one list indexed by mask, walked in numeric
-    order: a successor sets one more bit, so it is larger, and each state is
-    complete when it is read.  A state read is cleared, so only the states
-    still to be read hold a polynomial.
+    """Coefficients (b_0, b_2, ..., b_{2 d_h}) from the cell dimensions, by
+    the deletion recursion on h as bytes.  The polynomial in l_h is one int
+    of 64-bit fields: the size guard keeps n <= 18, and 18! < 2^64.
 
     >>> poincare_polynomial((2, 3, 3))
     (1, 4, 1)
@@ -130,21 +125,26 @@ def poincare_polynomial(h) -> tuple[int, ...]:
     h = validate_hessenberg(h)
     n = len(h)
     check_size(math.comb(n, n // 2), f"Betti states at the widest step C({n}, {n // 2})")
-    d = complexity_dimension(h)
-    bits = math.factorial(n).bit_length() + 1
-    # (1 << p, the window partners of position p to its right as a bitmask)
-    steps = [(1 << p, ((1 << hp) - 1) & ~((1 << (p + 1)) - 1)) for p, hp in enumerate(h)]
-    states = [0] * (1 << n)
-    states[0] = 1
-    for taken in range(len(states) - 1):
-        poly = states[taken]
-        states[taken] = 0
-        for bit, right in steps:
-            if not taken & bit:
-                states[taken | bit] += poly << ((taken & right).bit_count() * bits)
-    poly = states[-1]
-    mask = (1 << bits) - 1
-    return tuple((poly >> ((d - k) * bits)) & mask for k in range(d + 1))
+    poly, d = _length_polynomial(bytes(h)), complexity_dimension(h)
+    return tuple((poly >> (d - k) * 64) & 0xFFFFFFFFFFFFFFFF for k in range(d + 1))
+
+
+@lru_cache(maxsize=None)
+def _lowered(p: int) -> bytes:
+    """The byte table v -> v - (v > p): h's windows before p, lowered if they cross p."""
+    return bytes(v - (v > p) for v in range(256))
+
+
+@lru_cache(maxsize=None)
+def _length_polynomial(h: bytes) -> int:
+    """Sum over S_n of q^{l_h(w)}, by the position p of n (0-based here)."""
+    if len(h) == 1:
+        return 1
+    tail = h.translate(_lowered(0))
+    poly = 0
+    for p, hp in enumerate(h):
+        poly += _length_polynomial(h[:p].translate(_lowered(p)) + tail[p + 1 :]) << (hp - p - 1) * 64
+    return poly
 
 
 def localized_class_candidate(h, w: Perm) -> dict[Perm, Poly]:

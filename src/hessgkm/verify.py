@@ -25,7 +25,11 @@ oracle_admissible_representative  the admissible v with w's window order
                                   mask) that lie in [w, w0], from a table
                                   of h's admissible elements by window
                                   order, for the greedy ascent
-oracle_poincare_polynomial        cell dimensions over S_n, for the DP
+oracle_poincare_polynomial        cell dimensions over S_n, for the
+                                  deletion recursion of the Betti numbers
+oracle_poincare_states            a dynamic program over the 2^n sets of
+                                  positions holding the smaller values,
+                                  for the same recursion up to n = 18
 oracle_json                       ``json.dumps(payload, sort_keys=True,
                                   indent=2)``, for the writer of
                                   :mod:`hessgkm.jsontext` (every --json
@@ -122,6 +126,7 @@ suite; the suites report them rather than masking them.
 from __future__ import annotations
 
 import json
+import math
 import time
 from bisect import bisect_left, insort
 from functools import lru_cache, reduce
@@ -162,6 +167,7 @@ from .perms import (
     bruhat_interval,
     bruhat_interval_lex,
     bruhat_leq,
+    check_size,
     compose,
     format_permutation,
     identity,
@@ -437,13 +443,50 @@ def oracle_canonical_word(rs: RootSystem, w: Element) -> tuple[int, ...]:
 def oracle_poincare_polynomial(h) -> tuple[int, ...]:
     """Coefficients (b_0, b_2, ..., b_{2 d_h}) by the definition: the
     histogram of cell dimensions d_h - l_h(w) over all n! permutations, for
-    the dynamic program :func:`hessgkm.cohomology.poincare_polynomial`."""
+    the deletion recursion :func:`hessgkm.cohomology.poincare_polynomial`."""
     h = validate_hessenberg(h)
     d = complexity_dimension(h)
     counts = [0] * (d + 1)
     for w in all_permutations(len(h)):
         counts[d - _h_length(w, h)] += 1
     return tuple(counts)
+
+
+def oracle_poincare_states(h) -> tuple[int, ...]:
+    """Coefficients (b_0, b_2, ..., b_{2 d_h}) by one pass over the values
+    v = 1..n, for the deletion recursion
+    :func:`hessgkm.cohomology.poincare_polynomial` where S_n is too big to
+    enumerate.  A state is the set of positions that hold the values below
+    v.  Putting v at position p adds to l_h one inversion for each window
+    partner j of p to its right (p < j <= h(p)) that already holds a smaller
+    value; partners to its left hold smaller values and are not inverted.
+    So step v ends with C(n, v) states, 2^n over the whole pass whatever h
+    is, and at most n 2^n transitions.
+
+    A state is a bitmask of taken positions; its generating polynomial in
+    l_h is one int holding the coefficients in fields of ``bits`` bits, and
+    no coefficient exceeds n!.  The states are one list indexed by mask,
+    walked in numeric order: a successor sets one more bit, so it is larger,
+    and each state is complete when it is read.  A state read is cleared, so
+    only the states still to be read hold a polynomial."""
+    h = validate_hessenberg(h)
+    n = len(h)
+    check_size(math.comb(n, n // 2), f"Betti states at the widest step C({n}, {n // 2})")
+    d = complexity_dimension(h)
+    bits = math.factorial(n).bit_length() + 1
+    # (1 << p, the window partners of position p to its right as a bitmask)
+    steps = [(1 << p, ((1 << hp) - 1) & ~((1 << (p + 1)) - 1)) for p, hp in enumerate(h)]
+    states = [0] * (1 << n)
+    states[0] = 1
+    for taken in range(len(states) - 1):
+        poly = states[taken]
+        states[taken] = 0
+        for bit, right in steps:
+            if not taken & bit:
+                states[taken | bit] += poly << ((taken & right).bit_count() * bits)
+    poly = states[-1]
+    mask = (1 << bits) - 1
+    return tuple((poly >> ((d - k) * bits)) & mask for k in range(d + 1))
 
 
 def oracle_json(payload) -> str:

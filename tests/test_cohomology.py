@@ -18,7 +18,7 @@ from hessgkm.cohomology import (
 from hessgkm.graphs import build_hessenberg_graph, interval_graph
 from hessgkm.hess import cell_dimension, windows
 from hessgkm.perms import all_permutations, apply_transposition, bruhat_interval, longest_element
-from hessgkm.verify import hessenberg_functions, is_regular, oracle_poincare_polynomial
+from hessgkm.verify import hessenberg_functions, is_regular, oracle_poincare_polynomial, oracle_poincare_states
 
 H3344 = (3, 3, 4, 4)
 
@@ -128,6 +128,32 @@ def test_poincare_matches_enumeration_oracle():
         assert poincare_polynomial(h) == oracle_poincare_polynomial(h), h
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_poincare_matches_states_oracle(n):
+    hs = list(hessenberg_functions(n))
+    assert len(hs) == {7: 429, 8: 1430}[n]
+    for h in hs:
+        assert poincare_polynomial(h) == oracle_poincare_states(h), h
+
+
+def test_poincare_memo_holds_one_entry_per_sub_function():
+    # Rank 7 reaches every Hessenberg function of size 1..7 once:
+    # 1 + 2 + 5 + 14 + 42 + 132 + 429 entries under one bytes key each.
+    memo = cohomology._length_polynomial
+    memo.cache_clear()
+    for h in hessenberg_functions(7):
+        poincare_polynomial(h)
+    assert memo.cache_info().currsize == 625
+    memo.cache_clear()
+    poincare_polynomial((18,) * 18)
+    assert memo.cache_info().currsize == 18
+
+
+def test_poincare_size_guard_comes_before_the_bytes_key():
+    with pytest.raises(ValueError, match="SIZE_LIMIT"):
+        poincare_polynomial((300,) * 300)
+
+
 def _mahonian(n):
     """Coefficients of [n]_q! = prod_{k<=n} (1 + q + ... + q^{k-1})."""
     coeffs = [1]
@@ -140,13 +166,14 @@ def _mahonian(n):
     return tuple(coeffs)
 
 
-@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("n", [11, 12, 13, 14])
 def test_poincare_large_rank_properties(n):
     fact = math.factorial(n)
     bands = [tuple(min(i + k, n) for i in range(1, n + 1)) for k in range(n)]
     ragged = [(3, 4) + tuple(range(5, n + 1)) + (n, n), (2,) * 2 + (n - 1,) * (n - 3) + (n,)]
     for h in bands + ragged:
         coeffs = poincare_polynomial(h)
+        assert coeffs == oracle_poincare_states(h), h
         assert sum(coeffs) == fact, h
         assert coeffs == tuple(reversed(coeffs)), h
     assert poincare_polynomial((n,) * n) == _mahonian(n)
